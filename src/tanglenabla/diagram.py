@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 
 class TangleError(Exception):
@@ -90,6 +91,34 @@ class Site:
 
     def __str__(self):
         return ",".join(sorted(self.arcs)) if self.arcs else "-"
+
+
+class Quadrant(NamedTuple):
+    """One corner of a crossing: its region and its local Alexander code."""
+
+    region: Optional[str]               # None on a split diagram
+    exp2: tuple[tuple[str, int], ...]   # doubled colour exponents, non-zero
+    h2: int                             # doubled exponent of h
+    delta2: int                         # doubled delta contribution
+
+
+class UnionFind:
+    """Disjoint sets of hashable items, each represented by its smallest member."""
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 # attachment encoding used in derived tables:
@@ -280,32 +309,14 @@ class TangleDiagram:
     def _classify_pieces(self) -> bool:
         """True if the diagram is connected; False if only closed pieces are
         disconnected (a split diagram); raises if open parts are separated."""
-        piece_of: dict[str, int] = {}
-        n_pieces = 0
-        for comp in self.components:
-            for e in comp.edges:
-                if e not in piece_of:
-                    piece_of[e] = n_pieces
-                    n_pieces += 1
-
-        def unite(a: str, b: str):
-            pa, pb = piece_of[a], piece_of[b]
-            if pa != pb:
-                for e, p in piece_of.items():
-                    if p == pb:
-                        piece_of[e] = pa
-
+        pieces = UnionFind()
         for comp in self.components:
             for e1, e2 in zip(comp.edges, comp.edges[1:]):
-                unite(e1, e2)
+                pieces.union(e1, e2)
         for c in self.crossings:
-            unite(c.under[0], c.over[0])
-        pieces: dict[int, list[str]] = {}
-        for e, p in piece_of.items():
-            pieces.setdefault(p, []).append(e)
-        boundary_set = set(self.boundary)
-        open_pieces = sum(1 for es in pieces.values()
-                          if any(e in boundary_set for e in es))
+            pieces.union(c.under[0], c.over[0])
+        roots = {pieces.find(e) for comp in self.components for e in comp.edges}
+        open_pieces = len({pieces.find(e) for e in self.boundary})
         if self.boundary:
             if open_pieces > 1:
                 raise TangleError(
@@ -313,13 +324,7 @@ class TangleDiagram:
                     "two separate parts of the diagram reach the boundary")
             if open_pieces == 0:
                 raise TangleError("E_DISCONNECTED", "no strand reaches the boundary")
-        return len(pieces) <= 1
-
-    def _crossing_edges(self) -> set[str]:
-        out = set()
-        for c in self.crossings:
-            out.update(c.slots())
-        return out
+        return len(roots) <= 1
 
     # ------------------------------------------------------------------
     # faces
@@ -416,6 +421,7 @@ class TangleDiagram:
             regions.append(Region(rid, "closed", tuple(sorted(corners.get(fi, []))), ()))
         self.regions = tuple(sorted(regions, key=lambda r: r.rid))
         self._region_by_id = {r.rid: r for r in self.regions}
+        self.open_regions = frozenset(r.rid for r in regions if r.kind == "open")
         self.region_of_quadrant = {
             (ci, q): named[face_of[4 * ci + (q + 1) % 4]]
             for ci in range(m) for q in range(4)
@@ -437,9 +443,6 @@ class TangleDiagram:
     def region(self, rid: str) -> Region:
         return self._region_by_id[rid]
 
-    def open_region_ids(self) -> tuple[str, ...]:
-        return tuple(r.rid for r in self.regions if r.kind == "open")
-
     def region_beside(self, edge: str, side: str) -> Optional[str]:
         """Region on the 'L'/'R' side of an edge, w.r.t. its flow direction."""
         table = self._face_right_of_tail if side == "R" else self._face_left_of_tail
@@ -454,13 +457,39 @@ class TangleDiagram:
             return []
         return [Site(frozenset(c)) for c in combinations(labels, k)]
 
-    def end_positions(self) -> list[tuple[str, bool]]:
-        """Per boundary position: (edge, strand points into the disc)."""
-        m = len(self.crossings)
-        return [(e, not self.incoming[4 * m + k]) for k, e in enumerate(self.boundary)]
+    @cached_property
+    def quadrants(self) -> tuple[tuple[Quadrant, ...], ...]:
+        """Per crossing, its four corners in quadrant order.
 
-    def writhe(self) -> int:
-        return sum(c.sign for c in self.crossings)
+        Built once, on first use.  The Alexander codes, with slot 0 the
+        under-in end and quadrant q between slots q and q+1:
+
+        * the under colour u contributes u^{-1/2} on the two quadrants left
+          of the under-strand (q2, q3) and u^{+1/2} on its right (q0, q1);
+        * the over colour o contributes o^{+1/2} left of the over-strand and
+          o^{-1/2} on its right;
+        * the quadrant between both incoming ends (q3 at a positive
+          crossing, q0 at a negative one) carries h^{-sign};
+        * that quadrant and the opposite one, between both outgoing ends,
+          add sign/2 to the delta grading.
+        """
+        table = []
+        for ci, c in enumerate(self.crossings):
+            u = self.colour_of_edge[c.under[0]]
+            o = self.colour_of_edge[c.over[0]]
+            left_of_over = ((c.over_in_slot + 2) % 4, (c.over_in_slot + 3) % 4)
+            both_in = 3 if c.sign > 0 else 0
+            row = []
+            for q in range(4):
+                exp = {u: -1 if q in (2, 3) else 1}
+                exp[o] = exp.get(o, 0) + (1 if q in left_of_over else -1)
+                row.append(Quadrant(
+                    None if self.split else self.region_of_quadrant[(ci, q)],
+                    tuple((v, e) for v, e in exp.items() if e),
+                    -2 * c.sign if q == both_in else 0,
+                    c.sign if q % 2 == both_in % 2 else 0))
+            table.append(tuple(row))
+        return tuple(table)
 
     def __eq__(self, other):
         if not isinstance(other, TangleDiagram):

@@ -4,9 +4,8 @@ Generators are Kauffman states decorated with one binary choice per closed
 strand (the extra intersection point each closed component contributes).
 Gradings are absolute sums of crossing-local contributions:
 
-* the Alexander vector repeats the quadrant-code colour exponents,
-* the delta grading picks up sign(crossing)/2 whenever the marker sits in
-  the both-incoming or both-outgoing quadrant,
+* the Alexander vector and the delta grading sum the colour exponents and
+  delta contributions of the marked quadrants (``TangleDiagram.quadrants``),
 * a set decoration bit adds 2 to that closed colour's Alexander entry and
   leaves delta alone,
 
@@ -21,7 +20,6 @@ from itertools import product
 
 from .diagram import Site, TangleDiagram, TangleError
 from .laurent import DELTA, LaurentPoly
-from .nabla import quadrant_exponents
 from .states import KauffmanState, enumerate_states, site_of
 
 
@@ -41,14 +39,11 @@ class GradedGenerator:
 def _local_gradings(d: TangleDiagram, x: KauffmanState) -> tuple[dict[str, int], int]:
     a2: dict[str, int] = {c: 0 for c in d.colours()}
     delta2 = 0
-    for ci, q in enumerate(x.markers):
-        c = d.crossings[ci]
-        for v, e in quadrant_exponents(d, ci, q).items():
-            if v != "h":
-                a2[v] += e
-        both_in = 3 if c.sign > 0 else 0
-        if q == both_in or q == (both_in + 2) % 4:
-            delta2 += c.sign
+    for row, q in zip(d.quadrants, x.markers):
+        corner = row[q]
+        for v, e in corner.exp2:
+            a2[v] += e
+        delta2 += corner.delta2
     return a2, delta2
 
 

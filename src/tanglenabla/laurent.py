@@ -343,10 +343,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.pretty()})"
 
 
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.integer(1)
-
-
 def binomial(colour: str) -> LaurentPoly:
     """The factor (colour - colour^{-1})."""
     return LaurentPoly.var(colour, 2) - LaurentPoly.var(colour, -2)

@@ -1,16 +1,6 @@
-"""The state-sum invariants: per-crossing quadrant codes, their products
-over Kauffman states, and the two-ended specialization to the Conway
-potential.
-
-The quadrant codes, in the slot conventions of :mod:`tanglenabla.diagram`
-(slot 0 = under-in, quadrants counterclockwise):
-
-* the under colour u contributes u^{-1/2} on the two quadrants left of the
-  under-strand (q2, q3) and u^{+1/2} on its right (q0, q1);
-* the over colour o contributes o^{+1/2} left of the over-strand and
-  o^{-1/2} on its right;
-* the single quadrant adjacent to both incoming ends carries an extra
-  factor h^{-sign}.
+"""The state-sum invariants: products of the per-crossing quadrant codes
+(see ``TangleDiagram.quadrants``) over Kauffman states, and the two-ended
+specialization to the Conway potential.
 """
 
 from __future__ import annotations
@@ -19,47 +9,39 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import Site, TangleDiagram, TangleError
-from .laurent import H, LaurentPoly, binomial
+from .laurent import H, LaurentError, LaurentPoly, binomial
 from .states import KauffmanState, enumerate_states, site_of
-
-
-def quadrant_exponents(d: TangleDiagram, ci: int, q: int) -> dict[str, int]:
-    """Doubled exponents of the label monomial of quadrant q at crossing ci."""
-    c = d.crossings[ci]
-    u = d.colour_of_edge[c.under[0]]
-    o = d.colour_of_edge[c.over[0]]
-    exp: dict[str, int] = {}
-    exp[u] = exp.get(u, 0) + (-1 if q in (2, 3) else 1)
-    oi = c.over_in_slot
-    left_of_over = ((oi + 2) % 4, (oi + 3) % 4)
-    exp[o] = exp.get(o, 0) + (1 if q in left_of_over else -1)
-    both_in = 3 if c.sign > 0 else 0
-    if q == both_in:
-        exp[H] = exp.get(H, 0) - 2 * c.sign
-    return {v: e for v, e in exp.items() if e}
 
 
 def quadrant_label(d: TangleDiagram, ci: int, q: int) -> LaurentPoly:
     """The label monomial itself (coefficient +1; signs only enter at h=-1)."""
-    return LaurentPoly.monomial(1, quadrant_exponents(d, ci, q))
+    corner = d.quadrants[ci][q]
+    exp = dict(corner.exp2)
+    if corner.h2:
+        exp[H] = corner.h2
+    return LaurentPoly.monomial(1, exp)
 
 
 def state_monomial(d: TangleDiagram, x: KauffmanState) -> LaurentPoly:
     exp: dict[str, int] = {}
-    for ci, q in enumerate(x.markers):
-        for v, e in quadrant_exponents(d, ci, q).items():
+    h2 = 0
+    for row, q in zip(d.quadrants, x.markers):
+        corner = row[q]
+        for v, e in corner.exp2:
             exp[v] = exp.get(v, 0) + e
-    return LaurentPoly.monomial(1, {v: e for v, e in exp.items() if e})
+        h2 += corner.h2
+    exp = {v: e for v, e in exp.items() if e}
+    if h2:
+        exp[H] = h2
+    return LaurentPoly.monomial(1, exp)
 
 
 def nabla_hat_all(d: TangleDiagram) -> dict[Site, LaurentPoly]:
     """The full family of hatted state sums, one per site (h unevaluated)."""
     out: dict[Site, LaurentPoly] = {s: LaurentPoly.zero() for s in d.sites()}
-    if d.split:
-        return out
     for x in enumerate_states(d):
         s = site_of(d, x)
-        out[s] = out.get(s, LaurentPoly.zero()) + state_monomial(d, x)
+        out[s] = out[s] + state_monomial(d, x)
     return out
 
 
@@ -75,8 +57,6 @@ def _check_site(d: TangleDiagram, s: Site) -> None:
 
 def nabla_hat(d: TangleDiagram, s: Site) -> LaurentPoly:
     _check_site(d, s)
-    if d.split:
-        return LaurentPoly.zero()
     return nabla_hat_all(d)[s]
 
 
@@ -111,7 +91,7 @@ def conway_potential(d: TangleDiagram) -> ConwayPotential:
     num = nabla_at_site(d, Site(frozenset()))
     try:
         quot = num.divide_binomial(open_colour)
-    except Exception:
+    except LaurentError:
         quot = None
     return ConwayPotential(num, open_colour, quot)
 

@@ -8,20 +8,16 @@ this forces exactly n-1 occupied open regions.
 
 from __future__ import annotations
 
-from .diagram import Site, TangleDiagram, TangleError
+from .diagram import Site, TangleDiagram
 
 
 class KauffmanState:
     """Marker assignment crossing -> quadrant (0..3)."""
 
-    __slots__ = ("markers", "_regions")
+    __slots__ = ("markers",)
 
-    def __init__(self, markers: tuple[int, ...], regions: tuple[str, ...]):
+    def __init__(self, markers: tuple[int, ...]):
         self.markers = markers
-        self._regions = regions  # occupied region id per crossing
-
-    def region_of(self, ci: int) -> str:
-        return self._regions[ci]
 
     def __iter__(self):
         return iter(self.markers)
@@ -39,92 +35,66 @@ class KauffmanState:
 def enumerate_states(d: TangleDiagram) -> list[KauffmanState]:
     """All generalised Kauffman states, sorted by their marker vectors.
 
-    Backtracking assigns the most constrained crossing first; a closed
-    region that can no longer reach exactly one marker prunes the branch.
-    Split diagrams have no states.
+    Backtracking assigns the most constrained crossing first (fewest free
+    quadrants, then lowest index) and puts at most one marker in any
+    region; a closed region left empty with no unassigned crossing around
+    it prunes the branch, so every complete assignment fills each closed
+    region exactly once.  Split diagrams have no states.
     """
     if d.split:
         return []
-    m = len(d.crossings)
-    region_kind = {r.rid: r.kind for r in d.regions}
-    quad_region = d.region_of_quadrant
+    index = {r.rid: k for k, r in enumerate(d.regions)}
+    closed = [r.kind == "closed" for r in d.regions]
+    quad = [tuple(index[corner.region] for corner in row) for row in d.quadrants]
 
-    # remaining[r] = number of unassigned crossings adjacent to region r
-    remaining: dict[str, int] = {}
-    for ci in range(m):
-        for q in range(4):
-            r = quad_region[(ci, q)]
-            remaining[r] = remaining.get(r, 0) + 1
-    filled: dict[str, int] = {r: 0 for r in remaining}
-    for r in region_kind:
-        remaining.setdefault(r, 0)
-        filled.setdefault(r, 0)
-        if region_kind[r] == "closed" and remaining[r] == 0:
-            return []          # an untouchable closed region: no states
-
-    assigned: list[int] = [-1] * m
-    todo = set(range(m))
+    # remaining[r] = unassigned crossing corners at region r
+    remaining = [0] * len(index)
+    for row in quad:
+        for r in row:
+            remaining[r] += 1
+    if any(c and not n for c, n in zip(closed, remaining)):
+        return []          # an untouchable closed region: no states
+    filled = [False] * len(index)
+    assigned = [-1] * len(quad)
+    todo = set(range(len(quad)))
     out: list[tuple[int, ...]] = []
-
-    def admissible(ci: int) -> list[int]:
-        quads = []
-        for q in range(4):
-            r = quad_region[(ci, q)]
-            cap = 1
-            if filled[r] < cap:
-                quads.append(q)
-        return quads
-
-    def feasible() -> bool:
-        # every unfilled closed region must still have an adjacent free crossing
-        for r, k in region_kind.items():
-            if k == "closed" and filled[r] == 0 and remaining[r] == 0:
-                return False
-        return True
 
     def rec():
         if not todo:
             out.append(tuple(assigned))
             return
-        ci = min(todo, key=lambda i: (len(admissible(i)), i))
-        quads = admissible(ci)
-        if not quads:
-            return
+        ci, free = -1, None
+        for i in todo:
+            f = [q for q, r in enumerate(quad[i]) if not filled[r]]
+            if not f:
+                return
+            if free is None or (len(f), i) < (len(free), ci):
+                ci, free = i, f
+        regs = quad[ci]
         todo.discard(ci)
-        for q in range(4):
-            quad = quad_region[(ci, q)]
-            remaining[quad] -= 1
-        for q in quads:
-            r = quad_region[(ci, q)]
+        for r in regs:
+            remaining[r] -= 1
+        for q in free:
+            r = regs[q]
             assigned[ci] = q
-            filled[r] += 1
-            if feasible():
+            filled[r] = True
+            # only the regions around ci changed
+            if all(filled[x] or remaining[x] or not closed[x] for x in regs):
                 rec()
-            filled[r] -= 1
+            filled[r] = False
         assigned[ci] = -1
-        for q in range(4):
-            quad = quad_region[(ci, q)]
-            remaining[quad] += 1
+        for r in regs:
+            remaining[r] += 1
         todo.add(ci)
 
     rec()
-    states = []
-    for markers in sorted(out):
-        regions = tuple(quad_region[(ci, q)] for ci, q in enumerate(markers))
-        # closed regions exactly once
-        occupied_closed = [r for r in regions if region_kind[r] == "closed"]
-        n_closed = sum(1 for r, k in region_kind.items() if k == "closed")
-        if len(occupied_closed) != n_closed or len(set(occupied_closed)) != len(occupied_closed):
-            continue
-        states.append(KauffmanState(markers, regions))
-    return states
+    return [KauffmanState(markers) for markers in sorted(out)]
 
 
 def site_of(d: TangleDiagram, x: KauffmanState) -> Site:
     """The set of open regions (named by their arcs) occupied by x."""
-    kind = {r.rid: r.kind for r in d.regions}
-    occupied = frozenset(r for r in x._regions if kind[r] == "open")
-    return Site(occupied)
+    occupied = frozenset(row[q].region for row, q in zip(d.quadrants, x.markers))
+    return Site(occupied & d.open_regions)
 
 
 def states_by_site(d: TangleDiagram) -> dict[Site, list[KauffmanState]]:
@@ -132,20 +102,3 @@ def states_by_site(d: TangleDiagram) -> dict[Site, list[KauffmanState]]:
     for x in enumerate_states(d):
         out.setdefault(site_of(d, x), []).append(x)
     return out
-
-
-def check_state(d: TangleDiagram, x: KauffmanState) -> None:
-    """Assert the occupancy constraints; raises TangleError on violation."""
-    kind = {r.rid: r.kind for r in d.regions}
-    counts: dict[str, int] = {}
-    for r in x._regions:
-        counts[r] = counts.get(r, 0) + 1
-    for r, k in kind.items():
-        c = counts.get(r, 0)
-        if k == "closed" and c != 1:
-            raise TangleError("E_BAD_STATE", f"closed region {r} holds {c} markers")
-        if k != "closed" and c > 1:
-            raise TangleError("E_BAD_STATE", f"open region {r} holds {c} markers")
-    n_open_markers = sum(c for r, c in counts.items() if kind[r] == "open")
-    if n_open_markers != d.n_open - 1:
-        raise TangleError("E_BAD_STATE", f"{n_open_markers} open markers, expected {d.n_open - 1}")

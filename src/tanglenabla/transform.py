@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagram import Crossing, TangleDiagram, TangleError
+from .diagram import Crossing, TangleDiagram, TangleError, UnionFind
 
 
 def _seeds_of(d: TangleDiagram) -> dict[str, str]:
@@ -104,24 +104,13 @@ def recolour(d: TangleDiagram, mapping) -> TangleDiagram:
 # ----------------------------------------------------------------------
 # splice engine (shared by smoothing, deletion and the removing RM moves)
 
-class _Splicer:
+class _Splicer(UnionFind):
+    """Merges edges (keeping the smallest id) and rebuilds the diagram."""
+
     def __init__(self, d: TangleDiagram):
+        super().__init__()
         self.d = d
-        self.parent: dict[str, str] = {}
         self.dead: set[str] = set()   # edges dropped outright (loops, bigon sides)
-
-    def find(self, e: str) -> str:
-        while self.parent.get(e, e) != e:
-            self.parent[e] = self.parent.get(self.parent[e], self.parent[e])
-            e = self.parent[e]
-        return e
-
-    def union(self, e1: str, e2: str):
-        r1, r2 = self.find(e1), self.find(e2)
-        if r1 != r2:
-            # keep the lexicographically smaller id
-            keep, drop = sorted((r1, r2))
-            self.parent[drop] = keep
 
     def rebuild(self, removed: set[int], name: str, boundary=None, arcs=None,
                 outer_hint="keep") -> TangleDiagram:
@@ -403,7 +392,11 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
         raise TangleError("E_ARITY", "glueing away every end; use close_tangle instead")
     m1 = len(d1.crossings)
     m2 = len(d2.crossings)
-    ren2 = {e: "g_" + e for e in d2.edges}
+    # prefix d2's edges so that no renamed id meets one of d1's
+    prefix = "g_"
+    while any(prefix + e in d1._occ for e in d2.edges):
+        prefix = "g" + prefix
+    ren2 = {e: prefix + e for e in d2.edges}
 
     pairs = []
     for t in range(count):
@@ -418,22 +411,10 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
                  (ren2[c.over[0]], ren2[c.over[1]])) for c in d2.crossings]
 
     # union-find on the combined edge set
-    parent: dict[str, str] = {}
-
-    def find(e):
-        while parent.get(e, e) != e:
-            parent[e] = parent.get(parent[e], parent[e])
-            e = parent[e]
-        return e
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            keep, drop = sorted((ra, rb))
-            parent[drop] = keep
-
+    edges = UnionFind()
+    find = edges.find
     for p1, p2 in pairs:
-        union(d1.boundary[p1], ren2[d2.boundary[p2]])
+        edges.union(d1.boundary[p1], ren2[d2.boundary[p2]])
 
     keep1 = [(start1 + count + t) % n1 for t in range(n1 - count)]
     keep2 = [(start2 + 1 + t) % n2 for t in range(n2 - count)]
@@ -441,33 +422,21 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
     boundary += [find(ren2[d2.boundary[i]]) for i in keep2]
 
     # arc bookkeeping: group old arcs into the arcs/regions of the result
-    arc_union: dict[tuple, tuple] = {}
-
-    def afind(x):
-        while arc_union.get(x, x) != x:
-            arc_union[x] = arc_union.get(arc_union[x], arc_union[x])
-            x = arc_union[x]
-        return x
-
-    def aunion(x, y):
-        rx, ry = afind(x), afind(y)
-        if rx != ry:
-            arc_union[max(rx, ry)] = min(rx, ry)
-
+    arc_sets = UnionFind()
     # seam-interior arc pairs (become regions of the result)
     for t in range(1, count):
-        aunion((1, d1.arcs[(start1 + t) % n1]), (2, d2.arcs[(start2 - t + 1) % n2]))
+        arc_sets.union((1, d1.arcs[(start1 + t) % n1]), (2, d2.arcs[(start2 - t + 1) % n2]))
     # the two seam-end merges (stay on the boundary)
-    aunion((1, d1.arcs[(start1 + count) % n1]), (2, d2.arcs[(start2 - count + 1) % n2]))
-    aunion((2, d2.arcs[(start2 + 1) % n2]), (1, d1.arcs[start1 % n1]))
+    arc_sets.union((1, d1.arcs[(start1 + count) % n1]), (2, d2.arcs[(start2 - count + 1) % n2]))
+    arc_sets.union((2, d2.arcs[(start2 + 1) % n2]), (1, d1.arcs[start1 % n1]))
 
     new_labels = _arc_labels(len(boundary))
     # which result arc does each kept position carry
     arcs_by_class: dict[tuple, str] = {}
     for idx, i in enumerate(keep1):
-        arcs_by_class[afind((1, d1.arcs[i]))] = new_labels[idx]
+        arcs_by_class[arc_sets.find((1, d1.arcs[i]))] = new_labels[idx]
     for idx, i in enumerate(keep2):
-        arcs_by_class[afind((2, d2.arcs[i]))] = new_labels[len(keep1) + idx]
+        arcs_by_class[arc_sets.find((2, d2.arcs[i]))] = new_labels[len(keep1) + idx]
 
     crossings_final = [
         Crossing(c.sign, (find(c.under[0]), find(c.under[1])),
@@ -479,25 +448,15 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
         for idx, comp in enumerate(d.components):
             for e in comp.edges:
                 comp_of_edge[e if which == 1 else ren2[e]] = (which, idx)
-    cparent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def cfind(x):
-        while cparent.get(x, x) != x:
-            cparent[x] = cparent.get(cparent[x], cparent[x])
-            x = cparent[x]
-        return x
-
+    strands = UnionFind()
     for p1, p2 in pairs:
-        a = cfind(comp_of_edge[d1.boundary[p1]])
-        b = cfind(comp_of_edge[ren2[d2.boundary[p2]]])
-        if a != b:
-            cparent[max(a, b)] = min(a, b)
+        strands.union(comp_of_edge[d1.boundary[p1]], comp_of_edge[ren2[d2.boundary[p2]]])
 
     classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for which, d in ((1, d1), (2, d2)):
         for idx, comp in enumerate(d.components):
             if comp.edges:
-                classes.setdefault(cfind((which, idx)), []).append((which, idx))
+                classes.setdefault(strands.find((which, idx)), []).append((which, idx))
     def _comp(key):
         which, idx = key
         return (d1 if which == 1 else d2).components[idx]
@@ -523,7 +482,7 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
 
     # resolve where every old arc ended up
     def region_of_old_arc(d, which, arc):
-        cls = afind((which, arc))
+        cls = arc_sets.find((which, arc))
         if cls in arcs_by_class:
             return arcs_by_class[cls]
         # interior: identify through an edge side bounding the old region
@@ -543,7 +502,7 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
             if not comp.edges:
                 iota.setdefault(comp.colour, comp.colour)
                 continue
-            new_colour = class_colour[cfind((which, idx))]
+            new_colour = class_colour[strands.find((which, idx))]
             if iota.setdefault(comp.colour, new_colour) != new_colour:
                 raise TangleError("E_ORIENT",
                                   f"colour {comp.colour!r} maps two ways under glueing")

@@ -1,16 +1,40 @@
 """Independent reference computations used by the test suite.
 
-These deliberately avoid the quadrant-code machinery: states are checked
-against a raw 4^m filter, and the empty-site polynomial of 2-ended tangles
-against a crossing-switch resolution that only knows the skein identity,
-descending diagrams and split detection.
+These deliberately avoid the quadrant table (``TangleDiagram.quadrants``)
+and the state search: states are checked against a raw 4^m filter, their
+codes are derived afresh from the slot roles of each crossing, and the
+empty-site polynomial of 2-ended tangles is checked against a
+crossing-switch resolution that only knows the skein identity, descending
+diagrams and split detection.
 """
 
 from itertools import product
+from typing import Optional
 
 from tanglenabla import transform as tr
-from tanglenabla.diagram import TangleDiagram, TangleError
+from tanglenabla.diagram import Site, TangleDiagram, TangleError
 from tanglenabla.laurent import LaurentPoly, binomial
+
+
+def state_defect(d: TangleDiagram, markers) -> Optional[str]:
+    """Why a marker assignment is not a state, or None if it is one: every
+    closed region holds exactly one marker, every other region at most one,
+    and n-1 markers sit in open regions."""
+    kind = {r.rid: r.kind for r in d.regions}
+    counts: dict[str, int] = {}
+    for ci, q in enumerate(markers):
+        rid = d.region_of_quadrant[(ci, q)]
+        counts[rid] = counts.get(rid, 0) + 1
+    for r, k in kind.items():
+        c = counts.get(r, 0)
+        if k == "closed" and c != 1:
+            return f"closed region {r} holds {c} markers"
+        if k != "closed" and c > 1:
+            return f"{k} region {r} holds {c} markers"
+    n_open_markers = sum(c for r, c in counts.items() if kind[r] == "open")
+    if n_open_markers != d.n_open - 1:
+        return f"{n_open_markers} open markers, expected {d.n_open - 1}"
+    return None
 
 
 def brute_force_states(d: TangleDiagram) -> list[tuple[int, ...]]:
@@ -18,19 +42,64 @@ def brute_force_states(d: TangleDiagram) -> list[tuple[int, ...]]:
     full 4^m enumeration."""
     if d.split:
         return []
-    m = len(d.crossings)
-    kind = {r.rid: r.kind for r in d.regions}
-    out = []
-    for markers in product(range(4), repeat=m):
-        counts: dict[str, int] = {}
+    return [markers for markers in product(range(4), repeat=len(d.crossings))
+            if state_defect(d, markers) is None]
+
+
+def _corner_codes(d: TangleDiagram, ci: int, q: int) -> tuple[dict[str, int], int, int]:
+    """(doubled colour exponents, doubled h exponent, doubled delta) of
+    quadrant q at crossing ci, read off the slot roles: q lies right of a
+    strand when it sits between the strand's incoming slot and the next
+    two slots counterclockwise."""
+    c = d.crossings[ci]
+    slots = c.slots()
+    exp: dict[str, int] = {}
+    for strand, right_sign in (("under", 1), ("over", -1)):
+        s_in = next(s for s in range(4) if c.role_of_slot(s) == (strand, True))
+        colour = d.colour_of_edge[slots[s_in]]
+        right = q in (s_in, (s_in + 1) % 4)
+        exp[colour] = exp.get(colour, 0) + (right_sign if right else -right_sign)
+    ends_in = (c.role_of_slot(q)[1], c.role_of_slot((q + 1) % 4)[1])
+    h2 = -2 * c.sign if ends_in == (True, True) else 0
+    delta2 = c.sign if ends_in[0] == ends_in[1] else 0
+    return exp, h2, delta2
+
+
+def brute_force_nabla_hat(d: TangleDiagram) -> dict[Site, LaurentPoly]:
+    """The hatted state sum per site over the brute-force states."""
+    kind = {r.rid: r.kind for r in d.regions} if not d.split else {}
+    out = {s: LaurentPoly.zero() for s in d.sites()}
+    for markers in brute_force_states(d):
+        exp: dict[str, int] = {}
         for ci, q in enumerate(markers):
-            rid = d.region_of_quadrant[(ci, q)]
-            counts[rid] = counts.get(rid, 0) + 1
-        ok = all(counts.get(r, 0) == 1 for r, k in kind.items() if k == "closed")
-        ok = ok and all(c <= 1 for r, c in counts.items() if kind[r] != "closed")
-        if ok:
-            out.append(markers)
+            codes, h2, _ = _corner_codes(d, ci, q)
+            for v, e in (*codes.items(), ("h", h2)):
+                exp[v] = exp.get(v, 0) + e
+        regions = (d.region_of_quadrant[(ci, q)] for ci, q in enumerate(markers))
+        site = Site(frozenset(r for r in regions if kind[r] == "open"))
+        out[site] = out[site] + LaurentPoly.monomial(1, {v: e for v, e in exp.items() if e})
     return out
+
+
+def brute_force_gradings(d: TangleDiagram) -> list[tuple]:
+    """Sorted (markers, decoration bits, alexander2, delta2) over all
+    generators: the brute-force states, one bit per closed component."""
+    closed = [c.colour for c in d.components if c.kind == "closed"]
+    out = []
+    for markers in brute_force_states(d):
+        a2 = {c: 0 for c in d.colours()}
+        delta2 = 0
+        for ci, q in enumerate(markers):
+            codes, _, dd = _corner_codes(d, ci, q)
+            for v, e in codes.items():
+                a2[v] += e
+            delta2 += dd
+        for bits in product((0, 1), repeat=len(closed)):
+            a2_bits = dict(a2)
+            for colour, bit in zip(closed, bits):
+                a2_bits[colour] += 4 * bit
+            out.append((markers, bits, tuple(sorted(a2_bits.items())), delta2))
+    return sorted(out)
 
 
 def _first_ascending_crossing(d: TangleDiagram):

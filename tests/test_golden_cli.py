@@ -1,0 +1,116 @@
+"""Pinned stdout of the read-only subcommands on every corpus diagram.
+
+The digests were recorded before the state-sum path was rebuilt around the
+per-diagram quadrant table; any change to the text or json output of
+``regions``, ``states``, ``nabla``, ``nabla --hat``, ``gradings`` or
+``euler`` on the corpus shows up here.
+"""
+
+import hashlib
+
+from tanglenabla import corpus
+from tanglenabla.cli import main
+
+COMMANDS = ("regions", "states", "nabla", "nabla --hat", "gradings", "euler")
+
+# (diagram, format, command) -> (exit code, sha256 of stdout)
+GOLDEN = {
+    ("clasp", "text", "regions"): (0, "de0f0e150c1241cc69f80eb42031aab3b9a0bf654b934881920b5c41e851dbbb"),
+    ("clasp", "text", "states"): (0, "e0869e034300eb196ea366a598374f5e286d70fd1f825e0ad1ac02ac5e093d47"),
+    ("clasp", "text", "nabla"): (0, "f6929e42bbaf783f4af90ece31079f054d8e28225290e2224afd3df48d60b879"),
+    ("clasp", "text", "nabla --hat"): (0, "825e06d5e334f083ef057c9ad5cc34f90bade239b774b608e35dc056bcad2bfc"),
+    ("clasp", "text", "gradings"): (0, "108394fc622aff8cb4bb3b05d5e9dab3c2b4f53a924a2e3c217856457d4e7aff"),
+    ("clasp", "text", "euler"): (0, "fc5dad46d2de12b69c02a4963780e0a9ac1abe1c6109e0864a38cd96ca9b170e"),
+    ("clasp", "json", "regions"): (0, "14a99815587a6e7a7ea3fc9fd19cd65294b7ceff8e39a55d7a063c520cb819ec"),
+    ("clasp", "json", "states"): (0, "0650748b03acf40406988bf2d65d9fe14b4dd11a9b916b23bcc67665d3b0b89b"),
+    ("clasp", "json", "nabla"): (0, "8741e00f42fdec40ac898131ae4cb71c9a62565c88a4bcbc2f31779258b98877"),
+    ("clasp", "json", "nabla --hat"): (0, "909bc1cbd4a3e5af6c5e933e09401ac37ea97d1bbfe38a8dee3dcb495aedd190"),
+    ("clasp", "json", "gradings"): (0, "7fc4abd1467d9d7d5780bc82aaf8db7cbb66da24971038531aac21278a14ff83"),
+    ("clasp", "json", "euler"): (0, "fb1793f43cc724fc7ece05648df80b12916fbc1c66fe06411ccf2b980ad7e0a7"),
+    ("clasp_neg", "text", "regions"): (0, "de0f0e150c1241cc69f80eb42031aab3b9a0bf654b934881920b5c41e851dbbb"),
+    ("clasp_neg", "text", "states"): (0, "c2fad878bbc9d2856f8251ab63fdb6bb08c7315d3c2d8730d71249f7768fcb97"),
+    ("clasp_neg", "text", "nabla"): (0, "11ca718456d59e2dc082822a323bce5ba3e15943dc474082ea37e6e353dd9bd6"),
+    ("clasp_neg", "text", "nabla --hat"): (0, "0fff80a8ca31883e8420e51ca51ad859ea2270f6937de01716b7f9cac0cc82de"),
+    ("clasp_neg", "text", "gradings"): (0, "7b8bbbed53109d842998a1538d74e12fefdc7fabe95360e54b8804836e53ea4e"),
+    ("clasp_neg", "text", "euler"): (0, "2ffa00ea383a7689095596dfa2259f5eca717c68ab3bcbc541717aa7f91d966b"),
+    ("clasp_neg", "json", "regions"): (0, "b0be484a191cb9564c9469b500a13248449d4f242451c0a0c3b40f87cf135731"),
+    ("clasp_neg", "json", "states"): (0, "d79b60f54002a4a60e4936be6096f5c484a8177559152d3774bfe43e58e1a319"),
+    ("clasp_neg", "json", "nabla"): (0, "1105c6d67ae3a42715e54ead31898de8157297a21de965d3ebff62581e7dfce1"),
+    ("clasp_neg", "json", "nabla --hat"): (0, "8ec3cc016ccd7bc71227a03c27f89eb95d132b5eb42a1a22f25cfe56cf402bce"),
+    ("clasp_neg", "json", "gradings"): (0, "176708b91706aaba5d4253ba6819113b1d9381039fd25217e4820d1dd9d4b727"),
+    ("clasp_neg", "json", "euler"): (0, "e50c11485cb1873e0fcb9e9325d0f0998a060b5685d4d47177a84bf19dd93921"),
+    ("crossing_neg", "text", "regions"): (0, "d66cce3f5d10823770327f46c2b99e27831737fe97b8be4f212e762bff39e057"),
+    ("crossing_neg", "text", "states"): (0, "5bdd7c7201b1948bf06c9271d2383def7f1a69d80c2d59c5f570132c92bc70e9"),
+    ("crossing_neg", "text", "nabla"): (0, "edfe826f91222771b171f109c4efc84a732631447a033f02566bad02433d31a1"),
+    ("crossing_neg", "text", "nabla --hat"): (0, "42983d7686f8dac425c0cec6642f792a37dc6dc6189c6a3b328317b5e90dfe88"),
+    ("crossing_neg", "text", "gradings"): (0, "34668d0b98424103e3013cc0f8bbbf2d7c25cd4e8a3c911a1634df32fe3f5c1d"),
+    ("crossing_neg", "text", "euler"): (0, "e2da675a137d03f82b3c9ee270840c5457f4dea32d046f484034ad182c6779df"),
+    ("crossing_neg", "json", "regions"): (0, "a121b4cfbb914292ae4739f04c95be7ec98c7c34b7c1a2a576574dab8c5dccd2"),
+    ("crossing_neg", "json", "states"): (0, "b2268c9ea011298b4a210330492b709029818bc953c5b39549ef0b013d500c9c"),
+    ("crossing_neg", "json", "nabla"): (0, "d4d927b2dfe558dc5376f9f44b5c3bd590c081ba19f687bccdb70e69b69c4d99"),
+    ("crossing_neg", "json", "nabla --hat"): (0, "0829ae496a33cec8e982c3d89ab8944d95da94f37221a269f57622aab71ca517"),
+    ("crossing_neg", "json", "gradings"): (0, "40c2aa55ac3b5c314582e513649c5a6597822f7be02a75b75f7bed6f884ddc6c"),
+    ("crossing_neg", "json", "euler"): (0, "c02ba70e667b1e65b0b95bb3c41becf801a5a8975f2179f51ba0e91f02d20a21"),
+    ("crossing_pos", "text", "regions"): (0, "d66cce3f5d10823770327f46c2b99e27831737fe97b8be4f212e762bff39e057"),
+    ("crossing_pos", "text", "states"): (0, "c6f52f82889b3102a5798a950eee89b629ec2be51685d7bc3a3cab4ea886ef10"),
+    ("crossing_pos", "text", "nabla"): (0, "5506bc7ae5ed559057350f78df1ded16021ae6d896009ba93c26c8bdaf04f69f"),
+    ("crossing_pos", "text", "nabla --hat"): (0, "0009941dcc2a70e4f5e8388dd993d47728890c36f27ca52ad92de2ba8cd590a3"),
+    ("crossing_pos", "text", "gradings"): (0, "645dd6268ca05268f847e1b177ecc776c1914948b73cbb9eae92244233b8467e"),
+    ("crossing_pos", "text", "euler"): (0, "94d6a503814fe6fd7bb2a900e019a95d862a324d63a099b71a6ecd01188a3b7d"),
+    ("crossing_pos", "json", "regions"): (0, "7555440aa08828be8f083d2056fb6a3b8530d51680c04fb9009f6e5f2350f8a8"),
+    ("crossing_pos", "json", "states"): (0, "828485fa17d8cc99ea692a691dc626871698d90afc3a420b7d67d3cef59dc56e"),
+    ("crossing_pos", "json", "nabla"): (0, "986157201ce43ac86e24bac607dfa59beb2bb78d15b215c0984a741e651e32bb"),
+    ("crossing_pos", "json", "nabla --hat"): (0, "bb152a7e99ac0fd2c1e74ee88ab7724020b20b044c9faf230f330882bd8f9409"),
+    ("crossing_pos", "json", "gradings"): (0, "e04c08cd75241137f954f3cbf4b3306dc2e05a943072ee27446ac15c7bf8aee8"),
+    ("crossing_pos", "json", "euler"): (0, "ee35850223a7d42ee17f77ab7940c9312c3268220fca31c5e8393c79c5075b16"),
+    ("mutorient", "text", "regions"): (0, "871b7779ba0ced8e32a864a5def3fd2d35acdb153668874682d6485e8d1ac794"),
+    ("mutorient", "text", "states"): (0, "e677f241ac7a23496c55c6e4a294e885dd02d4df2c678cca8f732cf6bd0ef38b"),
+    ("mutorient", "text", "nabla"): (0, "86d977f2a86dff585e94dfd76b9c48575f227cd0b711fd77d1ad8aa696cfbe9e"),
+    ("mutorient", "text", "nabla --hat"): (0, "bd22b3582a2580245756f98e94644a53133e04ea1727608f06e661f4893694f9"),
+    ("mutorient", "text", "gradings"): (0, "c638cffcf5c3568e4e82dea4022bf61d054854182103f3b8482376405f75ac4e"),
+    ("mutorient", "text", "euler"): (0, "c07ed5afb9708164b3f986235263114d2a616dd31a0746dd929cfa48cd87c1b1"),
+    ("mutorient", "json", "regions"): (0, "2d34740be64aa11d47a65231a77d600b838d3679a2eaa3edb33686c09adb1fba"),
+    ("mutorient", "json", "states"): (0, "ad8c516c55a6ed1e68471c839b8a5630749dc9a4f3abfb3bfaac7e7e08f9eadd"),
+    ("mutorient", "json", "nabla"): (0, "f5dc176ee3981ad25efa1f33b200bce10309940e656a2402d23e08dc605d640c"),
+    ("mutorient", "json", "nabla --hat"): (0, "7173d9703c06a61ff735f96574889b4839854cca435978e353cdf9cbb8b16b64"),
+    ("mutorient", "json", "gradings"): (0, "ff6fa1d22fc06060b02b69839a91d285d89b6307e5e95ee120b773ddfb179674"),
+    ("mutorient", "json", "euler"): (0, "03b308b41e4e712b3c32db188a4a3a18ac381d0ca8134a8745d91e2ebdbae842"),
+    ("pretzel_2m3", "text", "regions"): (0, "e69b483904db6346de43748da5c320593b51aebd0322ff9c4ab113cdb8f87432"),
+    ("pretzel_2m3", "text", "states"): (0, "de7fb8c6cd4c25a8ce4b231cd027dd0acd8e2af67f21fa7fca51020bfd061b26"),
+    ("pretzel_2m3", "text", "nabla"): (0, "c6afe808cd2caf67e6b90cbacae1fe8aa789a1931add4cdeda066cf48275d7ae"),
+    ("pretzel_2m3", "text", "nabla --hat"): (0, "6fd861d8a111708ce75ca6ecdbf8b90b333f6e1463a407fe08ddee961f1732c8"),
+    ("pretzel_2m3", "text", "gradings"): (0, "e7dc1cf5a128d60f818f0937858aac3f52563f07d12fd084cd858cdd032b0b85"),
+    ("pretzel_2m3", "text", "euler"): (0, "842e80957ff8448293858296acca97e3f338ff0b53be74de3089fdbc6f592bd7"),
+    ("pretzel_2m3", "json", "regions"): (0, "82a9dfd87174b63828e0576160e7baa27e425f03a2f008f282429429632141dd"),
+    ("pretzel_2m3", "json", "states"): (0, "6d6dd7b9241fee9846d081243d4a7f94a2796cf223a1e0c721867f08bfabe128"),
+    ("pretzel_2m3", "json", "nabla"): (0, "46ce7bf81809f3b014f26500c2349cb4750333cace647efa01d3736b67682a1f"),
+    ("pretzel_2m3", "json", "nabla --hat"): (0, "29599cf8ae9a9de0119340822c1b76d9da57bee2eee5fe8518d2ea76782b3c58"),
+    ("pretzel_2m3", "json", "gradings"): (0, "09e195312809dd27275da19604a185278214582ca745f018541fafe6cdc67c3b"),
+    ("pretzel_2m3", "json", "euler"): (0, "4ef007a0fbe6a2be8356f3ff693a6b1a24e1cf991c5e75872efe53f7205a1bfb"),
+    ("trefoil", "text", "regions"): (0, "ac8c6a292ffbb5650f7b57b7ce3b9fc700d776cf06579702c5e98aa23805a25d"),
+    ("trefoil", "text", "states"): (0, "1a15fc077e2e968aca3f250da152af0dfd33de23dd0df91f6ed811bd54d9520e"),
+    ("trefoil", "text", "nabla"): (0, "555d44448f71357a529072f2e4bd2670b2467dee9a5a9f8dec472515b9e27abb"),
+    ("trefoil", "text", "nabla --hat"): (0, "7c5699fe100ce39a9a25500f542cc3a81de150de399af0d2c6a89dbc22de3aea"),
+    ("trefoil", "text", "gradings"): (0, "9bf87b16eed84474ebc64dda3e1a788b711f39bdb30a79acb9b5f3bd633b44db"),
+    ("trefoil", "text", "euler"): (0, "555d44448f71357a529072f2e4bd2670b2467dee9a5a9f8dec472515b9e27abb"),
+    ("trefoil", "json", "regions"): (0, "4d0e9e91124df5c4b3737ac350e8e6ccf215d5ff559684a1c4dc13aa10b8eaf1"),
+    ("trefoil", "json", "states"): (0, "ee686c74189c7bafe5c07690b66d96138bdb5bdbc2bcdcc6858693d5bee43cf2"),
+    ("trefoil", "json", "nabla"): (0, "614f208ac9d077e646d9f9d2dc8b7ff958131b3bb8e99785040b03a80f299365"),
+    ("trefoil", "json", "nabla --hat"): (0, "38387c1e1fedc01e9ac7f473ff2e258845125c1b28c8e2da4fd295ccc3af6720"),
+    ("trefoil", "json", "gradings"): (0, "7bb1d7a0791206f863fa9cad5e8bc4b340b465d818b76e9a16199294c1123570"),
+    ("trefoil", "json", "euler"): (0, "ad2524fbc8aa4fde337985508d1abb5e795aa1b29ee6d5e4213419be0f81290b"),
+}
+
+
+def test_golden_table_covers_corpus():
+    assert {(n, f, c) for n in corpus.names() for f in ("text", "json")
+            for c in COMMANDS} == set(GOLDEN)
+
+
+def test_corpus_cli_digests(capsys):
+    for (name, fmt, cmd), (code, digest) in GOLDEN.items():
+        sub, *opts = cmd.split()
+        got = main(["--format", fmt, sub, f"corpus:{name}", *opts])
+        out, _ = capsys.readouterr()
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), \
+            (name, fmt, cmd)

@@ -95,6 +95,8 @@ circle s
 """)
     assert d.split
     assert nabla_at_site(d, S()) == LaurentPoly.zero()
+    cp = conway_potential(d)     # a zero with no variables: E_UNKNOWN_VAR
+    assert cp.numerator == LaurentPoly.zero() and cp.quotient is None
 
 
 def test_trefoil_conway_potential():
@@ -114,6 +116,15 @@ def test_conway_potential_divides_with_closed_component():
     cp = conway_potential(d)
     assert cp.quotient is not None
     assert cp.numerator == cp.quotient * binomial(cp.colour)
+
+
+def test_conway_potential_lets_unexpected_errors_through(monkeypatch):
+    def broken(self, colour):
+        raise RuntimeError("not a division failure")
+
+    monkeypatch.setattr(LaurentPoly, "divide_binomial", broken)
+    with pytest.raises(RuntimeError):
+        conway_potential(load("trefoil"))
 
 
 def test_conway_potential_needs_two_ends():

@@ -6,10 +6,12 @@ from tanglenabla.diagram import Site, TangleError, isomorphic, linking_number
 from tanglenabla.laurent import H as HVAR
 from tanglenabla.laurent import LaurentPoly
 from tanglenabla.nabla import nabla_all, nabla_at_site, nabla_hat_all
+from tanglenabla.states import enumerate_states
 from tanglenabla import transform as tr
 from tanglenabla.verify import random_diagram, random_rm_sequence
 
 from conftest import load
+from oracles import brute_force_states
 
 
 def S(*labels):
@@ -128,6 +130,26 @@ def test_glue_arity_and_orientation_errors():
         caught = ex
     if caught is not None:
         assert caught.code == "E_ORIENT"
+
+
+def test_glue_onto_a_glued_diagram_keeps_edge_ids_apart():
+    # the first glue result already carries g_-prefixed edges, so the
+    # second glue must pick a prefix that meets none of them
+    pos = load("crossing_pos")
+    inner = tr.glue_diagrams(pos, pos, 2, 1, 1).diagram
+    assert any(e.startswith("g_") for e in inner.edges)
+    glued = []
+    for start1 in range(len(inner.boundary)):
+        for start2 in range(4):
+            for count in (1, 2, 3):
+                try:
+                    glued.append(tr.glue_diagrams(inner, pos, start1, start2, count).diagram)
+                except TangleError as ex:
+                    assert ex.code == "E_ORIENT"
+    assert glued
+    for d in glued:
+        assert len(d.crossings) == 3
+        assert sorted(brute_force_states(d)) == [x.markers for x in enumerate_states(d)]
 
 
 def test_close_pretzel_both_ways_same_potential():

@@ -16,9 +16,9 @@ import sys
 
 from . import corpus
 from .diagram import Site, TangleError, parse_tangle, serialize
-from .gradings import generator_gradings, graded_euler_characteristic
+from .gradings import euler_by_site, generator_gradings
 from .laurent import LaurentError
-from .nabla import conway_potential, nabla_all, nabla_hat_all
+from .nabla import conway_potential, nabla_all, nabla_at_site, nabla_hat, nabla_hat_all
 from .states import enumerate_states, site_of
 from .transform import (close_tangle, glue_diagrams, mirror_diagram,
                         mutate_tangle, reverse_orientation)
@@ -33,9 +33,10 @@ def _read_diagram(path: str):
 
 
 def _site_from(arg: str, d) -> Site:
-    if arg in ("-", ""):
-        return Site(frozenset())
-    return Site(frozenset(arg.split(",")))
+    s = Site(frozenset() if arg in ("-", "") else frozenset(arg.split(",")))
+    if s not in d.sites():
+        raise TangleError("E_BAD_SITE", f"no site {arg!r}")
+    return s
 
 
 def _emit(args, text_lines, payload):
@@ -73,16 +74,14 @@ def _cmd_states(args):
 
 def _cmd_nabla(args):
     d = _read_diagram(args.diagram)
-    values = nabla_hat_all(d) if args.hat else nabla_all(d)
-    sites = sorted(values, key=str)
     if args.site is not None:
-        want = _site_from(args.site, d)
-        if want not in values:
-            raise TangleError("E_BAD_SITE", f"no site {args.site!r}")
-        sites = [want]
+        s = _site_from(args.site, d)
+        values = {s: nabla_hat(d, s) if args.hat else nabla_at_site(d, s)}
+    else:
+        values = nabla_hat_all(d) if args.hat else nabla_all(d)
     lines = []
     data = {}
-    for s in sites:
+    for s in sorted(values, key=str):
         lines.append(f"site {s}: {values[s].pretty()}")
         data[str(s)] = values[s].to_json()
     _emit(args, lines, {"diagram": d.name, "hat": bool(args.hat), "nabla": data})
@@ -104,34 +103,80 @@ def _cmd_conway(args):
     return 0
 
 
+def _json_block(items: list[str], brackets: str) -> str:
+    """Encoded list items or dict entries laid out as json.dumps(indent=2)
+    lays out a value whose key sits six spaces in."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n        " + ",\n        ".join(items) + f"\n      {brackets[1]}"
+
+
+_GENERATOR = """    {
+      "alexander2": %s,
+      "delta2": %d,
+      "h": %d,
+      "ladybug_bits": %s,
+      "markers": %s,
+      "site": %s
+    }"""
+
+
+def gradings_json(name, gens) -> str:
+    """The gradings payload of ``gens`` (in output order), byte for byte as
+    ``json.dumps(payload, indent=2, sort_keys=True)`` writes it.
+
+    The generic encoder runs in pure Python under ``indent`` and took most
+    of the op; this fills a fixed template per generator instead, with each
+    distinct site, Alexander vector, marker vector and decoration encoded
+    once.
+    """
+    if not gens:
+        return json.dumps({"diagram": name, "generators": []}, indent=2, sort_keys=True)
+    sites, alex, marks, bits = {}, {}, {}, {}
+    chunks = []
+    for g in gens:
+        s = sites.get(g.site)
+        if s is None:
+            s = sites[g.site] = _json_block([json.dumps(a) for a in sorted(g.site.arcs)], "[]")
+        a = alex.get(g.alexander2)
+        if a is None:
+            a = alex[g.alexander2] = _json_block(
+                [f"{json.dumps(v)}: {e}" for v, e in g.alexander2], "{}")
+        m = marks.get(g.state.markers)
+        if m is None:
+            m = marks[g.state.markers] = _json_block(list(map(str, g.state.markers)), "[]")
+        b = bits.get(g.ladybug_bits)
+        if b is None:
+            b = bits[g.ladybug_bits] = _json_block(list(map(str, g.ladybug_bits)), "[]")
+        chunks.append(_GENERATOR % (a, g.delta2, g.h, b, m, s))
+    return ('{\n  "diagram": %s,\n  "generators": [\n%s\n  ]\n}'
+            % (json.dumps(name), ",\n".join(chunks)))
+
+
 def _cmd_gradings(args):
     d = _read_diagram(args.diagram)
-    gens = generator_gradings(d)
+    gens = sorted(generator_gradings(d),
+                  key=lambda g: (str(g.site), g.alexander2, g.delta2, g.ladybug_bits))
+    if args.format == "json":
+        sys.stdout.write(gradings_json(d.name, gens) + "\n")
+        return 0
     lines = []
-    data = []
-    for g in sorted(gens, key=lambda g: (str(g.site), g.alexander2, g.delta2, g.ladybug_bits)):
+    for g in gens:
         a = " ".join(f"{v}^{e / 2:+g}" for v, e in g.alexander2)
         bits = "".join(map(str, g.ladybug_bits)) or "-"
         lines.append(f"site {g.site}  {a}  delta^{g.delta2 / 2:+g}  h={g.h}  bits={bits}")
-        data.append({"site": sorted(g.site.arcs),
-                     "alexander2": {v: e for v, e in g.alexander2},
-                     "delta2": g.delta2, "h": g.h,
-                     "ladybug_bits": list(g.ladybug_bits),
-                     "markers": list(g.state.markers)})
-    _emit(args, lines, {"diagram": d.name, "generators": data})
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_euler(args):
     d = _read_diagram(args.diagram)
-    gens = generator_gradings(d)
-    sites = d.sites()
-    if args.site is not None:
-        sites = [_site_from(args.site, d)]
+    sites = d.sites() if args.site is None else [_site_from(args.site, d)]
+    chis = euler_by_site(generator_gradings(d), sites)
     lines = []
     data = {}
     for s in sorted(sites, key=str):
-        chi = graded_euler_characteristic(gens, s)
+        chi = chis[s]
         lines.append(f"site {s}: {chi.pretty()}")
         data[str(s)] = chi.to_json()
     _emit(args, lines, {"diagram": d.name, "euler": data})

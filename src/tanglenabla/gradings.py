@@ -70,20 +70,47 @@ def generator_gradings(d: TangleDiagram) -> list[GradedGenerator]:
     return out
 
 
+def euler_by_site(gens: list[GradedGenerator], sites: list[Site]) -> dict[Site, LaurentPoly]:
+    """The graded Euler characteristic at each of ``sites``, in one pass.
+
+    Each value is the sum of (-1)^h times the Alexander monomial over the
+    generators at its site, with the variable table of the generator-order
+    sum: variables in first-appearance order (by name within a generator),
+    kept when their terms cancel.
+    """
+    acc: dict[Site, dict[tuple, int]] = {s: {} for s in sites}
+    for g in gens:
+        counts = acc.get(g.site)
+        if counts is not None:
+            counts[g.alexander2] = counts.get(g.alexander2, 0) + (-1 if g.h % 2 else 1)
+    out = {}
+    for s, counts in acc.items():
+        # the Alexander vectors in first-appearance order carry the variables
+        # in first-appearance order, zero coefficients included
+        pos: dict[str, int] = {}
+        for a2 in counts:
+            for v, e in a2:
+                if e and v not in pos:
+                    pos[v] = len(pos)
+        terms = {}
+        for a2, c in counts.items():
+            key = [0] * len(pos)
+            for v, e in a2:
+                if e:
+                    key[pos[v]] = e
+            key = tuple(key)
+            terms[key] = terms.get(key, 0) + c
+        out[s] = LaurentPoly(tuple(pos), terms)
+    return out
+
+
 def graded_euler_characteristic(gens: list[GradedGenerator], s: Site) -> LaurentPoly:
     """Sum of (-1)^h times the Alexander monomial over the generators at s."""
-    acc = LaurentPoly.zero()
-    for g in gens:
-        if g.site != s:
-            continue
-        coef = -1 if g.h % 2 else 1
-        acc = acc + LaurentPoly.monomial(coef, {v: e for v, e in g.alexander2 if e})
-    return acc
+    return euler_by_site(gens, [s])[s]
 
 
 def euler_characteristics(d: TangleDiagram) -> dict[Site, LaurentPoly]:
-    gens = generator_gradings(d)
-    return {s: graded_euler_characteristic(gens, s) for s in d.sites()}
+    return euler_by_site(generator_gradings(d), d.sites())
 
 
 def delta_poincare(gens: list[GradedGenerator], s: Site) -> LaurentPoly:

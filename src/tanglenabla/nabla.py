@@ -56,8 +56,12 @@ def _check_site(d: TangleDiagram, s: Site) -> None:
 
 
 def nabla_hat(d: TangleDiagram, s: Site) -> LaurentPoly:
+    """The hatted state sum at one site, over the states at s alone."""
     _check_site(d, s)
-    return nabla_hat_all(d)[s]
+    out = LaurentPoly.zero()
+    for x in enumerate_states(d, s):
+        out = out + state_monomial(d, x)
+    return out
 
 
 def nabla_at_site(d: TangleDiagram, s: Site) -> LaurentPoly:

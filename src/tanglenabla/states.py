@@ -32,19 +32,27 @@ class KauffmanState:
         return "KauffmanState(" + " ".join(f"x{i + 1}:q{q}" for i, q in enumerate(self.markers)) + ")"
 
 
-def enumerate_states(d: TangleDiagram) -> list[KauffmanState]:
-    """All generalised Kauffman states, sorted by their marker vectors.
+def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[KauffmanState]:
+    """All generalised Kauffman states, sorted by their marker vectors; with
+    a site ``s``, only the states at ``s``.
 
     Backtracking assigns the most constrained crossing first (fewest free
     quadrants, then lowest index) and puts at most one marker in any
-    region; a closed region left empty with no unassigned crossing around
-    it prunes the branch, so every complete assignment fills each closed
-    region exactly once.  Split diagrams have no states.
+    region; a region that must be filled (a closed one, or an open one in
+    ``s``) left empty with no unassigned crossing around it prunes the
+    branch, so every complete assignment fills each such region exactly
+    once.  The open regions outside ``s`` start out filled.  Split diagrams
+    have no states.
     """
     if d.split:
         return []
     index = {r.rid: k for k, r in enumerate(d.regions)}
-    closed = [r.kind == "closed" for r in d.regions]
+    if s is None:
+        must = [r.kind == "closed" for r in d.regions]
+        filled = [False] * len(index)
+    else:
+        must = [r.kind == "closed" or r.rid in s.arcs for r in d.regions]
+        filled = [r.kind == "open" and r.rid not in s.arcs for r in d.regions]
     quad = [tuple(index[corner.region] for corner in row) for row in d.quadrants]
 
     # remaining[r] = unassigned crossing corners at region r
@@ -52,9 +60,8 @@ def enumerate_states(d: TangleDiagram) -> list[KauffmanState]:
     for row in quad:
         for r in row:
             remaining[r] += 1
-    if any(c and not n for c, n in zip(closed, remaining)):
-        return []          # an untouchable closed region: no states
-    filled = [False] * len(index)
+    if any(c and not n for c, n in zip(must, remaining)):
+        return []          # an untouchable region to fill: no states
     assigned = [-1] * len(quad)
     todo = set(range(len(quad)))
     out: list[tuple[int, ...]] = []
@@ -79,7 +86,7 @@ def enumerate_states(d: TangleDiagram) -> list[KauffmanState]:
             assigned[ci] = q
             filled[r] = True
             # only the regions around ci changed
-            if all(filled[x] or remaining[x] or not closed[x] for x in regs):
+            if all(filled[x] or remaining[x] or not must[x] for x in regs):
                 rec()
             filled[r] = False
         assigned[ci] = -1

@@ -102,6 +102,17 @@ def brute_force_gradings(d: TangleDiagram) -> list[tuple]:
     return sorted(out)
 
 
+def rescan_euler(gens, s: Site) -> LaurentPoly:
+    """The graded Euler characteristic at s as a running LaurentPoly sum of
+    (-1)^h times the Alexander monomial, rescanning every generator."""
+    acc = LaurentPoly.zero()
+    for g in gens:
+        if g.site == s:
+            coef = -1 if g.h % 2 else 1
+            acc = acc + LaurentPoly.monomial(coef, {v: e for v, e in g.alexander2 if e})
+    return acc
+
+
 def _first_ascending_crossing(d: TangleDiagram):
     """Index of the first crossing met as an under-pass on the canonical
     walk (open strand from its inward end, then closed strands), or None

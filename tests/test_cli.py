@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from tanglenabla.cli import main
+from tanglenabla import corpus
+from tanglenabla.cli import gradings_json, main
+from tanglenabla.gradings import generator_gradings
+
+from conftest import seeded_diagrams
 
 
 def run_cli(*argv, capsys=None):
@@ -65,6 +69,43 @@ def test_gradings_pretzel_count(capsys):
     sites = [tuple(g["site"]) for g in data["generators"]]
     assert sites.count(("a",)) == 6 and sites.count(("b",)) == 5
     assert sites.count(("c",)) == 6 and sites.count(("d",)) == 5
+
+
+def test_gradings_json_writer_matches_json_dumps():
+    diagrams = [corpus.load(n) for n in corpus.names()] + seeded_diagrams(5, 40, 7)
+    seen = set()
+    for d in diagrams:
+        if d.split:
+            continue
+        gens = generator_gradings(d)
+        payload = {"diagram": d.name, "generators": [
+            {"site": sorted(g.site.arcs), "alexander2": dict(g.alexander2),
+             "delta2": g.delta2, "h": g.h, "ladybug_bits": list(g.ladybug_bits),
+             "markers": list(g.state.markers)} for g in gens]}
+        assert gradings_json(d.name, gens) == json.dumps(payload, indent=2, sort_keys=True)
+        seen.add((2 * d.n_open, d.m_closed > 0))
+    assert gradings_json("none", []) == json.dumps(
+        {"diagram": "none", "generators": []}, indent=2, sort_keys=True)
+    # 2-ended diagrams give "site": [], diagrams without closed components
+    # "ladybug_bits": []
+    assert seen == {(n, c) for n in (2, 4, 6) for c in (False, True)}, seen
+
+
+def test_one_site_commands_print_their_line_of_the_full_output(capsys):
+    for cmd in (["nabla"], ["nabla", "--hat"], ["euler"]):
+        full = run_cli(*cmd, corpus_arg("clasp"), capsys=capsys)[1].splitlines()
+        for line in full:
+            site = line.split(":")[0].split()[1]
+            code, out, _ = run_cli(*cmd, corpus_arg("clasp"), "--site", site,
+                                   capsys=capsys)
+            assert (code, out) == (0, line + "\n"), cmd
+
+
+def test_unknown_site_rejected(capsys):
+    for cmd in ("nabla", "euler"):
+        code, out, err = run_cli(cmd, corpus_arg("clasp"), "--site", "zz",
+                                 capsys=capsys)
+        assert (code, out) == (1, "") and "E_BAD_SITE" in err, cmd
 
 
 def test_conway(capsys):

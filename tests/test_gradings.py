@@ -1,14 +1,15 @@
 import pytest
 
 from tanglenabla.diagram import Site, TangleError, parse_tangle
-from tanglenabla.gradings import (delta_poincare, euler_characteristics,
+from tanglenabla.gradings import (delta_poincare, euler_by_site, euler_characteristics,
                                   generator_gradings, graded_euler_characteristic,
                                   poincare_table)
 from tanglenabla.laurent import LaurentPoly
 from tanglenabla.nabla import euler_factor, nabla_all
 from tanglenabla import transform as tr
 
-from conftest import load
+from conftest import load, seeded_diagrams
+from oracles import rescan_euler
 
 
 def S(*labels):
@@ -139,6 +140,33 @@ def test_single_crossing_euler_matches_nabla():
     chi_b = graded_euler_characteristic(gens, S("b"))
     assert chi_b == LaurentPoly.monomial(-1, {"o": -1, "u": -1})
     assert chi_b == nabla_all(d)[S("b")]
+
+
+def test_one_pass_euler_matches_per_site_rescan(corpus_names):
+    diagrams = [load(n) for n in corpus_names] + seeded_diagrams(11, 60, 8)
+    nowhere = S("no-such-arc")          # a site without generators
+    kept = empty = checked = 0
+    for d in diagrams:
+        if d.split:
+            continue
+        checked += 1
+        gens = generator_gradings(d)
+        sites = d.sites() + [nowhere]
+        chis = euler_by_site(gens, sites)
+        for s in sites:
+            want = rescan_euler(gens, s)
+            for got in (chis[s], graded_euler_characteristic(gens, s)):
+                assert got.vars == want.vars, (d.name, str(s))
+                assert got.to_json() == want.to_json(), (d.name, str(s))
+                assert got.pretty() == want.pretty(), (d.name, str(s))
+            # a variable whose terms all cancelled stays in the table
+            kept += any(not any(e[i] for e in want.terms) for i in range(len(want.vars)))
+            empty += not any(g.site == s for g in gens)
+        assert ({s: p.to_json() for s, p in euler_characteristics(d).items()}
+                == {s: chis[s].to_json() for s in d.sites()})
+    # not vacuous: cancelled variables occur, and so do real sites of a
+    # diagram without generators besides `nowhere`
+    assert kept >= 10 and empty > checked, (kept, empty, checked)
 
 
 def test_euler_identity_with_closed_factor(corpus_names):

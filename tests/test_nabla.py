@@ -4,9 +4,10 @@ from tanglenabla.diagram import Site, TangleError, parse_tangle
 from tanglenabla.laurent import LaurentPoly, binomial
 from tanglenabla.nabla import (conway_potential, nabla_all, nabla_at_site,
                                nabla_hat, nabla_hat_all, quadrant_label)
+from tanglenabla.states import enumerate_states, site_of
 from tanglenabla import transform as tr
 
-from conftest import load
+from conftest import load, seeded_diagrams
 from oracles import conway_skein
 
 
@@ -83,6 +84,22 @@ def test_bad_site_rejected():
     assert e.value.code == "E_BAD_SITE"
     with pytest.raises(TangleError):
         nabla_hat(d, S("zz"))
+
+
+def test_one_site_state_sum_matches_the_full_family():
+    # enumerate_states(d, s) finds exactly the states at s, in order, so
+    # nabla_hat(d, s) sums them in the order nabla_hat_all does and keeps
+    # its variable table
+    sites = 0
+    for d in seeded_diagrams(7, 200, 9):
+        full = enumerate_states(d)
+        hat = nabla_hat_all(d)
+        for s in d.sites():
+            assert enumerate_states(d, s) == [x for x in full if site_of(d, x) == s]
+            one = nabla_hat(d, s)
+            assert one.vars == hat[s].vars and one.to_json() == hat[s].to_json()
+            sites += 1
+    assert sites >= 1000, sites
 
 
 def test_split_diagram_vanishes():

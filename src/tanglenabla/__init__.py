@@ -14,8 +14,8 @@ from .gradings import (GradedGenerator, euler_characteristics, generator_grading
                        graded_euler_characteristic, poincare_table)
 from .laurent import LaurentError, LaurentPoly, binomial
 from .nabla import (ConwayPotential, conway_potential, euler_factor, nabla_all,
-                    nabla_at_site, nabla_hat, nabla_hat_all, quadrant_label)
-from .states import KauffmanState, enumerate_states, site_of, states_by_site
+                    nabla_at_site, nabla_hat, nabla_hat_all)
+from .states import KauffmanState, enumerate_states, site_of, state_codes
 from .transform import (apply_rm_move, close_tangle, delete_component,
                         glue_diagrams, mirror_diagram, mutate_tangle, recolour,
                         reopen, reverse_orientation, smooth_crossing,

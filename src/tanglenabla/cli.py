@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import corpus
-from .diagram import Site, TangleError, parse_tangle, serialize
+from .diagram import Site, TangleError, compute_regions, parse_tangle, serialize
 from .gradings import euler_by_site, generator_gradings
 from .laurent import LaurentError
 from .nabla import conway_potential, nabla_all, nabla_at_site, nabla_hat, nabla_hat_all
@@ -50,7 +50,7 @@ def _cmd_regions(args):
     d = _read_diagram(args.diagram)
     lines = []
     data = []
-    for r in d.regions:
+    for r in compute_regions(d):
         lines.append(f"{r.rid}\t{r.kind}\tcorners={len(r.corners)}\t"
                      f"arcs={','.join(r.arcs) or '-'}")
         data.append({"id": r.rid, "kind": r.kind,

@@ -85,10 +85,6 @@ class Site:
 
     arcs: frozenset[str]
 
-    @classmethod
-    def of(cls, *labels: str) -> "Site":
-        return cls(frozenset(labels))
-
     def __str__(self):
         return ",".join(sorted(self.arcs)) if self.arcs else "-"
 

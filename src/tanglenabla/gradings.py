@@ -20,7 +20,7 @@ from itertools import product
 
 from .diagram import Site, TangleDiagram, TangleError
 from .laurent import DELTA, LaurentPoly
-from .states import KauffmanState, enumerate_states, site_of
+from .states import KauffmanState, enumerate_states, site_of, state_codes
 
 
 @dataclass(frozen=True)
@@ -32,41 +32,29 @@ class GradedGenerator:
     h: int
     site: Site
 
-    def alexander(self) -> dict[str, int]:
-        return dict(self.alexander2)
-
-
-def _local_gradings(d: TangleDiagram, x: KauffmanState) -> tuple[dict[str, int], int]:
-    a2: dict[str, int] = {c: 0 for c in d.colours()}
-    delta2 = 0
-    for row, q in zip(d.quadrants, x.markers):
-        corner = row[q]
-        for v, e in corner.exp2:
-            a2[v] += e
-        delta2 += corner.delta2
-    return a2, delta2
-
 
 def generator_gradings(d: TangleDiagram) -> list[GradedGenerator]:
     """All graded generators, one per (state, decoration) pair."""
     if d.split:
         raise TangleError("E_SPLIT", "no generators for a split diagram")
-    closed = [c for c in d.components if c.kind == "closed"]
+    colours = sorted(d.colours())
+    closed = [colours.index(c.colour) for c in d.components if c.kind == "closed"]
     out: list[GradedGenerator] = []
     for x in enumerate_states(d):
-        base_a2, delta2 = _local_gradings(d, x)
+        exp2, _, delta2 = state_codes(d, x)
+        base = [exp2.get(c, 0) for c in colours]
         s = site_of(d, x)
         for bits in product((0, 1), repeat=len(closed)):
-            a2 = dict(base_a2)
-            for comp, bit in zip(closed, bits):
+            a2 = list(base)
+            for i, bit in zip(closed, bits):
                 if bit:
-                    a2[comp.colour] += 4
-            total = sum(a2.values())
+                    a2[i] += 4
+            total = sum(a2)
             if (total - 2 * delta2) % 4:
                 raise TangleError("E_GRADING", "homological grading is not integral")
             h = (total - 2 * delta2) // 4
             out.append(GradedGenerator(
-                x, bits, tuple(sorted(a2.items())), delta2, h, s))
+                x, bits, tuple(zip(colours, a2)), delta2, h, s))
     return out
 
 
@@ -83,25 +71,10 @@ def euler_by_site(gens: list[GradedGenerator], sites: list[Site]) -> dict[Site, 
         counts = acc.get(g.site)
         if counts is not None:
             counts[g.alexander2] = counts.get(g.alexander2, 0) + (-1 if g.h % 2 else 1)
-    out = {}
-    for s, counts in acc.items():
-        # the Alexander vectors in first-appearance order carry the variables
-        # in first-appearance order, zero coefficients included
-        pos: dict[str, int] = {}
-        for a2 in counts:
-            for v, e in a2:
-                if e and v not in pos:
-                    pos[v] = len(pos)
-        terms = {}
-        for a2, c in counts.items():
-            key = [0] * len(pos)
-            for v, e in a2:
-                if e:
-                    key[pos[v]] = e
-            key = tuple(key)
-            terms[key] = terms.get(key, 0) + c
-        out[s] = LaurentPoly(tuple(pos), terms)
-    return out
+    # summing per distinct Alexander vector, in first-appearance order,
+    # registers the variables in the order the generators do
+    return {s: LaurentPoly.sum((c, [(v, e) for v, e in a2 if e]) for a2, c in counts.items())
+            for s, counts in acc.items()}
 
 
 def graded_euler_characteristic(gens: list[GradedGenerator], s: Site) -> LaurentPoly:
@@ -116,14 +89,8 @@ def euler_characteristics(d: TangleDiagram) -> dict[Site, LaurentPoly]:
 def delta_poincare(gens: list[GradedGenerator], s: Site) -> LaurentPoly:
     """Generator counts organized by (Alexander, delta); delta alone graded
     after collapsing the bigrading, as a polynomial with a `delta` variable."""
-    acc = LaurentPoly.zero()
-    for g in gens:
-        if g.site != s:
-            continue
-        exp = {v: e for v, e in g.alexander2 if e}
-        exp[DELTA] = g.delta2
-        acc = acc + LaurentPoly.monomial(1, exp)
-    return acc
+    return LaurentPoly.sum((1, [(v, e) for v, e in g.alexander2 if e] + [(DELTA, g.delta2)])
+                           for g in gens if g.site == s)
 
 
 def poincare_table(d: TangleDiagram, s: Site | None = None):

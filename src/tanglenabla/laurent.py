@@ -78,6 +78,36 @@ class LaurentPoly:
     def var(cls, name: str, exp2: int = 2) -> "LaurentPoly":
         return cls.monomial(1, {name: exp2})
 
+    @classmethod
+    def sum(cls, monomials: Iterable[tuple[int, Iterable[tuple[str, int]]]]) -> "LaurentPoly":
+        """The sum of ``(coef, exp2 pairs)`` monomials, in one pass.
+
+        The variable table is the one a left-to-right ``+`` fold of
+        ``monomial`` gives: every pair registers its variable (zero
+        exponents and zero coefficients included), colours in
+        first-appearance order with the grading variables last, and a
+        variable stays when its terms cancel.  A variable repeated within
+        one monomial has its exponents added.
+        """
+        pos: dict[str, int] = {}
+        terms: dict[tuple[int, ...], int] = {}
+        for coef, exp2 in monomials:
+            key = [0] * len(pos)
+            for v, e in exp2:
+                i = pos.get(v)
+                if i is None:
+                    i = pos[v] = len(key)
+                    key.append(0)
+                key[i] += e
+            # trailing zeros dropped, so a key does not depend on how many
+            # variables were known when it was built
+            while key and not key[-1]:
+                key.pop()
+            k = tuple(key)
+            terms[k] = terms.get(k, 0) + coef
+        n = len(pos)
+        return cls(tuple(pos), {k + (0,) * (n - len(k)): c for k, c in terms.items()})
+
     # ------------------------------------------------------------------
     # alignment of variable tables
 
@@ -168,7 +198,7 @@ class LaurentPoly:
             raise LaurentError("E_BAD_SUBST", "replacement monomial must have integer exponents")
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1:]
-        acc = LaurentPoly.zero()
+        monomials = []
         for e, c in self.terms.items():
             k2 = e[i]  # doubled exponent of `var` in this term
             if sign == -1:
@@ -178,11 +208,10 @@ class LaurentPoly:
                         f"cannot raise a negative monomial to exponent {k2}/2")
                 if (k2 // 2) % 2:
                     c = -c
-            exp2 = {v: x for v, x in zip(rest, e[:i] + e[i + 1:]) if x}
-            for v, m2 in replacement_exp2.items():
-                exp2[v] = exp2.get(v, 0) + k2 * (m2 // 2)
-            acc = acc + LaurentPoly.monomial(c, exp2)
-        return acc
+            exp2 = [(v, x) for v, x in zip(rest, e[:i] + e[i + 1:]) if x]
+            exp2 += [(v, k2 * (m2 // 2)) for v, m2 in replacement_exp2.items()]
+            monomials.append((c, exp2))
+        return LaurentPoly.sum(monomials)
 
     def eval_h(self, value: int = -1) -> "LaurentPoly":
         """Eliminate the grading variable h at h = -1 (the only supported value)."""

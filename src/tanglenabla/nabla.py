@@ -10,39 +10,28 @@ from typing import Optional
 
 from .diagram import Site, TangleDiagram, TangleError
 from .laurent import H, LaurentError, LaurentPoly, binomial
-from .states import KauffmanState, enumerate_states, site_of
+from .states import KauffmanState, enumerate_states, site_of, state_codes
 
 
-def quadrant_label(d: TangleDiagram, ci: int, q: int) -> LaurentPoly:
-    """The label monomial itself (coefficient +1; signs only enter at h=-1)."""
-    corner = d.quadrants[ci][q]
-    exp = dict(corner.exp2)
-    if corner.h2:
-        exp[H] = corner.h2
-    return LaurentPoly.monomial(1, exp)
-
-
-def state_monomial(d: TangleDiagram, x: KauffmanState) -> LaurentPoly:
-    exp: dict[str, int] = {}
-    h2 = 0
-    for row, q in zip(d.quadrants, x.markers):
-        corner = row[q]
-        for v, e in corner.exp2:
-            exp[v] = exp.get(v, 0) + e
-        h2 += corner.h2
-    exp = {v: e for v, e in exp.items() if e}
-    if h2:
-        exp[H] = h2
-    return LaurentPoly.monomial(1, exp)
+def _state_sum(d: TangleDiagram, states: list[KauffmanState]) -> LaurentPoly:
+    """The sum of the state monomials; a colour whose exponent sums to 0
+    over a state is left out of that state's monomial."""
+    monomials = []
+    for x in states:
+        exp2, h2, _ = state_codes(d, x)
+        pairs = [(v, e) for v, e in exp2.items() if e]
+        if h2:
+            pairs.append((H, h2))
+        monomials.append((1, pairs))
+    return LaurentPoly.sum(monomials)
 
 
 def nabla_hat_all(d: TangleDiagram) -> dict[Site, LaurentPoly]:
     """The full family of hatted state sums, one per site (h unevaluated)."""
-    out: dict[Site, LaurentPoly] = {s: LaurentPoly.zero() for s in d.sites()}
+    by_site: dict[Site, list[KauffmanState]] = {s: [] for s in d.sites()}
     for x in enumerate_states(d):
-        s = site_of(d, x)
-        out[s] = out[s] + state_monomial(d, x)
-    return out
+        by_site[site_of(d, x)].append(x)
+    return {s: _state_sum(d, states) for s, states in by_site.items()}
 
 
 def _check_site(d: TangleDiagram, s: Site) -> None:
@@ -58,10 +47,7 @@ def _check_site(d: TangleDiagram, s: Site) -> None:
 def nabla_hat(d: TangleDiagram, s: Site) -> LaurentPoly:
     """The hatted state sum at one site, over the states at s alone."""
     _check_site(d, s)
-    out = LaurentPoly.zero()
-    for x in enumerate_states(d, s):
-        out = out + state_monomial(d, x)
-    return out
+    return _state_sum(d, enumerate_states(d, s))
 
 
 def nabla_at_site(d: TangleDiagram, s: Site) -> LaurentPoly:

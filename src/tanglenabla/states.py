@@ -104,8 +104,17 @@ def site_of(d: TangleDiagram, x: KauffmanState) -> Site:
     return Site(occupied & d.open_regions)
 
 
-def states_by_site(d: TangleDiagram) -> dict[Site, list[KauffmanState]]:
-    out: dict[Site, list[KauffmanState]] = {s: [] for s in d.sites()}
-    for x in enumerate_states(d):
-        out.setdefault(site_of(d, x), []).append(x)
-    return out
+def state_codes(d: TangleDiagram, x: KauffmanState) -> tuple[dict[str, int], int, int]:
+    """The quadrant codes of ``TangleDiagram.quadrants`` summed over x: the
+    doubled colour exponents (in first-appearance order: crossing order,
+    the under colour before the over colour), the doubled h exponent and
+    the doubled delta grading."""
+    exp2: dict[str, int] = {}
+    h2 = delta2 = 0
+    for row, q in zip(d.quadrants, x.markers):
+        corner = row[q]
+        for v, e in corner.exp2:
+            exp2[v] = exp2.get(v, 0) + e
+        h2 += corner.h2
+        delta2 += corner.delta2
+    return exp2, h2, delta2

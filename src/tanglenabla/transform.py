@@ -820,9 +820,6 @@ def rm3(d: TangleDiagram, region: str) -> TangleDiagram:
     return _rebuild(d, crossings=crossings, name=d.name + "_rm3")
 
 
-RM_MOVES = ("RM1_insert", "RM1_remove", "RM2_insert", "RM2_remove", "RM3")
-
-
 def apply_rm_move(d: TangleDiagram, move: str, location) -> TangleDiagram:
     """Dispatch a Reidemeister move; ``location`` is move-specific:
 

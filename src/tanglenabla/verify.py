@@ -464,18 +464,20 @@ def _check_mutation(rng, cases, fail):
         _check_mutation_one(d, fail, case=k)
 
 
+def _euler_char_one(d: TangleDiagram, fail, case=0):
+    chis = euler_characteristics(d)
+    fac = euler_factor(d)
+    nabs = nabla_all(d)
+    for s in d.sites():
+        ok, _ = chis[s].equal_up_to_unit(fac * nabs[s])
+        if not ok:
+            fail(_payload(case=case, diagram=d, site=str(s), chi=chis[s], nabla=nabs[s]))
+
+
 def _check_euler_char(rng, cases, fail):
     for k in range(cases):
-        d = random_diagram(rng, rng.choice((2, 4)), rng.randint(1, 6))
-        chis = euler_characteristics(d)
-        fac = euler_factor(d)
-        nabs = nabla_all(d)
-        for s in d.sites():
-            ok, _ = chis[s].equal_up_to_unit(fac * nabs[s])
-            if not ok:
-                fail(_payload(case=k, diagram=d, site=str(s),
-                              chi=chis[s], nabla=nabs[s]))
-                return
+        _euler_char_one(random_diagram(rng, rng.choice((2, 4)), rng.randint(1, 6)),
+                        fail, case=k)
 
 
 def _mutorient_diagram() -> TangleDiagram:
@@ -536,13 +538,7 @@ def run_check(prop: str, diagrams: Optional[list[TangleDiagram]] = None,
         cases = 1
     elif prop == "euler_char" and diagrams:
         for i, d in enumerate(diagrams):
-            chis = euler_characteristics(d)
-            fac = euler_factor(d)
-            nabs = nabla_all(d)
-            for s in d.sites():
-                ok, _ = chis[s].equal_up_to_unit(fac * nabs[s])
-                if not ok:
-                    fail(_payload(case=i, diagram=d, site=str(s)))
+            _euler_char_one(d, fail, case=i)
         cases = len(diagrams)
     else:
         note = PROPERTIES[prop](rng, cases, fail) or ""

@@ -66,7 +66,11 @@ def _corner_codes(d: TangleDiagram, ci: int, q: int) -> tuple[dict[str, int], in
 
 
 def brute_force_nabla_hat(d: TangleDiagram) -> dict[Site, LaurentPoly]:
-    """The hatted state sum per site over the brute-force states."""
+    """The hatted state sum per site over the brute-force states.
+
+    A colour whose code at one crossing is 0 (the halves of a self-crossing
+    cancelling) is not registered there, so the variable table lists the
+    colours in the order their non-zero codes first appear."""
     kind = {r.rid: r.kind for r in d.regions} if not d.split else {}
     out = {s: LaurentPoly.zero() for s in d.sites()}
     for markers in brute_force_states(d):
@@ -74,7 +78,8 @@ def brute_force_nabla_hat(d: TangleDiagram) -> dict[Site, LaurentPoly]:
         for ci, q in enumerate(markers):
             codes, h2, _ = _corner_codes(d, ci, q)
             for v, e in (*codes.items(), ("h", h2)):
-                exp[v] = exp.get(v, 0) + e
+                if e:
+                    exp[v] = exp.get(v, 0) + e
         regions = (d.region_of_quadrant[(ci, q)] for ci, q in enumerate(markers))
         site = Site(frozenset(r for r in regions if kind[r] == "open"))
         out[site] = out[site] + LaurentPoly.monomial(1, {v: e for v, e in exp.items() if e})

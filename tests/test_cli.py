@@ -108,6 +108,15 @@ def test_unknown_site_rejected(capsys):
         assert (code, out) == (1, "") and "E_BAD_SITE" in err, cmd
 
 
+def test_split_diagram_commands_report_e_split(tmp_path, capsys):
+    path = tmp_path / "split.tgl"
+    path.write_text("tangle split\nends 2\nboundary a e1 b e2\n"
+                    "crossing x1 + under e1 e3 over e3 e2\ncolour e1 t\ncircle u\n")
+    for cmd in ("regions", "gradings", "euler"):
+        code, out, err = run_cli(cmd, str(path), capsys=capsys)
+        assert (code, out) == (1, "") and err.startswith("error: E_SPLIT: "), cmd
+
+
 def test_conway(capsys):
     code, out, _ = run_cli("conway", corpus_arg("trefoil"), capsys=capsys)
     assert code == 0

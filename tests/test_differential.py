@@ -30,7 +30,10 @@ def test_state_sum_and_gradings_match_brute_force(corpus_names):
     nonzero = graded = 0
     for d in _diagrams(corpus_names):
         hat = nabla_hat_all(d)
-        assert hat == brute_force_nabla_hat(d), d.name
+        # to_json() also pins the variable table, which == ignores
+        expected = brute_force_nabla_hat(d)
+        assert {s: p.to_json() for s, p in hat.items()} == \
+            {s: p.to_json() for s, p in expected.items()}, d.name
         nonzero += any(hat.values())
         if not d.split:
             assert _generator_rows(d) == brute_force_gradings(d), d.name

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -142,3 +144,44 @@ def test_variable_union_is_order_insensitive():
 def test_rename_merges_variables():
     p = mono(1, p=1, q=-3)
     assert p.rename({"p": "t", "q": "t"}) == mono(1, t=-2)
+
+
+def _fold(monomials):
+    """The reference for LaurentPoly.sum: a left-to-right + fold of one
+    monomial per entry, a repeated variable's exponents added first."""
+    def merged(pairs):
+        exp2 = {}
+        for v, e in pairs:
+            exp2[v] = exp2.get(v, 0) + e
+        return exp2
+    return functools.reduce(
+        operator.add, (LaurentPoly.monomial(c, merged(p)) for c, p in monomials),
+        LaurentPoly.zero())
+
+
+def test_sum_matches_the_fold():
+    cases = [
+        [],
+        [(0, [("t", 2)])],                                          # zero coefficient
+        [(1, [("a", 2), ("b", 1)]), (-1, [("a", 2), ("b", 1)])],    # terms cancel
+        [(1, [("a", 1), ("b", 3), ("a", -1)])],                     # repeat summing to 0
+        [(2, [("a", 1), ("a", 3)]), (1, [("a", 4)])],               # repeat, then merge
+        [(1, [("delta", 2), ("h", -2), ("t2", 1)]), (1, [("t1", 1), ("t2", 0)])],
+        [(1, [("s", 0)]), (3, [])],                                 # zero exponent
+    ]
+    rng = random.Random(1601)
+    names = ("h", "delta", "p", "q", "r", "t")
+    for _ in range(400):
+        cases.append([(rng.randint(-2, 2),
+                       [(rng.choice(names), rng.randint(-3, 3))
+                        for _ in range(rng.randint(0, 4))])
+                      for _ in range(rng.randint(0, 6))])
+    for monomials in cases:
+        got, want = LaurentPoly.sum(iter(monomials)), _fold(monomials)
+        assert got.vars == want.vars and got.to_json() == want.to_json(), monomials
+    assert LaurentPoly.sum(cases[0]).vars == () and not LaurentPoly.sum(cases[0])
+    assert LaurentPoly.sum(cases[1]).vars == ("t",) and not LaurentPoly.sum(cases[1])
+    assert LaurentPoly.sum(cases[2]).vars == ("a", "b") and not LaurentPoly.sum(cases[2])
+    assert LaurentPoly.sum(cases[3]).to_json() == {
+        "vars": ["a", "b"], "terms": [{"coef": "1", "exp2": [0, 3]}]}
+    assert LaurentPoly.sum(cases[5]).vars == ("t2", "t1", "h", "delta")

@@ -3,8 +3,8 @@ import pytest
 from tanglenabla.diagram import Site, TangleError, parse_tangle
 from tanglenabla.laurent import LaurentPoly, binomial
 from tanglenabla.nabla import (conway_potential, nabla_all, nabla_at_site,
-                               nabla_hat, nabla_hat_all, quadrant_label)
-from tanglenabla.states import enumerate_states, site_of
+                               nabla_hat, nabla_hat_all)
+from tanglenabla.states import KauffmanState, enumerate_states, site_of, state_codes
 from tanglenabla import transform as tr
 
 from conftest import load, seeded_diagrams
@@ -19,20 +19,27 @@ def S(*labels):
     return Site(frozenset(labels))
 
 
+def codes(d, q):
+    """(colour codes in order, h2, delta2) of quadrant q of a one-crossing
+    diagram, read through its one-marker state."""
+    exp2, h2, delta2 = state_codes(d, KauffmanState((q,)))
+    return list(exp2.items()), h2, delta2
+
+
 def test_positive_crossing_quadrant_labels():
     d = load("crossing_pos")
-    assert quadrant_label(d, 0, 1) == H(1, o=1, u=1)              # north
-    assert quadrant_label(d, 0, 2) == H(1, o=1, u=-1)             # west
-    assert quadrant_label(d, 0, 3) == H(1, h=-2, o=-1, u=-1)      # south
-    assert quadrant_label(d, 0, 0) == H(1, o=-1, u=1)             # east
+    assert codes(d, 1) == ([("u", 1), ("o", 1)], 0, 1)            # north
+    assert codes(d, 2) == ([("u", -1), ("o", 1)], 0, 0)           # west
+    assert codes(d, 3) == ([("u", -1), ("o", -1)], -2, 1)         # south
+    assert codes(d, 0) == ([("u", 1), ("o", -1)], 0, 0)           # east
 
 
 def test_negative_crossing_quadrant_labels():
     d = load("crossing_neg")
-    assert quadrant_label(d, 0, 2) == H(1, o=-1, u=-1)            # north
-    assert quadrant_label(d, 0, 3) == H(1, o=1, u=-1)             # west
-    assert quadrant_label(d, 0, 0) == H(1, h=2, o=1, u=1)         # south
-    assert quadrant_label(d, 0, 1) == H(1, o=-1, u=1)             # east
+    assert codes(d, 2) == ([("u", -1), ("o", -1)], 0, -1)         # north
+    assert codes(d, 3) == ([("u", -1), ("o", 1)], 0, 0)           # west
+    assert codes(d, 0) == ([("u", 1), ("o", 1)], 2, -1)           # south
+    assert codes(d, 1) == ([("u", 1), ("o", -1)], 0, 0)           # east
 
 
 def test_single_crossing_site_values():

@@ -1,7 +1,7 @@
 import random
 
 from tanglenabla.diagram import Site
-from tanglenabla.states import enumerate_states, site_of, states_by_site
+from tanglenabla.states import enumerate_states, site_of
 from tanglenabla.verify import random_diagram
 
 from conftest import load
@@ -16,17 +16,17 @@ def test_single_crossing_has_four_states():
     assert sites == ["a", "b", "c", "d"]
 
 
+def _counts_by_site(d):
+    return {str(s): len(enumerate_states(d, s)) for s in d.sites()}
+
+
 def test_clasp_state_distribution():
-    d = load("clasp")
-    by_site = states_by_site(d)
-    counts = {str(s): len(v) for s, v in by_site.items()}
+    counts = _counts_by_site(load("clasp"))
     assert counts == {"l": 2, "b": 1, "r": 2, "t": 1}
 
 
 def test_pretzel_state_distribution():
-    d = load("pretzel_2m3")
-    by_site = states_by_site(d)
-    counts = {str(s): len(v) for s, v in by_site.items()}
+    counts = _counts_by_site(load("pretzel_2m3"))
     assert counts == {"a": 6, "b": 5, "c": 6, "d": 5}
     assert sum(counts.values()) == 22
 
@@ -47,8 +47,7 @@ def test_every_state_satisfies_occupancy(corpus_names):
 def test_partition_property(corpus_names):
     for name in corpus_names:
         d = load(name)
-        by_site = states_by_site(d)
-        assert sum(len(v) for v in by_site.values()) == len(enumerate_states(d))
+        assert sum(_counts_by_site(d).values()) == len(enumerate_states(d))
 
 
 def test_brute_force_oracle_on_corpus(corpus_names):

@@ -7,6 +7,7 @@ from tanglenabla.verify import (CheckReport, PROPERTIES, orientation_type,
                                 random_diagram, random_knot_tangle,
                                 random_rm_sequence, run_check)
 from tanglenabla import transform as tr
+from tanglenabla import verify
 
 from conftest import load
 
@@ -80,10 +81,21 @@ def test_mutorient_counterexample_uses_corpus_by_default():
     assert rep.passed and rep.cases == 1
 
 
-def test_euler_char_on_given_diagrams():
+def test_euler_char_on_given_diagrams(monkeypatch):
     rep = run_check("euler_char", diagrams=[load(n) for n in
                                             ("clasp", "mutorient", "trefoil")])
     assert rep.passed
+    # with the Euler characteristics doubled, the given-diagram and the
+    # generated runs report every failing site with the same payload
+    real = verify.euler_characteristics
+    monkeypatch.setattr(verify, "euler_characteristics",
+                        lambda d: {s: p + p for s, p in real(d).items()})
+    given = run_check("euler_char", diagrams=[load("clasp")])
+    assert [f["site"] for f in given.failures] == ["b", "l", "r", "t"]
+    generated = run_check("euler_char", seed=7, cases=5)
+    assert not generated.passed
+    for f in given.failures + generated.failures:
+        assert set(f) == {"case", "diagram", "site", "chi", "nabla"}
 
 
 def test_failure_reports_carry_payloads():

@@ -228,6 +228,13 @@ def _cmd_check(args):
     return 0 if report.passed else 1
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tanglenabla",
@@ -280,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("property", choices=sorted(PROPERTIES))
     p.add_argument("diagrams", nargs="*")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cases", type=int, default=25)
+    p.add_argument("--cases", type=_positive_int, default=25)
     return ap
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .diagram import Site, TangleDiagram, TangleError
-from .laurent import DELTA, LaurentPoly
+from .laurent import LaurentPoly
 from .states import KauffmanState, enumerate_states, site_of, state_codes
 
 
@@ -84,13 +84,6 @@ def graded_euler_characteristic(gens: list[GradedGenerator], s: Site) -> Laurent
 
 def euler_characteristics(d: TangleDiagram) -> dict[Site, LaurentPoly]:
     return euler_by_site(generator_gradings(d), d.sites())
-
-
-def delta_poincare(gens: list[GradedGenerator], s: Site) -> LaurentPoly:
-    """Generator counts organized by (Alexander, delta); delta alone graded
-    after collapsing the bigrading, as a polynomial with a `delta` variable."""
-    return LaurentPoly.sum((1, [(v, e) for v, e in g.alexander2 if e] + [(DELTA, g.delta2)])
-                           for g in gens if g.site == s)
 
 
 def poincare_table(d: TangleDiagram, s: Site | None = None):

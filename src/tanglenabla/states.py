@@ -4,9 +4,15 @@ A state places one marker per crossing into one of its four quadrant
 regions so that every closed region is occupied exactly once and every
 open region at most once.  For a connected diagram with n open strands
 this forces exactly n-1 occupied open regions.
+
+``enumerate_states`` walks the crossings in index order with a memo that
+says whether the crossings still to place can complete a state, so it
+enters no branch that ends without one and yields the states in lex order.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .diagram import Site, TangleDiagram
 
@@ -36,66 +42,60 @@ def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[KauffmanSt
     """All generalised Kauffman states, sorted by their marker vectors; with
     a site ``s``, only the states at ``s``.
 
-    Backtracking assigns the most constrained crossing first (fewest free
-    quadrants, then lowest index) and puts at most one marker in any
-    region; a region that must be filled (a closed one, or an open one in
-    ``s``) left empty with no unassigned crossing around it prunes the
-    branch, so every complete assignment fills each such region exactly
-    once.  The open regions outside ``s`` start out filled.  Split diagrams
-    have no states.
+    The walk places crossings 0..m-1 in index order, trying quadrants 0..3
+    at each, with region sets held as int bitmasks.  The open regions outside
+    ``s`` start out filled; a region that must be filled (a closed one, or an
+    open one in ``s``) is checked right after its last crossing is placed.
+    The walk enters a child only if a memo keyed by ``(i, filled & live[i])``
+    says the crossings from i on can still be placed; ``live[i]`` holds the
+    regions with a corner at crossing i or later.  So every branch entered
+    ends in a state, in lex order.  Split diagrams have no states.
     """
     if d.split:
         return []
     index = {r.rid: k for k, r in enumerate(d.regions)}
-    if s is None:
-        must = [r.kind == "closed" for r in d.regions]
-        filled = [False] * len(index)
-    else:
-        must = [r.kind == "closed" or r.rid in s.arcs for r in d.regions]
-        filled = [r.kind == "open" and r.rid not in s.arcs for r in d.regions]
-    quad = [tuple(index[corner.region] for corner in row) for row in d.quadrants]
-
-    # remaining[r] = unassigned crossing corners at region r
-    remaining = [0] * len(index)
-    for row in quad:
-        for r in row:
-            remaining[r] += 1
-    if any(c and not n for c, n in zip(must, remaining)):
+    bits = [tuple(1 << index[corner.region] for corner in row) for row in d.quadrants]
+    must = filled = 0
+    for k, r in enumerate(d.regions):
+        if r.kind == "closed" or (s is not None and r.rid in s.arcs):
+            must |= 1 << k
+        elif s is not None and r.kind == "open":
+            filled |= 1 << k
+    m = len(bits)
+    live = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        live[i] = live[i + 1] | bits[i][0] | bits[i][1] | bits[i][2] | bits[i][3]
+    if must & ~live[0]:
         return []          # an untouchable region to fill: no states
-    assigned = [-1] * len(quad)
-    todo = set(range(len(quad)))
-    out: list[tuple[int, ...]] = []
+    # check[i]: the regions to fill whose last corner is at crossing i
+    check = [must & live[i] & ~live[i + 1] for i in range(m)]
 
-    def rec():
-        if not todo:
-            out.append(tuple(assigned))
+    @functools.cache
+    def children(i: int, key: int) -> list[tuple[int, int]]:
+        """The (quadrant, next key) pairs at crossing i that lead to a state."""
+        got = []
+        for q, b in enumerate(bits[i]):
+            if key & b or (key | b) & check[i] != check[i]:
+                continue
+            nxt = (key | b) & live[i + 1]
+            if i + 1 == m or children(i + 1, nxt):
+                got.append((q, nxt))
+        return got
+
+    out: list[KauffmanState] = []
+    markers = [0] * m
+
+    def walk(i: int, key: int) -> None:
+        if i == m:
+            out.append(KauffmanState(tuple(markers)))
             return
-        ci, free = -1, None
-        for i in todo:
-            f = [q for q, r in enumerate(quad[i]) if not filled[r]]
-            if not f:
-                return
-            if free is None or (len(f), i) < (len(free), ci):
-                ci, free = i, f
-        regs = quad[ci]
-        todo.discard(ci)
-        for r in regs:
-            remaining[r] -= 1
-        for q in free:
-            r = regs[q]
-            assigned[ci] = q
-            filled[r] = True
-            # only the regions around ci changed
-            if all(filled[x] or remaining[x] or not must[x] for x in regs):
-                rec()
-            filled[r] = False
-        assigned[ci] = -1
-        for r in regs:
-            remaining[r] += 1
-        todo.add(ci)
+        for q, nxt in children(i, key):
+            markers[i] = q
+            walk(i + 1, nxt)
 
-    rec()
-    return [KauffmanState(markers) for markers in sorted(out)]
+    walk(0, filled & live[0])
+    children.cache_clear()   # it refers to itself: free the memo now, not at the next gc
+    return out
 
 
 def site_of(d: TangleDiagram, x: KauffmanState) -> Site:

@@ -46,6 +46,13 @@ def brute_force_states(d: TangleDiagram) -> list[tuple[int, ...]]:
             if state_defect(d, markers) is None]
 
 
+def brute_force_site(d: TangleDiagram, markers) -> Site:
+    """The open regions (named by their arcs) that the markers occupy."""
+    kind = {r.rid: r.kind for r in d.regions}
+    regions = (d.region_of_quadrant[(ci, q)] for ci, q in enumerate(markers))
+    return Site(frozenset(r for r in regions if kind[r] == "open"))
+
+
 def _corner_codes(d: TangleDiagram, ci: int, q: int) -> tuple[dict[str, int], int, int]:
     """(doubled colour exponents, doubled h exponent, doubled delta) of
     quadrant q at crossing ci, read off the slot roles: q lies right of a
@@ -71,7 +78,6 @@ def brute_force_nabla_hat(d: TangleDiagram) -> dict[Site, LaurentPoly]:
     A colour whose code at one crossing is 0 (the halves of a self-crossing
     cancelling) is not registered there, so the variable table lists the
     colours in the order their non-zero codes first appear."""
-    kind = {r.rid: r.kind for r in d.regions} if not d.split else {}
     out = {s: LaurentPoly.zero() for s in d.sites()}
     for markers in brute_force_states(d):
         exp: dict[str, int] = {}
@@ -80,8 +86,7 @@ def brute_force_nabla_hat(d: TangleDiagram) -> dict[Site, LaurentPoly]:
             for v, e in (*codes.items(), ("h", h2)):
                 if e:
                     exp[v] = exp.get(v, 0) + e
-        regions = (d.region_of_quadrant[(ci, q)] for ci, q in enumerate(markers))
-        site = Site(frozenset(r for r in regions if kind[r] == "open"))
+        site = brute_force_site(d, markers)
         out[site] = out[site] + LaurentPoly.monomial(1, {v: e for v, e in exp.items() if e})
     return out
 

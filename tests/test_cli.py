@@ -171,6 +171,14 @@ def test_usage_error_exit_code(capsys):
     assert run_cli("nabla", "/nonexistent/x.tgl", capsys=capsys)[0] == 1
 
 
+def test_check_rejects_fewer_than_one_case(capsys):
+    for cases in ("-3", "0", "x"):
+        code, out, err = run_cli("check", "skein", "--cases", cases, capsys=capsys)
+        assert (code, out) == (2, ""), cases
+        assert "--cases" in err, cases
+    assert run_cli("check", "skein", "--cases", "1", capsys=capsys)[0] == 0
+
+
 def test_nabla_seed_env(monkeypatch, capsys):
     monkeypatch.setenv("NABLA_SEED", "99")
     code, out, _ = run_cli("--format", "json", "check", "parity", "--cases", "2",

@@ -1,10 +1,9 @@
 import pytest
 
 from tanglenabla.diagram import Site, TangleError, parse_tangle
-from tanglenabla.gradings import (delta_poincare, euler_by_site, euler_characteristics,
-                                  generator_gradings, graded_euler_characteristic,
-                                  poincare_table)
-from tanglenabla.laurent import LaurentPoly
+from tanglenabla.gradings import (euler_by_site, euler_characteristics, generator_gradings,
+                                  graded_euler_characteristic, poincare_table)
+from tanglenabla.laurent import DELTA, LaurentPoly
 from tanglenabla.nabla import euler_factor, nabla_all
 from tanglenabla import transform as tr
 
@@ -14,6 +13,13 @@ from oracles import rescan_euler
 
 def S(*labels):
     return Site(frozenset(labels))
+
+
+def delta_poincare(gens, s):
+    """Generator counts at s organized by (Alexander, delta), as a
+    polynomial with a `delta` variable."""
+    return LaurentPoly.sum((1, [(v, e) for v, e in g.alexander2 if e] + [(DELTA, g.delta2)])
+                           for g in gens if g.site == s)
 
 
 def grading_rows(d, site):

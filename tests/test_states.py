@@ -1,11 +1,13 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from tanglenabla.diagram import Site
 from tanglenabla.states import enumerate_states, site_of
 from tanglenabla.verify import random_diagram
 
-from conftest import load
-from oracles import brute_force_states, state_defect
+from conftest import load, seeded_diagrams
+from oracles import brute_force_site, brute_force_states, state_defect
 
 
 def test_single_crossing_has_four_states():
@@ -50,21 +52,37 @@ def test_partition_property(corpus_names):
         assert sum(_counts_by_site(d).values()) == len(enumerate_states(d))
 
 
+def _assert_ordered_oracle(d):
+    """The states, in full and per site, are the 4^m filter's in its
+    product(range(4)) order, which is lex order."""
+    expected = brute_force_states(d)
+    assert [x.markers for x in enumerate_states(d)] == expected, d.name
+    for s in d.sites():
+        assert [x.markers for x in enumerate_states(d, s)] == \
+            [m for m in expected if brute_force_site(d, m) == s], (d.name, str(s))
+
+
 def test_brute_force_oracle_on_corpus(corpus_names):
     for name in corpus_names:
         d = load(name)
-        if len(d.crossings) > 4:
-            continue
-        assert sorted(brute_force_states(d)) == \
-            sorted(x.markers for x in enumerate_states(d)), name
+        if len(d.crossings) <= 6:
+            _assert_ordered_oracle(d)
 
 
 def test_brute_force_oracle_on_random_diagrams():
-    rng = random.Random(4, )
-    for _ in range(25):
-        d = random_diagram(rng, rng.choice((2, 4)), rng.randint(1, 4))
-        assert sorted(brute_force_states(d)) == \
-            sorted(x.markers for x in enumerate_states(d))
+    diagrams = seeded_diagrams(4, 40, 6)
+    for d in diagrams:
+        _assert_ordered_oracle(d)
+    # 2, 4 and 6 ends occur, some diagrams carry closed components
+    assert {d.n_open for d in diagrams} == {1, 2, 3}
+    assert sum(d.m_closed > 0 for d in diagrams) >= 5
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), ends=st.sampled_from((2, 4, 6)),
+       m=st.integers(1, 7))
+def test_brute_force_oracle_on_hypothesis_diagrams(seed, ends, m):
+    _assert_ordered_oracle(random_diagram(random.Random(seed), ends, m))
 
 
 def test_deterministic_order():

@@ -3,7 +3,11 @@ closure, mutation, Reidemeister moves and the small surgeries (crossing
 switch, oriented smoothing, closed-component deletion) that the property
 checks are built from.
 
-All operations are pure: they assemble a fresh validated TangleDiagram.
+All operations are pure, and each builds its result with exactly one
+validated TangleDiagram construction and no intermediate diagram:
+``glue_diagrams`` builds its own; every other transform goes through
+``_rebuild``, the splicing ones (smoothing, deletion, capping and closure,
+kink and bigon removal) by way of ``_Splicer.rebuild`` after merging edges.
 """
 
 from __future__ import annotations
@@ -69,36 +73,35 @@ def switch_crossing(d: TangleDiagram, ci: int) -> TangleDiagram:
     return _rebuild(d, crossings=new)
 
 
+def _reversed(d: TangleDiagram, crossings, colours):
+    """``crossings`` (edge ids of ``d``) and the direction flags of ``d``
+    with every strand coloured in ``colours`` flowing the other way."""
+    new = []
+    for c in crossings:
+        ur = d.colour_of_edge[c.under[0]] in colours
+        orv = d.colour_of_edge[c.over[0]] in colours
+        new.append(Crossing(c.sign * (-1 if ur != orv else 1),
+                            c.under[::-1] if ur else c.under,
+                            c.over[::-1] if orv else c.over))
+    dirs = {e: flag != (d.colour_of_edge[e] in colours) for e, flag in _dirs_of(d).items()}
+    return new, dirs
+
+
 def reverse_orientation(d: TangleDiagram, colours) -> TangleDiagram:
     """Reverse the flow of every component with a colour in ``colours``."""
     colours = {colours} if isinstance(colours, str) else set(colours)
     unknown = colours - set(d.colours())
     if unknown or not colours:
         raise TangleError("E_UNKNOWN_COLOUR", f"cannot reverse {sorted(unknown or {'nothing'})}")
-    new = []
-    for c in d.crossings:
-        ur = d.colour_of_edge[c.under[0]] in colours
-        orv = d.colour_of_edge[c.over[0]] in colours
-        under = (c.under[1], c.under[0]) if ur else c.under
-        over = (c.over[1], c.over[0]) if orv else c.over
-        sign = c.sign * (-1 if ur != orv else 1)
-        new.append(Crossing(sign, under, over))
-    dirs = _dirs_of(d)
-    for e, flag in list(dirs.items()):
-        if d.colour_of_edge[e] in colours:
-            dirs[e] = not flag
-    return _rebuild(d, crossings=new, edge_dirs=dirs, name=d.name + "_rev")
+    crossings, dirs = _reversed(d, d.crossings, colours)
+    return _rebuild(d, crossings=crossings, edge_dirs=dirs, name=d.name + "_rev")
 
 
 def recolour(d: TangleDiagram, mapping) -> TangleDiagram:
     """Rename strand colours; distinct components may be given one name."""
-    seeds = {}
-    for comp in d.components:
-        if comp.edges:
-            seeds[comp.edges[0]] = mapping.get(comp.colour, comp.colour)
-    circles = tuple(mapping.get(c, c) for c in d.free_circles)
-    return TangleDiagram(d.name, d.crossings, d.boundary, d.arcs, seeds,
-                         d.outer_hint, _dirs_of(d), circles)
+    seeds = {e: mapping.get(colour, colour) for e, colour in _seeds_of(d).items()}
+    return _rebuild(d, seeds=seeds,
+                    free_circles=tuple(mapping.get(c, c) for c in d.free_circles))
 
 
 # ----------------------------------------------------------------------
@@ -111,59 +114,52 @@ class _Splicer(UnionFind):
         super().__init__()
         self.d = d
         self.dead: set[str] = set()   # edges dropped outright (loops, bigon sides)
+        self.colour = dict(d.colour_of_edge)   # colour each edge carries into the result
+        self.circles = list(d.free_circles)    # free circles kept in the result
 
     def rebuild(self, removed: set[int], name: str, boundary=None, arcs=None,
                 outer_hint="keep") -> TangleDiagram:
         d = self.d
-        new_crossings = []
-        for ci, c in enumerate(d.crossings):
-            if ci in removed:
-                continue
-            new_crossings.append(Crossing(
-                c.sign,
-                (self.find(c.under[0]), self.find(c.under[1])),
-                (self.find(c.over[0]), self.find(c.over[1]))))
+        find = self.find
+        crossings = [Crossing(c.sign, (find(c.under[0]), find(c.under[1])),
+                              (find(c.over[0]), find(c.over[1])))
+                     for ci, c in enumerate(d.crossings) if ci not in removed]
+        # direction flags for merged boundary-to-boundary edges (these only
+        # arise in position-preserving rebuilds: smoothing or deletion can
+        # reduce an open strand to a bare arc)
+        dirs: dict[str, bool] = {}
         if boundary is None:
-            new_boundary = tuple(self.find(e) for e in d.boundary)
-        else:
-            new_boundary = tuple(boundary)
-        new_arcs = d.arcs if arcs is None else tuple(arcs)
-        hint = d.outer_hint if outer_hint == "keep" else outer_hint
+            boundary = tuple(find(e) for e in d.boundary)
+            first: dict[str, int] = {}
+            for k, e in enumerate(boundary):
+                if e in first:
+                    dirs[e] = not d.incoming[4 * len(d.crossings) + first[e]]
+                else:
+                    first[e] = k
         # surviving attachment count per representative
         attach: dict[str, int] = {}
-        for c in new_crossings:
+        for c in crossings:
             for e in (*c.under, *c.over):
                 attach[e] = attach.get(e, 0) + 1
-        for e in new_boundary:
+        for e in boundary:
             attach[e] = attach.get(e, 0) + 1
-        reps = {self.find(e) for e in d.edges if e not in self.dead}
-        circles = list(d.free_circles)
+        members: dict[str, set[str]] = {}
+        for e in d.edges:
+            if e not in self.dead:
+                members.setdefault(find(e), set()).add(self.colour[e])
+        circles = list(self.circles)
         seeds: dict[str, str] = {}
-        for rep in sorted(reps):
-            members = [e for e in d.edges
-                       if e not in self.dead and self.find(e) == rep]
-            colours = {d.colour_of_edge[e] for e in members}
+        for rep in sorted(members):
+            colours = members[rep]
             if len(colours) != 1:
                 raise TangleError("E_ORIENT", "splice would merge different colours")
             if attach.get(rep, 0) == 0:
                 circles.append(colours.pop())
             else:
                 seeds[rep] = colours.pop()
-        # direction flags for merged boundary-to-boundary edges (these only
-        # arise in position-preserving rebuilds: smoothing or deletion can
-        # reduce an open strand to a bare arc)
-        dirs: dict[str, bool] = {}
-        m = len(d.crossings)
-        if boundary is None:
-            for rep in reps:
-                spots = [k for k, e in enumerate(new_boundary) if e == rep]
-                if len(spots) != 2:
-                    continue
-                k1, k2 = spots
-                tail_first = not d.incoming[4 * m + k1]
-                dirs[rep] = tail_first
-        return TangleDiagram(name, new_crossings, new_boundary, new_arcs, seeds,
-                             hint, dirs, circles)
+        return _rebuild(d, crossings=crossings, boundary=boundary, arcs=arcs, seeds=seeds,
+                        edge_dirs=dirs, outer_hint=outer_hint, name=name,
+                        free_circles=circles)
 
 
 def smooth_crossing(d: TangleDiagram, ci: int) -> TangleDiagram:
@@ -202,12 +198,8 @@ def delete_component(d: TangleDiagram, colour: str) -> TangleDiagram:
             sp.union(c.over[0], c.over[1])
         elif o_dead and not u_dead:
             sp.union(c.under[0], c.under[1])
-    new = sp.rebuild(removed, d.name + f"_minus_{colour}")
-    circles = tuple(col for col in new.free_circles if col != colour)
-    if circles == new.free_circles:
-        return new
-    return TangleDiagram(new.name, new.crossings, new.boundary, new.arcs,
-                         _seeds_of(new), new.outer_hint, _dirs_of(new), circles)
+    sp.circles = [col for col in d.free_circles if col != colour]
+    return sp.rebuild(removed, d.name + f"_minus_{colour}")
 
 
 # ----------------------------------------------------------------------
@@ -220,8 +212,6 @@ def _cap(d: TangleDiagram, arc: str, name: Optional[str] = None) -> TangleDiagra
     if arc not in d.arcs or not d.boundary:
         raise TangleError("E_BAD_LOCATION", f"no boundary arc {arc!r}")
     two_n = len(d.boundary)
-    if two_n < 2:
-        raise TangleError("E_BAD_LOCATION", "nothing to cap")
     k = d.arcs.index(arc)
     m = len(d.crossings)
     e_prev = d.boundary[(k - 1) % two_n]   # end before the arc
@@ -234,19 +224,12 @@ def _cap(d: TangleDiagram, arc: str, name: Optional[str] = None) -> TangleDiagra
         raise TangleError("E_ORIENT", "cap would join two inward or two outward ends")
     col1 = d.colour_of_edge[e_prev]
     col2 = d.colour_of_edge[e_next]
+    sp = _Splicer(d)
     if col1 != col2:
         # the two strands become one; identify their colours
-        target = min(col1, col2)
-        merging = {e_prev, e_next}
-        seeds = {}
         for comp in d.components:
-            if not comp.edges:
-                continue
-            hit = any(e in merging for e in comp.edges)
-            seeds[comp.edges[0]] = target if hit else comp.colour
-        d = TangleDiagram(d.name, d.crossings, d.boundary, d.arcs, seeds,
-                          d.outer_hint, _dirs_of(d), d.free_circles)
-    sp = _Splicer(d)
+            if e_prev in comp.edges or e_next in comp.edges:
+                sp.colour.update(dict.fromkeys(comp.edges, min(col1, col2)))
     sp.union(e_prev, e_next)
     keep_positions = [i for i in range(two_n) if i not in ((k - 1) % two_n, k)]
     new_boundary = tuple(sp.find(d.boundary[i]) for i in keep_positions)
@@ -261,27 +244,14 @@ def _cap(d: TangleDiagram, arc: str, name: Optional[str] = None) -> TangleDiagra
     outer_hint = d.outer_hint
     if not new_boundary:
         # closing the last pair of ends: the merged region becomes the outer
-        # one; remember it through an edge side
+        # one; remember it through an edge side, preferring a kept edge id
         other_arc = label_prev if label_prev != arc else label_next
-        hint = None
-        for e in sorted(d.edges):
-            for side in ("R", "L"):
-                if d.region_beside(e, side) == other_arc and sp.find(e) == e:
-                    hint = (e, side)
-                    break
-            if hint:
-                break
-        if hint is None:
-            for e in sorted(d.edges):
-                for side in ("R", "L"):
-                    if d.region_beside(e, side) == other_arc:
-                        hint = (sp.find(e), side)
-                        break
-                if hint:
-                    break
-        if hint is None:
+        sides = [(e, side) for e in sorted(d.edges) for side in ("R", "L")
+                 if d.region_beside(e, side) == other_arc]
+        if not sides:
             raise TangleError("E_BAD_LOCATION", "cannot identify the outer region")
-        outer_hint = hint
+        e, side = next((es for es in sides if sp.find(es[0]) == es[0]), sides[0])
+        outer_hint = (sp.find(e), side)
         new_arcs = [merged]
     return sp.rebuild(set(), name or (d.name + "_cap"),
                       boundary=new_boundary, arcs=new_arcs, outer_hint=outer_hint)
@@ -317,40 +287,15 @@ def reopen(d: TangleDiagram, edge: Optional[str] = None) -> TangleDiagram:
     if not choices:
         raise TangleError("E_BAD_LOCATION", "edge does not border the outer region")
     e, side = choices[0]
-    taken: set[str] = set()
-    e_new = _fresh_edge(d, taken)
-    # tail piece keeps the id `e` and exits the disc; the head piece enters
-    tail, head = d.flow_ends(e)
-    at = d.attach_of_end(head)
-    new_crossings = list(d.crossings)
-    if at[0] != "x":
-        raise TangleError("E_BAD_LOCATION", "cannot reopen a crossingless loop")
-    _, ci, s = at
-    c = new_crossings[ci]
-
-    def sub(pair, slot_in_pair):
-        lst = list(pair)
-        lst[slot_in_pair] = e_new
-        return tuple(lst)
-
-    strand, is_in = c.role_of_slot(s)
-    if strand == "under":
-        under = sub(c.under, 0 if is_in else 1)
-        new_crossings[ci] = Crossing(c.sign, under, c.over)
-    else:
-        over = sub(c.over, 0 if is_in else 1)
-        new_crossings[ci] = Crossing(c.sign, c.under, over)
-    # self-loop edge: `e` may attach twice at the same crossing; only the
-    # head occurrence was renamed above, which is what we want.
-    if side == "L":
-        boundary = (e_new, e)
-    else:
-        boundary = (e, e_new)
-    arcs = ("a", "b")
-    seeds = dict(_seeds_of(d))
+    e_new = _fresh_edge(d, set())
+    # tail piece keeps the id `e` and exits the disc; the head piece enters.
+    # A closed diagram has no boundary, so the head sits at a crossing.
+    crossings, _ = _replace_head_occurrence(d.crossings, d.boundary, d, e, e_new)
+    seeds = _seeds_of(d)
     seeds[e_new] = d.colour_of_edge[e]
-    return TangleDiagram(d.name + "_open", new_crossings, boundary, arcs,
-                         seeds, None, {}, d.free_circles)
+    return _rebuild(d, crossings=crossings, boundary=(e_new, e) if side == "L" else (e, e_new),
+                    arcs=("a", "b"), seeds=seeds, edge_dirs={}, outer_hint=None,
+                    name=d.name + "_open")
 
 
 # ----------------------------------------------------------------------
@@ -541,13 +486,13 @@ def mutate_tangle(d: TangleDiagram, axis: str) -> TangleDiagram:
             boundary = (d.boundary[3], d.boundary[2], d.boundary[1], d.boundary[0])
             perm = (3, 2, 1, 0)
     new_pattern = tuple(old_pattern[perm[k]] for k in range(4))
-    out = _rebuild(d, crossings=crossings, boundary=boundary,
-                   name=d.name + f"_mut{axis}")
-    if new_pattern == old_pattern:
-        return out
+    name, dirs = d.name + f"_mut{axis}", None
     if new_pattern == tuple(not p for p in old_pattern):
-        return reverse_orientation(out, set(out.colours()))
-    raise TangleError("E_ORIENT", "mutation cannot match the boundary orientations")
+        crossings, dirs = _reversed(d, crossings, set(d.colours()))
+        name += "_rev"
+    elif new_pattern != old_pattern:
+        raise TangleError("E_ORIENT", "mutation cannot match the boundary orientations")
+    return _rebuild(d, crossings=crossings, boundary=boundary, edge_dirs=dirs, name=name)
 
 
 # ----------------------------------------------------------------------
@@ -616,10 +561,10 @@ def rm1_insert(d: TangleDiagram, edge: str, side: str, sign: int) -> TangleDiagr
     assert c.sign == sign
     crossings, boundary = _replace_head_occurrence(d.crossings, d.boundary, d, edge, k3)
     crossings.append(c)
-    seeds = dict(_seeds_of(d))
+    seeds = _seeds_of(d)
     seeds.setdefault(edge, d.colour_of_edge[edge])
-    return TangleDiagram(d.name + "_rm1", crossings, tuple(boundary), d.arcs, seeds,
-                         d.outer_hint, _dirs_of(d), d.free_circles)
+    return _rebuild(d, crossings=crossings, boundary=boundary, seeds=seeds,
+                    name=d.name + "_rm1")
 
 
 def find_kinks(d: TangleDiagram) -> list[int]:
@@ -691,11 +636,11 @@ def rm2_insert(d: TangleDiagram, edge1: str, side1: str, edge2: str, side2: str,
     crossings, boundary = _replace_head_occurrence(crossings, boundary,
                                                    d, edge2, b3)
     crossings.extend([cx, cy])
-    seeds = dict(_seeds_of(d))
+    seeds = _seeds_of(d)
     seeds.setdefault(edge1, d.colour_of_edge[edge1])
     seeds.setdefault(edge2, d.colour_of_edge[edge2])
-    return TangleDiagram(d.name + "_rm2", crossings, tuple(boundary), d.arcs, seeds,
-                         d.outer_hint, _dirs_of(d), d.free_circles)
+    return _rebuild(d, crossings=crossings, boundary=boundary, seeds=seeds,
+                    name=d.name + "_rm2")
 
 
 def find_bigons(d: TangleDiagram) -> list[str]:

@@ -3,7 +3,10 @@ given diagrams or on seeded random ones, with machine-readable reports.
 
 Random diagrams are grown by repeatedly glueing fresh one-crossing pieces
 onto the boundary and capping adjacent ends, which keeps them connected and
-planar by construction.
+planar by construction.  Each step builds one validated diagram: a piece,
+reversed strands included, is built directly; each glue and each cap is one
+transform; the final renaming of the colours to t1, t2, ... is one more.
+The glueing check sums its pieces' products in one pass over site pairs.
 """
 
 from __future__ import annotations
@@ -37,17 +40,19 @@ class CheckReport:
 # random diagram generation
 
 def _fresh_piece(rng: random.Random, idx: int) -> TangleDiagram:
-    """A random one-crossing tangle with fresh edge ids."""
+    """A random one-crossing tangle with fresh edge ids: a crossing of random
+    sign whose under strand u and over strand o are each reversed at random,
+    as ``reverse_orientation`` would (then named ``piece<idx>_rev``)."""
     e = [f"p{idx}_{k}" for k in range(4)]
     sign = rng.choice((1, -1))
-    c = Crossing(sign, (e[0], e[1]), (e[2], e[3]))
-    boundary = c.slots()
-    d = TangleDiagram(f"piece{idx}", [c], boundary, ("a", "b", "c", "d"),
-                      {e[0]: "u", e[2]: "o"})
+    boundary = Crossing(sign, (e[0], e[1]), (e[2], e[3])).slots()
     colours = rng.choice((set(), {"u"}, {"o"}, {"u", "o"}))
-    if colours:
-        d = tr.reverse_orientation(d, colours)
-    return d
+    ur, orv = "u" in colours, "o" in colours
+    c = Crossing(sign * (-1 if ur != orv else 1),
+                 (e[1], e[0]) if ur else (e[0], e[1]),
+                 (e[3], e[2]) if orv else (e[2], e[3]))
+    return TangleDiagram(f"piece{idx}_rev" if colours else f"piece{idx}", [c], boundary,
+                         ("a", "b", "c", "d"), {e[0]: "u", e[2]: "o"})
 
 
 def random_diagram(rng: random.Random, n_ends: int = 4, n_crossings: int = 6,
@@ -368,35 +373,41 @@ def _check_glueing(rng, cases, fail):
             continue
         T = rec.diagram
         hats_T = nabla_hat_all(T)
-        hats_1 = {s: p.rename(rec.iota_1) for s, p in nabla_hat_all(d1).items()}
-        hats_2 = {s: p.rename(rec.iota_2) for s, p in nabla_hat_all(d2).items()}
-        kind = {r.rid: r.kind for r in T.regions}
-        seam_closed = {rid for rid in list(rec.arc_map_1.values()) +
-                       list(rec.arc_map_2.values()) if kind.get(rid) == "closed"}
-        sites1 = d1.sites()
-        sites2 = d2.sites()
+        totals = _glued_sums(rec, nabla_hat_all(d1), nabla_hat_all(d2))
         for s in T.sites():
-            total = LaurentPoly.zero()
-            for s1_ in sites1:
-                img1 = [rec.arc_map_1[a] for a in s1_.arcs]
-                for s2_ in sites2:
-                    img2 = [rec.arc_map_2[a] for a in s2_.arcs]
-                    occ = img1 + img2
-                    if len(set(occ)) != len(occ):
-                        continue
-                    occ_set = set(occ)
-                    if seam_closed - occ_set:
-                        continue
-                    open_occ = {r for r in occ_set if kind.get(r) == "open"}
-                    if open_occ != set(s.arcs):
-                        continue
-                    if occ_set - seam_closed - open_occ:
-                        continue
-                    total = total + hats_1[s1_] * hats_2[s2_]
-            if total != hats_T[s]:
+            if totals[s] != hats_T[s]:
                 fail(_payload(case=k, glued=T, site=str(s),
-                              got=total, expected=hats_T[s]))
+                              got=totals[s], expected=hats_T[s]))
                 return
+
+
+def _glued_sums(rec: tr.GlueRecord, hats_1: dict[Site, LaurentPoly],
+                hats_2: dict[Site, LaurentPoly]) -> dict[Site, LaurentPoly]:
+    """The right-hand side of the glueing formula at every site of the
+    glued diagram: the sum of ``hats_1[s1] * hats_2[s2]``, colours renamed by the record's
+    iotas, over the site pairs whose images are distinct regions that cover
+    every closed region on the seam and, besides those, are exactly the
+    site's open regions.  One pass maps each pair to that site, or to none;
+    each site adds its products in pair order."""
+    T = rec.diagram
+    kind = {r.rid: r.kind for r in T.regions}
+    seam_closed = {rid for rid in (*rec.arc_map_1.values(), *rec.arc_map_2.values())
+                   if kind.get(rid) == "closed"}
+    renamed_2 = [([rec.arc_map_2[a] for a in s2.arcs], p2.rename(rec.iota_2))
+                 for s2, p2 in hats_2.items()]
+    terms: dict[Site, list[LaurentPoly]] = {s: [] for s in T.sites()}
+    for s1, p1 in hats_1.items():
+        img1 = [rec.arc_map_1[a] for a in s1.arcs]
+        p1 = p1.rename(rec.iota_1)
+        for img2, p2 in renamed_2:
+            occ = set(img1 + img2)
+            if len(occ) != len(img1) + len(img2) or not seam_closed <= occ:
+                continue
+            open_occ = {r for r in occ if kind.get(r) == "open"}
+            target = Site(frozenset(open_occ))
+            if target in terms and occ == seam_closed | open_occ:
+                terms[target].append(p1 * p2)
+    return {s: sum(ps, LaurentPoly.zero()) for s, ps in terms.items()}
 
 
 def _check_parity(rng, cases, fail):
@@ -422,8 +433,7 @@ def _check_fourended(rng, cases, fail):
             comp = next(c for c in d.components if c.kind == "open")
             seeds = {c.edges[0]: c.colour for c in d.components if c.edges}
             seeds[comp.edges[0]] = "flp"
-            tmp = TangleDiagram(d.name, d.crossings, d.boundary, d.arcs, seeds)
-            tmp = tr.reverse_orientation(tmp, {"flp"})
+            tmp = tr.reverse_orientation(tr._rebuild(d, seeds=seeds), {"flp"})
             d = tr.recolour(tmp, {"flp": open_cols[0]})
         typ, rot = orientation_type(d)
         seen[typ] += 1
@@ -520,10 +530,15 @@ PROPERTIES: dict[str, Callable] = {
 
 def run_check(prop: str, diagrams: Optional[list[TangleDiagram]] = None,
               seed: int = 0, cases: int = 25) -> CheckReport:
-    """Run one catalogue property; deterministic for a given seed."""
+    """Run one catalogue property; deterministic for a given seed.  Given
+    ``diagrams`` replace the generated ones; only ``mutation``,
+    ``euler_char`` and ``mutorient_counterexample`` take them."""
     if prop not in PROPERTIES:
         raise TangleError("E_UNKNOWN_PROPERTY",
                           f"unknown property {prop!r}; known: {sorted(PROPERTIES)}")
+    if diagrams and prop not in ("mutation", "euler_char", "mutorient_counterexample"):
+        raise TangleError("E_HYPOTHESIS",
+                          f"property {prop!r} runs on generated diagrams only")
     rng = random.Random(seed)
     failures: list = []
     note = ""

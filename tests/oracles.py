@@ -5,7 +5,8 @@ and the state search: states are checked against a raw 4^m filter, their
 codes are derived afresh from the slot roles of each crossing, and the
 empty-site polynomial of 2-ended tangles is checked against a
 crossing-switch resolution that only knows the skein identity, descending
-diagrams and split detection.
+diagrams and split detection.  The right-hand side of the glueing formula
+is summed by a scan of every site pair per target site.
 """
 
 from itertools import product
@@ -121,6 +122,41 @@ def rescan_euler(gens, s: Site) -> LaurentPoly:
             coef = -1 if g.h % 2 else 1
             acc = acc + LaurentPoly.monomial(coef, {v: e for v, e in g.alexander2 if e})
     return acc
+
+
+def glueing_sums(rec: tr.GlueRecord, hats_1: dict, hats_2: dict) -> dict[Site, LaurentPoly]:
+    """The right-hand side of the glueing formula per site of the glued
+    diagram, scanning
+    every (s1, s2) site pair once per target site: a pair counts at s when
+    its image regions are distinct, cover every closed region on the seam
+    and, besides those, are exactly the open regions of s."""
+    T = rec.diagram
+    hats_1 = {s: p.rename(rec.iota_1) for s, p in hats_1.items()}
+    hats_2 = {s: p.rename(rec.iota_2) for s, p in hats_2.items()}
+    kind = {r.rid: r.kind for r in T.regions}
+    seam_closed = {rid for rid in list(rec.arc_map_1.values()) +
+                   list(rec.arc_map_2.values()) if kind.get(rid) == "closed"}
+    out = {}
+    for s in T.sites():
+        total = LaurentPoly.zero()
+        for s1_ in hats_1:
+            img1 = [rec.arc_map_1[a] for a in s1_.arcs]
+            for s2_ in hats_2:
+                img2 = [rec.arc_map_2[a] for a in s2_.arcs]
+                occ = img1 + img2
+                if len(set(occ)) != len(occ):
+                    continue
+                occ_set = set(occ)
+                if seam_closed - occ_set:
+                    continue
+                open_occ = {r for r in occ_set if kind.get(r) == "open"}
+                if open_occ != set(s.arcs):
+                    continue
+                if occ_set - seam_closed - open_occ:
+                    continue
+                total = total + hats_1[s1_] * hats_2[s2_]
+        out[s] = total
+    return out
 
 
 def _first_ascending_crossing(d: TangleDiagram):

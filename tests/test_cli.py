@@ -8,6 +8,7 @@ import pytest
 from tanglenabla import corpus
 from tanglenabla.cli import gradings_json, main
 from tanglenabla.gradings import generator_gradings
+from tanglenabla.verify import PROPERTIES
 
 from conftest import seeded_diagrams
 
@@ -177,6 +178,16 @@ def test_check_rejects_fewer_than_one_case(capsys):
         assert (code, out) == (2, ""), cases
         assert "--cases" in err, cases
     assert run_cli("check", "skein", "--cases", "1", capsys=capsys)[0] == 0
+
+
+def test_check_rejects_diagrams_for_generated_only_properties(capsys):
+    takes_diagrams = {"mutation", "euler_char", "mutorient_counterexample"}
+    for prop in sorted(set(PROPERTIES) - takes_diagrams):
+        code, out, err = run_cli("check", prop, corpus_arg("clasp"), capsys=capsys)
+        assert (code, out) == (2, ""), prop
+        assert "E_HYPOTHESIS" in err, prop
+    code, out, _ = run_cli("check", "euler_char", corpus_arg("clasp"), capsys=capsys)
+    assert (code, out) == (0, "euler_char: pass (1 cases, seed 0)\n")
 
 
 def test_nabla_seed_env(monkeypatch, capsys):

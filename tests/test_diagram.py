@@ -1,10 +1,15 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tanglenabla import corpus
-from tanglenabla.diagram import (TangleError, canonical_form, isomorphic,
+from tanglenabla.diagram import (TangleDiagram, TangleError, canonical_form, isomorphic,
                                  linking_number, parse_tangle, serialize)
+from tanglenabla.transform import GlueRecord
+from tanglenabla.verify import random_diagram
 
-from conftest import load
+from conftest import load, transform_outputs
 
 
 def test_parse_single_crossing_counts():
@@ -111,6 +116,23 @@ def test_serialize_roundtrip_is_identity_on_canonical_form(corpus_names):
         again = canonical_form(parse_tangle(cf))
         assert cf == again, name
         assert serialize(parse_tangle(serialize(d))) == serialize(d), name
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), ends=st.sampled_from((2, 4, 6)),
+       m=st.integers(1, 6))
+def test_parse_inverts_serialize_on_generated_and_transformed_diagrams(seed, ends, m):
+    d = random_diagram(random.Random(seed), ends, m)
+    results = [d] + [r.diagram if isinstance(r, GlueRecord) else r
+                     for _, r in transform_outputs(d)]
+    # the text format needs a crossing, so crossingless results are left out
+    diagrams = [x for x in results if isinstance(x, TangleDiagram) and x.crossings]
+    assert len(diagrams) > 10
+    for x in diagrams:
+        text = serialize(x)
+        again = parse_tangle(text)
+        assert again == x, text
+        assert serialize(again) == text
 
 
 def test_sites_enumeration():

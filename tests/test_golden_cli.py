@@ -10,6 +10,7 @@ import hashlib
 
 from tanglenabla import corpus
 from tanglenabla.cli import main
+from tanglenabla.verify import PROPERTIES
 
 COMMANDS = ("regions", "states", "nabla", "nabla --hat", "gradings", "euler")
 
@@ -114,3 +115,43 @@ def test_corpus_cli_digests(capsys):
         out, _ = capsys.readouterr()
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), \
             (name, fmt, cmd)
+
+
+# (property, seed) -> (exit code, sha256 of stdout) of
+# ``--format json check <property> --seed <seed> --cases 6``, recorded before
+# the transforms were rebuilt around one construction per result and the
+# glueing check became one pass over site pairs.
+CHECK_GOLDEN = {
+    ("euler_char", 0): (0, "621f9f714afbbbccc09d1eface13e2a98c0304d74ec3ac90a3a85037545e9ac6"),
+    ("euler_char", 1): (0, "5eaa033a24b1b23ce4f2b4fd98af55976f524c485a2d7acfabd93e1268d85233"),
+    ("fourended_symmetry", 0): (0, "f60191e40415fdd40ba2b0ee455cd077feb6d4b1908358a291e4517d705b7ef5"),
+    ("fourended_symmetry", 1): (0, "a7023ad98ce40de15a62907615ebfdea3968607f08f5697cdd61940517d2d73a"),
+    ("glueing", 0): (0, "ee5e9c948a4bbe24df15295b46d0ea97b835bbb806dad368788f31673da64065"),
+    ("glueing", 1): (0, "0ab071b81ab6cc3830f17c24fa2e2d47d67cf09dfb0fb4cd177fbf9cf0c73d54"),
+    ("knot_pm_one", 0): (0, "78edff338b6f6d3fcad706e469fb7534da973f7963b78b22660cf876ed2d89ff"),
+    ("knot_pm_one", 1): (0, "95ffda1eb36f7b58221d652b41da9fcf9849f2bf0c2d048bf814249cfeb39b03"),
+    ("mirror", 0): (0, "808cd5ad1b823951226df1f7fec637077764ef2725c52e89d5f1e1b7169a28e0"),
+    ("mirror", 1): (0, "b7dd575792aa68fd16339469c262d9365976dd33e1a65613087bb236679e101f"),
+    ("mutation", 0): (0, "cc83648955871ad9b9d8a9d51739200b3e935f77bc6e26c2683bada50ad35144"),
+    ("mutation", 1): (0, "eb4f105ea53715e98168453aec06ddcd33d11122057362e507b6fdf8affa561d"),
+    ("mutorient_counterexample", 0): (0, "219ceaf1a66d54b859b821d66d90acb006d3db371c19ff5cf9b2fa8ae9d28290"),
+    ("mutorient_counterexample", 1): (0, "40982a0573780d7d58bffbe70ad231f5e8e0423dec8aca7d85fb8a6f3972b066"),
+    ("parity", 0): (0, "642bb41c3823515ed471a36d03798d8d5e9f3596c8f14eccb7ea7ca921109ce7"),
+    ("parity", 1): (0, "699702205c0ec33ef299c679e8fc7f14651884b6bd8e74f73639cdd3cba469af"),
+    ("reversal", 0): (0, "e671b7be44ba5d2db50f87e8535c5605e496b391da9003f4d68ec87ef03714ed"),
+    ("reversal", 1): (0, "85d561fb2fc68703424ee5779438cd8b485dc110009d079d67556ee71797f63e"),
+    ("rm_invariance", 0): (0, "9591538a9f8baa836c85df7de65579ea3d85853f6b76083ea1b2c985409b4f7f"),
+    ("rm_invariance", 1): (0, "6ddadf7fe111d1153363cafbdfcc99d554a2f6f5a50e75a69df2522e5603e04f"),
+    ("set_pm_one", 0): (0, "3fc44fa05b1038aa9f59b1ddfbb07288d02c3e5cf380004cc88330eece6b7005"),
+    ("set_pm_one", 1): (0, "fc1071466ef209fe6318291bb45ce9f6a2c21d1c9aaba2115323fae13c94664e"),
+    ("skein", 0): (0, "edf6c04aef4333d31f97d682c7925bd0b6b7b77ac5fec7a704365b04125f7951"),
+    ("skein", 1): (0, "dee3d3d0b065c938479696192d9e2d75f9e61fb512bbfc31a1d8719bcecf47a0"),
+}
+
+
+def test_check_json_digests(capsys):
+    assert {prop for prop, _ in CHECK_GOLDEN} == set(PROPERTIES)
+    for (prop, seed), (code, digest) in CHECK_GOLDEN.items():
+        got = main(["--format", "json", "check", prop, "--seed", str(seed), "--cases", "6"])
+        out, _ = capsys.readouterr()
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), (prop, seed)

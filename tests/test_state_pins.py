@@ -7,8 +7,13 @@ brute force can reach."""
 import hashlib
 import random
 
+from tanglenabla import corpus
+from tanglenabla import transform as tr
+from tanglenabla.diagram import serialize
 from tanglenabla.states import enumerate_states
-from tanglenabla.verify import random_diagram
+from tanglenabla.verify import random_diagram, random_knot_tangle, random_rm_sequence
+
+from conftest import seeded_diagrams, transform_outputs
 
 # (seed, ends, crossings, states, digest, {site: (states, digest)})
 PINS = [
@@ -73,3 +78,61 @@ def test_large_state_lists_are_pinned():
         for s in d.sites():
             xs = enumerate_states(d, s)
             assert (len(xs), _digest(xs)) == by_site[str(s)], (seed, str(s))
+
+
+# Generated diagrams and transform outputs, pinned by a sha256 of their
+# serialize() text, the in/out flag of every edge end (which serialize()
+# leaves out for crossingless strands) and, for generators, the rng's next
+# draw.  Recorded before the transforms were rebuilt around one construction
+# per result.
+GENERATED_PINS = {
+    "random_diagram":
+        "2798a73cfc082434d88af047988e46d8bc9e2641a16fecb4c4acbb73de4b7237",
+    "random_knot_tangle":
+        "ca28b998bcfb919f1d4d224ce51227c1ebaa4eb67ad0d2e567df05d155a2d775",
+    "random_rm_sequence":
+        "0ed416da61cf8146a4c2b5b8b0f1273e9a29c3dc289295acee7ed604bdb04451",
+    "transforms on the corpus":
+        "f4d59719c18ecb434c34f61b1008e5a6f8b57ca29cc8ce21b8b9cc98516c21b5",
+    "transforms on seeded diagrams":
+        "9bd4b1d23c48a55eaf7b6c07b4daf057ce2adb5e54e12dd8c901e2156e056632",
+}
+
+
+def _fingerprint(x):
+    if isinstance(x, str):
+        return x + "\n"
+    if isinstance(x, tr.GlueRecord):
+        maps = (x.arc_map_1, x.arc_map_2, x.iota_1, x.iota_2)
+        return _fingerprint(x.diagram) + repr([sorted(m.items()) for m in maps]) + "\n"
+    return serialize(x) + "".join("1" if i else "0" for i in x.incoming) + "\n"
+
+
+def _generated_texts():
+    out = {key: [] for key in GENERATED_PINS}
+    for seed in range(90):
+        rng = random.Random(seed)
+        d = random_diagram(rng, (2, 4, 6)[seed % 3], 1 + (seed // 3) % 12)
+        out["random_diagram"] += [_fingerprint(d), repr(rng.random())]
+    for seed in range(12):
+        rng = random.Random(seed)
+        d = random_knot_tangle(rng, 1 + seed % 8)
+        out["random_knot_tangle"] += [_fingerprint(d), repr(rng.random())]
+    for seed in range(15):
+        rng = random.Random(seed)
+        d = random_diagram(rng, (2, 4, 6)[seed % 3], 1 + seed % 6)
+        moved, applied = random_rm_sequence(rng, d, 6)
+        out["random_rm_sequence"] += [_fingerprint(moved), repr(applied),
+                                      repr(rng.random())]
+    for key, diagrams in (("transforms on the corpus", map(corpus.load, corpus.names())),
+                          ("transforms on seeded diagrams", seeded_diagrams(11, 24, 7))):
+        for d in diagrams:
+            for label, result in transform_outputs(d):
+                out[key] += [label + "\n", _fingerprint(result)]
+    return out
+
+
+def test_generated_diagrams_are_pinned():
+    for key, texts in _generated_texts().items():
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest == GENERATED_PINS[key], key

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from tanglenabla.diagram import Site, TangleError
+from tanglenabla.diagram import Site, TangleError, parse_tangle
+from tanglenabla.laurent import LaurentPoly
+from tanglenabla.nabla import nabla_hat_all
 from tanglenabla.verify import (CheckReport, PROPERTIES, orientation_type,
                                 random_diagram, random_knot_tangle,
                                 random_rm_sequence, run_check)
@@ -10,6 +12,7 @@ from tanglenabla import transform as tr
 from tanglenabla import verify
 
 from conftest import load
+from oracles import glueing_sums
 
 
 def test_unknown_property():
@@ -137,3 +140,49 @@ def test_skein_triple_on_clasp_crossing():
         b = nabla_all(minus)[s].rename({"t1": "t"})
         c = nabla_all(zero)[s].rename({"t1": "t"})
         assert a - b == t * c, str(s)
+
+
+def _seeded_glues(seed, count):
+    """Glue records of random 4- and 6-ended pairs, drawn like the glueing
+    check draws them, with their pieces' site values."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d1 = random_diagram(rng, rng.choice((4, 6)), rng.randint(1, 5))
+        d2 = random_diagram(rng, rng.choice((4, 6)), rng.randint(1, 5))
+        for _ in range(40):
+            n = min(len(d1.boundary), len(d2.boundary))
+            try:
+                rec = tr.glue_diagrams(d1, d2, rng.randrange(len(d1.boundary)),
+                                       rng.randrange(len(d2.boundary)), rng.randint(1, n - 1))
+            except TangleError:
+                continue
+            if not rec.diagram.split:
+                out.append((rec, nabla_hat_all(d1), nabla_hat_all(d2)))
+            break
+    return out
+
+
+def test_one_pass_glueing_sum_matches_the_site_scan():
+    sites = nonzero = 0
+    for rec, hats_1, hats_2 in _seeded_glues(13, 40):
+        fast = verify._glued_sums(rec, hats_1, hats_2)
+        slow = glueing_sums(rec, hats_1, hats_2)
+        assert list(fast) == list(slow) == rec.diagram.sites()
+        assert [p.to_json() for p in fast.values()] == [p.to_json() for p in slow.values()]
+        assert fast == nabla_hat_all(rec.diagram)
+        sites += len(fast)
+        nonzero += sum(1 for p in fast.values() if p != LaurentPoly.zero())
+    assert sites >= 150 and nonzero >= 50, (sites, nonzero)
+
+
+def test_glueing_failure_reports_the_first_site(monkeypatch):
+    # every comparison fails: the check stops at the first site of the first
+    # glued case and reports both sides
+    monkeypatch.setattr(LaurentPoly, "__ne__", lambda a, b: True)
+    rep = run_check("glueing", seed=0, cases=3)
+    assert len(rep.failures) == 1
+    f = rep.failures[0]
+    assert set(f) == {"case", "glued", "site", "got", "expected"}
+    glued = parse_tangle(f["glued"])
+    assert f["site"] == str(glued.sites()[0])

@@ -1,6 +1,26 @@
-"""The state-sum invariants: products of the per-crossing quadrant codes
-(see ``TangleDiagram.quadrants``) over Kauffman states, and the two-ended
-specialization to the Conway potential.
+"""The state-sum invariants and the two-ended specialization to the Conway
+potential.
+
+The hatted site value ∇̂_s is the sum, over the Kauffman states at s, of
+the product of the per-crossing quadrant codes (``TangleDiagram.quadrants``).
+The codes are local, so the sum is taken crossing by crossing: a forward
+pass over the crossings 0..m-1 keeps, per frontier key, the partial sum of
+every prefix state that reaches it, multiplies it by the corner monomial of
+each quadrant the walk of ``states.walk_tables`` admits, and merges prefixes
+with equal keys.  The key is the walk's ``filled & live[i]``; for the full
+family it also keeps the open regions filled so far, so the final keys are
+the sites.  No state is built.
+
+A monomial is one int: its doubled exponents (h, then the colours) are 20-bit
+balanced digits, so multiplying by a corner monomial adds two ints (a
+crossing moves a digit by at most 2, so any m below 2^18 fits).  Each term
+carries its coefficient, a count of states, and the least prefix state (a
+base-4 int, which orders like the marker vectors) that gives it.  The
+variable table is the one that summing the states in lex order gives: a
+colour ranks by the lex-least state in which its exponent is non-zero, then
+by its first ``(crossing, slot of corner.exp2)`` in that state, and h comes
+last if any state has a non-zero h exponent.  ``eval_h`` keeps the table, so
+a colour whose terms cancel at h = -1 stays in it.
 """
 
 from __future__ import annotations
@@ -10,28 +30,104 @@ from typing import Optional
 
 from .diagram import Site, TangleDiagram, TangleError
 from .laurent import H, LaurentError, LaurentPoly, binomial
-from .states import KauffmanState, enumerate_states, site_of, state_codes
+from .states import walk_tables
+
+_BITS = 20
+_MASK = (1 << _BITS) - 1
+_HALF = 1 << (_BITS - 1)
 
 
-def _state_sum(d: TangleDiagram, states: list[KauffmanState]) -> LaurentPoly:
-    """The sum of the state monomials; a colour whose exponent sums to 0
-    over a state is left out of that state's monomial."""
-    monomials = []
-    for x in states:
-        exp2, h2, _ = state_codes(d, x)
-        pairs = [(v, e) for v, e in exp2.items() if e]
-        if h2:
-            pairs.append((H, h2))
-        monomials.append((1, pairs))
-    return LaurentPoly.sum(monomials)
+def _packing(d: TangleDiagram) -> tuple[list[str], list[tuple[int, ...]]]:
+    """The variable of each digit (h, then the colours in the order the
+    corner codes name them) and, per crossing, each corner's packed monomial."""
+    at = {H: 0}
+    shifts = [tuple(c.h2 + sum(e << _BITS * at.setdefault(v, len(at)) for v, e in c.exp2)
+                    for c in row) for row in d.quadrants]
+    return list(at), shifts
+
+
+def _frontier(d: TangleDiagram, s: Optional[Site],
+              shifts: list[tuple[int, ...]]) -> dict[Site, dict[int, list[int]]]:
+    """The packed state sums per site reached (only ``s``, if given), each
+    a map from packed exponent to ``[coef, least state]``."""
+    tables = walk_tables(d, s)
+    if tables is None:
+        return {}
+    bits, live, start, children = tables
+    keep = 0 if s is not None else sum(
+        1 << k for k, r in enumerate(d.regions) if r.kind == "open")
+    frontier = {start: {0: [1, 0]}}
+    for i, row in enumerate(shifts):
+        out: dict[int, dict[int, list[int]]] = {}
+        lv = live[i]
+        row_bits = bits[i]
+        for key, terms in frontier.items():
+            for q, nxt in children(i, key & lv):
+                sh = row[q]
+                k2 = nxt | (key | row_bits[q]) & keep
+                dst = out.get(k2)
+                if dst is None:
+                    out[k2] = {e + sh: [c, 4 * l + q] for e, (c, l) in terms.items()}
+                    continue
+                for e, (c, l) in terms.items():
+                    l = 4 * l + q
+                    t = dst.get(e + sh)
+                    if t is None:
+                        dst[e + sh] = [c, l]
+                    else:
+                        t[0] += c
+                        if l < t[1]:
+                            t[1] = l
+        frontier = out
+    children.cache_clear()   # it refers to itself: free the memo now
+    if s is not None:
+        return {s: terms for terms in frontier.values()}
+    arcs = [(k, r.rid) for k, r in enumerate(d.regions) if r.kind == "open"]
+    return {Site(frozenset(a for k, a in arcs if key >> k & 1)): terms
+            for key, terms in frontier.items()}
+
+
+def _decode(d: TangleDiagram, names: list[str], terms: dict[int, list[int]]) -> LaurentPoly:
+    """The polynomial of packed terms, with the variable table of the
+    module docstring."""
+    if not terms:
+        return LaurentPoly.zero()
+    # with _HALF added to every digit, each digit reads off without a
+    # borrow, and x ^ bias has a zero digit where x's digit is zero
+    bias = _HALF * ((1 << _BITS * len(names)) - 1) // _MASK
+    rows = sorted((least, e + bias, c) for e, (c, least) in terms.items())
+    used = 0
+    for _, e, _ in rows:
+        used |= e ^ bias
+    todo = {k for k in range(1, len(names)) if used >> (_BITS * k) & _MASK}
+    m = len(d.quadrants)
+    order = []
+    for least, e, _ in rows:   # distinct terms have distinct least states
+        if not todo:
+            break
+        new = {k for k in todo if (e ^ bias) >> (_BITS * k) & _MASK}
+        if len(new) > 1:
+            # in the order of their first (crossing, slot of corner.exp2) here
+            seen = dict.fromkeys(v for ci, row in enumerate(d.quadrants)
+                                 for v, _ in row[least >> 2 * (m - 1 - ci) & 3].exp2)
+            order += [k for k in map(names.index, seen) if k in new]
+        else:
+            order += new
+        todo -= new
+    if used & _MASK:
+        order.append(0)   # h
+    ats = [_BITS * k for k in order]
+    return LaurentPoly([names[k] for k in order],
+                       {tuple([(e >> at & _MASK) - _HALF for at in ats]): c
+                        for _, e, c in rows})
 
 
 def nabla_hat_all(d: TangleDiagram) -> dict[Site, LaurentPoly]:
-    """The full family of hatted state sums, one per site (h unevaluated)."""
-    by_site: dict[Site, list[KauffmanState]] = {s: [] for s in d.sites()}
-    for x in enumerate_states(d):
-        by_site[site_of(d, x)].append(x)
-    return {s: _state_sum(d, states) for s, states in by_site.items()}
+    """The full family of hatted state sums, one per site (h unevaluated),
+    from one frontier pass whose final keys are the sites."""
+    names, shifts = _packing(d)
+    sums = _frontier(d, None, shifts)
+    return {s: _decode(d, names, sums.get(s, {})) for s in d.sites()}
 
 
 def _check_site(d: TangleDiagram, s: Site) -> None:
@@ -45,9 +141,12 @@ def _check_site(d: TangleDiagram, s: Site) -> None:
 
 
 def nabla_hat(d: TangleDiagram, s: Site) -> LaurentPoly:
-    """The hatted state sum at one site, over the states at s alone."""
+    """The hatted state sum at one site, from a frontier pass that starts
+    with the open regions outside s filled, so it meets only the states at
+    s; the variable table is the one ``nabla_hat_all`` gives at s."""
     _check_site(d, s)
-    return _state_sum(d, enumerate_states(d, s))
+    names, shifts = _packing(d)
+    return _decode(d, names, _frontier(d, s, shifts).get(s, {}))
 
 
 def nabla_at_site(d: TangleDiagram, s: Site) -> LaurentPoly:

@@ -8,6 +8,8 @@ this forces exactly n-1 occupied open regions.
 ``enumerate_states`` walks the crossings in index order with a memo that
 says whether the crossings still to place can complete a state, so it
 enters no branch that ends without one and yields the states in lex order.
+``walk_tables`` builds the walk's tables and memo; the frontier pass of
+``nabla`` runs on the same ones.
 """
 
 from __future__ import annotations
@@ -38,21 +40,22 @@ class KauffmanState:
         return "KauffmanState(" + " ".join(f"x{i + 1}:q{q}" for i, q in enumerate(self.markers)) + ")"
 
 
-def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[KauffmanState]:
-    """All generalised Kauffman states, sorted by their marker vectors; with
-    a site ``s``, only the states at ``s``.
+def walk_tables(d: TangleDiagram, s: Site | None = None):
+    """The tables of the index-order walk over the states (at ``s``, if
+    given), or None when there are none.
 
-    The walk places crossings 0..m-1 in index order, trying quadrants 0..3
-    at each, with region sets held as int bitmasks.  The open regions outside
-    ``s`` start out filled; a region that must be filled (a closed one, or an
-    open one in ``s``) is checked right after its last crossing is placed.
-    The walk enters a child only if a memo keyed by ``(i, filled & live[i])``
-    says the crossings from i on can still be placed; ``live[i]`` holds the
-    regions with a corner at crossing i or later.  So every branch entered
-    ends in a state, in lex order.  Split diagrams have no states.
+    Returns ``(bits, live, start, children)``: ``bits[i][q]`` is the region
+    bit of quadrant q at crossing i, ``live[i]`` holds the regions with a
+    corner at crossing i or later, ``start`` is the key at crossing 0 (the
+    open regions outside ``s`` filled) and ``children(i, key)`` lists the
+    ``(quadrant, next key)`` pairs at crossing i, for ``key = filled &
+    live[i]``, from which the remaining crossings can still be placed.  A
+    region that must be filled (a closed one, or an open one in ``s``) is
+    checked right after its last crossing.  ``children`` is a memo that
+    refers to itself: call ``children.cache_clear()`` when done.
     """
     if d.split:
-        return []
+        return None
     index = {r.rid: k for k, r in enumerate(d.regions)}
     bits = [tuple(1 << index[corner.region] for corner in row) for row in d.quadrants]
     must = filled = 0
@@ -66,7 +69,7 @@ def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[KauffmanSt
     for i in range(m - 1, -1, -1):
         live[i] = live[i + 1] | bits[i][0] | bits[i][1] | bits[i][2] | bits[i][3]
     if must & ~live[0]:
-        return []          # an untouchable region to fill: no states
+        return None        # an untouchable region to fill: no states
     # check[i]: the regions to fill whose last corner is at crossing i
     check = [must & live[i] & ~live[i + 1] for i in range(m)]
 
@@ -82,6 +85,24 @@ def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[KauffmanSt
                 got.append((q, nxt))
         return got
 
+    return bits, live, filled & live[0], children
+
+
+def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[KauffmanState]:
+    """All generalised Kauffman states, sorted by their marker vectors; with
+    a site ``s``, only the states at ``s``.
+
+    The walk places crossings 0..m-1 in index order, trying quadrants 0..3
+    at each, with region sets held as int bitmasks (see ``walk_tables``).
+    It enters a child only if the memo keyed by ``(i, filled & live[i])``
+    says the crossings from i on can still be placed, so every branch
+    entered ends in a state, in lex order.  Split diagrams have no states.
+    """
+    tables = walk_tables(d, s)
+    if tables is None:
+        return []
+    bits, _, start, children = tables
+    m = len(bits)
     out: list[KauffmanState] = []
     markers = [0] * m
 
@@ -93,7 +114,7 @@ def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[KauffmanSt
             markers[i] = q
             walk(i + 1, nxt)
 
-    walk(0, filled & live[0])
+    walk(0, start)
     children.cache_clear()   # it refers to itself: free the memo now, not at the next gc
     return out
 

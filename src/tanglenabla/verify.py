@@ -294,11 +294,11 @@ def _check_skein(rng, cases, fail):
         k = done
         cols = set(plus.colours()) | set(zero.colours())
         t = binomial("t")
-        zeros = nabla_all(zero)
+        pluses, minuses, zeros = nabla_all(plus), nabla_all(minus), nabla_all(zero)
         ok = True
         for s in plus.sites():
-            a = _single_variable(nabla_all(plus)[s], cols)
-            b = _single_variable(nabla_all(minus)[s], cols)
+            a = _single_variable(pluses[s], cols)
+            b = _single_variable(minuses[s], cols)
             cc = _single_variable(zeros[s], cols)
             ok = ok and (a - b == t * cc)
         if not ok:

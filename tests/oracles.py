@@ -7,6 +7,10 @@ empty-site polynomial of 2-ended tangles is checked against a
 crossing-switch resolution that only knows the skein identity, descending
 diagrams and split detection.  The right-hand side of the glueing formula
 is summed by a scan of every site pair per target site.
+
+One oracle sits between brute force and the frontier pass of ``nabla``:
+``state_sum_nabla_hat`` enumerates the states with the index-order walk
+and sums the quadrant codes of each one, grouping the states by site.
 """
 
 from itertools import product
@@ -14,7 +18,8 @@ from typing import Optional
 
 from tanglenabla import transform as tr
 from tanglenabla.diagram import Site, TangleDiagram, TangleError
-from tanglenabla.laurent import LaurentPoly, binomial
+from tanglenabla.laurent import H, LaurentPoly, binomial
+from tanglenabla.states import KauffmanState, enumerate_states, site_of, state_codes
 
 
 def state_defect(d: TangleDiagram, markers) -> Optional[str]:
@@ -90,6 +95,31 @@ def brute_force_nabla_hat(d: TangleDiagram) -> dict[Site, LaurentPoly]:
         site = brute_force_site(d, markers)
         out[site] = out[site] + LaurentPoly.monomial(1, {v: e for v, e in exp.items() if e})
     return out
+
+
+def state_sum(d: TangleDiagram, states: list[KauffmanState]) -> LaurentPoly:
+    """The sum of the state monomials, one per state in the given order; a
+    colour whose exponent sums to 0 over a state is left out of that
+    state's monomial."""
+    monomials = []
+    for x in states:
+        exp2, h2, _ = state_codes(d, x)
+        pairs = [(v, e) for v, e in exp2.items() if e]
+        if h2:
+            pairs.append((H, h2))
+        monomials.append((1, pairs))
+    return LaurentPoly.sum(monomials)
+
+
+def state_sum_nabla_hat(d: TangleDiagram, s: Optional[Site] = None):
+    """The hatted state sum per site over the enumerated states, grouped by
+    ``site_of``; with a site ``s``, the value at s over ``enumerate_states(d, s)``."""
+    if s is not None:
+        return state_sum(d, enumerate_states(d, s))
+    by_site: dict[Site, list[KauffmanState]] = {t: [] for t in d.sites()}
+    for x in enumerate_states(d):
+        by_site[site_of(d, x)].append(x)
+    return {t: state_sum(d, states) for t, states in by_site.items()}
 
 
 def brute_force_gradings(d: TangleDiagram) -> list[tuple]:

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from tanglenabla import corpus
 from tanglenabla.diagram import (TangleDiagram, TangleError, canonical_form, isomorphic,
                                  linking_number, parse_tangle, serialize)
+from tanglenabla.laurent import LaurentError
+from tanglenabla.nabla import nabla_all
 from tanglenabla.transform import GlueRecord
 from tanglenabla.verify import random_diagram
 
@@ -177,3 +179,44 @@ circle s
     with pytest.raises(TangleError) as e:
         compute_regions(split)
     assert e.value.code == "E_SPLIT"
+
+
+def _mutated(rng, text):
+    """The text with one to three of its tokens replaced, deleted,
+    duplicated or swapped with another token of the corpus file."""
+    lines = [line.split() for line in text.splitlines()]
+    spots = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+    pool = [tok for line in lines for tok in line] + ["+", "-", "0", "x9", "e99", "#"]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.choice(spots)
+        if j >= len(lines[i]):
+            continue
+        how = rng.randrange(4)
+        if how == 0:
+            lines[i][j] = rng.choice(pool)
+        elif how == 1:
+            del lines[i][j]
+        elif how == 2:
+            lines[i].insert(j, lines[i][j])
+        else:
+            k, m = rng.choice(spots)
+            if m < len(lines[k]):
+                lines[i][j], lines[k][m] = lines[k][m], lines[i][j]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def test_token_mutated_corpus_files_fail_only_with_coded_errors():
+    # a seeded regression version of a parser fuzz run: parsing a mutated
+    # file, and the state sum of whatever parses, may raise only the coded
+    # errors of the package
+    rng = random.Random(2016)
+    sources = [corpus.source(name) for name in corpus.names()]
+    parsed = rejected = 0
+    for _ in range(700):
+        text = _mutated(rng, rng.choice(sources))
+        try:
+            nabla_all(parse_tangle(text))
+            parsed += 1
+        except (TangleError, LaurentError):
+            rejected += 1
+    assert parsed >= 50 and rejected >= 300, (parsed, rejected)

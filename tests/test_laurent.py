@@ -1,8 +1,10 @@
 import functools
+import json
 import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tanglenabla.laurent import LaurentError, LaurentPoly, binomial
 
@@ -185,3 +187,48 @@ def test_sum_matches_the_fold():
     assert LaurentPoly.sum(cases[3]).to_json() == {
         "vars": ["a", "b"], "terms": [{"coef": "1", "exp2": [0, 3]}]}
     assert LaurentPoly.sum(cases[5]).vars == ("t2", "t1", "h", "delta")
+
+
+# Ring laws on generated polynomials: each is a sum of up to six monomials
+# over three colours and the grading variables, with repeated variables,
+# zero exponents and zero coefficients.
+
+LAWS = settings(max_examples=150, derandomize=True, deadline=None, database=None)
+COLOURS = ("a", "b", "c")
+MONOMIALS = st.lists(
+    st.tuples(st.integers(-3, 3),
+              st.lists(st.tuples(st.sampled_from(COLOURS + ("h", "delta")),
+                                 st.integers(-4, 4)), max_size=4)),
+    max_size=6)
+
+
+@LAWS
+@given(MONOMIALS)
+def test_sum_is_the_fold_law(monomials):
+    got, want = LaurentPoly.sum(monomials), _fold(monomials)
+    assert got.vars == want.vars and got.to_json() == want.to_json()
+
+
+@LAWS
+@given(MONOMIALS, st.sampled_from(COLOURS))
+def test_divide_binomial_inverts_the_product_law(monomials, colour):
+    p = LaurentPoly.sum(monomials)
+    assert (p * binomial(colour)).divide_binomial(colour) == p
+
+
+@LAWS
+@given(MONOMIALS)
+def test_json_roundtrip_law(monomials):
+    p = LaurentPoly.sum(monomials)
+    q = LaurentPoly.from_json(json.loads(json.dumps(p.to_json())))
+    assert q.vars == p.vars and q.terms == p.terms
+
+
+@LAWS
+@given(MONOMIALS, st.dictionaries(st.sampled_from(COLOURS), st.sampled_from(COLOURS + ("t",))))
+def test_rename_merges_like_renamed_monomials_law(monomials, mapping):
+    # renaming the sum is the sum of the renamed monomials, merged variables
+    # and the first-appearance table included
+    renamed = [(c, [(mapping.get(v, v), e) for v, e in pairs]) for c, pairs in monomials]
+    got, want = LaurentPoly.sum(monomials).rename(mapping), LaurentPoly.sum(renamed)
+    assert got.vars == want.vars and got.to_json() == want.to_json()

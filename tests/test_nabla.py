@@ -94,9 +94,9 @@ def test_bad_site_rejected():
 
 
 def test_one_site_state_sum_matches_the_full_family():
-    # enumerate_states(d, s) finds exactly the states at s, in order, so
-    # nabla_hat(d, s) sums them in the order nabla_hat_all does and keeps
-    # its variable table
+    # enumerate_states(d, s) finds exactly the states at s, in order, and
+    # the frontier pass at s alone gives the value and the variable table
+    # that the pass over every site gives at s
     sites = 0
     for d in seeded_diagrams(7, 200, 9):
         full = enumerate_states(d)

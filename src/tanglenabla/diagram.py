@@ -17,6 +17,16 @@ Conventions (used consistently everywhere):
 * Quadrant q of a crossing is the corner between slots q and q+1 (mod 4).
 * Boundary arcs: arc k precedes boundary end k counterclockwise, so arc k
   runs from end k-1 to end k.
+
+Construction numbers the edge ends (crossing ci slot s is 4*ci + s, boundary
+end k is 4*m + k) and states each rule on them once.  A strand is followed
+end to end: from a tail end across its edge (``alpha``) to the head end,
+then out through the opposite slot (s + 2) % 4 of that crossing; the
+components, and the pieces that decide whether the diagram is split, come
+from that one walk.  Face tracing keeps the region of every dart, which is
+what ``region_beside`` reads.  Renaming edges and reversing strands are
+``Crossing.renamed`` and ``Crossing.reversed``; the transforms, glueing and
+``canonicalize`` use them rather than building crossings by hand.
 """
 
 from __future__ import annotations
@@ -62,6 +72,18 @@ class Crossing:
         if s == 2:
             return "under", False
         return "over", s == self.over_in_slot
+
+    def renamed(self, f) -> "Crossing":
+        """The same crossing with every edge id e replaced by f(e)."""
+        return Crossing(self.sign, (f(self.under[0]), f(self.under[1])),
+                        (f(self.over[0]), f(self.over[1])))
+
+    def reversed(self, under: bool, over: bool) -> "Crossing":
+        """The crossing with the named strands flowing the other way; the
+        sign flips when exactly one of them does."""
+        return Crossing(-self.sign if under != over else self.sign,
+                        self.under[::-1] if under else self.under,
+                        self.over[::-1] if over else self.over)
 
 
 @dataclass(frozen=True)
@@ -139,13 +161,9 @@ class TangleDiagram:
         # crossingless closed strands with no attachments; their presence
         # always makes the diagram split
         self.free_circles = tuple(free_circles)
-        # edge_dirs: for edges whose direction cannot be inferred from any
-        # crossing (boundary-to-boundary strands): True = flows from its
-        # first occurrence in scan order to the second.
-        self._edge_dirs = dict(edge_dirs or {})
         self._validate_shape()
         self._resolve_ends()
-        self._orient_edges()
+        self._orient_edges(edge_dirs or {})
         self._walk_components(colour_seeds)
         # split = a closed part of the diagram is disconnected from the rest
         # (then the invariants vanish); a disconnected OPEN part instead makes
@@ -204,8 +222,14 @@ class TangleDiagram:
     # ------------------------------------------------------------------
     # orientations
 
-    def _orient_edges(self):
-        """Mark each end incoming/outgoing; directions come from crossing roles."""
+    def _orient_edges(self, edge_dirs: Mapping[str, bool]):
+        """Mark each end incoming/outgoing; directions come from crossing roles.
+
+        An edge running from boundary to boundary meets no crossing; its
+        flow comes from ``edge_dirs`` (True, the default: from its first
+        boundary position to its second) and is kept, for these edges only,
+        in ``self.edge_dirs``.
+        """
         m = len(self.crossings)
         incoming: list[Optional[bool]] = [None] * self.n_ends
         for ci, c in enumerate(self.crossings):
@@ -216,10 +240,10 @@ class TangleDiagram:
             other = self.alpha[end]
             if incoming[other] is not None:
                 incoming[end] = not incoming[other]
-        # boundary-to-boundary edges (crossingless strands)
+        self.edge_dirs: dict[str, bool] = {}
         for e, (a, b) in self._occ.items():
             if incoming[a] is None and incoming[b] is None:
-                first_is_tail = self._edge_dirs.get(e, True)
+                first_is_tail = self.edge_dirs[e] = edge_dirs.get(e, True)
                 incoming[a] = not first_is_tail
                 incoming[b] = first_is_tail
         for e, (a, b) in self._occ.items():
@@ -235,45 +259,39 @@ class TangleDiagram:
     # ------------------------------------------------------------------
     # components and colours
 
-    def _next_edge(self, edge: str) -> Optional[str]:
-        """Follow the strand through the attachment at this edge's head."""
-        _, head = self.flow_ends(edge)
-        at = self.attach_of_end(head)
-        if at[0] == "b":
-            return None
-        _, ci, s = at
-        return self.crossings[ci].slots()[(s + 2) % 4]
-
     def _walk_components(self, colour_seeds: Mapping[str, str]):
-        m = len(self.crossings)
-        unseen = set(self.edges)
+        """Follow each strand end to end: from a tail end, across its edge
+        (``alpha``) to the head end, and on through the opposite slot of
+        that crossing.  Open strands come first, in the order of the
+        boundary end they enter at; closed ones each start at their least
+        edge.  Records the component of every tail end."""
+        m4 = 4 * len(self.crossings)
+        alpha, edge_of_end = self.alpha, self.edge_of_end
+        comp_of_tail = [-1] * self.n_ends
         walks: list[tuple[str, list[str]]] = []
-        # open components first, ordered by the boundary position they enter at
-        for k, e in enumerate(self.boundary):
-            end = 4 * m + k
-            if self.incoming[end] or self.edge_of_end[end] not in unseen:
-                continue
-            walk = []
-            cur: Optional[str] = self.edge_of_end[end]
-            while cur is not None:
-                walk.append(cur)
-                unseen.discard(cur)
-                cur = self._next_edge(cur)
-                if cur is not None and cur not in unseen:
-                    cur = None
-            walks.append(("open", walk))
-        while unseen:
-            start = min(unseen)
-            walk = [start]
-            unseen.discard(start)
-            cur = self._next_edge(start)
-            while cur is not None and cur != start:
-                walk.append(cur)
-                unseen.discard(cur)
-                cur = self._next_edge(cur)
-            if cur is None:
-                raise TangleError("E_ORIENT", "open strand not anchored on the boundary")
-            walks.append(("closed", walk))
+
+        def walk(tail: int) -> tuple[str, list[str]]:
+            edges = []
+            while comp_of_tail[tail] < 0:
+                comp_of_tail[tail] = len(walks)
+                edges.append(edge_of_end[tail])
+                head = alpha[tail]
+                if head >= m4:
+                    return "open", edges
+                tail = head ^ 2    # slot s -> (s + 2) % 4 at the same crossing
+            return "closed", edges
+
+        for end in range(m4, self.n_ends):
+            if not self.incoming[end]:
+                walks.append(walk(end))
+        for e in self.edges:
+            tail, _ = self.flow_ends(e)
+            if comp_of_tail[tail] < 0:
+                kind, edges = walk(tail)
+                if kind == "open":
+                    raise TangleError("E_ORIENT", "open strand not anchored on the boundary")
+                walks.append((kind, edges))
+        self._comp_of_tail = comp_of_tail
 
         comps = []
         for kind, walk in walks:
@@ -306,21 +324,14 @@ class TangleDiagram:
         """True if the diagram is connected; False if only closed pieces are
         disconnected (a split diagram); raises if open parts are separated."""
         pieces = UnionFind()
-        for comp in self.components:
-            for e1, e2 in zip(comp.edges, comp.edges[1:]):
-                pieces.union(e1, e2)
-        for c in self.crossings:
-            pieces.union(c.under[0], c.over[0])
-        roots = {pieces.find(e) for comp in self.components for e in comp.edges}
-        open_pieces = len({pieces.find(e) for e in self.boundary})
-        if self.boundary:
-            if open_pieces > 1:
-                raise TangleError(
-                    "E_DISCONNECTED",
-                    "two separate parts of the diagram reach the boundary")
-            if open_pieces == 0:
-                raise TangleError("E_DISCONNECTED", "no strand reaches the boundary")
-        return len(roots) <= 1
+        for ci, c in enumerate(self.crossings):
+            # the under and over strands leave at slot 2 and opposite over-in
+            pieces.union(self._comp_of_tail[4 * ci + 2],
+                         self._comp_of_tail[4 * ci + (c.over_in_slot + 2) % 4])
+        if len({pieces.find(i) for i in range(self.n_open)}) > 1:
+            raise TangleError("E_DISCONNECTED",
+                              "two separate parts of the diagram reach the boundary")
+        return len({pieces.find(i) for i in range(len(self.components))}) <= 1
 
     # ------------------------------------------------------------------
     # faces
@@ -418,20 +429,12 @@ class TangleDiagram:
         self.regions = tuple(sorted(regions, key=lambda r: r.rid))
         self._region_by_id = {r.rid: r for r in self.regions}
         self.open_regions = frozenset(r.rid for r in regions if r.kind == "open")
+        # region of each strand dart; None for the exterior of a tangle
+        self._region_of_dart = [named.get(fi) for fi in face_of[:n_str]]
         self.region_of_quadrant = {
             (ci, q): named[face_of[4 * ci + (q + 1) % 4]]
             for ci in range(m) for q in range(4)
         }
-        # side data for transformations: region on each side of every edge
-        self._face_right_of_tail: dict[str, str] = {}
-        self._face_left_of_tail: dict[str, str] = {}
-        for e_id in self.edges:
-            tail, head = self.flow_ends(e_id)
-            fr, fl = face_of[tail], face_of[head]
-            if fr in named:
-                self._face_right_of_tail[e_id] = named[fr]
-            if fl in named:
-                self._face_left_of_tail[e_id] = named[fl]
 
     # ------------------------------------------------------------------
     # queries
@@ -440,9 +443,12 @@ class TangleDiagram:
         return self._region_by_id[rid]
 
     def region_beside(self, edge: str, side: str) -> Optional[str]:
-        """Region on the 'L'/'R' side of an edge, w.r.t. its flow direction."""
-        table = self._face_right_of_tail if side == "R" else self._face_left_of_tail
-        return table.get(edge)
+        """Region on the 'L'/'R' side of an edge, w.r.t. its flow direction:
+        the face of its tail dart on the right, of its head dart on the left."""
+        if edge not in self._occ:
+            return None
+        tail, head = self.flow_ends(edge)
+        return self._region_of_dart[tail if side == "R" else head]
 
     def sites(self) -> list[Site]:
         """All (n-1)-element subsets of the arcs, in deterministic order."""
@@ -659,11 +665,7 @@ def canonicalize(d: TangleDiagram) -> TangleDiagram:
             entry_slot[ci] = at[2]
             queue.append(ci)
 
-    if d.boundary:
-        starts = list(d.boundary)
-    else:
-        tail, head = d.flow_ends(d.outer_hint[0])
-        starts = [d.outer_hint[0]]
+    starts = list(d.boundary) if d.boundary else [d.outer_hint[0]]
     for e in starts:
         visit_edge(e)
         for end in d._occ[e]:
@@ -681,12 +683,8 @@ def canonicalize(d: TangleDiagram) -> TangleDiagram:
                 discover(d.attach_of_end(end))
 
     ren = edge_new.__getitem__
-    new_crossings = []
-    for ci in sorted(range(len(d.crossings)), key=lambda i: order[i]):
-        c = d.crossings[ci]
-        new_crossings.append(Crossing(c.sign,
-                                      (ren(c.under[0]), ren(c.under[1])),
-                                      (ren(c.over[0]), ren(c.over[1]))))
+    new_crossings = [d.crossings[ci].renamed(ren)
+                     for ci in sorted(range(len(d.crossings)), key=order.__getitem__)]
     new_boundary = tuple(ren(e) for e in d.boundary)
     seeds = {}
     for comp in d.components:
@@ -694,14 +692,7 @@ def canonicalize(d: TangleDiagram) -> TangleDiagram:
     hint = None
     if d.outer_hint:
         hint = (ren(d.outer_hint[0]), d.outer_hint[1])
-    dirs = {}
-    for comp in d.components:
-        # preserve flow of crossingless strands under renaming
-        for e in comp.edges:
-            tail, head = d.flow_ends(e)
-            if d.attach_of_end(tail)[0] == "b" and d.attach_of_end(head)[0] == "b":
-                a, b = d._occ[e]
-                dirs[ren(e)] = not d.incoming[a]
+    dirs = {ren(e): flag for e, flag in d.edge_dirs.items()}
     return TangleDiagram(d.name, new_crossings, new_boundary, d.arcs, seeds, hint, dirs)
 
 

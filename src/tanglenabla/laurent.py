@@ -213,10 +213,8 @@ class LaurentPoly:
             monomials.append((c, exp2))
         return LaurentPoly.sum(monomials)
 
-    def eval_h(self, value: int = -1) -> "LaurentPoly":
-        """Eliminate the grading variable h at h = -1 (the only supported value)."""
-        if value != -1:
-            raise LaurentError("E_BAD_SUBST", "only h = -1 is supported")
+    def eval_h(self) -> "LaurentPoly":
+        """Eliminate the grading variable h at h = -1."""
         if H not in self.vars:
             return self
         i = self.vars.index(H)

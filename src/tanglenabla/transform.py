@@ -8,6 +8,12 @@ validated TangleDiagram construction and no intermediate diagram:
 ``glue_diagrams`` builds its own; every other transform goes through
 ``_rebuild``, the splicing ones (smoothing, deletion, capping and closure,
 kink and bigon removal) by way of ``_Splicer.rebuild`` after merging edges.
+
+Edge renaming (splicing, glueing) goes through ``Crossing.renamed`` and
+strand reversal (``reverse_orientation``, ``mutate_tangle``) through
+``_reversed``, which applies ``Crossing.reversed`` to the crossings and flips
+the diagram's ``edge_dirs``, the flow of its crossingless strands.  A result
+that keeps the input's boundary reads those flags off the input.
 """
 
 from __future__ import annotations
@@ -22,16 +28,6 @@ def _seeds_of(d: TangleDiagram) -> dict[str, str]:
     return {comp.edges[0]: comp.colour for comp in d.components if comp.edges}
 
 
-def _dirs_of(d: TangleDiagram) -> dict[str, bool]:
-    """Direction flags for boundary-to-boundary edges (rarely needed)."""
-    out = {}
-    for e in d.edges:
-        a, b = d._occ[e]
-        if d.attach_of_end(a)[0] == "b" and d.attach_of_end(b)[0] == "b":
-            out[e] = not d.incoming[a]
-    return out
-
-
 def _rebuild(d: TangleDiagram, *, crossings=None, boundary=None, arcs=None,
              seeds=None, edge_dirs=None, outer_hint="keep", name=None,
              free_circles=None) -> TangleDiagram:
@@ -42,7 +38,7 @@ def _rebuild(d: TangleDiagram, *, crossings=None, boundary=None, arcs=None,
         d.arcs if arcs is None else arcs,
         _seeds_of(d) if seeds is None else seeds,
         d.outer_hint if outer_hint == "keep" else outer_hint,
-        _dirs_of(d) if edge_dirs is None else edge_dirs,
+        d.edge_dirs if edge_dirs is None else edge_dirs,
         d.free_circles if free_circles is None else free_circles,
     )
 
@@ -73,18 +69,11 @@ def switch_crossing(d: TangleDiagram, ci: int) -> TangleDiagram:
     return _rebuild(d, crossings=new)
 
 
-def _reversed(d: TangleDiagram, crossings, colours):
+def _reversed(d: TangleDiagram, crossings, edges):
     """``crossings`` (edge ids of ``d``) and the direction flags of ``d``
-    with every strand coloured in ``colours`` flowing the other way."""
-    new = []
-    for c in crossings:
-        ur = d.colour_of_edge[c.under[0]] in colours
-        orv = d.colour_of_edge[c.over[0]] in colours
-        new.append(Crossing(c.sign * (-1 if ur != orv else 1),
-                            c.under[::-1] if ur else c.under,
-                            c.over[::-1] if orv else c.over))
-    dirs = {e: flag != (d.colour_of_edge[e] in colours) for e, flag in _dirs_of(d).items()}
-    return new, dirs
+    with every strand through ``edges`` flowing the other way."""
+    new = [c.reversed(c.under[0] in edges, c.over[0] in edges) for c in crossings]
+    return new, {e: flag != (e in edges) for e, flag in d.edge_dirs.items()}
 
 
 def reverse_orientation(d: TangleDiagram, colours) -> TangleDiagram:
@@ -93,7 +82,8 @@ def reverse_orientation(d: TangleDiagram, colours) -> TangleDiagram:
     unknown = colours - set(d.colours())
     if unknown or not colours:
         raise TangleError("E_UNKNOWN_COLOUR", f"cannot reverse {sorted(unknown or {'nothing'})}")
-    crossings, dirs = _reversed(d, d.crossings, colours)
+    edges = {e for e, colour in d.colour_of_edge.items() if colour in colours}
+    crossings, dirs = _reversed(d, d.crossings, edges)
     return _rebuild(d, crossings=crossings, edge_dirs=dirs, name=d.name + "_rev")
 
 
@@ -121,9 +111,7 @@ class _Splicer(UnionFind):
                 outer_hint="keep") -> TangleDiagram:
         d = self.d
         find = self.find
-        crossings = [Crossing(c.sign, (find(c.under[0]), find(c.under[1])),
-                              (find(c.over[0]), find(c.over[1])))
-                     for ci, c in enumerate(d.crossings) if ci not in removed]
+        crossings = [c.renamed(find) for ci, c in enumerate(d.crossings) if ci not in removed]
         # direction flags for merged boundary-to-boundary edges (these only
         # arise in position-preserving rebuilds: smoothing or deletion can
         # reduce an open strand to a bare arc)
@@ -351,20 +339,19 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
             raise TangleError("E_ORIENT", "glued ends must join an outgoing to an incoming strand")
         pairs.append((p1, p2))
 
-    crossings = list(d1.crossings) + [
-        Crossing(c.sign, (ren2[c.under[0]], ren2[c.under[1]]),
-                 (ren2[c.over[0]], ren2[c.over[1]])) for c in d2.crossings]
-
-    # union-find on the combined edge set
+    # union-find on the combined edge set; find2 names a d2 edge in the result
     edges = UnionFind()
     find = edges.find
     for p1, p2 in pairs:
         edges.union(d1.boundary[p1], ren2[d2.boundary[p2]])
 
+    def find2(e: str) -> str:
+        return find(ren2[e])
+
     keep1 = [(start1 + count + t) % n1 for t in range(n1 - count)]
     keep2 = [(start2 + 1 + t) % n2 for t in range(n2 - count)]
     boundary = [find(d1.boundary[i]) for i in keep1]
-    boundary += [find(ren2[d2.boundary[i]]) for i in keep2]
+    boundary += [find2(d2.boundary[i]) for i in keep2]
 
     # arc bookkeeping: group old arcs into the arcs/regions of the result
     arc_sets = UnionFind()
@@ -383,9 +370,8 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
     for idx, i in enumerate(keep2):
         arcs_by_class[arc_sets.find((2, d2.arcs[i]))] = new_labels[len(keep1) + idx]
 
-    crossings_final = [
-        Crossing(c.sign, (find(c.under[0]), find(c.under[1])),
-                 (find(c.over[0]), find(c.over[1]))) for c in crossings]
+    crossings = ([c.renamed(find) for c in d1.crossings]
+                 + [c.renamed(find2) for c in d2.crossings])
 
     # identified strands: component-level union-find over both inputs
     comp_of_edge: dict[str, tuple[int, int]] = {}
@@ -419,9 +405,9 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
         class_colour[root] = colour
         which, idx = members[0]
         e0 = _comp(members[0]).edges[0]
-        seeds[find(e0 if which == 1 else ren2[e0])] = colour
+        seeds[find(e0) if which == 1 else find2(e0)] = colour
 
-    glued = TangleDiagram(f"{d1.name}+{d2.name}", crossings_final, tuple(boundary),
+    glued = TangleDiagram(f"{d1.name}+{d2.name}", crossings, tuple(boundary),
                           tuple(new_labels), seeds,
                           free_circles=d1.free_circles + d2.free_circles)
 
@@ -431,7 +417,7 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
         if cls in arcs_by_class:
             return arcs_by_class[cls]
         # interior: identify through an edge side bounding the old region
-        mapper = (lambda e: find(e)) if which == 1 else (lambda e: find(ren2[e]))
+        mapper = find if which == 1 else find2
         for e in sorted(d.edges):
             for side in ("R", "L"):
                 if d.region_beside(e, side) == arc:
@@ -488,7 +474,7 @@ def mutate_tangle(d: TangleDiagram, axis: str) -> TangleDiagram:
     new_pattern = tuple(old_pattern[perm[k]] for k in range(4))
     name, dirs = d.name + f"_mut{axis}", None
     if new_pattern == tuple(not p for p in old_pattern):
-        crossings, dirs = _reversed(d, crossings, set(d.colours()))
+        crossings, dirs = _reversed(d, crossings, set(d.edges))
         name += "_rev"
     elif new_pattern != old_pattern:
         raise TangleError("E_ORIENT", "mutation cannot match the boundary orientations")

@@ -44,14 +44,10 @@ def _fresh_piece(rng: random.Random, idx: int) -> TangleDiagram:
     sign whose under strand u and over strand o are each reversed at random,
     as ``reverse_orientation`` would (then named ``piece<idx>_rev``)."""
     e = [f"p{idx}_{k}" for k in range(4)]
-    sign = rng.choice((1, -1))
-    boundary = Crossing(sign, (e[0], e[1]), (e[2], e[3])).slots()
+    c = Crossing(rng.choice((1, -1)), (e[0], e[1]), (e[2], e[3]))
     colours = rng.choice((set(), {"u"}, {"o"}, {"u", "o"}))
-    ur, orv = "u" in colours, "o" in colours
-    c = Crossing(sign * (-1 if ur != orv else 1),
-                 (e[1], e[0]) if ur else (e[0], e[1]),
-                 (e[3], e[2]) if orv else (e[2], e[3]))
-    return TangleDiagram(f"piece{idx}_rev" if colours else f"piece{idx}", [c], boundary,
+    return TangleDiagram(f"piece{idx}_rev" if colours else f"piece{idx}",
+                         [c.reversed("u" in colours, "o" in colours)], c.slots(),
                          ("a", "b", "c", "d"), {e[0]: "u", e[2]: "o"})
 
 
@@ -428,13 +424,11 @@ def _check_fourended(rng, cases, fail):
         open_cols = [c.colour for c in d.components if c.kind == "open"]
         d = tr.recolour(d, {open_cols[1]: open_cols[0]})
         if rng.random() < 0.5:
-            # flip the orientation type by reversing one open strand; with
-            # both open strands sharing a colour, reverse just one of them
+            # flip the orientation type by reversing one open strand; both
+            # open strands share a colour, so reverse its edges, not its colour
             comp = next(c for c in d.components if c.kind == "open")
-            seeds = {c.edges[0]: c.colour for c in d.components if c.edges}
-            seeds[comp.edges[0]] = "flp"
-            tmp = tr.reverse_orientation(tr._rebuild(d, seeds=seeds), {"flp"})
-            d = tr.recolour(tmp, {"flp": open_cols[0]})
+            crossings, dirs = tr._reversed(d, d.crossings, set(comp.edges))
+            d = tr._rebuild(d, crossings=crossings, edge_dirs=dirs, name=d.name + "_rev")
         typ, rot = orientation_type(d)
         seen[typ] += 1
         vals = normalized_nabla(d, rot)

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import tanglenabla
 from tanglenabla import corpus
 from tanglenabla.cli import gradings_json, main
 from tanglenabla.gradings import generator_gradings
@@ -204,9 +206,13 @@ def test_byte_identical_invocations(capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the package from where this process did, which is
+    # src/ when pytest's pythonpath setting, not an install, provides it
+    package_root = str(Path(tanglenabla.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "tanglenabla.cli", "regions", "corpus:clasp"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.endswith("\n")
 

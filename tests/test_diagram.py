@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from tanglenabla.nabla import nabla_all
 from tanglenabla.transform import GlueRecord
 from tanglenabla.verify import random_diagram
 
-from conftest import load, transform_outputs
+from conftest import load, seeded_diagrams, transform_outputs
 
 
 def test_parse_single_crossing_counts():
@@ -220,3 +221,45 @@ def test_token_mutated_corpus_files_fail_only_with_coded_errors():
         except (TangleError, LaurentError):
             rejected += 1
     assert parsed >= 50 and rejected >= 300, (parsed, rejected)
+
+
+# What construction derives from its input, pinned by a sha256 over the
+# transforms of the corpus and of seeded diagrams, and over the token
+# mutations above: per result its serialize() text, components, split flag,
+# regions, boundary in/out pattern and the region beside every edge side,
+# or the code of the TangleError raised.  Recorded before the strand walk,
+# the rename and reversal rules and the side table were restated.
+CONSTRUCTION_PIN = "83c55581c6be3a2334bb32145522624998df7ffe8850c791a288c6e300566359"
+
+
+def _construction_record(x) -> str:
+    if isinstance(x, str):
+        return x + "\n"
+    if isinstance(x, GlueRecord):
+        maps = (x.arc_map_1, x.arc_map_2, x.iota_1, x.iota_2)
+        return _construction_record(x.diagram) + repr([sorted(m.items()) for m in maps]) + "\n"
+    m = len(x.crossings)
+    parts = [serialize(x), repr(x.components), repr(x.split),
+             "".join("1" if x.incoming[4 * m + k] else "0" for k in range(len(x.boundary)))]
+    if not x.split:
+        parts += [repr(x.regions),
+                  repr([x.region_beside(e, side) for e in x.edges for side in "LR"])]
+    return "\n".join(parts) + "\n"
+
+
+def test_construction_is_pinned():
+    texts = []
+    inputs = [corpus.load(name) for name in corpus.names()] + seeded_diagrams(11, 24, 7)
+    for d in inputs:
+        for label, result in transform_outputs(d):
+            texts += [label + "\n", _construction_record(result)]
+    rng = random.Random(2016)
+    sources = [corpus.source(name) for name in corpus.names()]
+    for _ in range(700):
+        try:
+            parsed = parse_tangle(_mutated(rng, rng.choice(sources)))
+        except TangleError as ex:
+            parsed = ex.code
+        texts.append(_construction_record(parsed))
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == CONSTRUCTION_PIN

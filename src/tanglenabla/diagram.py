@@ -24,8 +24,10 @@ end to end: from a tail end across its edge (``alpha``) to the head end,
 then out through the opposite slot (s + 2) % 4 of that crossing; the
 components, and the pieces that decide whether the diagram is split, come
 from that one walk.  Face tracing keeps the region of every dart, which is
-what ``region_beside`` reads.  Renaming edges and reversing strands are
-``Crossing.renamed`` and ``Crossing.reversed``; the transforms, glueing and
+what ``region_beside`` reads; a split diagram traces no faces, so it has
+no regions and no region beside any edge.  Renaming edges and reversing
+strands are ``Crossing.renamed`` and ``Crossing.reversed``, and
+``Crossing.from_slots`` inverts ``slots``; the transforms, glueing and
 ``canonicalize`` use them rather than building crossings by hand.
 """
 
@@ -60,6 +62,12 @@ class Crossing:
         if self.sign > 0:
             return (self.under[0], self.over[1], self.under[1], self.over[0])
         return (self.under[0], self.over[0], self.under[1], self.over[1])
+
+    @classmethod
+    def from_slots(cls, sign: int, slots) -> "Crossing":
+        """The crossing of this sign whose ``slots()`` are ``slots``."""
+        oi = 3 if sign > 0 else 1
+        return cls(sign, (slots[0], slots[2]), (slots[oi], slots[oi ^ 2]))
 
     @property
     def over_in_slot(self) -> int:
@@ -170,6 +178,7 @@ class TangleDiagram:
         # the diagram invalid, since some open region meets the boundary
         # circle in more than one arc.
         self.split = bool(self.free_circles) or not self._classify_pieces()
+        self.regions: tuple[Region, ...] = ()   # a split diagram has no faces
         if not self.split:
             self._trace_faces()
 
@@ -427,7 +436,6 @@ class TangleDiagram:
             named[fi] = rid
             regions.append(Region(rid, "closed", tuple(sorted(corners.get(fi, []))), ()))
         self.regions = tuple(sorted(regions, key=lambda r: r.rid))
-        self._region_by_id = {r.rid: r for r in self.regions}
         self.open_regions = frozenset(r.rid for r in regions if r.kind == "open")
         # region of each strand dart; None for the exterior of a tangle
         self._region_of_dart = [named.get(fi) for fi in face_of[:n_str]]
@@ -439,13 +447,15 @@ class TangleDiagram:
     # ------------------------------------------------------------------
     # queries
 
-    def region(self, rid: str) -> Region:
-        return self._region_by_id[rid]
+    def region(self, rid: str) -> Optional[Region]:
+        """The region named ``rid``; None if there is none."""
+        return next((r for r in self.regions if r.rid == rid), None)
 
     def region_beside(self, edge: str, side: str) -> Optional[str]:
         """Region on the 'L'/'R' side of an edge, w.r.t. its flow direction:
-        the face of its tail dart on the right, of its head dart on the left."""
-        if edge not in self._occ:
+        the face of its tail dart on the right, of its head dart on the left.
+        None for an unknown edge and on a split diagram."""
+        if self.split or edge not in self._occ:
             return None
         tail, head = self.flow_ends(edge)
         return self._region_of_dart[tail if side == "R" else head]

@@ -14,6 +14,14 @@ strand reversal (``reverse_orientation``, ``mutate_tangle``) through
 ``_reversed``, which applies ``Crossing.reversed`` to the crossings and flips
 the diagram's ``edge_dirs``, the flow of its crossingless strands.  A result
 that keeps the input's boundary reads those flags off the input.
+
+Each location rule is stated once.  ``_kink_slot``, ``_bigon`` and
+``_triangle`` say where an RM1, RM2 or RM3 removal applies; the finders
+(``find_kinks``, ``find_bigons``, ``find_triangles``) and the moves both ask
+them.  Every crossing a move assembles or re-points is built from its four
+slots by ``Crossing.from_slots``.  Glueing reads each input arc's region off
+the glued diagram beside the end edge that follows the arc.  A split
+diagram has no regions, so every region query on it finds nothing.
 """
 
 from __future__ import annotations
@@ -352,36 +360,17 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
     keep2 = [(start2 + 1 + t) % n2 for t in range(n2 - count)]
     boundary = [find(d1.boundary[i]) for i in keep1]
     boundary += [find2(d2.boundary[i]) for i in keep2]
-
-    # arc bookkeeping: group old arcs into the arcs/regions of the result
-    arc_sets = UnionFind()
-    # seam-interior arc pairs (become regions of the result)
-    for t in range(1, count):
-        arc_sets.union((1, d1.arcs[(start1 + t) % n1]), (2, d2.arcs[(start2 - t + 1) % n2]))
-    # the two seam-end merges (stay on the boundary)
-    arc_sets.union((1, d1.arcs[(start1 + count) % n1]), (2, d2.arcs[(start2 - count + 1) % n2]))
-    arc_sets.union((2, d2.arcs[(start2 + 1) % n2]), (1, d1.arcs[start1 % n1]))
-
     new_labels = _arc_labels(len(boundary))
-    # which result arc does each kept position carry
-    arcs_by_class: dict[tuple, str] = {}
-    for idx, i in enumerate(keep1):
-        arcs_by_class[arc_sets.find((1, d1.arcs[i]))] = new_labels[idx]
-    for idx, i in enumerate(keep2):
-        arcs_by_class[arc_sets.find((2, d2.arcs[i]))] = new_labels[len(keep1) + idx]
 
     crossings = ([c.renamed(find) for c in d1.crossings]
                  + [c.renamed(find2) for c in d2.crossings])
 
     # identified strands: component-level union-find over both inputs
-    comp_of_edge: dict[str, tuple[int, int]] = {}
-    for which, d in ((1, d1), (2, d2)):
-        for idx, comp in enumerate(d.components):
-            for e in comp.edges:
-                comp_of_edge[e if which == 1 else ren2[e]] = (which, idx)
+    def comp_at(d, p):
+        return d._comp_of_tail[d.flow_ends(d.boundary[p])[0]]
     strands = UnionFind()
     for p1, p2 in pairs:
-        strands.union(comp_of_edge[d1.boundary[p1]], comp_of_edge[ren2[d2.boundary[p2]]])
+        strands.union((1, comp_at(d1, p1)), (2, comp_at(d2, p2)))
 
     classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for which, d in ((1, d1), (2, d2)):
@@ -411,21 +400,14 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
                           tuple(new_labels), seeds,
                           free_circles=d1.free_circles + d2.free_circles)
 
-    # resolve where every old arc ended up
-    def region_of_old_arc(d, which, arc):
-        cls = arc_sets.find((which, arc))
-        if cls in arcs_by_class:
-            return arcs_by_class[cls]
-        # interior: identify through an edge side bounding the old region
-        mapper = find if which == 1 else find2
-        for e in sorted(d.edges):
-            for side in ("R", "L"):
-                if d.region_beside(e, side) == arc:
-                    return glued.region_beside(mapper(e), side)
-        raise TangleError("E_BAD_LOCATION", f"cannot locate old arc {arc!r}")
+    # arc k precedes end k counterclockwise, so it lies right of a strand
+    # leaving the disc there and left of one entering
+    def arc_map(d, mapper):
+        m4 = 4 * len(d.crossings)
+        return {a: glued.region_beside(mapper(e), "R" if d.incoming[m4 + k] else "L")
+                for k, (a, e) in enumerate(zip(d.arcs, d.boundary))}
 
-    arc_map_1 = {a: region_of_old_arc(d1, 1, a) for a in d1.arcs}
-    arc_map_2 = {a: region_of_old_arc(d2, 2, a) for a in d2.arcs}
+    arc_map_1, arc_map_2 = arc_map(d1, find), arc_map(d2, find2)
     iota_1: dict[str, str] = {}
     iota_2: dict[str, str] = {}
     for which, d, iota in ((1, d1, iota_1), (2, d2, iota_2)):
@@ -495,13 +477,8 @@ def _crossing_from_rays(ends, over_tag: str) -> Crossing:
     u_in = next(i for i, (_, _, tag, inc) in enumerate(ccw) if tag == under_tag and inc)
     slots = [ccw[(u_in + k) % 4] for k in range(4)]
     assert slots[2][2] == under_tag and not slots[2][3]
-    o_in = 3 if slots[3][3] else 1
-    sign = 1 if o_in == 3 else -1
-    under = (slots[0][1], slots[2][1])
-    over = (slots[o_in][1], slots[(o_in + 2) % 4][1])
-    c = Crossing(sign, under, over)
-    assert c.slots() == tuple(s[1] for s in slots)
-    return c
+    # positive exactly when the over strand enters at slot 3
+    return Crossing.from_slots(1 if slots[3][3] else -1, [s[1] for s in slots])
 
 
 def _replace_head_occurrence(crossings, boundary, d, edge, new_id):
@@ -514,16 +491,9 @@ def _replace_head_occurrence(crossings, boundary, d, edge, new_id):
         boundary[at[1]] = new_id
     else:
         _, ci, s = at
-        c = crossings[ci]
-        strand, is_in = c.role_of_slot(s)
-        if strand == "under":
-            pair = list(c.under)
-            pair[0 if is_in else 1] = new_id
-            crossings[ci] = Crossing(c.sign, tuple(pair), c.over)
-        else:
-            pair = list(c.over)
-            pair[0 if is_in else 1] = new_id
-            crossings[ci] = Crossing(c.sign, c.under, tuple(pair))
+        slots = list(crossings[ci].slots())
+        slots[s] = new_id
+        crossings[ci] = Crossing.from_slots(crossings[ci].sign, slots)
     return crossings, boundary
 
 
@@ -553,22 +523,25 @@ def rm1_insert(d: TangleDiagram, edge: str, side: str, sign: int) -> TangleDiagr
                     name=d.name + "_rm1")
 
 
+def _kink_slot(d: TangleDiagram, ci) -> Optional[int]:
+    """The first slot s of crossing ``ci`` whose edge also takes slot s + 1
+    (a removable kink), or None."""
+    if ci not in range(len(d.crossings)):
+        return None
+    slots = d.crossings[ci].slots()
+    return next((s for s in range(4) if slots[s] == slots[(s + 1) % 4]), None)
+
+
 def find_kinks(d: TangleDiagram) -> list[int]:
     """Crossings carrying a removable kink (an edge on two adjacent slots)."""
-    out = []
-    for ci, c in enumerate(d.crossings):
-        slots = c.slots()
-        if any(slots[s] == slots[(s + 1) % 4] for s in range(4)):
-            out.append(ci)
-    return out
+    return [ci for ci in range(len(d.crossings)) if _kink_slot(d, ci) is not None]
 
 
 def rm1_remove(d: TangleDiagram, ci: int) -> TangleDiagram:
-    if ci not in find_kinks(d):
+    s = _kink_slot(d, ci)
+    if s is None:
         raise TangleError("E_BAD_LOCATION", f"crossing {ci} carries no kink")
-    c = d.crossings[ci]
-    slots = c.slots()
-    s = next(s for s in range(4) if slots[s] == slots[(s + 1) % 4])
+    slots = d.crossings[ci].slots()
     a, b = slots[(s + 2) % 4], slots[(s + 3) % 4]
     if a == b:
         raise TangleError("E_DISCONNECTS", "removing the kink leaves a bare circle")
@@ -589,9 +562,8 @@ def rm1_remove(d: TangleDiagram, ci: int) -> TangleDiagram:
 
 def rm2_insert(d: TangleDiagram, edge1: str, side1: str, edge2: str, side2: str,
                first_over: bool = True) -> TangleDiagram:
-    """Push edge1 across edge2; both named sides must face a common region."""
-    if d.split:
-        raise TangleError("E_BAD_LOCATION", "no moves on split diagrams")
+    """Push edge1 across edge2; both named sides must face a common region
+    (a split diagram has none)."""
     f1 = d.region_beside(edge1, side1)
     f2 = d.region_beside(edge2, side2)
     if edge1 == edge2 or f1 is None or f1 != f2:
@@ -629,48 +601,41 @@ def rm2_insert(d: TangleDiagram, edge1: str, side1: str, edge2: str, side2: str,
                     name=d.name + "_rm2")
 
 
+def _bigon(d: TangleDiagram, r) -> Optional[tuple[int, int, str, str]]:
+    """``(c1, c2, e1, e2)`` when region ``r`` is a bigon an RM2 move removes:
+    closed, with corners at two crossings c1 and c2, two distinct sides e1
+    (leaving c1's corner) and e2 (leaving c2's), and e1 over or under at
+    both crossings.  Otherwise None."""
+    if r is None or r.kind != "closed" or len(r.corners) != 2:
+        return None
+    (c1, q1), (c2, q2) = r.corners
+    slots1, slots2 = d.crossings[c1].slots(), d.crossings[c2].slots()
+    e1, e2 = slots1[(q1 + 1) % 4], slots2[(q2 + 1) % 4]
+    if c1 == c2 or e1 == e2 or e1 not in slots2:
+        return None
+    # odd slots belong to the over strand
+    if slots1.index(e1) % 2 != slots2.index(e1) % 2:
+        return None
+    return c1, c2, e1, e2
+
+
 def find_bigons(d: TangleDiagram) -> list[str]:
     """Closed regions removable by an RM2 move."""
-    out = []
-    for r in d.regions:
-        if r.kind != "closed" or len(r.corners) != 2:
-            continue
-        (c1, q1), (c2, q2) = r.corners
-        if c1 == c2:
-            continue
-        e1 = d.crossings[c1].slots()[(q1 + 1) % 4]
-        e2 = d.crossings[c2].slots()[(q2 + 1) % 4]
-        if e1 == e2:
-            continue
-        # one strand must be over at both crossings
-        over1 = d.crossings[c1].slots().index(e1) in (1, 3)
-        # e1 runs from c1's corner to c2; which slot does it take there?
-        s_at_c2 = [s for s in range(4) if d.crossings[c2].slots()[s] == e1]
-        if not s_at_c2:
-            continue
-        over1b = s_at_c2[0] in (1, 3)
-        if over1 == over1b:
-            out.append(r.rid)
-    return out
+    return [r.rid for r in d.regions if _bigon(d, r) is not None]
 
 
 def rm2_remove(d: TangleDiagram, region: str) -> TangleDiagram:
-    if region not in find_bigons(d):
+    bigon = _bigon(d, d.region(region))
+    if bigon is None:
         raise TangleError("E_BAD_LOCATION", f"region {region!r} is not a removable bigon")
-    r = d.region(region)
-    (c1, q1), (c2, q2) = r.corners
-    e1 = d.crossings[c1].slots()[(q1 + 1) % 4]
-    e2 = d.crossings[c2].slots()[(q2 + 1) % 4]
+    c1, c2, e1, e2 = bigon
     sp = _Splicer(d)
     sp.dead.update((e1, e2))
     for g in (e1, e2):
-        # outer edges of strand g at both crossings
-        outs = []
-        for ci in (c1, c2):
-            slots = d.crossings[ci].slots()
-            s = slots.index(g)
-            outs.append(slots[(s + 2) % 4])
-        sp.union(outs[0], outs[1])
+        # join the outer edges of strand g at both crossings
+        outs = [slots[(slots.index(g) + 2) % 4]
+                for slots in (d.crossings[c1].slots(), d.crossings[c2].slots())]
+        sp.union(*outs)
     try:
         out = sp.rebuild({c1, c2}, d.name + "_rm2r")
     except TangleError as ex:
@@ -683,50 +648,45 @@ def rm2_remove(d: TangleDiagram, region: str) -> TangleDiagram:
     return out
 
 
+def _triangle(d: TangleDiagram, r) -> Optional[list[str]]:
+    """The sides of region ``r``, each leaving a corner, in corner order,
+    when ``r`` admits a slide move: closed, with three corners at distinct
+    crossings, three distinct sides, and strands that stack (the over/under
+    relations at the corners form no cycle).  Otherwise None."""
+    if r is None or r.kind != "closed" or len(r.corners) != 3:
+        return None
+    if len({c for c, _ in r.corners}) != 3:
+        return None
+    slots = [d.crossings[c].slots() for c, _ in r.corners]
+    edges = [s[(q + 1) % 4] for s, (_, q) in zip(slots, r.corners)]
+    if len(set(edges)) != 3:
+        return None
+    beats = set()
+    for s, (_, q) in zip(slots, r.corners):
+        arrive, depart = s[q], s[(q + 1) % 4]
+        if arrive not in edges:
+            return None
+        # (over, under): odd slots belong to the over strand
+        beats.add((arrive, depart) if q % 2 else (depart, arrive))
+    e0, e1, e2 = edges
+    if ({(e0, e1), (e1, e2), (e2, e0)} <= beats or
+            {(e1, e0), (e2, e1), (e0, e2)} <= beats):
+        return None
+    return edges
+
+
 def find_triangles(d: TangleDiagram) -> list[str]:
     """Closed triangular regions admitting a slide move (transitive stacking)."""
-    out = []
-    for r in d.regions:
-        if r.kind != "closed" or len(r.corners) != 3:
-            continue
-        cis = [c for c, _ in r.corners]
-        if len(set(cis)) != 3:
-            continue
-        edges = [d.crossings[c].slots()[(q + 1) % 4] for c, q in r.corners]
-        if len(set(edges)) != 3:
-            continue
-        # over/under relations between the three strands must be acyclic
-        beats = set()
-        for c, q in r.corners:
-            slots = d.crossings[c].slots()
-            arrive = slots[q]
-            depart = slots[(q + 1) % 4]
-            if arrive not in edges:
-                break
-            hi = arrive if slots.index(arrive) in (1, 3) else depart
-            lo = depart if hi == arrive else arrive
-            beats.add((hi, lo))
-        else:
-            e0, e1, e2 = edges
-            cyclic = ({(e0, e1), (e1, e2), (e2, e0)} <= beats or
-                      {(e1, e0), (e2, e1), (e0, e2)} <= beats)
-            if not cyclic:
-                out.append(r.rid)
-    return out
+    return [r.rid for r in d.regions if _triangle(d, r) is not None]
 
 
 def rm3(d: TangleDiagram, region: str) -> TangleDiagram:
     """Slide move across a triangular region: each of the three strands
     passes its two crossings in the opposite order afterwards."""
-    if region not in find_triangles(d):
-        raise TangleError("E_BAD_LOCATION", f"region {region!r} admits no slide move")
     r = d.region(region)
-    tri_edges = []
-    for c, q in r.corners:
-        e = d.crossings[c].slots()[(q + 1) % 4]
-        if e not in tri_edges:
-            tri_edges.append(e)
-
+    tri_edges = _triangle(d, r)
+    if tri_edges is None:
+        raise TangleError("E_BAD_LOCATION", f"region {region!r} admits no slide move")
     new_slots = {ci: list(d.crossings[ci].slots()) for ci, _ in r.corners}
     for f in tri_edges:
         tail, head = d.flow_ends(f)
@@ -740,14 +700,9 @@ def rm3(d: TangleDiagram, region: str) -> TangleDiagram:
         new_slots[ci][p_out] = Q
         new_slots[cj][q_in] = P
         new_slots[cj][q_out] = f
-
     crossings = list(d.crossings)
     for ci, slots in new_slots.items():
-        c = d.crossings[ci]
-        under = (slots[0], slots[2])
-        oi = c.over_in_slot
-        over = (slots[oi], slots[(oi + 2) % 4])
-        crossings[ci] = Crossing(c.sign, under, over)
+        crossings[ci] = Crossing.from_slots(d.crossings[ci].sign, slots)
     return _rebuild(d, crossings=crossings, name=d.name + "_rm3")
 
 

@@ -9,6 +9,7 @@ import pytest
 import tanglenabla
 from tanglenabla import corpus
 from tanglenabla.cli import gradings_json, main
+from tanglenabla.diagram import parse_tangle
 from tanglenabla.gradings import generator_gradings
 from tanglenabla.verify import PROPERTIES
 
@@ -118,6 +119,21 @@ def test_split_diagram_commands_report_e_split(tmp_path, capsys):
     for cmd in ("regions", "gradings", "euler"):
         code, out, err = run_cli(cmd, str(path), capsys=capsys)
         assert (code, out) == (1, "") and err.startswith("error: E_SPLIT: "), cmd
+
+
+def test_split_diagram_close_and_glue_end_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "split.tgl"
+    path.write_text("tangle split\nends 2\nboundary a e1 b e2\n"
+                    "crossing x1 + under e1 e3 over e3 e2\ncolour e1 t\ncircle u\n")
+    # closing needs the outer region, which a split diagram does not have
+    code, out, err = run_cli("transform", "close", str(path), capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: E_BAD_LOCATION: ") and len(err.splitlines()) == 1
+    # glueing needs no region: the result is split too and keeps the circle
+    code, out, err = run_cli("transform", "glue", str(path), "--with", corpus_arg("clasp"),
+                             "--count", "2", "--start2", "1", capsys=capsys)
+    assert (code, err) == (0, "")
+    assert parse_tangle(out).split and "circle u" in out.splitlines()
 
 
 def test_conway(capsys):

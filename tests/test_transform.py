@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from tanglenabla.diagram import Site, TangleError, isomorphic, linking_number
+from tanglenabla import corpus
+from tanglenabla.diagram import (Crossing, Site, TangleError, isomorphic, linking_number,
+                                 parse_tangle)
 from tanglenabla.laurent import H as HVAR
 from tanglenabla.laurent import LaurentPoly
 from tanglenabla.nabla import nabla_all, nabla_at_site, nabla_hat_all
@@ -10,7 +12,7 @@ from tanglenabla.states import enumerate_states
 from tanglenabla import transform as tr
 from tanglenabla.verify import random_diagram, random_rm_sequence
 
-from conftest import load
+from conftest import load, seeded_diagrams, transform_outputs
 from oracles import brute_force_states
 
 
@@ -388,3 +390,77 @@ def test_linking_number_invariant_under_rm_moves():
         before = linking_number(d, cols[0], cols[1])
         d2, _ = random_rm_sequence(rng, d, 4)
         assert linking_number(d2, cols[0], cols[1]) == before
+
+
+# ----------------------------------------------------------------------
+# location rules
+
+def _split(name):
+    """The corpus diagram with a free circle added, which makes it split."""
+    return parse_tangle(corpus.source(name) + "circle zz\n")
+
+
+def test_region_queries_on_split_diagrams_fail_with_coded_errors(corpus_names):
+    for name in corpus_names:
+        d = _split(name)
+        assert d.split and d.regions == (), name
+        assert all(d.region_beside(e, side) is None for e in d.edges for side in "LR")
+        assert tr.find_bigons(d) == [] and tr.find_triangles(d) == [], name
+        moves = (lambda rid: tr.rm2_remove(d, rid), lambda rid: tr.rm3(d, rid),
+                 lambda rid: tr.apply_rm_move(d, "RM2_remove", rid),
+                 lambda rid: tr.apply_rm_move(d, "RM3", rid))
+        for rid in [r.rid for r in load(name).regions]:
+            for move in moves:
+                with pytest.raises(TangleError) as e:
+                    move(rid)
+                assert e.value.code == "E_BAD_LOCATION", (name, rid)
+    with pytest.raises(TangleError) as e:
+        tr.close_tangle(_split("trefoil"))
+    assert e.value.code == "E_BAD_LOCATION"
+    rec = tr.glue_diagrams(_split("clasp"), load("clasp"), 0, 1, 2)
+    assert rec.diagram.split and rec.diagram.free_circles == ("zz",)
+    assert set(rec.arc_map_1.values()) == set(rec.arc_map_2.values()) == {None}
+
+
+def test_crossing_from_slots_inverts_slots(corpus_names):
+    inputs = [load(name) for name in corpus_names] + seeded_diagrams(11, 24, 7)
+    diagrams = list(inputs)
+    for d in inputs:
+        for _, result in transform_outputs(d):
+            if isinstance(result, tr.GlueRecord):
+                result = result.diagram
+            if not isinstance(result, str):
+                diagrams.append(result)
+    crossings = {c for d in diagrams for c in d.crossings}
+    assert len(diagrams) > 2500 and len(crossings) > 1000
+    for c in crossings:
+        assert Crossing.from_slots(c.sign, c.slots()) == c
+
+
+def test_glue_arc_maps_agree_with_the_corners_of_the_input_regions():
+    # every corner of an input arc's region is, in the glued diagram, a
+    # corner of the region that the arc map names
+    ds = seeded_diagrams(3, 16, 6)
+    glues = arcs = 0
+    ends = set()
+    for d1, d2 in zip(ds, ds[1:]):
+        for s1 in range(len(d1.boundary)):
+            for s2 in range(len(d2.boundary)):
+                for count in range(1, min(len(d1.boundary), len(d2.boundary)) + 1):
+                    try:
+                        rec = tr.glue_diagrams(d1, d2, s1, s2, count)
+                    except TangleError:
+                        continue
+                    glues += 1
+                    ends.update((len(d1.boundary), len(d2.boundary)))
+                    quadrants = rec.diagram.quadrants
+                    for d, arc_map, offset in ((d1, rec.arc_map_1, 0),
+                                               (d2, rec.arc_map_2, len(d1.crossings))):
+                        for a in d.arcs:
+                            corners = d.region(a).corners
+                            assert corners, (d.name, a)
+                            arcs += 1
+                            for ci, q in corners:
+                                assert quadrants[ci + offset][q].region == arc_map[a]
+    assert ends == {2, 4, 6}
+    assert glues >= 200 and arcs >= 2000, (glues, arcs)

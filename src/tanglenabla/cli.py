@@ -29,7 +29,11 @@ def _read_diagram(path: str):
     if path.startswith("corpus:"):
         return corpus.load(path.split(":", 1)[1])
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_tangle(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as ex:
+            raise TangleError("E_SYNTAX", f"{path}: not UTF-8 text ({ex.reason})") from ex
+    return parse_tangle(text)
 
 
 def _site_from(arg: str, d) -> Site:

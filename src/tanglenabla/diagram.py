@@ -19,16 +19,18 @@ Conventions (used consistently everywhere):
   runs from end k-1 to end k.
 
 Construction numbers the edge ends (crossing ci slot s is 4*ci + s, boundary
-end k is 4*m + k) and states each rule on them once.  A strand is followed
-end to end: from a tail end across its edge (``alpha``) to the head end,
-then out through the opposite slot (s + 2) % 4 of that crossing; the
-components, and the pieces that decide whether the diagram is split, come
-from that one walk.  Face tracing keeps the region of every dart, which is
-what ``region_beside`` reads; a split diagram traces no faces, so it has
-no regions and no region beside any edge.  Renaming edges and reversing
-strands are ``Crossing.renamed`` and ``Crossing.reversed``, and
-``Crossing.from_slots`` inverts ``slots``; the transforms, glueing and
-``canonicalize`` use them rather than building crossings by hand.
+end k is 4*m + k) and states each rule on them once; callers read an end as
+that int, ``divmod(end, 4)``, with ``end >= 4*m`` a boundary end.  A strand
+is followed end to end: from a tail end across its edge (``alpha``) to the
+head end, then out through the opposite slot (s + 2) % 4 of that crossing;
+the components, and the pieces that decide whether the diagram is split,
+come from that one walk.  Face tracing keeps the region of every dart, which
+is what ``region_beside`` and the corners of ``quadrants`` read; a split
+diagram traces no faces, so it has no regions and no region beside any
+edge.  Renaming edges and reversing strands are ``Crossing.renamed`` and
+``Crossing.reversed``, and ``Crossing.from_slots`` inverts ``slots``; the
+transforms, glueing and ``canonicalize`` use them rather than building
+crossings by hand.
 """
 
 from __future__ import annotations
@@ -147,11 +149,6 @@ class UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-# attachment encoding used in derived tables:
-#   ('x', crossing_index, slot)  or  ('b', boundary_position)
-Attach = tuple
-
-
 class TangleDiagram:
     """Validated oriented tangle diagram.  Treat instances as immutable."""
 
@@ -221,12 +218,6 @@ class TangleDiagram:
             self.edge_of_end[a] = self.edge_of_end[b] = e
         self.edges = sorted(occ)
         self._occ = occ
-
-    def attach_of_end(self, end: int) -> Attach:
-        m = len(self.crossings)
-        if end < 4 * m:
-            return ("x", end // 4, end % 4)
-        return ("b", end - 4 * m)
 
     # ------------------------------------------------------------------
     # orientations
@@ -439,10 +430,6 @@ class TangleDiagram:
         self.open_regions = frozenset(r.rid for r in regions if r.kind == "open")
         # region of each strand dart; None for the exterior of a tangle
         self._region_of_dart = [named.get(fi) for fi in face_of[:n_str]]
-        self.region_of_quadrant = {
-            (ci, q): named[face_of[4 * ci + (q + 1) % 4]]
-            for ci in range(m) for q in range(4)
-        }
 
     # ------------------------------------------------------------------
     # queries
@@ -496,7 +483,7 @@ class TangleDiagram:
                 exp = {u: -1 if q in (2, 3) else 1}
                 exp[o] = exp.get(o, 0) + (1 if q in left_of_over else -1)
                 row.append(Quadrant(
-                    None if self.split else self.region_of_quadrant[(ci, q)],
+                    None if self.split else self._region_of_dart[4 * ci + (q + 1) % 4],
                     tuple((v, e) for v, e in exp.items() if e),
                     -2 * c.sign if q == both_in else 0,
                     c.sign if q % 2 == both_in % 2 else 0))
@@ -666,20 +653,20 @@ def canonicalize(d: TangleDiagram) -> TangleDiagram:
         if e not in edge_new:
             edge_new[e] = f"e{len(edge_new) + 1}"
 
-    def discover(at: Attach):
-        if at[0] != "x":
-            return
-        ci = at[1]
-        if ci not in order:
+    m4 = 4 * len(d.crossings)
+
+    def discover(end: int):
+        ci, s = divmod(end, 4)
+        if end < m4 and ci not in order:
             order[ci] = len(order)
-            entry_slot[ci] = at[2]
+            entry_slot[ci] = s
             queue.append(ci)
 
     starts = list(d.boundary) if d.boundary else [d.outer_hint[0]]
     for e in starts:
         visit_edge(e)
         for end in d._occ[e]:
-            discover(d.attach_of_end(end))
+            discover(end)
     qi = 0
     while qi < len(queue):
         ci = queue[qi]
@@ -690,7 +677,7 @@ def canonicalize(d: TangleDiagram) -> TangleDiagram:
             e = slots[s]
             visit_edge(e)
             for end in d._occ[e]:
-                discover(d.attach_of_end(end))
+                discover(end)
 
     ren = edge_new.__getitem__
     new_crossings = [d.crossings[ci].renamed(ren)

@@ -30,12 +30,8 @@ class LaurentError(Exception):
 
 def _order_vars(names: Iterable[str]) -> tuple[str, ...]:
     """Colour variables in first-appearance order, then the pinned grading vars."""
-    out: list[str] = []
-    for v in names:
-        if v not in _PINNED and v not in out:
-            out.append(v)
-    out.extend(p for p in _PINNED if p in names)
-    return tuple(out)
+    seen = dict.fromkeys(names)
+    return tuple(v for v in seen if v not in _PINNED) + tuple(p for p in _PINNED if p in seen)
 
 
 class LaurentPoly:
@@ -111,17 +107,22 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # alignment of variable tables
 
-    def _aligned_to(self, vs: tuple[str, ...]) -> dict[tuple[int, ...], int]:
-        if vs == self.vars:
+    def _aligned_to(self, vs: tuple[str, ...], names=None) -> dict[tuple[int, ...], int]:
+        """The terms over the table ``vs``, reading position i of each
+        exponent as variable ``names[i]`` (default ``self.vars``); a name
+        given twice has its exponents added."""
+        names = self.vars if names is None else names
+        if vs == names:
             return dict(self.terms)
         pos = {v: i for i, v in enumerate(vs)}
-        idx = [pos[v] for v in self.vars]
+        idx = [pos[v] for v in names]
         out: dict[tuple[int, ...], int] = {}
         for e, c in self.terms.items():
             key = [0] * len(vs)
             for i, x in zip(idx, e):
-                key[i] = x
-            out[tuple(key)] = out.get(tuple(key), 0) + c
+                key[i] += x
+            k = tuple(key)
+            out[k] = out.get(k, 0) + c
         return out
 
     def _union_vars(self, other: "LaurentPoly") -> tuple[str, ...]:
@@ -172,9 +173,6 @@ class LaurentPoly:
         order = [self.vars.index(n) for n in names]
         terms = sorted((tuple(e[i] for i in order), c) for e, c in self.terms.items())
         return (names, tuple(terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -238,9 +236,9 @@ class LaurentPoly:
         The witness is ``(coef, exp2_dict)`` with coef in {+1, -1} such that
         other == coef * monomial * self, or None on failure.
         """
-        if self.is_zero() and other.is_zero():
+        if not self and not other:
             return True, (1, {})
-        if self.is_zero() or other.is_zero():
+        if not self or not other:
             return False, None
         if len(self.terms) != len(other.terms):
             return False, None
@@ -267,7 +265,7 @@ class LaurentPoly:
         """
         if colour not in self.vars:
             raise LaurentError("E_UNKNOWN_VAR", f"no variable {colour!r}")
-        if self.is_zero():
+        if not self:
             return LaurentPoly.zero()
         i = self.vars.index(colour)
         groups: dict[tuple[int, ...], dict[int, int]] = {}
@@ -314,17 +312,9 @@ class LaurentPoly:
 
     def rename(self, mapping: Mapping[str, str]) -> "LaurentPoly":
         """Rename variables; merging two names identifies the variables."""
-        new_names = [mapping.get(v, v) for v in self.vars]
-        vs = _order_vars(new_names)
-        pos = {v: i for i, v in enumerate(vs)}
-        terms: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            key = [0] * len(vs)
-            for v, x in zip(new_names, e):
-                key[pos[v]] += x
-            k = tuple(key)
-            terms[k] = terms.get(k, 0) + c
-        return LaurentPoly(vs, terms)
+        names = tuple(mapping.get(v, v) for v in self.vars)
+        vs = _order_vars(names)
+        return LaurentPoly(vs, self._aligned_to(vs, names))
 
     # ------------------------------------------------------------------
     # rendering

@@ -18,10 +18,12 @@ that keeps the input's boundary reads those flags off the input.
 Each location rule is stated once.  ``_kink_slot``, ``_bigon`` and
 ``_triangle`` say where an RM1, RM2 or RM3 removal applies; the finders
 (``find_kinks``, ``find_bigons``, ``find_triangles``) and the moves both ask
-them.  Every crossing a move assembles or re-points is built from its four
-slots by ``Crossing.from_slots``.  Glueing reads each input arc's region off
-the glued diagram beside the end edge that follows the arc.  A split
-diagram has no regions, so every region query on it finds nothing.
+them.  A crossing an RM insertion adds is given by its strands, each
+passage as its (incoming, outgoing) edges in flow order; a crossing a move
+re-points is rebuilt from its four slots by ``Crossing.from_slots``.
+Glueing reads each input arc's region off the glued diagram beside the end
+edge that follows the arc.  A split diagram has no regions, so every region
+query on it finds nothing.
 """
 
 from __future__ import annotations
@@ -466,31 +468,15 @@ def mutate_tangle(d: TangleDiagram, axis: str) -> TangleDiagram:
 # ----------------------------------------------------------------------
 # Reidemeister moves
 
-def _crossing_from_rays(ends, over_tag: str) -> Crossing:
-    """Build a crossing from four (angle, edge, strand_tag, incoming) rays.
-
-    The rays are sorted counterclockwise; strand tags pick the over strand.
-    """
-    tags = {tag for _, _, tag, _ in ends}
-    under_tag = (tags - {over_tag}).pop()
-    ccw = sorted(ends)
-    u_in = next(i for i, (_, _, tag, inc) in enumerate(ccw) if tag == under_tag and inc)
-    slots = [ccw[(u_in + k) % 4] for k in range(4)]
-    assert slots[2][2] == under_tag and not slots[2][3]
-    # positive exactly when the over strand enters at slot 3
-    return Crossing.from_slots(1 if slots[3][3] else -1, [s[1] for s in slots])
-
-
 def _replace_head_occurrence(crossings, boundary, d, edge, new_id):
     """Re-point the head-side occurrence of ``edge`` to a new edge id."""
-    tail, head = d.flow_ends(edge)
-    at = d.attach_of_end(head)
+    _, head = d.flow_ends(edge)
+    ci, s = divmod(head, 4)
     crossings = list(crossings)
     boundary = list(boundary)
-    if at[0] == "b":
-        boundary[at[1]] = new_id
+    if ci >= len(d.crossings):
+        boundary[head - 4 * len(d.crossings)] = new_id
     else:
-        _, ci, s = at
         slots = list(crossings[ci].slots())
         slots[s] = new_id
         crossings[ci] = Crossing.from_slots(crossings[ci].sign, slots)
@@ -505,16 +491,12 @@ def rm1_insert(d: TangleDiagram, edge: str, side: str, sign: int) -> TangleDiagr
     taken: set[str] = set()
     k2 = _fresh_edge(d, taken)
     k3 = _fresh_edge(d, taken)
-    over_first = (sign > 0) == (side == "R")
-    # passage 1: edge -> loop (k2); passage 2: k2 -> k3
-    if side == "R":
-        rays = [(270.0, edge, "P1", True), (45.0, k2, "P1", False),
-                (315.0, k2, "P2", True), (135.0, k3, "P2", False)]
+    # the strand passes the crossing twice: edge -> loop k2, then k2 -> k3;
+    # the first passage is over when the loop's side agrees with the sign
+    if (sign > 0) == (side == "R"):
+        c = Crossing(sign, (k2, k3), (edge, k2))
     else:
-        rays = [(270.0, edge, "P1", True), (135.0, k2, "P1", False),
-                (225.0, k2, "P2", True), (45.0, k3, "P2", False)]
-    c = _crossing_from_rays(rays, "P1" if over_first else "P2")
-    assert c.sign == sign
+        c = Crossing(sign, (edge, k2), (k2, k3))
     crossings, boundary = _replace_head_occurrence(d.crossings, d.boundary, d, edge, k3)
     crossings.append(c)
     seeds = _seeds_of(d)
@@ -571,25 +553,15 @@ def rm2_insert(d: TangleDiagram, edge1: str, side1: str, edge2: str, side2: str,
     taken: set[str] = set()
     a2, a3 = _fresh_edge(d, taken), _fresh_edge(d, taken)
     b2, b3 = _fresh_edge(d, taken), _fresh_edge(d, taken)
-    e1_up = side1 == "R"     # local model: E1 on the left, flowing up if 'R'
-    e2_down = side2 == "R"   # E2 on the right, flowing down if 'R'
-    # pieces: edge1 keeps its id on the tail side; a2 = finger tip, a3 = rest
-    #         edge2 keeps its id on the tail side; b2 = middle, b3 = rest
-    if e1_up:
-        a_south, a_north = edge1, a3
+    # strand 1 passes the new crossings as edge1 -> a2 -> a3, strand 2 as
+    # edge2 -> b2 -> b3; (x1, y1) and (x2, y2) are their passages at x and y
+    x1, y1 = ((a2, a3), (edge1, a2)) if side1 == "R" else ((edge1, a2), (a2, a3))
+    x2, y2 = ((edge2, b2), (b2, b3)) if side2 == "R" else ((b2, b3), (edge2, b2))
+    sign = 1 if (side1 == side2) == first_over else -1
+    if first_over:
+        cx, cy = Crossing(sign, x2, x1), Crossing(-sign, y2, y1)
     else:
-        a_south, a_north = a3, edge1
-    if e2_down:
-        b_north, b_south = edge2, b3
-    else:
-        b_north, b_south = b3, edge2
-    x_rays = [(0.0, a2, "A", e1_up), (180.0, a_north, "A", not e1_up),
-              (90.0, b_north, "B", e2_down), (270.0, b2, "B", not e2_down)]
-    y_rays = [(0.0, a2, "A", not e1_up), (180.0, a_south, "A", e1_up),
-              (90.0, b2, "B", e2_down), (270.0, b_south, "B", not e2_down)]
-    over = "A" if first_over else "B"
-    cx = _crossing_from_rays(x_rays, over)
-    cy = _crossing_from_rays(y_rays, over)
+        cx, cy = Crossing(sign, x1, x2), Crossing(-sign, y1, y2)
     crossings, boundary = _replace_head_occurrence(d.crossings, d.boundary, d, edge1, a3)
     crossings, boundary = _replace_head_occurrence(crossings, boundary,
                                                    d, edge2, b3)
@@ -690,8 +662,8 @@ def rm3(d: TangleDiagram, region: str) -> TangleDiagram:
     new_slots = {ci: list(d.crossings[ci].slots()) for ci, _ in r.corners}
     for f in tri_edges:
         tail, head = d.flow_ends(f)
-        _, ci, p_out = d.attach_of_end(tail)
-        _, cj, q_in = d.attach_of_end(head)
+        ci, p_out = divmod(tail, 4)
+        cj, q_in = divmod(head, 4)
         p_in = (p_out + 2) % 4
         q_out = (q_in + 2) % 4
         P = d.crossings[ci].slots()[p_in]

@@ -22,25 +22,41 @@ from tanglenabla.laurent import H, LaurentPoly, binomial
 from tanglenabla.states import KauffmanState, enumerate_states, site_of, state_codes
 
 
+def _region_tables(d: TangleDiagram):
+    """(kind of each region, region of each (crossing, quadrant) corner),
+    both read off ``d.regions`` and not off the quadrant table."""
+    kind = {r.rid: r.kind for r in d.regions}
+    region_at = {corner: r.rid for r in d.regions for corner in r.corners}
+    return kind, region_at
+
+
+def _defect_test(d: TangleDiagram):
+    """``state_defect`` for ``d``, with its region tables built once."""
+    kind, region_at = _region_tables(d)
+
+    def defect(markers) -> Optional[str]:
+        counts: dict[str, int] = {}
+        for corner in enumerate(markers):
+            rid = region_at[corner]
+            counts[rid] = counts.get(rid, 0) + 1
+        for r, k in kind.items():
+            c = counts.get(r, 0)
+            if k == "closed" and c != 1:
+                return f"closed region {r} holds {c} markers"
+            if k != "closed" and c > 1:
+                return f"{k} region {r} holds {c} markers"
+        n_open_markers = sum(c for r, c in counts.items() if kind[r] == "open")
+        if n_open_markers != d.n_open - 1:
+            return f"{n_open_markers} open markers, expected {d.n_open - 1}"
+        return None
+    return defect
+
+
 def state_defect(d: TangleDiagram, markers) -> Optional[str]:
     """Why a marker assignment is not a state, or None if it is one: every
     closed region holds exactly one marker, every other region at most one,
     and n-1 markers sit in open regions."""
-    kind = {r.rid: r.kind for r in d.regions}
-    counts: dict[str, int] = {}
-    for ci, q in enumerate(markers):
-        rid = d.region_of_quadrant[(ci, q)]
-        counts[rid] = counts.get(rid, 0) + 1
-    for r, k in kind.items():
-        c = counts.get(r, 0)
-        if k == "closed" and c != 1:
-            return f"closed region {r} holds {c} markers"
-        if k != "closed" and c > 1:
-            return f"{k} region {r} holds {c} markers"
-    n_open_markers = sum(c for r, c in counts.items() if kind[r] == "open")
-    if n_open_markers != d.n_open - 1:
-        return f"{n_open_markers} open markers, expected {d.n_open - 1}"
-    return None
+    return _defect_test(d)(markers)
 
 
 def brute_force_states(d: TangleDiagram) -> list[tuple[int, ...]]:
@@ -48,14 +64,15 @@ def brute_force_states(d: TangleDiagram) -> list[tuple[int, ...]]:
     full 4^m enumeration."""
     if d.split:
         return []
+    defect = _defect_test(d)
     return [markers for markers in product(range(4), repeat=len(d.crossings))
-            if state_defect(d, markers) is None]
+            if defect(markers) is None]
 
 
 def brute_force_site(d: TangleDiagram, markers) -> Site:
     """The open regions (named by their arcs) that the markers occupy."""
-    kind = {r.rid: r.kind for r in d.regions}
-    regions = (d.region_of_quadrant[(ci, q)] for ci, q in enumerate(markers))
+    kind, region_at = _region_tables(d)
+    regions = (region_at[corner] for corner in enumerate(markers))
     return Site(frozenset(r for r in regions if kind[r] == "open"))
 
 
@@ -198,11 +215,8 @@ def _first_ascending_crossing(d: TangleDiagram):
     for comp in order:
         for e in comp.edges:
             _, head = d.flow_ends(e)
-            at = d.attach_of_end(head)
-            if at[0] != "x":
-                continue
-            _, ci, slot = at
-            if ci in visited:
+            ci, slot = divmod(head, 4)
+            if ci >= len(d.crossings) or ci in visited:
                 continue
             visited.add(ci)
             if slot == 0:   # first passage is the under-strand

@@ -136,6 +136,19 @@ def test_split_diagram_close_and_glue_end_without_a_traceback(tmp_path, capsys):
     assert parse_tangle(out).split and "circle u" in out.splitlines()
 
 
+@pytest.mark.parametrize("argv", [
+    ("nabla", "{bad}"),
+    ("transform", "glue", "corpus:clasp", "--with", "{bad}"),
+    ("check", "euler_char", "{bad}"),
+], ids=["nabla", "glue", "check"])
+def test_non_utf8_input_is_one_syntax_error(argv, tmp_path, capsys):
+    path = tmp_path / "bad.tgl"
+    path.write_bytes(b"\xff\xfetangle x\n")
+    code, out, err = run_cli(*(a.format(bad=path) for a in argv), capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: E_SYNTAX: ") and len(err.splitlines()) == 1
+
+
 def test_conway(capsys):
     code, out, _ = run_cli("conway", corpus_arg("trefoil"), capsys=capsys)
     assert code == 0

@@ -90,7 +90,7 @@ def test_region_counts_across_corpus(corpus_names):
 
 def test_region_quadrant_map_single_crossing():
     d = load("crossing_pos")
-    assert d.region_of_quadrant == {(0, 0): "c", (0, 1): "d", (0, 2): "a", (0, 3): "b"}
+    assert [q.region for q in d.quadrants[0]] == ["c", "d", "a", "b"]
 
 
 def test_clasp_regions():
@@ -263,3 +263,19 @@ def test_construction_is_pinned():
         texts.append(_construction_record(parsed))
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert digest == CONSTRUCTION_PIN
+
+
+def test_region_corners_cover_each_quadrant_once(corpus_names):
+    # the corners listed by the regions are exactly the quadrants, each
+    # named with the region that lists it
+    seen = 0
+    for d in [load(name) for name in corpus_names] + seeded_diagrams(11, 24, 7):
+        if d.split:
+            continue
+        corners = [(c, r.rid) for r in d.regions for c in r.corners]
+        assert sorted(c for c, _ in corners) == [
+            (ci, q) for ci in range(len(d.crossings)) for q in range(4)], d.name
+        for (ci, q), rid in corners:
+            assert d.quadrants[ci][q].region == rid
+        seen += len(corners)
+    assert seen == 504

@@ -464,3 +464,36 @@ def test_glue_arc_maps_agree_with_the_corners_of_the_input_regions():
                                 assert quadrants[ci + offset][q].region == arc_map[a]
     assert ends == {2, 4, 6}
     assert glues >= 200 and arcs >= 2000, (glues, arcs)
+
+
+def test_rm_insertions_are_undone_by_the_matching_removals(corpus_names):
+    # each inserted crossing is where the removal finder looks for it, and
+    # removing it gives back the input up to relabelling
+    kinks = bigons = 0
+    for d in [load(name) for name in corpus_names] + seeded_diagrams(11, 8, 7):
+        m = len(d.crossings)
+        for e in d.edges:
+            for side in "LR":
+                for sign in (1, -1):
+                    out = tr.rm1_insert(d, e, side, sign)
+                    assert out.crossings[m].sign == sign
+                    assert m in tr.find_kinks(out)
+                    assert isomorphic(tr.rm1_remove(out, m), d), (d.name, e, side, sign)
+                    kinks += 1
+        faces = [(e, side) for e in d.edges for side in "LR"]
+        for e1, s1 in faces:
+            for e2, s2 in faces:
+                face = d.region_beside(e1, s1)
+                if e1 == e2 or face is None or face != d.region_beside(e2, s2):
+                    continue
+                for first_over in (True, False):
+                    out = tr.rm2_insert(d, e1, s1, e2, s2, first_over)
+                    cx, cy = out.crossings[m:]
+                    assert cx.sign == -cy.sign
+                    bigon = [r.rid for r in out.regions
+                             if sorted(c for c, _ in r.corners) == [m, m + 1]]
+                    assert len(bigon) == 1 and bigon[0] in tr.find_bigons(out)
+                    back = tr.rm2_remove(out, bigon[0])
+                    assert isomorphic(back, d), (d.name, e1, s1, e2, s2, first_over)
+                    bigons += 1
+    assert (kinks, bigons) == (560, 1296)

@@ -16,7 +16,8 @@ for r in d.regions:
 states = enumerate_states(d)
 print(f"\n{len(states)} marker states; the first three:")
 for x in states[:3]:
-    print(f"  {x!r}  -> site {site_of(d, x)}")
+    body = " ".join(f"x{i + 1}:q{q}" for i, q in enumerate(x))
+    print(f"  {body}  -> site {site_of(d, x)}")
 
 print("\nsite polynomials (h evaluated at -1):")
 for s, p in sorted(nabla_all(d).items(), key=lambda kv: str(kv[0])):

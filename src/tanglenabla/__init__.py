@@ -8,14 +8,13 @@ identities relating all of the above.
 """
 
 from .diagram import (Crossing, Region, Site, TangleDiagram, TangleError,
-                      canonical_form, canonicalize, isomorphic, linking_number,
-                      parse_tangle, serialize)
+                      linking_number, parse_tangle, serialize)
 from .gradings import (GradedGenerator, euler_characteristics, generator_gradings,
                        graded_euler_characteristic, poincare_table)
 from .laurent import LaurentError, LaurentPoly, binomial
 from .nabla import (ConwayPotential, conway_potential, euler_factor, nabla_all,
                     nabla_at_site, nabla_hat, nabla_hat_all)
-from .states import KauffmanState, enumerate_states, site_of, state_codes
+from .states import enumerate_states, site_of, state_codes
 from .transform import (apply_rm_move, close_tangle, delete_component,
                         glue_diagrams, mirror_diagram, mutate_tangle, recolour,
                         reopen, reverse_orientation, smooth_crossing,

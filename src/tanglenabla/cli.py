@@ -18,7 +18,8 @@ from . import corpus
 from .diagram import Site, TangleError, compute_regions, parse_tangle, serialize
 from .gradings import euler_by_site, generator_gradings
 from .laurent import LaurentError
-from .nabla import conway_potential, nabla_all, nabla_at_site, nabla_hat, nabla_hat_all
+from .nabla import (check_site, conway_potential, nabla_all, nabla_at_site,
+                    nabla_hat, nabla_hat_all)
 from .states import enumerate_states, site_of
 from .transform import (close_tangle, glue_diagrams, mirror_diagram,
                         mutate_tangle, reverse_orientation)
@@ -38,8 +39,7 @@ def _read_diagram(path: str):
 
 def _site_from(arg: str, d) -> Site:
     s = Site(frozenset() if arg in ("-", "") else frozenset(arg.split(",")))
-    if s not in d.sites():
-        raise TangleError("E_BAD_SITE", f"no site {arg!r}")
+    check_site(d, s)
     return s
 
 
@@ -69,9 +69,9 @@ def _cmd_states(args):
     data = []
     for x in enumerate_states(d):
         s = site_of(d, x)
-        body = " ".join(f"x{i + 1}:q{q}" for i, q in enumerate(x.markers))
+        body = " ".join(f"x{i + 1}:q{q}" for i, q in enumerate(x))
         lines.append(f"{body}  site {s}")
-        data.append({"markers": list(x.markers), "site": sorted(s.arcs)})
+        data.append({"markers": list(x), "site": sorted(s.arcs)})
     _emit(args, lines, {"diagram": d.name, "states": data})
     return 0
 
@@ -146,9 +146,9 @@ def gradings_json(name, gens) -> str:
         if a is None:
             a = alex[g.alexander2] = _json_block(
                 [f"{json.dumps(v)}: {e}" for v, e in g.alexander2], "{}")
-        m = marks.get(g.state.markers)
+        m = marks.get(g.markers)
         if m is None:
-            m = marks[g.state.markers] = _json_block(list(map(str, g.state.markers)), "[]")
+            m = marks[g.markers] = _json_block(list(map(str, g.markers)), "[]")
         b = bits.get(g.ladybug_bits)
         if b is None:
             b = bits[g.ladybug_bits] = _json_block(list(map(str, g.ladybug_bits)), "[]")
@@ -219,7 +219,11 @@ def _cmd_check(args):
     diagrams = [_read_diagram(p) for p in args.diagrams] or None
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("NABLA_SEED", "0"))
+        raw = os.environ.get("NABLA_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise TangleError("E_USAGE", f"NABLA_SEED is not an integer: {raw!r}") from None
     report = run_check(args.property, diagrams, seed=seed, cases=args.cases)
     if args.format == "json":
         sys.stdout.write(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
@@ -305,7 +309,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except TangleError as ex:
         sys.stderr.write(f"error: {ex}\n")
-        return 2 if ex.code in ("E_HYPOTHESIS", "E_UNKNOWN_PROPERTY") else 1
+        return 2 if ex.code in ("E_HYPOTHESIS", "E_UNKNOWN_PROPERTY", "E_USAGE") else 1
     except (LaurentError, OSError) as ex:
         sys.stderr.write(f"error: {ex}\n")
         return 1

@@ -29,8 +29,7 @@ is what ``region_beside`` and the corners of ``quadrants`` read; a split
 diagram traces no faces, so it has no regions and no region beside any
 edge.  Renaming edges and reversing strands are ``Crossing.renamed`` and
 ``Crossing.reversed``, and ``Crossing.from_slots`` inverts ``slots``; the
-transforms, glueing and ``canonicalize`` use them rather than building
-crossings by hand.
+transforms and glueing use them rather than building crossings by hand.
 """
 
 from __future__ import annotations
@@ -632,73 +631,3 @@ def serialize(d: TangleDiagram) -> str:
     for colour in d.free_circles:
         lines.append(f"circle {colour}")
     return "\n".join(lines) + "\n"
-
-
-def canonicalize(d: TangleDiagram) -> TangleDiagram:
-    """Relabel edges and reorder crossings by a breadth-first traversal.
-
-    The traversal starts at boundary position 0 (or at the outer hint for a
-    closed diagram) and explores crossing slots counterclockwise from the
-    slot of first discovery, so the result depends only on the isomorphism
-    class rel boundary.
-    """
-    if d.split:
-        return d
-    order: dict[int, int] = {}
-    entry_slot: dict[int, int] = {}
-    edge_new: dict[str, str] = {}
-    queue: list[int] = []
-
-    def visit_edge(e: str):
-        if e not in edge_new:
-            edge_new[e] = f"e{len(edge_new) + 1}"
-
-    m4 = 4 * len(d.crossings)
-
-    def discover(end: int):
-        ci, s = divmod(end, 4)
-        if end < m4 and ci not in order:
-            order[ci] = len(order)
-            entry_slot[ci] = s
-            queue.append(ci)
-
-    starts = list(d.boundary) if d.boundary else [d.outer_hint[0]]
-    for e in starts:
-        visit_edge(e)
-        for end in d._occ[e]:
-            discover(end)
-    qi = 0
-    while qi < len(queue):
-        ci = queue[qi]
-        qi += 1
-        slots = d.crossings[ci].slots()
-        for off in range(4):
-            s = (entry_slot[ci] + off) % 4
-            e = slots[s]
-            visit_edge(e)
-            for end in d._occ[e]:
-                discover(end)
-
-    ren = edge_new.__getitem__
-    new_crossings = [d.crossings[ci].renamed(ren)
-                     for ci in sorted(range(len(d.crossings)), key=order.__getitem__)]
-    new_boundary = tuple(ren(e) for e in d.boundary)
-    seeds = {}
-    for comp in d.components:
-        seeds[min(ren(e) for e in comp.edges)] = comp.colour
-    hint = None
-    if d.outer_hint:
-        hint = (ren(d.outer_hint[0]), d.outer_hint[1])
-    dirs = {ren(e): flag for e, flag in d.edge_dirs.items()}
-    return TangleDiagram(d.name, new_crossings, new_boundary, d.arcs, seeds, hint, dirs)
-
-
-def canonical_form(d: TangleDiagram) -> str:
-    text = serialize(canonicalize(d))
-    lines = text.splitlines()
-    return "\n".join(["tangle _"] + lines[1:]) + "\n"
-
-
-def isomorphic(d1: TangleDiagram, d2: TangleDiagram) -> bool:
-    """Equality up to relabelling of edges/crossings (arc labels fixed)."""
-    return canonical_form(d1) == canonical_form(d2)

@@ -1,7 +1,8 @@
 """Bigradings of the standard-diagram generators.
 
-Generators are Kauffman states decorated with one binary choice per closed
-strand (the extra intersection point each closed component contributes).
+Generators are Kauffman states (marker tuples, see ``states``) decorated
+with one binary choice per closed strand (the extra intersection point each
+closed component contributes); a generator is one row, ``GradedGenerator``.
 Gradings are absolute sums of crossing-local contributions:
 
 * the Alexander vector and the delta grading sum the colour exponents and
@@ -15,17 +16,16 @@ which these local rules keep integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .diagram import Site, TangleDiagram, TangleError
 from .laurent import LaurentPoly
-from .states import KauffmanState, enumerate_states, site_of, state_codes
+from .states import enumerate_states, site_of, state_codes
 
 
-@dataclass(frozen=True)
-class GradedGenerator:
-    state: KauffmanState
+class GradedGenerator(NamedTuple):
+    markers: tuple[int, ...]          # the Kauffman state
     ladybug_bits: tuple[int, ...]     # one per closed component, in component order
     alexander2: tuple[tuple[str, int], ...]   # colour -> doubled exponent, sorted
     delta2: int                       # doubled delta grading
@@ -53,8 +53,7 @@ def generator_gradings(d: TangleDiagram) -> list[GradedGenerator]:
             if (total - 2 * delta2) % 4:
                 raise TangleError("E_GRADING", "homological grading is not integral")
             h = (total - 2 * delta2) // 4
-            out.append(GradedGenerator(
-                x, bits, tuple(zip(colours, a2)), delta2, h, s))
+            out.append(GradedGenerator(x, bits, tuple(zip(colours, a2)), delta2, h, s))
     return out
 
 

@@ -3,7 +3,8 @@
 A state places one marker per crossing into one of its four quadrant
 regions so that every closed region is occupied exactly once and every
 open region at most once.  For a connected diagram with n open strands
-this forces exactly n-1 occupied open regions.
+this forces exactly n-1 occupied open regions.  A state is its marker
+tuple: entry i is the quadrant (0..3) that holds the marker of crossing i.
 
 ``enumerate_states`` walks the crossings in index order with a memo that
 says whether the crossings still to place can complete a state, so it
@@ -17,27 +18,6 @@ from __future__ import annotations
 import functools
 
 from .diagram import Site, TangleDiagram
-
-
-class KauffmanState:
-    """Marker assignment crossing -> quadrant (0..3)."""
-
-    __slots__ = ("markers",)
-
-    def __init__(self, markers: tuple[int, ...]):
-        self.markers = markers
-
-    def __iter__(self):
-        return iter(self.markers)
-
-    def __eq__(self, other):
-        return isinstance(other, KauffmanState) and self.markers == other.markers
-
-    def __hash__(self):
-        return hash(self.markers)
-
-    def __repr__(self):
-        return "KauffmanState(" + " ".join(f"x{i + 1}:q{q}" for i, q in enumerate(self.markers)) + ")"
 
 
 def walk_tables(d: TangleDiagram, s: Site | None = None):
@@ -88,7 +68,7 @@ def walk_tables(d: TangleDiagram, s: Site | None = None):
     return bits, live, filled & live[0], children
 
 
-def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[KauffmanState]:
+def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[tuple[int, ...]]:
     """All generalised Kauffman states, sorted by their marker vectors; with
     a site ``s``, only the states at ``s``.
 
@@ -103,12 +83,12 @@ def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[KauffmanSt
         return []
     bits, _, start, children = tables
     m = len(bits)
-    out: list[KauffmanState] = []
+    out: list[tuple[int, ...]] = []
     markers = [0] * m
 
     def walk(i: int, key: int) -> None:
         if i == m:
-            out.append(KauffmanState(tuple(markers)))
+            out.append(tuple(markers))
             return
         for q, nxt in children(i, key):
             markers[i] = q
@@ -119,20 +99,20 @@ def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[KauffmanSt
     return out
 
 
-def site_of(d: TangleDiagram, x: KauffmanState) -> Site:
+def site_of(d: TangleDiagram, x: tuple[int, ...]) -> Site:
     """The set of open regions (named by their arcs) occupied by x."""
-    occupied = frozenset(row[q].region for row, q in zip(d.quadrants, x.markers))
+    occupied = frozenset(row[q].region for row, q in zip(d.quadrants, x))
     return Site(occupied & d.open_regions)
 
 
-def state_codes(d: TangleDiagram, x: KauffmanState) -> tuple[dict[str, int], int, int]:
+def state_codes(d: TangleDiagram, x: tuple[int, ...]) -> tuple[dict[str, int], int, int]:
     """The quadrant codes of ``TangleDiagram.quadrants`` summed over x: the
     doubled colour exponents (in first-appearance order: crossing order,
     the under colour before the over colour), the doubled h exponent and
     the doubled delta grading."""
     exp2: dict[str, int] = {}
     h2 = delta2 = 0
-    for row, q in zip(d.quadrants, x.markers):
+    for row, q in zip(d.quadrants, x):
         corner = row[q]
         for v, e in corner.exp2:
             exp2[v] = exp2.get(v, 0) + e

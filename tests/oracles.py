@@ -11,15 +11,18 @@ is summed by a scan of every site pair per target site.
 One oracle sits between brute force and the frontier pass of ``nabla``:
 ``state_sum_nabla_hat`` enumerates the states with the index-order walk
 and sums the quadrant codes of each one, grouping the states by site.
+
+``canonicalize``, ``canonical_form`` and ``isomorphic`` compare diagrams up
+to relabelling of edges and crossings, for the transform tests.
 """
 
 from itertools import product
 from typing import Optional
 
 from tanglenabla import transform as tr
-from tanglenabla.diagram import Site, TangleDiagram, TangleError
+from tanglenabla.diagram import Site, TangleDiagram, TangleError, serialize
 from tanglenabla.laurent import H, LaurentPoly, binomial
-from tanglenabla.states import KauffmanState, enumerate_states, site_of, state_codes
+from tanglenabla.states import enumerate_states, site_of, state_codes
 
 
 def _region_tables(d: TangleDiagram):
@@ -114,7 +117,7 @@ def brute_force_nabla_hat(d: TangleDiagram) -> dict[Site, LaurentPoly]:
     return out
 
 
-def state_sum(d: TangleDiagram, states: list[KauffmanState]) -> LaurentPoly:
+def state_sum(d: TangleDiagram, states: list[tuple[int, ...]]) -> LaurentPoly:
     """The sum of the state monomials, one per state in the given order; a
     colour whose exponent sums to 0 over a state is left out of that
     state's monomial."""
@@ -133,7 +136,7 @@ def state_sum_nabla_hat(d: TangleDiagram, s: Optional[Site] = None):
     ``site_of``; with a site ``s``, the value at s over ``enumerate_states(d, s)``."""
     if s is not None:
         return state_sum(d, enumerate_states(d, s))
-    by_site: dict[Site, list[KauffmanState]] = {t: [] for t in d.sites()}
+    by_site: dict[Site, list[tuple[int, ...]]] = {t: [] for t in d.sites()}
     for x in enumerate_states(d):
         by_site[site_of(d, x)].append(x)
     return {t: state_sum(d, states) for t, states in by_site.items()}
@@ -275,3 +278,73 @@ def conway_skein(d: TangleDiagram, depth: int = 60) -> LaurentPoly:
     if d.crossings[ci].sign > 0:
         return sw_val + t * sm_val
     return sw_val - t * sm_val
+
+
+def canonicalize(d: TangleDiagram) -> TangleDiagram:
+    """Relabel edges and reorder crossings by a breadth-first traversal.
+
+    The traversal starts at boundary position 0 (or at the outer hint for a
+    closed diagram) and explores crossing slots counterclockwise from the
+    slot of first discovery, so the result depends only on the isomorphism
+    class rel boundary.
+    """
+    if d.split:
+        return d
+    order: dict[int, int] = {}
+    entry_slot: dict[int, int] = {}
+    edge_new: dict[str, str] = {}
+    queue: list[int] = []
+
+    def visit_edge(e: str):
+        if e not in edge_new:
+            edge_new[e] = f"e{len(edge_new) + 1}"
+
+    m4 = 4 * len(d.crossings)
+
+    def discover(end: int):
+        ci, s = divmod(end, 4)
+        if end < m4 and ci not in order:
+            order[ci] = len(order)
+            entry_slot[ci] = s
+            queue.append(ci)
+
+    starts = list(d.boundary) if d.boundary else [d.outer_hint[0]]
+    for e in starts:
+        visit_edge(e)
+        for end in d._occ[e]:
+            discover(end)
+    qi = 0
+    while qi < len(queue):
+        ci = queue[qi]
+        qi += 1
+        slots = d.crossings[ci].slots()
+        for off in range(4):
+            s = (entry_slot[ci] + off) % 4
+            e = slots[s]
+            visit_edge(e)
+            for end in d._occ[e]:
+                discover(end)
+
+    ren = edge_new.__getitem__
+    new_crossings = [d.crossings[ci].renamed(ren)
+                     for ci in sorted(range(len(d.crossings)), key=order.__getitem__)]
+    new_boundary = tuple(ren(e) for e in d.boundary)
+    seeds = {}
+    for comp in d.components:
+        seeds[min(ren(e) for e in comp.edges)] = comp.colour
+    hint = None
+    if d.outer_hint:
+        hint = (ren(d.outer_hint[0]), d.outer_hint[1])
+    dirs = {ren(e): flag for e, flag in d.edge_dirs.items()}
+    return TangleDiagram(d.name, new_crossings, new_boundary, d.arcs, seeds, hint, dirs)
+
+
+def canonical_form(d: TangleDiagram) -> str:
+    text = serialize(canonicalize(d))
+    lines = text.splitlines()
+    return "\n".join(["tangle _"] + lines[1:]) + "\n"
+
+
+def isomorphic(d1: TangleDiagram, d2: TangleDiagram) -> bool:
+    """Equality up to relabelling of edges/crossings (arc labels fixed)."""
+    return canonical_form(d1) == canonical_form(d2)

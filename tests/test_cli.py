@@ -85,7 +85,7 @@ def test_gradings_json_writer_matches_json_dumps():
         payload = {"diagram": d.name, "generators": [
             {"site": sorted(g.site.arcs), "alexander2": dict(g.alexander2),
              "delta2": g.delta2, "h": g.h, "ladybug_bits": list(g.ladybug_bits),
-             "markers": list(g.state.markers)} for g in gens]}
+             "markers": list(g.markers)} for g in gens]}
         assert gradings_json(d.name, gens) == json.dumps(payload, indent=2, sort_keys=True)
         seen.add((2 * d.n_open, d.m_closed > 0))
     assert gradings_json("none", []) == json.dumps(
@@ -226,6 +226,13 @@ def test_nabla_seed_env(monkeypatch, capsys):
     code, out, _ = run_cli("--format", "json", "check", "parity", "--cases", "2",
                            capsys=capsys)
     assert json.loads(out)["seed"] == 99
+
+
+def test_malformed_nabla_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("NABLA_SEED", "abc")
+    code, out, err = run_cli("check", "parity", "--cases", "2", capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "NABLA_SEED" in err
 
 
 def test_byte_identical_invocations(capsys):

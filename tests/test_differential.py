@@ -27,7 +27,7 @@ def _diagrams(corpus_names):
 
 
 def _generator_rows(d):
-    return sorted((g.state.markers, g.ladybug_bits, g.alexander2, g.delta2)
+    return sorted((g.markers, g.ladybug_bits, g.alexander2, g.delta2)
                   for g in generator_gradings(d))
 
 

@@ -64,7 +64,7 @@ def test_ladybug_shift_is_two_in_alexander_only():
     gens = generator_gradings(d)
     by_state = {}
     for g in gens:
-        by_state.setdefault(g.state.markers, {})[g.ladybug_bits] = g
+        by_state.setdefault(g.markers, {})[g.ladybug_bits] = g
     closed_colour = next(c.colour for c in d.components if c.kind == "closed")
     for pair in by_state.values():
         g0, g1 = pair[(0,)], pair[(1,)]

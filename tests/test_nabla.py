@@ -4,7 +4,7 @@ from tanglenabla.diagram import Site, TangleError, parse_tangle
 from tanglenabla.laurent import LaurentPoly, binomial
 from tanglenabla.nabla import (conway_potential, nabla_all, nabla_at_site,
                                nabla_hat, nabla_hat_all)
-from tanglenabla.states import KauffmanState, enumerate_states, site_of, state_codes
+from tanglenabla.states import enumerate_states, site_of, state_codes
 from tanglenabla import transform as tr
 
 from conftest import load, seeded_diagrams
@@ -22,7 +22,7 @@ def S(*labels):
 def codes(d, q):
     """(colour codes in order, h2, delta2) of quadrant q of a one-crossing
     diagram, read through its one-marker state."""
-    exp2, h2, delta2 = state_codes(d, KauffmanState((q,)))
+    exp2, h2, delta2 = state_codes(d, (q,))
     return list(exp2.items()), h2, delta2
 
 
@@ -91,6 +91,14 @@ def test_bad_site_rejected():
     assert e.value.code == "E_BAD_SITE"
     with pytest.raises(TangleError):
         nabla_hat(d, S("zz"))
+    with pytest.raises(TangleError) as e:
+        nabla_hat(d, "l")           # not a Site
+    assert e.value.code == "E_BAD_SITE"
+    closed = tr.close_tangle(tr.close_tangle(d, "l"))   # 0 ends: no sites at all
+    assert closed.sites() == []
+    with pytest.raises(TangleError) as e:
+        nabla_hat(closed, S())
+    assert e.value.code == "E_BAD_SITE"
 
 
 def test_one_site_state_sum_matches_the_full_family():

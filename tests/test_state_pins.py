@@ -64,7 +64,7 @@ PINS = [
 
 
 def _digest(states):
-    text = "\n".join(",".join(map(str, x.markers)) for x in states)
+    text = "\n".join(",".join(map(str, x)) for x in states)
     return hashlib.sha256(text.encode()).hexdigest()
 
 

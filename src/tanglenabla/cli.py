@@ -10,13 +10,15 @@ structures.  Exit codes: 0 success, 1 failed check or computation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from operator import add
 
 from . import corpus
 from .diagram import Site, TangleError, compute_regions, parse_tangle, serialize
-from .gradings import euler_by_site, generator_gradings
+from .gradings import euler_characteristics, graded_rows
 from .laurent import LaurentError
 from .nabla import (check_site, conway_potential, nabla_all, nabla_at_site,
                     nabla_hat, nabla_hat_all)
@@ -37,10 +39,18 @@ def _read_diagram(path: str):
     return parse_tangle(text)
 
 
-def _site_from(arg: str, d) -> Site:
-    s = Site(frozenset() if arg in ("-", "") else frozenset(arg.split(",")))
-    check_site(d, s)
-    return s
+def _sites(d, arg=None) -> list[Site]:
+    """The sites a command reports on: the one ``arg`` names (``-`` for the
+    empty site) or, without ``arg``, all of them.  A diagram without ends
+    has no site, so it has nothing to report: ``E_BAD_SITE`` either way."""
+    if arg is not None:
+        s = Site(frozenset() if arg in ("-", "") else frozenset(arg.split(",")))
+        check_site(d, s)
+        return [s]
+    sites = d.sites()
+    if not sites:
+        raise TangleError("E_BAD_SITE", f"diagram {d.name!r} has no ends, so no site")
+    return sites
 
 
 def _emit(args, text_lines, payload):
@@ -65,6 +75,7 @@ def _cmd_regions(args):
 
 def _cmd_states(args):
     d = _read_diagram(args.diagram)
+    _sites(d)
     lines = []
     data = []
     for x in enumerate_states(d):
@@ -78,8 +89,9 @@ def _cmd_states(args):
 
 def _cmd_nabla(args):
     d = _read_diagram(args.diagram)
+    sites = _sites(d, args.site)
     if args.site is not None:
-        s = _site_from(args.site, d)
+        s, = sites
         values = {s: nabla_hat(d, s) if args.hat else nabla_at_site(d, s)}
     else:
         values = nabla_hat_all(d) if args.hat else nabla_all(d)
@@ -125,58 +137,84 @@ _GENERATOR = """    {
     }"""
 
 
-def gradings_json(name, gens) -> str:
-    """The gradings payload of ``gens`` (in output order), byte for byte as
-    ``json.dumps(payload, indent=2, sort_keys=True)`` writes it.
+def _json_site(colours, decorations):
+    """The JSON text of one site's generators, each ``(a2, delta2,
+    decoration index, markers, h)``, byte for byte as ``json.dumps(indent=2,
+    sort_keys=True)`` lays them out in the gradings payload.
 
     The generic encoder runs in pure Python under ``indent`` and took most
-    of the op; this fills a fixed template per generator instead, with each
-    distinct site, Alexander vector, marker vector and decoration encoded
-    once.
+    of the op; this fills a fixed template instead, with each distinct
+    Alexander vector and marker vector encoded once.
     """
-    if not gens:
-        return json.dumps({"diagram": name, "generators": []}, indent=2, sort_keys=True)
-    sites, alex, marks, bits = {}, {}, {}, {}
-    chunks = []
-    for g in gens:
-        s = sites.get(g.site)
-        if s is None:
-            s = sites[g.site] = _json_block([json.dumps(a) for a in sorted(g.site.arcs)], "[]")
-        a = alex.get(g.alexander2)
-        if a is None:
-            a = alex[g.alexander2] = _json_block(
-                [f"{json.dumps(v)}: {e}" for v, e in g.alexander2], "{}")
-        m = marks.get(g.markers)
-        if m is None:
-            m = marks[g.markers] = _json_block(list(map(str, g.markers)), "[]")
-        b = bits.get(g.ladybug_bits)
-        if b is None:
-            b = bits[g.ladybug_bits] = _json_block(list(map(str, g.ladybug_bits)), "[]")
-        chunks.append(_GENERATOR % (a, g.delta2, g.h, b, m, s))
-    return ('{\n  "diagram": %s,\n  "generators": [\n%s\n  ]\n}'
-            % (json.dumps(name), ",\n".join(chunks)))
+    keys = [json.dumps(c) + ": " for c in colours]
+    bits = [_json_block(list(map(str, dec.bits)), "[]") for dec in decorations]
+    alex: dict[tuple, str] = {}
+
+    def chunk(s, gens):
+        site = _json_block([json.dumps(a) for a in sorted(s.arcs)], "[]")
+        marks: dict[tuple, str] = {}
+        out = []
+        for a2, delta2, k, x, h in gens:
+            a = alex.get(a2)
+            if a is None:
+                a = alex[a2] = _json_block([f"{key}{e}" for key, e in zip(keys, a2)], "{}")
+            m = marks.get(x)
+            if m is None:
+                m = marks[x] = _json_block(list(map(str, x)), "[]")
+            out.append(_GENERATOR % (a, delta2, h, bits[k], m, site))
+        return ",\n".join(out)
+    return chunk
+
+
+def _text_site(colours, decorations):
+    """The text lines of one site's generators, as ``_json_site`` takes them."""
+    keys = [f"{c}^" for c in colours]
+    bits = ["".join(map(str, dec.bits)) or "-" for dec in decorations]
+    alex: dict[tuple, str] = {}
+
+    def chunk(s, gens):
+        out = []
+        for a2, delta2, k, x, h in gens:
+            a = alex.get(a2)
+            if a is None:
+                a = alex[a2] = " ".join(f"{key}{e / 2:+g}" for key, e in zip(keys, a2))
+            out.append(f"site {s}  {a}  delta^{delta2 / 2:+g}  h={h}  bits={bits[k]}")
+        return "\n".join(out)
+    return chunk
 
 
 def _cmd_gradings(args):
+    """The generator table, sorted by site (as text), Alexander vector,
+    delta and decoration, and written one site at a time."""
     d = _read_diagram(args.diagram)
-    gens = sorted(generator_gradings(d),
-                  key=lambda g: (str(g.site), g.alexander2, g.delta2, g.ladybug_bits))
+    _sites(d)
+    colours, decorations, rows = graded_rows(d)
+    write = sys.stdout.write
     if args.format == "json":
-        sys.stdout.write(gradings_json(d.name, gens) + "\n")
-        return 0
-    lines = []
-    for g in gens:
-        a = " ".join(f"{v}^{e / 2:+g}" for v, e in g.alexander2)
-        bits = "".join(map(str, g.ladybug_bits)) or "-"
-        lines.append(f"site {g.site}  {a}  delta^{g.delta2 / 2:+g}  h={g.h}  bits={bits}")
-    sys.stdout.write("\n".join(lines) + "\n")
+        if not rows:
+            _emit(args, [], {"diagram": d.name, "generators": []})
+            return 0
+        write('{\n  "diagram": %s,\n  "generators": [\n' % json.dumps(d.name))
+        chunk, sep, tail = _json_site(colours, decorations), ",\n", "\n  ]\n}\n"
+    else:
+        chunk, sep, tail = _text_site(colours, decorations), "\n", "\n"
+    by_site: dict[Site, list] = {}
+    for row in rows:
+        by_site.setdefault(row[4], []).append(row)
+    for i, s in enumerate(sorted(by_site, key=str)):
+        # decoration k's bits sort as k does; the markers order ties
+        gens = sorted((tuple(map(add, a2, dec.shift)), delta2, k, x, h + dec.h)
+                      for x, a2, delta2, h, _ in by_site[s]
+                      for k, dec in enumerate(decorations))
+        write((sep if i else "") + chunk(s, gens))
+    write(tail)
     return 0
 
 
 def _cmd_euler(args):
     d = _read_diagram(args.diagram)
-    sites = d.sites() if args.site is None else [_site_from(args.site, d)]
-    chis = euler_by_site(generator_gradings(d), sites)
+    sites = _sites(d, args.site)
+    chis = euler_characteristics(d, None if args.site is None else sites[0])
     lines = []
     data = {}
     for s in sorted(sites, key=str):
@@ -299,10 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built at its first call and reused: building
+    costs far more than parsing, and parsing leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
     try:

@@ -21,6 +21,9 @@ colour ranks by the lex-least state in which its exponent is non-zero, then
 by its first ``(crossing, slot of corner.exp2)`` in that state, and h comes
 last if any state has a non-zero h exponent.  ``eval_h`` keeps the table, so
 a colour whose terms cancel at h = -1 stays in it.
+
+The same pass gives the graded Euler characteristics of ``gradings`` when
+digit 0 packs the doubled delta code in place of h (``_packing``).
 """
 
 from __future__ import annotations
@@ -37,13 +40,23 @@ _MASK = (1 << _BITS) - 1
 _HALF = 1 << (_BITS - 1)
 
 
-def _packing(d: TangleDiagram) -> tuple[list[str], list[tuple[int, ...]]]:
-    """The variable of each digit (h, then the colours in the order the
-    corner codes name them) and, per crossing, each corner's packed monomial."""
-    at = {H: 0}
-    shifts = [tuple(c.h2 + sum(e << _BITS * at.setdefault(v, len(at)) for v, e in c.exp2)
+def _packing(d: TangleDiagram, digit: str = "h2") -> tuple[list[str], list[tuple[int, ...]]]:
+    """The colour of each digit from 1 on, in the order the corner codes name
+    them, and, per crossing, each corner's packed monomial.  Digit 0 packs
+    the corner code ``digit``: h2 for the state sums, delta2 for the Euler
+    characteristics of ``gradings``."""
+    at: dict[str, int] = {}
+    shifts = [tuple(getattr(c, digit) + sum(e << _BITS * at.setdefault(v, len(at) + 1)
+                                            for v, e in c.exp2)
                     for c in row) for row in d.quadrants]
     return list(at), shifts
+
+
+def _bias(n: int) -> int:
+    """_HALF in each of n digits: with it added, every digit of a packed
+    exponent reads off without a borrow, as ``(e >> _BITS * k & _MASK) -
+    _HALF``, and e ^ bias has a zero digit where e's digit is zero."""
+    return _HALF * ((1 << _BITS * n) - 1) // _MASK
 
 
 def _frontier(d: TangleDiagram, s: Optional[Site],
@@ -92,9 +105,7 @@ def _decode(d: TangleDiagram, names: list[str], terms: dict[int, list[int]]) -> 
     module docstring."""
     if not terms:
         return LaurentPoly.zero()
-    # with _HALF added to every digit, each digit reads off without a
-    # borrow, and x ^ bias has a zero digit where x's digit is zero
-    bias = _HALF * ((1 << _BITS * len(names)) - 1) // _MASK
+    bias = _bias(len(names))
     rows = sorted((least, e + bias, c) for e, (c, least) in terms.items())
     used = 0
     for _, e, _ in rows:
@@ -125,7 +136,8 @@ def _decode(d: TangleDiagram, names: list[str], terms: dict[int, list[int]]) -> 
 def nabla_hat_all(d: TangleDiagram) -> dict[Site, LaurentPoly]:
     """The full family of hatted state sums, one per site (h unevaluated),
     from one frontier pass whose final keys are the sites."""
-    names, shifts = _packing(d)
+    colours, shifts = _packing(d)
+    names = [H, *colours]
     sums = _frontier(d, None, shifts)
     return {s: _decode(d, names, sums.get(s, {})) for s in d.sites()}
 
@@ -141,8 +153,8 @@ def nabla_hat(d: TangleDiagram, s: Site) -> LaurentPoly:
     with the open regions outside s filled, so it meets only the states at
     s; the variable table is the one ``nabla_hat_all`` gives at s."""
     check_site(d, s)
-    names, shifts = _packing(d)
-    return _decode(d, names, _frontier(d, s, shifts).get(s, {}))
+    colours, shifts = _packing(d)
+    return _decode(d, [H, *colours], _frontier(d, s, shifts).get(s, {}))
 
 
 def nabla_at_site(d: TangleDiagram, s: Site) -> LaurentPoly:

@@ -469,6 +469,9 @@ def _check_mutation(rng, cases, fail):
 
 
 def _euler_char_one(d: TangleDiagram, fail, case=0):
+    if not d.sites():
+        raise TangleError("E_HYPOTHESIS", "the Euler characteristic identity needs a "
+                          "diagram with ends: one without has no site to compare")
     chis = euler_characteristics(d)
     fac = euler_factor(d)
     nabs = nabla_all(d)

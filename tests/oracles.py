@@ -6,7 +6,10 @@ codes are derived afresh from the slot roles of each crossing, and the
 empty-site polynomial of 2-ended tangles is checked against a
 crossing-switch resolution that only knows the skein identity, descending
 diagrams and split detection.  The right-hand side of the glueing formula
-is summed by a scan of every site pair per target site.
+is summed by a scan of every site pair per target site.  ``rescan_euler``
+and ``gradings_output`` work from the generator list: the graded Euler
+characteristic as a running sum over it, and the ``gradings`` command's
+stdout as the sorted list written by ``json.dumps`` or line by line.
 
 One oracle sits between brute force and the frontier pass of ``nabla``:
 ``state_sum_nabla_hat`` enumerates the states with the index-order walk
@@ -16,6 +19,7 @@ and sums the quadrant codes of each one, grouping the states by site.
 to relabelling of edges and crossings, for the transform tests.
 """
 
+import json
 from itertools import product
 from typing import Optional
 
@@ -172,6 +176,26 @@ def rescan_euler(gens, s: Site) -> LaurentPoly:
             coef = -1 if g.h % 2 else 1
             acc = acc + LaurentPoly.monomial(coef, {v: e for v, e in g.alexander2 if e})
     return acc
+
+
+def gradings_output(name: str, gens, fmt: str = "text") -> str:
+    """The stdout of ``gradings`` on a diagram named ``name`` with the
+    generators ``gens``: sorted by (site as text, Alexander vector, delta,
+    decoration bits), then ``json.dumps(indent=2, sort_keys=True)`` or one
+    text line per generator."""
+    gens = sorted(gens, key=lambda g: (str(g.site), g.alexander2, g.delta2, g.ladybug_bits))
+    if fmt == "json":
+        payload = {"diagram": name, "generators": [
+            {"site": sorted(g.site.arcs), "alexander2": dict(g.alexander2),
+             "delta2": g.delta2, "h": g.h, "ladybug_bits": list(g.ladybug_bits),
+             "markers": list(g.markers)} for g in gens]}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = []
+    for g in gens:
+        a = " ".join(f"{v}^{e / 2:+g}" for v, e in g.alexander2)
+        bits = "".join(map(str, g.ladybug_bits)) or "-"
+        lines.append(f"site {g.site}  {a}  delta^{g.delta2 / 2:+g}  h={g.h}  bits={bits}")
+    return "\n".join(lines) + "\n"
 
 
 def glueing_sums(rec: tr.GlueRecord, hats_1: dict, hats_2: dict) -> dict[Site, LaurentPoly]:

@@ -7,13 +7,15 @@ from pathlib import Path
 import pytest
 
 import tanglenabla
-from tanglenabla import corpus
-from tanglenabla.cli import gradings_json, main
-from tanglenabla.diagram import parse_tangle
+from tanglenabla import cli, corpus
+from tanglenabla.cli import main
+from tanglenabla.diagram import parse_tangle, serialize
 from tanglenabla.gradings import generator_gradings
+from tanglenabla.transform import close_tangle
 from tanglenabla.verify import PROPERTIES
 
 from conftest import seeded_diagrams
+from oracles import gradings_output
 
 
 def run_cli(*argv, capsys=None):
@@ -75,24 +77,31 @@ def test_gradings_pretzel_count(capsys):
     assert sites.count(("c",)) == 6 and sites.count(("d",)) == 5
 
 
-def test_gradings_json_writer_matches_json_dumps():
+def test_gradings_json_writer_matches_json_dumps(tmp_path, monkeypatch, capsys):
+    # both formats, byte for byte as the sorted generator list renders
+    # through json.dumps or line by line
     diagrams = [corpus.load(n) for n in corpus.names()] + seeded_diagrams(5, 40, 7)
     seen = set()
-    for d in diagrams:
+    for k, d in enumerate(diagrams):
         if d.split:
             continue
+        path = tmp_path / f"d{k}.tgl"
+        path.write_text(serialize(d))
         gens = generator_gradings(d)
-        payload = {"diagram": d.name, "generators": [
-            {"site": sorted(g.site.arcs), "alexander2": dict(g.alexander2),
-             "delta2": g.delta2, "h": g.h, "ladybug_bits": list(g.ladybug_bits),
-             "markers": list(g.markers)} for g in gens]}
-        assert gradings_json(d.name, gens) == json.dumps(payload, indent=2, sort_keys=True)
+        for fmt in ("json", "text"):
+            code, out, err = run_cli("--format", fmt, "gradings", str(path), capsys=capsys)
+            assert (code, err) == (0, ""), d.name
+            assert out == gradings_output(d.name, gens, fmt), (d.name, fmt)
         seen.add((2 * d.n_open, d.m_closed > 0))
-    assert gradings_json("none", []) == json.dumps(
-        {"diagram": "none", "generators": []}, indent=2, sort_keys=True)
     # 2-ended diagrams give "site": [], diagrams without closed components
     # "ladybug_bits": []
     assert seen == {(n, c) for n in (2, 4, 6) for c in (False, True)}, seen
+    # an empty table: "generators": [] and one empty text line
+    real = cli.graded_rows
+    monkeypatch.setattr(cli, "graded_rows", lambda d: (*real(d)[:2], []))
+    for fmt in ("json", "text"):
+        code, out, _ = run_cli("--format", fmt, "gradings", corpus_arg("clasp"), capsys=capsys)
+        assert (code, out) == (0, gradings_output("clasp", [], fmt)), fmt
 
 
 def test_one_site_commands_print_their_line_of_the_full_output(capsys):
@@ -119,6 +128,54 @@ def test_split_diagram_commands_report_e_split(tmp_path, capsys):
     for cmd in ("regions", "gradings", "euler"):
         code, out, err = run_cli(cmd, str(path), capsys=capsys)
         assert (code, out) == (1, "") and err.startswith("error: E_SPLIT: "), cmd
+
+
+def test_non_integral_grading_is_e_grading(monkeypatch, capsys):
+    # a delta code off by 1/2 at every corner of crossing 0 makes every
+    # state's h a half-integer
+    d = corpus.load("mutorient")
+    first, *rest = d.quadrants
+    d.__dict__["quadrants"] = (tuple(c._replace(delta2=c.delta2 + 1) for c in first), *rest)
+    monkeypatch.setattr(cli, "_read_diagram", lambda path: d)
+    for argv in (["gradings"], ["--format", "json", "gradings"], ["euler"],
+                 ["euler", "--site", "b"]):
+        code, out, err = run_cli(*argv, "x.tgl", capsys=capsys)
+        assert (code, out) == (1, "") and err.startswith("error: E_GRADING: "), argv
+
+
+def test_zero_ended_diagram_has_no_site(tmp_path, capsys):
+    d = close_tangle(close_tangle(corpus.load("clasp"), "l"))
+    assert not d.boundary and not d.split and d.sites() == []
+    path = tmp_path / "closed.tgl"
+    path.write_text(serialize(d))
+    for argv in (["nabla"], ["nabla", "--hat"], ["nabla", "--site", "-"], ["states"],
+                 ["gradings"], ["--format", "json", "gradings"], ["euler"],
+                 ["--format", "json", "euler"]):
+        code, out, err = run_cli(*argv, str(path), capsys=capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: E_BAD_SITE: ") and len(err.splitlines()) == 1, argv
+    code, out, err = run_cli("check", "euler_char", "corpus:clasp", str(path), capsys=capsys)
+    assert (code, out) == (2, "") and err.startswith("error: E_HYPOTHESIS: ")
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    clasp = corpus_arg("clasp")
+    hat = run_cli("nabla", clasp, "--hat", capsys=capsys)
+    plain = run_cli("nabla", clasp, capsys=capsys)
+    assert hat[0] == plain[0] == 0 and hat[1] != plain[1] and "h" not in plain[1]
+    as_json = run_cli("--format", "json", "nabla", clasp, capsys=capsys)
+    as_text = run_cli("nabla", clasp, capsys=capsys)
+    assert json.loads(as_json[1])["hat"] is False and as_text == plain
+    sub_json = run_cli("nabla", clasp, "--format", "json", capsys=capsys)
+    assert sub_json == as_json and run_cli("nabla", clasp, capsys=capsys) == plain
+    code, out, err = run_cli("nabla", clasp, "--hat", "--bogus", capsys=capsys)
+    assert (code, out) == (2, "") and "--bogus" in err
+    assert run_cli("nabla", clasp, capsys=capsys) == plain
+    # and each of those outputs is what a fresh parser gives
+    for argv, want in ((["nabla", clasp, "--hat"], hat), (["nabla", clasp], plain),
+                       (["--format", "json", "nabla", clasp], as_json)):
+        args = cli.build_parser().parse_args(argv)
+        assert (args.fn(args), *capsys.readouterr()) == want
 
 
 def test_split_diagram_close_and_glue_end_without_a_traceback(tmp_path, capsys):

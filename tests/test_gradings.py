@@ -1,14 +1,19 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tanglenabla.diagram import Site, TangleError, parse_tangle
-from tanglenabla.gradings import (euler_by_site, euler_characteristics, generator_gradings,
-                                  graded_euler_characteristic, poincare_table)
+from tanglenabla.gradings import (GradedGenerator, euler_by_site, euler_characteristics,
+                                  generator_gradings, graded_euler_characteristic,
+                                  poincare_table)
 from tanglenabla.laurent import DELTA, LaurentPoly
 from tanglenabla.nabla import euler_factor, nabla_all
+from tanglenabla.verify import random_diagram
 from tanglenabla import transform as tr
 
 from conftest import load, seeded_diagrams
-from oracles import rescan_euler
+from oracles import brute_force_gradings, brute_force_site, rescan_euler
 
 
 def S(*labels):
@@ -82,8 +87,12 @@ crossing x1 + under e1 e2 over e2 e3
 colour e1 t
 circle s
 """)
+    for f in (generator_gradings, euler_characteristics, poincare_table):
+        with pytest.raises(TangleError) as e:
+            f(d)
+        assert e.value.code == "E_SPLIT"
     with pytest.raises(TangleError) as e:
-        generator_gradings(d)
+        euler_characteristics(d, S())
     assert e.value.code == "E_SPLIT"
 
 
@@ -222,3 +231,65 @@ def test_pretzel_bd_generator_tables_match_under_reversal():
     pd = delta_poincare(gens, S("d"))
     pd_neg = pd.substitute("p", {"p": -2}).substitute("q", {"q": -2})
     assert pb == pd_neg
+
+
+def _same(got, want, where):
+    assert got.vars == want.vars, where
+    assert got.to_json() == want.to_json(), where
+    assert got.pretty() == want.pretty(), where
+
+
+def _brute_force_generators(d):
+    """The generators of the 4^m brute force in generator order (states in
+    lex order, then decorations), h from the gradings."""
+    return [GradedGenerator(x, bits, a2, delta2,
+                            (sum(e for _, e in a2) - 2 * delta2) // 4, brute_force_site(d, x))
+            for x, bits, a2, delta2 in brute_force_gradings(d)]
+
+
+def _frontier_euler_matches_generators(d, brute=False):
+    """The frontier Euler characteristics, of every site at once and of
+    each site alone, against the one-pass sum over the generator list and
+    the running rescan of it (and of the brute-force generators)."""
+    gens = generator_gradings(d)
+    sites = d.sites()
+    listed = euler_by_site(gens, sites)
+    frontier = euler_characteristics(d)
+    assert list(frontier) == sites
+    for s in sites:
+        want = rescan_euler(gens, s)
+        if brute:
+            _same(rescan_euler(_brute_force_generators(d), s), want, (d.name, str(s)))
+        for got in (frontier[s], euler_characteristics(d, s)[s], listed[s]):
+            _same(got, want, (d.name, str(s)))
+
+
+def test_frontier_euler_matches_the_generator_list(corpus_names):
+    diagrams = [load(n) for n in corpus_names]
+    diagrams += [d for seed in (8, 19, 37) for d in seeded_diagrams(seed, 30, 10)]
+    # a bare arc: its colour is at no crossing, so the pass packs no digit for it
+    kink = tr.close_tangle(load("crossing_pos"), "a")
+    diagrams.append(tr.rm1_remove(kink, 0))
+    assert not diagrams[-1].crossings
+    for d in diagrams:
+        if not d.split:
+            _frontier_euler_matches_generators(d)
+    # up to 4 closed components, so up to 16 decorations per state
+    assert sum(d.m_closed >= 3 for d in diagrams if not d.split) >= 8
+    assert max(d.m_closed for d in diagrams if not d.split) == 4
+
+
+def test_frontier_euler_matches_the_generator_list_on_hypothesis_diagrams():
+    closed = set()
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), ends=st.sampled_from((2, 4, 6)),
+           m=st.integers(1, 8))
+    def check(seed, ends, m):
+        d = random_diagram(random.Random(seed), ends, m)
+        if not d.split:
+            _frontier_euler_matches_generators(d, brute=m <= 6)
+            closed.add(d.m_closed)
+
+    check()
+    assert {0, 1, 2} <= closed, closed

@@ -9,6 +9,11 @@ validated TangleDiagram construction and no intermediate diagram:
 ``_rebuild``, the splicing ones (smoothing, deletion, capping and closure,
 kink and bigon removal) by way of ``_Splicer.rebuild`` after merging edges.
 
+Glueing and capping are stated once, on unvalidated ``Shape`` records:
+``_glue_shapes`` pairs, checks and joins the ends and renames the edges;
+``_cap_shape`` joins two ends and merges their arcs.  ``glue_diagrams`` and
+``_cap`` add colours, arc maps and the outer region of a closed result.
+
 Edge renaming (splicing, glueing) goes through ``Crossing.renamed`` and
 strand reversal (``reverse_orientation``, ``mutate_tangle``) through
 ``_reversed``, which applies ``Crossing.reversed`` to the crossings and flips
@@ -29,7 +34,7 @@ query on it finds nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diagram import Crossing, TangleDiagram, TangleError, UnionFind
 
@@ -59,6 +64,23 @@ def _fresh_edge(d: TangleDiagram, taken: set[str]) -> str:
         i += 1
     taken.add(f"e{i}")
     return f"e{i}"
+
+
+class Shape(NamedTuple):
+    """What glueing and capping read and write: a diagram's name, crossings,
+    boundary edges and arc labels, and ``incoming[k]``, the diagram's
+    ``incoming`` at boundary end k.  Nothing in it is validated."""
+
+    name: str
+    crossings: tuple[Crossing, ...]
+    boundary: tuple[str, ...]
+    arcs: tuple[str, ...]
+    incoming: tuple[bool, ...]
+
+
+def shape_of(d: TangleDiagram) -> Shape:
+    return Shape(d.name, d.crossings, d.boundary, d.arcs,
+                 tuple(d.incoming[4 * len(d.crossings):]))
 
 
 # ----------------------------------------------------------------------
@@ -159,6 +181,16 @@ class _Splicer(UnionFind):
                         edge_dirs=dirs, outer_hint=outer_hint, name=name,
                         free_circles=circles)
 
+    def removal(self, removed: set[int], name: str, what: str) -> TangleDiagram:
+        """``rebuild`` for a removing move, whose disconnected result is E_DISCONNECTS."""
+        try:
+            return self.rebuild(removed, name)
+        except TangleError as ex:
+            if ex.code == "E_DISCONNECTED":
+                raise TangleError("E_DISCONNECTS",
+                                  f"{what} removal leaves an invalid diagram") from ex
+            raise
+
 
 def smooth_crossing(d: TangleDiagram, ci: int) -> TangleDiagram:
     """Oriented resolution of one crossing (in-ends joined to out-ends
@@ -203,23 +235,37 @@ def delete_component(d: TangleDiagram, colour: str) -> TangleDiagram:
 # ----------------------------------------------------------------------
 # capping, closure, reopening
 
-def _cap(d: TangleDiagram, arc: str, name: Optional[str] = None) -> TangleDiagram:
+def _cap_shape(s: Shape, arc: str) -> tuple[Shape, str, str]:
     """Join the two boundary ends flanking ``arc`` by an arc inside its
-    region.  The region of ``arc`` becomes closed; its two neighbouring arcs
-    merge (keeping the lexicographically smaller label)."""
-    if arc not in d.arcs or not d.boundary:
+    region: the joined edges take the smaller id, and the arcs on both sides
+    of ``arc`` merge, keeping the smaller label.  Returns the capped shape
+    and the edges at the two joined ends."""
+    if arc not in s.arcs or not s.boundary:
         raise TangleError("E_BAD_LOCATION", f"no boundary arc {arc!r}")
-    two_n = len(d.boundary)
-    k = d.arcs.index(arc)
-    m = len(d.crossings)
-    e_prev = d.boundary[(k - 1) % two_n]   # end before the arc
-    e_next = d.boundary[k]                 # end after the arc
-    in_prev = d.incoming[4 * m + (k - 1) % two_n]
-    in_next = d.incoming[4 * m + k]
+    two_n = len(s.boundary)
+    k = s.arcs.index(arc)
+    e_prev, e_next = s.boundary[k - 1], s.boundary[k]   # ends before and after the arc
     if two_n == 2 and e_prev == e_next:
         raise TangleError("E_BAD_LOCATION", "capping a crossingless strand")
-    if in_prev == in_next:
+    if s.incoming[k - 1] == s.incoming[k]:
         raise TangleError("E_ORIENT", "cap would join two inward or two outward ends")
+    low, high = min(e_prev, e_next), max(e_prev, e_next)
+    join = lambda e: low if e == high else e
+    keep = [i for i in range(two_n) if i not in ((k - 1) % two_n, k)]
+    side_arcs = (s.arcs[k - 1], s.arcs[(k + 1) % two_n])
+    merged = min(side_arcs)
+    arcs = tuple(merged if s.arcs[i] in side_arcs else s.arcs[i] for i in keep)
+    capped = Shape(s.name + "_cap", tuple(c.renamed(join) for c in s.crossings),
+                   tuple(join(s.boundary[i]) for i in keep), arcs or (merged,),
+                   tuple(s.incoming[i] for i in keep))
+    return capped, e_prev, e_next
+
+
+def _cap(d: TangleDiagram, arc: str, name: Optional[str] = None) -> TangleDiagram:
+    """``_cap_shape`` on a diagram.  The region of ``arc`` becomes closed; the
+    two joined strands become one, of the smaller colour.  Closing the last
+    pair of ends makes the merged region the outer one."""
+    capped, e_prev, e_next = _cap_shape(shape_of(d), arc)
     col1 = d.colour_of_edge[e_prev]
     col2 = d.colour_of_edge[e_next]
     sp = _Splicer(d)
@@ -229,30 +275,17 @@ def _cap(d: TangleDiagram, arc: str, name: Optional[str] = None) -> TangleDiagra
             if e_prev in comp.edges or e_next in comp.edges:
                 sp.colour.update(dict.fromkeys(comp.edges, min(col1, col2)))
     sp.union(e_prev, e_next)
-    keep_positions = [i for i in range(two_n) if i not in ((k - 1) % two_n, k)]
-    new_boundary = tuple(sp.find(d.boundary[i]) for i in keep_positions)
-    # merge the arcs on both sides of the capped one
-    label_prev = d.arcs[(k - 1) % two_n]
-    label_next = d.arcs[(k + 1) % two_n]
-    merged = min(label_prev, label_next)
-    new_arcs = []
-    for i in keep_positions:
-        lab = d.arcs[i]
-        new_arcs.append(merged if lab in (label_prev, label_next) else lab)
     outer_hint = d.outer_hint
-    if not new_boundary:
-        # closing the last pair of ends: the merged region becomes the outer
-        # one; remember it through an edge side, preferring a kept edge id
-        other_arc = label_prev if label_prev != arc else label_next
+    if not capped.boundary:
+        # remember the outer region through an edge side, preferring a kept edge id
         sides = [(e, side) for e in sorted(d.edges) for side in ("R", "L")
-                 if d.region_beside(e, side) == other_arc]
+                 if d.region_beside(e, side) == capped.arcs[0]]
         if not sides:
             raise TangleError("E_BAD_LOCATION", "cannot identify the outer region")
         e, side = next((es for es in sides if sp.find(es[0]) == es[0]), sides[0])
         outer_hint = (sp.find(e), side)
-        new_arcs = [merged]
-    return sp.rebuild(set(), name or (d.name + "_cap"),
-                      boundary=new_boundary, arcs=new_arcs, outer_hint=outer_hint)
+    return sp.rebuild(set(), name or capped.name, boundary=capped.boundary,
+                      arcs=capped.arcs, outer_hint=outer_hint)
 
 
 def close_tangle(d: TangleDiagram, at: Optional[str] = None) -> TangleDiagram:
@@ -274,14 +307,8 @@ def reopen(d: TangleDiagram, edge: Optional[str] = None) -> TangleDiagram:
     region, producing a 2-ended tangle."""
     if d.boundary or d.split:
         raise TangleError("E_BAD_LOCATION", "reopen expects a closed connected diagram")
-    outer = d.arcs[0]
-    choices = []
-    for e in sorted(d.edges):
-        for side in ("L", "R"):
-            if d.region_beside(e, side) == outer:
-                choices.append((e, side))
-    if edge is not None:
-        choices = [c for c in choices if c[0] == edge]
+    choices = [(e, side) for e in sorted(d.edges) for side in ("L", "R")
+               if d.region_beside(e, side) == d.arcs[0] and edge in (None, e)]
     if not choices:
         raise TangleError("E_BAD_LOCATION", "edge does not border the outer region")
     e, side = choices[0]
@@ -310,12 +337,44 @@ class GlueRecord:
 
 def _arc_labels(n: int) -> list[str]:
     base = "abcdefghijklmnopqrstuvwxyz"
-    out = []
-    i = 0
-    while len(out) < n:
-        out.append(base[i % 26] if i < 26 else base[i % 26] + str(i // 26 + 1))
-        i += 1
-    return out
+    return [base[i % 26] + (str(i // 26 + 1) if i >= 26 else "") for i in range(n)]
+
+
+def _glue_shapes(s1: Shape, s2: Shape, start1: int, start2: int, count: int):
+    """The shape of ``glue_diagrams``, the paired end positions ``(p1, p2)``,
+    and the maps naming an edge of s1 or of s2 in the glued shape."""
+    n1, n2 = len(s1.boundary), len(s2.boundary)
+    if not (1 <= count <= min(n1, n2)):
+        raise TangleError("E_ARITY", f"cannot glue {count} ends of {n1} and {n2}")
+    if count == n1 and count == n2:
+        raise TangleError("E_ARITY", "glueing away every end; use close_tangle instead")
+    pairs = [((start1 + t) % n1, (start2 - t) % n2) for t in range(count)]
+    if any(s1.incoming[p1] == s2.incoming[p2] for p1, p2 in pairs):
+        raise TangleError("E_ORIENT", "glued ends must join an outgoing to an incoming strand")
+    # prefix s2's edges so that no renamed id meets one of s1's
+    taken, edges2 = ({e for c in s.crossings for e in (*c.under, *c.over)}.union(s.boundary)
+                     for s in (s1, s2))
+    prefix = "g_"
+    while any(prefix + e in taken for e in edges2):
+        prefix = "g" + prefix
+    # union-find on the combined edge set; find2 names an s2 edge in the result
+    edges = UnionFind()
+    find = edges.find
+    for p1, p2 in pairs:
+        edges.union(s1.boundary[p1], prefix + s2.boundary[p2])
+
+    def find2(e: str) -> str:
+        return find(prefix + e)
+
+    keep1 = [(start1 + count + t) % n1 for t in range(n1 - count)]
+    keep2 = [(start2 + 1 + t) % n2 for t in range(n2 - count)]
+    boundary = (*(find(s1.boundary[i]) for i in keep1), *(find2(s2.boundary[i]) for i in keep2))
+    glued = Shape(f"{s1.name}+{s2.name}",
+                  (*(c.renamed(find) for c in s1.crossings),
+                   *(c.renamed(find2) for c in s2.crossings)),
+                  boundary, tuple(_arc_labels(len(boundary))),
+                  (*(s1.incoming[i] for i in keep1), *(s2.incoming[i] for i in keep2)))
+    return glued, pairs, find, find2
 
 
 def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
@@ -328,44 +387,7 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
     region of the result it became part of, and each input colour to the
     colour it was identified with.
     """
-    n1, n2 = len(d1.boundary), len(d2.boundary)
-    if not (1 <= count <= min(n1, n2)):
-        raise TangleError("E_ARITY", f"cannot glue {count} ends of {n1} and {n2}")
-    if count == n1 and count == n2:
-        raise TangleError("E_ARITY", "glueing away every end; use close_tangle instead")
-    m1 = len(d1.crossings)
-    m2 = len(d2.crossings)
-    # prefix d2's edges so that no renamed id meets one of d1's
-    prefix = "g_"
-    while any(prefix + e in d1._occ for e in d2.edges):
-        prefix = "g" + prefix
-    ren2 = {e: prefix + e for e in d2.edges}
-
-    pairs = []
-    for t in range(count):
-        p1 = (start1 + t) % n1
-        p2 = (start2 - t) % n2
-        if d1.incoming[4 * m1 + p1] == d2.incoming[4 * m2 + p2]:
-            raise TangleError("E_ORIENT", "glued ends must join an outgoing to an incoming strand")
-        pairs.append((p1, p2))
-
-    # union-find on the combined edge set; find2 names a d2 edge in the result
-    edges = UnionFind()
-    find = edges.find
-    for p1, p2 in pairs:
-        edges.union(d1.boundary[p1], ren2[d2.boundary[p2]])
-
-    def find2(e: str) -> str:
-        return find(ren2[e])
-
-    keep1 = [(start1 + count + t) % n1 for t in range(n1 - count)]
-    keep2 = [(start2 + 1 + t) % n2 for t in range(n2 - count)]
-    boundary = [find(d1.boundary[i]) for i in keep1]
-    boundary += [find2(d2.boundary[i]) for i in keep2]
-    new_labels = _arc_labels(len(boundary))
-
-    crossings = ([c.renamed(find) for c in d1.crossings]
-                 + [c.renamed(find2) for c in d2.crossings])
+    s, pairs, find, find2 = _glue_shapes(shape_of(d1), shape_of(d2), start1, start2, count)
 
     # identified strands: component-level union-find over both inputs
     def comp_at(d, p):
@@ -373,33 +395,23 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
     strands = UnionFind()
     for p1, p2 in pairs:
         strands.union((1, comp_at(d1, p1)), (2, comp_at(d2, p2)))
-
-    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for which, d in ((1, d1), (2, d2)):
+    # each class of strands takes the colour of its first member, made unique
+    firsts: dict[tuple[int, int], tuple] = {}
+    for which, d, mapper in ((1, d1, find), (2, d2, find2)):
         for idx, comp in enumerate(d.components):
             if comp.edges:
-                classes.setdefault(strands.find((which, idx)), []).append((which, idx))
-    def _comp(key):
-        which, idx = key
-        return (d1 if which == 1 else d2).components[idx]
-    name_taken: set[str] = set()
+                firsts.setdefault(strands.find((which, idx)), (comp, mapper))
     seeds: dict[str, str] = {}
     class_colour: dict[tuple[int, int], str] = {}
-    for root in sorted(classes):
-        members = classes[root]
-        base = _comp(members[0]).colour
-        colour, k = base, 2
-        while colour in name_taken:
-            colour = f"{base}_{k}"
-            k += 1
-        name_taken.add(colour)
+    for root in sorted(firsts):
+        comp, mapper = firsts[root]
+        colour, k = comp.colour, 2
+        while colour in class_colour.values():
+            colour, k = f"{comp.colour}_{k}", k + 1
         class_colour[root] = colour
-        which, idx = members[0]
-        e0 = _comp(members[0]).edges[0]
-        seeds[find(e0) if which == 1 else find2(e0)] = colour
+        seeds[mapper(comp.edges[0])] = colour
 
-    glued = TangleDiagram(f"{d1.name}+{d2.name}", crossings, tuple(boundary),
-                          tuple(new_labels), seeds,
+    glued = TangleDiagram(s.name, s.crossings, s.boundary, s.arcs, seeds,
                           free_circles=d1.free_circles + d2.free_circles)
 
     # arc k precedes end k counterclockwise, so it lies right of a strand
@@ -409,10 +421,8 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
         return {a: glued.region_beside(mapper(e), "R" if d.incoming[m4 + k] else "L")
                 for k, (a, e) in enumerate(zip(d.arcs, d.boundary))}
 
-    arc_map_1, arc_map_2 = arc_map(d1, find), arc_map(d2, find2)
-    iota_1: dict[str, str] = {}
-    iota_2: dict[str, str] = {}
-    for which, d, iota in ((1, d1, iota_1), (2, d2, iota_2)):
+    iotas: tuple[dict[str, str], dict[str, str]] = ({}, {})
+    for which, d, iota in ((1, d1, iotas[0]), (2, d2, iotas[1])):
         for idx, comp in enumerate(d.components):
             if not comp.edges:
                 iota.setdefault(comp.colour, comp.colour)
@@ -421,13 +431,14 @@ def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
             if iota.setdefault(comp.colour, new_colour) != new_colour:
                 raise TangleError("E_ORIENT",
                                   f"colour {comp.colour!r} maps two ways under glueing")
-    return GlueRecord(glued, arc_map_1, arc_map_2, iota_1, iota_2)
+    return GlueRecord(glued, arc_map(d1, find), arc_map(d2, find2), *iotas)
 
 
 # ----------------------------------------------------------------------
 # mutation
 
-_AXES = ("x", "y", "z")
+# the boundary position each position takes its end from
+_AXES = {"x": (3, 2, 1, 0), "y": (1, 0, 3, 2), "z": (2, 3, 0, 1)}
 
 
 def mutate_tangle(d: TangleDiagram, axis: str) -> TangleDiagram:
@@ -437,24 +448,15 @@ def mutate_tangle(d: TangleDiagram, axis: str) -> TangleDiagram:
     positions with the opposite in/out pattern, every component is reversed.
     """
     if axis not in _AXES:
-        raise TangleError("E_BAD_LOCATION", f"axis must be one of {_AXES}")
+        raise TangleError("E_BAD_LOCATION", f"axis must be one of {tuple(_AXES)}")
     if len(d.boundary) != 4:
         raise TangleError("E_NOT_FOURENDED", "mutation needs a 4-ended diagram")
     old_pattern = tuple(not d.incoming[4 * len(d.crossings) + k] for k in range(4))
-
-    if axis == "z":
-        boundary = (d.boundary[2], d.boundary[3], d.boundary[0], d.boundary[1])
-        crossings = d.crossings
-        perm = (2, 3, 0, 1)
-    else:
-        # reflections compose with an over/under swap at every crossing
-        crossings = tuple(Crossing(c.sign, c.over, c.under) for c in d.crossings)
-        if axis == "y":
-            boundary = (d.boundary[1], d.boundary[0], d.boundary[3], d.boundary[2])
-            perm = (1, 0, 3, 2)
-        else:
-            boundary = (d.boundary[3], d.boundary[2], d.boundary[1], d.boundary[0])
-            perm = (3, 2, 1, 0)
+    perm = _AXES[axis]
+    boundary = tuple(d.boundary[p] for p in perm)
+    # reflections (x, y) compose with an over/under swap at every crossing
+    crossings = (d.crossings if axis == "z"
+                 else tuple(Crossing(c.sign, c.over, c.under) for c in d.crossings))
     new_pattern = tuple(old_pattern[perm[k]] for k in range(4))
     name, dirs = d.name + f"_mut{axis}", None
     if new_pattern == tuple(not p for p in old_pattern):
@@ -530,13 +532,7 @@ def rm1_remove(d: TangleDiagram, ci: int) -> TangleDiagram:
     sp = _Splicer(d)
     sp.dead.add(slots[s])
     sp.union(a, b)
-    try:
-        out = sp.rebuild({ci}, d.name + "_rm1r")
-    except TangleError as ex:
-        if ex.code == "E_DISCONNECTED":
-            raise TangleError("E_DISCONNECTS",
-                              "kink removal leaves an invalid diagram") from ex
-        raise
+    out = sp.removal({ci}, d.name + "_rm1r", "kink")
     if out.split != d.split:
         raise TangleError("E_DISCONNECTS", "kink removal disconnects the diagram")
     return out
@@ -608,13 +604,7 @@ def rm2_remove(d: TangleDiagram, region: str) -> TangleDiagram:
         outs = [slots[(slots.index(g) + 2) % 4]
                 for slots in (d.crossings[c1].slots(), d.crossings[c2].slots())]
         sp.union(*outs)
-    try:
-        out = sp.rebuild({c1, c2}, d.name + "_rm2r")
-    except TangleError as ex:
-        if ex.code == "E_DISCONNECTED":
-            raise TangleError("E_DISCONNECTS",
-                              "bigon removal leaves an invalid diagram") from ex
-        raise
+    out = sp.removal({c1, c2}, d.name + "_rm2r", "bigon")
     if out.split and not d.split:
         raise TangleError("E_DISCONNECTS", "bigon removal disconnects the diagram")
     return out

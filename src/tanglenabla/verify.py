@@ -3,9 +3,10 @@ given diagrams or on seeded random ones, with machine-readable reports.
 
 Random diagrams are grown by repeatedly glueing fresh one-crossing pieces
 onto the boundary and capping adjacent ends, which keeps them connected and
-planar by construction.  Each step builds one validated diagram: a piece,
-reversed strands included, is built directly; each glue and each cap is one
-transform; the final renaming of the colours to t1, t2, ... is one more.
+planar by construction.  Pieces, glues and caps are ``transform.Shape``
+records made by the transforms' own glue and cap rules; only the result is
+validated, its strands coloured t1, t2, ... in component order.  The cap
+closing the last two ends needs the outer region, so it caps a diagram.
 The glueing check sums its pieces' products in one pass over site pairs.
 """
 
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import transform as tr
-from .diagram import Crossing, Site, TangleDiagram, TangleError, linking_number, serialize
+from .diagram import (Crossing, Site, TangleDiagram, TangleError, UnionFind,
+                      linking_number, serialize)
 from .gradings import euler_characteristics
 from .laurent import H, LaurentPoly, binomial
 from .nabla import euler_factor, nabla_all, nabla_hat_all
@@ -39,16 +41,33 @@ class CheckReport:
 # ----------------------------------------------------------------------
 # random diagram generation
 
-def _fresh_piece(rng: random.Random, idx: int) -> TangleDiagram:
+def _fresh_piece(rng: random.Random, idx: int) -> tr.Shape:
     """A random one-crossing tangle with fresh edge ids: a crossing of random
     sign whose under strand u and over strand o are each reversed at random,
     as ``reverse_orientation`` would (then named ``piece<idx>_rev``)."""
     e = [f"p{idx}_{k}" for k in range(4)]
     c = Crossing(rng.choice((1, -1)), (e[0], e[1]), (e[2], e[3]))
     colours = rng.choice((set(), {"u"}, {"o"}, {"u", "o"}))
-    return TangleDiagram(f"piece{idx}_rev" if colours else f"piece{idx}",
-                         [c.reversed("u" in colours, "o" in colours)], c.slots(),
-                         ("a", "b", "c", "d"), {e[0]: "u", e[2]: "o"})
+    r = c.reversed("u" in colours, "o" in colours)
+    # an end is incoming where its edge leaves the crossing
+    return tr.Shape(f"piece{idx}_rev" if colours else f"piece{idx}", (r,), c.slots(),
+                    ("a", "b", "c", "d"), tuple(x in (r.under[1], r.over[1]) for x in c.slots()))
+
+
+def _diagram(s: tr.Shape, closing: bool = False) -> TangleDiagram:
+    """The diagram of a grown shape, its strands coloured t1, t2, ... in
+    component order: open ones by the end they leave from, then closed ones
+    by least edge (all by least edge when ``closing`` its last two ends)."""
+    strands = UnionFind()
+    for c in s.crossings:
+        strands.union(*c.under)
+        strands.union(*c.over)
+    find = strands.find
+    order = [] if closing else [find(e) for e, inc in zip(s.boundary, s.incoming) if not inc]
+    order += sorted({find(e) for c in s.crossings for e in (c.under[0], c.over[0])}
+                    - set(order))
+    return TangleDiagram(s.name, s.crossings, s.boundary, s.arcs,
+                         {e: f"t{i + 1}" for i, e in enumerate(order)})
 
 
 def random_diagram(rng: random.Random, n_ends: int = 4, n_crossings: int = 6,
@@ -56,64 +75,56 @@ def random_diagram(rng: random.Random, n_ends: int = 4, n_crossings: int = 6,
     """A random connected oriented tangle diagram with the requested number
     of boundary ends and crossings.  Components get colours t1, t2, ...
     """
+    if n_ends < 0 or n_ends % 2:
+        raise TangleError("E_GENERATION", f"no diagram has {n_ends} boundary ends")
     n_crossings = max(n_crossings, (n_ends - 2) // 2, 1)
     for _ in range(max_tries):
         d = _try_random_diagram(rng, n_ends, n_crossings)
         if d is not None:
-            comps = d.colours()
-            mapping = {c: f"t{i + 1}" for i, c in enumerate(comps)}
-            return tr.recolour(d, mapping)
+            return d
     raise TangleError("E_GENERATION", "could not generate a diagram with these parameters")
 
 
+def _shuffled(rng: random.Random, items) -> list:
+    items = list(items)
+    rng.shuffle(items)
+    return items
+
+
+def _first(f, options):
+    """``f(*o)`` for the first ``o`` in ``options`` that ``f`` takes without a
+    TangleError; None if there is none."""
+    for o in options:
+        try:
+            return f(*o)
+        except TangleError:
+            continue
+    return None
+
+
 def _try_random_diagram(rng, n_ends, n_crossings) -> Optional[TangleDiagram]:
-    d = _fresh_piece(rng, 0)
-    idx = 1
-    while len(d.crossings) < n_crossings:
-        ends = len(d.boundary)
-        piece = _fresh_piece(rng, idx)
-        idx += 1
+    s = _fresh_piece(rng, 0)
+    while s is not None and len(s.crossings) < n_crossings:
+        ends = len(s.boundary)
+        piece = _fresh_piece(rng, len(s.crossings))
         js = [j for j in (1, 2, 3) if ends + 4 - 2 * j >= max(n_ends, 2) and j < ends]
-        if not js:
-            js = [1]
-        rng.shuffle(js)
-        glued = None
-        for j in js:
-            starts1 = list(range(ends))
-            rng.shuffle(starts1)
-            for s1 in starts1:
-                starts2 = list(range(4))
-                rng.shuffle(starts2)
-                for s2 in starts2:
-                    try:
-                        glued = tr.glue_diagrams(d, piece, s1, s2, j).diagram
-                        break
-                    except TangleError:
-                        continue
-                if glued is not None:
-                    break
-            if glued is not None:
-                break
-        if glued is None:
-            return None
-        d = glued
-    # reduce the number of ends by capping
-    guard = 0
-    while len(d.boundary) > n_ends and guard < 50:
-        guard += 1
-        arcs = list(d.arcs)
-        rng.shuffle(arcs)
-        for a in arcs:
-            try:
-                d = tr._cap(d, a)
-                break
-            except TangleError:
-                continue
-        else:
-            return None
-    if len(d.boundary) != n_ends or d.split:
+        s = _first(lambda j, s1, s2: tr._glue_shapes(s, piece, s1, s2, j)[0],
+                   ((j, s1, s2) for j in _shuffled(rng, js or [1])
+                    for s1 in _shuffled(rng, range(ends)) for s2 in _shuffled(rng, range(4))))
+    # cap adjacent ends down to n_ends; the cap that closes the diagram needs
+    # its outer region, so it caps the validated diagram
+    for _ in range(50):
+        if s is None or len(s.boundary) <= n_ends:
+            break
+        closing = len(s.boundary) == 2
+        if closing:
+            s = _diagram(s, closing=True)
+        cap = tr._cap if closing else lambda s, a: tr._cap_shape(s, a)[0]
+        s = _first(cap, ((s, a) for a in _shuffled(rng, s.arcs)))
+    if s is None or len(s.boundary) != n_ends:
         return None
-    return d
+    d = s if isinstance(s, TangleDiagram) else _diagram(s)
+    return None if d.split else d
 
 
 def random_knot_tangle(rng: random.Random, n_crossings: int,
@@ -134,9 +145,7 @@ def random_rm_sequence(rng: random.Random, d: TangleDiagram, moves: int):
     final diagram and the list of (move, location) actually applied."""
     applied = []
     for _ in range(moves):
-        options = []
-        options.append(("RM1_insert",
-                        (rng.choice(d.edges), rng.choice("LR"), rng.choice((1, -1)))))
+        options = [("RM1_insert", (rng.choice(d.edges), rng.choice("LR"), rng.choice((1, -1))))]
         sides = [(e, s) for e in d.edges for s in "LR"
                  if d.region_beside(e, s) is not None]
         rng.shuffle(sides)

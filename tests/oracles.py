@@ -17,14 +17,19 @@ and sums the quadrant codes of each one, grouping the states by site.
 
 ``canonicalize``, ``canonical_form`` and ``isomorphic`` compare diagrams up
 to relabelling of edges and crossings, for the transform tests.
+
+``random_diagram`` is the seeded generator that builds every piece, glue
+and cap as a validated diagram; ``verify.random_diagram`` must make the
+same rng draws and return the same diagrams.
 """
 
 import json
+import random
 from itertools import product
 from typing import Optional
 
 from tanglenabla import transform as tr
-from tanglenabla.diagram import Site, TangleDiagram, TangleError, serialize
+from tanglenabla.diagram import Crossing, Site, TangleDiagram, TangleError, serialize
 from tanglenabla.laurent import H, LaurentPoly, binomial
 from tanglenabla.states import enumerate_states, site_of, state_codes
 
@@ -372,3 +377,83 @@ def canonical_form(d: TangleDiagram) -> str:
 def isomorphic(d1: TangleDiagram, d2: TangleDiagram) -> bool:
     """Equality up to relabelling of edges/crossings (arc labels fixed)."""
     return canonical_form(d1) == canonical_form(d2)
+
+
+# ----------------------------------------------------------------------
+# the seeded generator, one validated diagram per step
+
+def _fresh_piece(rng: random.Random, idx: int) -> TangleDiagram:
+    """A random one-crossing tangle with fresh edge ids: a crossing of random
+    sign whose under strand u and over strand o are each reversed at random,
+    as ``reverse_orientation`` would (then named ``piece<idx>_rev``)."""
+    e = [f"p{idx}_{k}" for k in range(4)]
+    c = Crossing(rng.choice((1, -1)), (e[0], e[1]), (e[2], e[3]))
+    colours = rng.choice((set(), {"u"}, {"o"}, {"u", "o"}))
+    return TangleDiagram(f"piece{idx}_rev" if colours else f"piece{idx}",
+                         [c.reversed("u" in colours, "o" in colours)], c.slots(),
+                         ("a", "b", "c", "d"), {e[0]: "u", e[2]: "o"})
+
+
+def random_diagram(rng: random.Random, n_ends: int = 4, n_crossings: int = 6,
+                   max_tries: int = 200) -> TangleDiagram:
+    """A random connected oriented tangle diagram with the requested number
+    of boundary ends and crossings.  Components get colours t1, t2, ...
+    """
+    n_crossings = max(n_crossings, (n_ends - 2) // 2, 1)
+    for _ in range(max_tries):
+        d = _try_random_diagram(rng, n_ends, n_crossings)
+        if d is not None:
+            comps = d.colours()
+            mapping = {c: f"t{i + 1}" for i, c in enumerate(comps)}
+            return tr.recolour(d, mapping)
+    raise TangleError("E_GENERATION", "could not generate a diagram with these parameters")
+
+
+def _try_random_diagram(rng, n_ends, n_crossings) -> Optional[TangleDiagram]:
+    d = _fresh_piece(rng, 0)
+    idx = 1
+    while len(d.crossings) < n_crossings:
+        ends = len(d.boundary)
+        piece = _fresh_piece(rng, idx)
+        idx += 1
+        js = [j for j in (1, 2, 3) if ends + 4 - 2 * j >= max(n_ends, 2) and j < ends]
+        if not js:
+            js = [1]
+        rng.shuffle(js)
+        glued = None
+        for j in js:
+            starts1 = list(range(ends))
+            rng.shuffle(starts1)
+            for s1 in starts1:
+                starts2 = list(range(4))
+                rng.shuffle(starts2)
+                for s2 in starts2:
+                    try:
+                        glued = tr.glue_diagrams(d, piece, s1, s2, j).diagram
+                        break
+                    except TangleError:
+                        continue
+                if glued is not None:
+                    break
+            if glued is not None:
+                break
+        if glued is None:
+            return None
+        d = glued
+    # reduce the number of ends by capping
+    guard = 0
+    while len(d.boundary) > n_ends and guard < 50:
+        guard += 1
+        arcs = list(d.arcs)
+        rng.shuffle(arcs)
+        for a in arcs:
+            try:
+                d = tr._cap(d, a)
+                break
+            except TangleError:
+                continue
+        else:
+            return None
+    if len(d.boundary) != n_ends or d.split:
+        return None
+    return d

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tanglenabla.diagram import Site, TangleError, parse_tangle
+from tanglenabla.diagram import Site, TangleDiagram, TangleError, parse_tangle, serialize
 from tanglenabla.laurent import LaurentPoly
 from tanglenabla.nabla import nabla_hat_all
 from tanglenabla.verify import (CheckReport, PROPERTIES, orientation_type,
@@ -11,6 +11,7 @@ from tanglenabla.verify import (CheckReport, PROPERTIES, orientation_type,
 from tanglenabla import transform as tr
 from tanglenabla import verify
 
+import oracles
 from conftest import load
 from oracles import glueing_sums
 
@@ -186,3 +187,63 @@ def test_glueing_failure_reports_the_first_site(monkeypatch):
     assert set(f) == {"case", "glued", "site", "got", "expected"}
     glued = parse_tangle(f["glued"])
     assert f["site"] == str(glued.sites()[0])
+
+
+def _generated(generate, rng, *args):
+    """What a generator call returns, compared in full, or the code it
+    raises; then the rng's next draw."""
+    try:
+        d = generate(rng, *args)
+        out = (serialize(d), d.incoming, d.components, d.edge_dirs, d.outer_hint)
+    except TangleError as ex:
+        out = ex.code
+    return out, rng.random()
+
+
+def test_generator_matches_the_one_diagram_per_step_oracle():
+    for seed in range(50):
+        for ends in (0, 2, 4, 6, 8):
+            for m in range(1, 13):
+                args = (ends, m)
+                assert (_generated(random_diagram, random.Random(seed), *args)
+                        == _generated(oracles.random_diagram, random.Random(seed), *args)), \
+                    (seed, ends, m)
+
+
+def test_knot_tangles_and_reports_match_the_oracle_generator(monkeypatch):
+    new = [_generated(random_knot_tangle, random.Random(seed), 1 + seed % 8)
+           for seed in range(40)]
+    reports = [run_check(prop, seed=seed, cases=10).to_json()
+               for prop in PROPERTIES for seed in range(6)]
+    monkeypatch.setattr(verify, "random_diagram", oracles.random_diagram)
+    assert new == [_generated(random_knot_tangle, random.Random(seed), 1 + seed % 8)
+                   for seed in range(40)]
+    assert reports == [run_check(prop, seed=seed, cases=10).to_json()
+                       for prop in PROPERTIES for seed in range(6)]
+
+
+def test_generator_builds_at_most_two_diagrams_per_result(monkeypatch):
+    built = []
+    init = TangleDiagram.__init__
+
+    def counting(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(TangleDiagram, "__init__", counting)
+    rng = random.Random(5)
+    for ends in (0, 2, 4, 6, 8):
+        for m in range(1, 13):
+            built.clear()
+            d = random_diagram(rng, ends, m)
+            assert built[-1] is d and len(built) <= 2, (ends, m, len(built))
+
+
+@pytest.mark.parametrize("ends", [-2, -1, 1, 3, 7])
+def test_impossible_end_counts_fail_before_any_try(ends):
+    rng = random.Random(0)
+    with pytest.raises(TangleError) as e:
+        random_diagram(rng, ends, 3)
+    assert e.value.code == "E_GENERATION"
+    assert rng.random() == random.Random(0).random()
+    assert _generated(oracles.random_diagram, random.Random(0), ends, 3)[0] == "E_GENERATION"

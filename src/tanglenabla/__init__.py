@@ -14,7 +14,7 @@ from .gradings import (GradedGenerator, euler_characteristics, generator_grading
 from .laurent import LaurentError, LaurentPoly, binomial
 from .nabla import (ConwayPotential, conway_potential, euler_factor, nabla_all,
                     nabla_at_site, nabla_hat, nabla_hat_all)
-from .states import enumerate_states, site_of, state_codes
+from .states import enumerate_states, site_of
 from .transform import (apply_rm_move, close_tangle, delete_component,
                         glue_diagrams, mirror_diagram, mutate_tangle, recolour,
                         reopen, reverse_orientation, smooth_crossing,

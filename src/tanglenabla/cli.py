@@ -14,15 +14,14 @@ import functools
 import json
 import os
 import sys
-from operator import add
 
 from . import corpus
 from .diagram import Site, TangleError, compute_regions, parse_tangle, serialize
-from .gradings import euler_characteristics, graded_rows
+from .gradings import euler_characteristics, generator_keys
 from .laurent import LaurentError
 from .nabla import (check_site, conway_potential, nabla_all, nabla_at_site,
                     nabla_hat, nabla_hat_all)
-from .states import enumerate_states, site_of
+from .states import markers_of, sites_of_bits, walk_states
 from .transform import (close_tangle, glue_diagrams, mirror_diagram,
                         mutate_tangle, reverse_orientation)
 from .verify import PROPERTIES, run_check
@@ -76,13 +75,12 @@ def _cmd_regions(args):
 def _cmd_states(args):
     d = _read_diagram(args.diagram)
     _sites(d)
-    lines = []
-    data = []
-    for x in enumerate_states(d):
-        s = site_of(d, x)
-        body = " ".join(f"x{i + 1}:q{q}" for i, q in enumerate(x))
-        lines.append(f"{body}  site {s}")
-        data.append({"markers": list(x), "site": sorted(s.arcs)})
+    rows = walk_states(d)
+    sites = sites_of_bits(d, {occupied for _, _, occupied in rows})
+    states = [(markers_of(x, len(d.crossings)), sites[occupied]) for x, _, occupied in rows]
+    lines = [" ".join(f"x{i + 1}:q{q}" for i, q in enumerate(x)) + f"  site {s}"
+             for x, s in states]
+    data = [{"markers": list(x), "site": sorted(s.arcs)} for x, s in states]
     _emit(args, lines, {"diagram": d.name, "states": data})
     return 0
 
@@ -127,87 +125,99 @@ def _json_block(items: list[str], brackets: str) -> str:
     return f"{brackets[0]}\n        " + ",\n        ".join(items) + f"\n      {brackets[1]}"
 
 
-_GENERATOR = """    {
+# a generator's JSON text: a head fixed by its key >> 2m, then a tail
+_HEAD = """    {
       "alexander2": %s,
       "delta2": %d,
       "h": %d,
       "ladybug_bits": %s,
-      "markers": %s,
+"""
+_TAIL = """      "markers": %s,
       "site": %s
-    }"""
+    },
+"""
 
 
-def _json_site(colours, decorations):
-    """The JSON text of one site's generators, each ``(a2, delta2,
-    decoration index, markers, h)``, byte for byte as ``json.dumps(indent=2,
-    sort_keys=True)`` lays them out in the gradings payload.
-
-    The generic encoder runs in pure Python under ``indent`` and took most
-    of the op; this fills a fixed template instead, with each distinct
-    Alexander vector and marker vector encoded once.
+def _json_site(layout):
+    """``chunk(s, keys)``: the JSON text of site s's generators, given by
+    their sorted keys (``gradings.generator_keys``), each with a comma after
+    it, byte for byte as ``json.dumps(indent=2, sort_keys=True)`` lays them
+    out in the gradings payload.  The generic encoder runs in pure Python
+    under ``indent`` and took most of the op; this fills the templates
+    instead, each head once per diagram and each tail once per state.
     """
-    keys = [json.dumps(c) + ": " for c in colours]
-    bits = [_json_block(list(map(str, dec.bits)), "[]") for dec in decorations]
+    labels = [json.dumps(c) + ": " for c in layout.colours]
+    bits = [_json_block(list(map(str, b)), "[]") for b in layout.bits]
+    shift = 2 * layout.m
+    mask = (1 << shift) - 1
+    heads: dict[int, str] = {}
     alex: dict[tuple, str] = {}
 
-    def chunk(s, gens):
+    def chunk(s, keys):
         site = _json_block([json.dumps(a) for a in sorted(s.arcs)], "[]")
-        marks: dict[tuple, str] = {}
+        tails: dict[int, str] = {}
         out = []
-        for a2, delta2, k, x, h in gens:
-            a = alex.get(a2)
-            if a is None:
-                a = alex[a2] = _json_block([f"{key}{e}" for key, e in zip(keys, a2)], "{}")
-            m = marks.get(x)
-            if m is None:
-                m = marks[x] = _json_block(list(map(str, x)), "[]")
-            out.append(_GENERATOR % (a, delta2, h, bits[k], m, site))
-        return ",\n".join(out)
+        for key in keys:
+            head = heads.get(key >> shift)
+            if head is None:
+                a2, delta2, h, k = layout.grades(key >> shift)
+                a = alex.get(a2)
+                if a is None:
+                    a = alex[a2] = _json_block([f"{c}{e}" for c, e in zip(labels, a2)], "{}")
+                head = heads[key >> shift] = _HEAD % (a, delta2, h, bits[k])
+            tail = tails.get(key & mask)
+            if tail is None:
+                x = map(str, markers_of(key & mask, layout.m))
+                tail = tails[key & mask] = _TAIL % (_json_block(list(x), "[]"), site)
+            out.append(head)
+            out.append(tail)
+        return "".join(out)
     return chunk
 
 
-def _text_site(colours, decorations):
-    """The text lines of one site's generators, as ``_json_site`` takes them."""
-    keys = [f"{c}^" for c in colours]
-    bits = ["".join(map(str, dec.bits)) or "-" for dec in decorations]
+def _text_site(layout):
+    """``chunk(s, keys)``: the text lines of site s's generators, as
+    ``_json_site`` takes them; a line has no markers, so one per head."""
+    labels = [f"{c}^" for c in layout.colours]
+    bits = ["".join(map(str, b)) or "-" for b in layout.bits]
+    shift = 2 * layout.m
     alex: dict[tuple, str] = {}
 
-    def chunk(s, gens):
-        out = []
-        for a2, delta2, k, x, h in gens:
-            a = alex.get(a2)
-            if a is None:
-                a = alex[a2] = " ".join(f"{key}{e / 2:+g}" for key, e in zip(keys, a2))
-            out.append(f"site {s}  {a}  delta^{delta2 / 2:+g}  h={h}  bits={bits[k]}")
-        return "\n".join(out)
+    def chunk(s, keys):
+        lines: dict[int, str] = {}
+        for key in keys:
+            if key >> shift not in lines:
+                a2, delta2, h, k = layout.grades(key >> shift)
+                a = alex.get(a2)
+                if a is None:
+                    a = alex[a2] = " ".join(f"{c}{e / 2:+g}" for c, e in zip(labels, a2))
+                lines[key >> shift] = (f"site {s}  {a}  delta^{delta2 / 2:+g}  "
+                                       f"h={h}  bits={bits[k]}\n")
+        return "".join([lines[key >> shift] for key in keys])
     return chunk
 
 
 def _cmd_gradings(args):
     """The generator table, sorted by site (as text), Alexander vector,
-    delta and decoration, and written one site at a time."""
+    delta and decoration; built in full before the first write, so an
+    E_GRADING leaves no output."""
     d = _read_diagram(args.diagram)
     _sites(d)
-    colours, decorations, rows = graded_rows(d)
-    write = sys.stdout.write
+    layout, rows = generator_keys(d)
+    if args.format == "json" and not rows:
+        _emit(args, [], {"diagram": d.name, "generators": []})
+        return 0
+    by_site: dict[int, list[int]] = {}
+    for row, occupied in rows:
+        by_site.setdefault(occupied, []).append(row)
+    sites = sites_of_bits(d, by_site)
+    chunk = (_json_site if args.format == "json" else _text_site)(layout)
+    chunks = [chunk(sites[b], sorted([r + dk for r in by_site[b] for dk in layout.dec_keys]))
+              for b in sorted(by_site, key=lambda b: str(sites[b]))]
     if args.format == "json":
-        if not rows:
-            _emit(args, [], {"diagram": d.name, "generators": []})
-            return 0
-        write('{\n  "diagram": %s,\n  "generators": [\n' % json.dumps(d.name))
-        chunk, sep, tail = _json_site(colours, decorations), ",\n", "\n  ]\n}\n"
-    else:
-        chunk, sep, tail = _text_site(colours, decorations), "\n", "\n"
-    by_site: dict[Site, list] = {}
-    for row in rows:
-        by_site.setdefault(row[4], []).append(row)
-    for i, s in enumerate(sorted(by_site, key=str)):
-        # decoration k's bits sort as k does; the markers order ties
-        gens = sorted((tuple(map(add, a2, dec.shift)), delta2, k, x, h + dec.h)
-                      for x, a2, delta2, h, _ in by_site[s]
-                      for k, dec in enumerate(decorations))
-        write((sep if i else "") + chunk(s, gens))
-    write(tail)
+        chunks = ['{\n  "diagram": %s,\n  "generators": [\n' % json.dumps(d.name),
+                  *chunks[:-1], chunks[-1][:-2], "\n  ]\n}\n"]   # no comma after the last
+    sys.stdout.writelines(chunks or ["\n"])
     return 0
 
 

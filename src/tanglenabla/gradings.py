@@ -13,23 +13,28 @@ Gradings are absolute sums of crossing-local contributions:
 and the homological grading is h = (sum of Alexander entries)/2 - delta,
 which these local rules keep integral.
 
-``graded_rows`` computes each state's gradings once and states the
-decorations as fixed shifts; ``generator_gradings`` (so ``poincare_table``)
-and the ``gradings`` command expand them.  ``euler_characteristics`` builds no
-generator: the frontier pass of ``nabla`` sums the states per site by
-Alexander vector and delta, and each decoration shifts such a term.
+A generator is one int key, high digits to low: the doubled Alexander
+entries (colours by name) and delta as ``nabla``'s 20-bit digits biased by
+``_HALF``, the decoration index k, the base-4 markers.  The state walk sums
+a state's key over its corners and decoration k adds a fixed key; a digit
+moves by at most 2 per corner and 4 per decoration bit, so for m below
+2^16 no addition carries, and a site's keys sort as (Alexander vector,
+delta, k, markers).  ``euler_characteristics`` builds no generator: the
+frontier pass of ``nabla`` sums the states per site by Alexander vector
+and delta, and each decoration shifts such a term.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from operator import add
 from typing import NamedTuple, Optional
 
 from .diagram import Site, TangleDiagram, TangleError
 from .laurent import LaurentPoly
-from .nabla import _BITS, _HALF, _MASK, _bias, _frontier, _packing, check_site
-from .states import enumerate_states, site_of, state_codes
+from .nabla import _BITS, _HALF, _MASK, _bias, _frontier, check_site
+from .states import markers_of, sites_of_bits, walk_states
 
 
 class GradedGenerator(NamedTuple):
@@ -41,60 +46,63 @@ class GradedGenerator(NamedTuple):
     site: Site
 
 
-class Decoration(NamedTuple):
-    bits: tuple[int, ...]     # one per closed component, in component order
-    shift: tuple[int, ...]    # added to the doubled Alexander vector
-    h: int                    # added to h: the number of set bits
+class KeyLayout(NamedTuple):
+    colours: list[str]                # sorted by name
+    bits: list[tuple[int, ...]]       # decoration k's bits, in ``product`` order
+    dec_keys: list[int]               # decoration k's key, the bias included
+    m: int                            # the markers take the low 2m bits,
+    kbits: int                        # k the next kbits, then delta's digit;
+    at: list[int]                     # colour j's digit is at[j] bits above it
+
+    def grades(self, head: int) -> tuple[tuple[int, ...], int, int, int]:
+        """``(a2, delta2, h, k)`` of a generator's ``key >> 2m``."""
+        e = head >> self.kbits
+        a2 = tuple([(e >> at & _MASK) - _HALF for at in self.at])
+        delta2 = (e & _MASK) - _HALF
+        h, r = divmod(sum(a2) - 2 * delta2, 4)
+        if r:
+            raise TangleError("E_GRADING", "homological grading is not integral")
+        return a2, delta2, h, head & (1 << self.kbits) - 1
 
 
-def _h(total2: int, delta2: int) -> int:
-    """h from the sum of the doubled Alexander entries and the doubled delta."""
-    if (total2 - 2 * delta2) % 4:
-        raise TangleError("E_GRADING", "homological grading is not integral")
-    return (total2 - 2 * delta2) // 4
-
-
-def _split_check(d: TangleDiagram) -> None:
+def _layout(d: TangleDiagram) -> tuple[KeyLayout, list[tuple[int, ...]]]:
+    """The key layout and each corner's Alexander and delta codes as keys."""
     if d.split:
         raise TangleError("E_SPLIT", "no generators for a split diagram")
-
-
-def _decorations(d: TangleDiagram, colours: list[str]) -> list[Decoration]:
-    """The decorations in ``product`` order, each as its shifts: a set bit
-    adds 4 to its closed colour's doubled entry (over ``colours``) and 1
-    to h."""
-    closed = [colours.index(c.colour) for c in d.components if c.kind == "closed"]
-    out = []
-    for bits in product((0, 1), repeat=len(closed)):
-        shift = [0] * len(colours)
-        for i, bit in zip(closed, bits):
-            shift[i] += 4 * bit
-        out.append(Decoration(bits, tuple(shift), sum(bits)))
-    return out
-
-
-def graded_rows(d: TangleDiagram):
-    """``(colours, decorations, rows)``: the colours, sorted; the
-    decorations; and per state in lex order the row ``(markers, a2,
-    delta2, h, site)`` of its undecorated generator, where ``a2`` is the
-    doubled Alexander vector over the colours."""
-    _split_check(d)
     colours = sorted(d.colours())
-    rows = []
-    for x in enumerate_states(d):
-        exp2, _, delta2 = state_codes(d, x)
-        a2 = tuple([exp2.get(c, 0) for c in colours])
-        rows.append((x, a2, delta2, _h(sum(a2), delta2), site_of(d, x)))
-    return colours, _decorations(d, colours), rows
+    closed = [colours.index(c.colour) for c in d.components if c.kind == "closed"]
+    bits = list(product((0, 1), repeat=len(closed)))
+    m, kbits = len(d.crossings), (len(bits) - 1).bit_length()
+    at = [_BITS * j for j in range(len(colours), 0, -1)]
+    low, digit = 2 * m + kbits, dict(zip(colours, at))
+    base = _bias(len(colours) + 1) << low
+    dec_keys = [base + (sum(4 * b << at[i] for i, b in zip(closed, bs)) << low) + (k << 2 * m)
+                for k, bs in enumerate(bits)]
+    codes = [tuple((c.delta2 + sum(e << digit[v] for v, e in c.exp2)) << low for c in row)
+             for row in d.quadrants]
+    return KeyLayout(colours, bits, dec_keys, m, kbits, at), codes
+
+
+def generator_keys(d: TangleDiagram) -> tuple[KeyLayout, list[tuple[int, int]]]:
+    """The key layout and, per state in lex order, ``(row, occupied)``: the
+    keys of its generators are ``row + layout.dec_keys[k]``, and
+    ``states.sites_of_bits`` reads its site off ``occupied``."""
+    layout, codes = _layout(d)
+    return layout, [(e + x, occupied) for x, e, occupied in walk_states(d, codes)]
 
 
 def generator_gradings(d: TangleDiagram) -> list[GradedGenerator]:
     """All graded generators, one per (state, decoration) pair: states in
     lex order, decorations in ``product`` order."""
-    colours, decorations, rows = graded_rows(d)
-    return [GradedGenerator(x, dec.bits, tuple(zip(colours, map(add, a2, dec.shift))),
-                            delta2, h + dec.h, s)
-            for x, a2, delta2, h, s in rows for dec in decorations]
+    layout, rows = generator_keys(d)
+    sites, m = sites_of_bits(d, {occupied for _, occupied in rows}), layout.m
+    out = []
+    for row, occupied in rows:
+        x = markers_of(row & (1 << 2 * m) - 1, m)
+        for a2, delta2, h, k in (layout.grades((row + dk) >> 2 * m) for dk in layout.dec_keys):
+            out.append(GradedGenerator(x, layout.bits[k], tuple(zip(layout.colours, a2)),
+                                       delta2, h, sites[occupied]))
+    return out
 
 
 def euler_by_site(gens: list[GradedGenerator], sites: list[Site]) -> dict[Site, LaurentPoly]:
@@ -126,54 +134,36 @@ def euler_characteristics(d: TangleDiagram,
     """The graded Euler characteristic at every site (only at ``s``, if
     given), equal to ``euler_by_site(generator_gradings(d), sites)``.
 
-    One frontier pass packs the delta codes in place of the h codes, so
-    each term is a doubled Alexander vector A and delta2, with its number
-    of states and the least of them.  Its undecorated generators have
-    h = (sum of A - 2 * delta2) / 4 and each decoration shifts A and h.
-    Summing the terms in the order of their least states, decorations in
-    ``product`` order and colours by name within a generator gives the
-    variable table of the generator-order sum: a variable first appears in
-    a generator whose state is the least one of its term.
+    One frontier pass sums the corner codes of ``generator_keys``, so each
+    term is a state's key without its markers, with its number of states
+    and the least of them.  A decoration's key reads as its shift of the
+    Alexander vector, delta 0 and h its number of set bits.  Summing the
+    terms in the order of their least states, decorations in ``product``
+    order and colours by name within a generator gives the variable table
+    of the generator-order sum: a variable first appears in a generator
+    whose state is the least one of its term.
     """
     if s is not None:
         check_site(d, s)
-    _split_check(d)
-    packed, shifts = _packing(d, "delta2")
-    colours = sorted(d.colours())
-    decorations = _decorations(d, colours)
-    digit = {v: _BITS * k for k, v in enumerate(packed, 1)}
-    ats = [digit.get(c) for c in colours]     # None: a colour at no crossing
-    bias = _bias(len(packed) + 1)
+    layout, codes = _layout(d)
+    base, shift = layout.dec_keys[0], 2 * layout.m      # dec_keys[0]: the bias alone
+    decorations = [layout.grades(dk >> shift) for dk in layout.dec_keys]
     out = {}
-    for site, terms in _frontier(d, s, shifts).items():
+    for site, terms in _frontier(d, s, codes).items():
         monomials = []
-        for _, e, c in sorted((least, e + bias, c) for e, (c, least) in terms.items()):
-            a2 = [0 if at is None else (e >> at & _MASK) - _HALF for at in ats]
-            if _h(sum(a2), (e & _MASK) - _HALF) % 2:
-                c = -c
-            for dec in decorations:
-                monomials.append((-c if dec.h % 2 else c,
-                                  [(v, x) for v, x in zip(colours, map(add, a2, dec.shift))
-                                   if x]))
+        for _, e, c in sorted((least, e, c) for e, (c, least) in terms.items()):
+            a2, _, h, _ = layout.grades((base + e) >> shift)
+            for shift_k, _, h_k, _ in decorations:
+                a2_k = map(add, a2, shift_k)
+                monomials.append((-c if (h + h_k) % 2 else c,
+                                  [(v, x) for v, x in zip(layout.colours, a2_k) if x]))
         out[site] = LaurentPoly.sum(monomials)
     return {t: out.get(t, LaurentPoly.zero()) for t in (d.sites() if s is None else [s])}
 
 
 def poincare_table(d: TangleDiagram, s: Site | None = None):
     """Grouped counts of generators by (site, Alexander vector, delta, h)."""
-    rows: dict[tuple, int] = {}
-    for g in generator_gradings(d):
-        if s is not None and g.site != s:
-            continue
-        key = (str(g.site), g.alexander2, g.delta2, g.h)
-        rows[key] = rows.get(key, 0) + 1
-    table = []
-    for (site, a2, d2, h), count in sorted(rows.items()):
-        table.append({
-            "site": site,
-            "alexander": {v: e / 2 for v, e in a2},
-            "delta": d2 / 2,
-            "h": h,
-            "count": count,
-        })
-    return table
+    rows = Counter((str(g.site), g.alexander2, g.delta2, g.h)
+                   for g in generator_gradings(d) if s is None or g.site == s)
+    return [{"site": site, "alexander": {v: e / 2 for v, e in a2}, "delta": d2 / 2,
+             "h": h, "count": count} for (site, a2, d2, h), count in sorted(rows.items())]

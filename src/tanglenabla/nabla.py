@@ -22,8 +22,8 @@ by its first ``(crossing, slot of corner.exp2)`` in that state, and h comes
 last if any state has a non-zero h exponent.  ``eval_h`` keeps the table, so
 a colour whose terms cancel at h = -1 stays in it.
 
-The same pass gives the graded Euler characteristics of ``gradings`` when
-digit 0 packs the doubled delta code in place of h (``_packing``).
+``gradings`` runs the same pass on its generator keys' corner codes (the
+Alexander and delta digits) for the graded Euler characteristics.
 """
 
 from __future__ import annotations
@@ -33,21 +33,18 @@ from typing import Optional
 
 from .diagram import Site, TangleDiagram, TangleError
 from .laurent import H, LaurentError, LaurentPoly, binomial
-from .states import walk_tables
+from .states import sites_of_bits, walk_tables
 
 _BITS = 20
 _MASK = (1 << _BITS) - 1
 _HALF = 1 << (_BITS - 1)
 
 
-def _packing(d: TangleDiagram, digit: str = "h2") -> tuple[list[str], list[tuple[int, ...]]]:
+def _packing(d: TangleDiagram) -> tuple[list[str], list[tuple[int, ...]]]:
     """The colour of each digit from 1 on, in the order the corner codes name
-    them, and, per crossing, each corner's packed monomial.  Digit 0 packs
-    the corner code ``digit``: h2 for the state sums, delta2 for the Euler
-    characteristics of ``gradings``."""
+    them, and, per crossing, each corner's packed monomial (h2 in digit 0)."""
     at: dict[str, int] = {}
-    shifts = [tuple(getattr(c, digit) + sum(e << _BITS * at.setdefault(v, len(at) + 1)
-                                            for v, e in c.exp2)
+    shifts = [tuple(c.h2 + sum(e << _BITS * at.setdefault(v, len(at) + 1) for v, e in c.exp2)
                     for c in row) for row in d.quadrants]
     return list(at), shifts
 
@@ -95,9 +92,8 @@ def _frontier(d: TangleDiagram, s: Optional[Site],
     children.cache_clear()   # it refers to itself: free the memo now
     if s is not None:
         return {s: terms for terms in frontier.values()}
-    arcs = [(k, r.rid) for k, r in enumerate(d.regions) if r.kind == "open"]
-    return {Site(frozenset(a for k, a in arcs if key >> k & 1)): terms
-            for key, terms in frontier.items()}
+    sites = sites_of_bits(d, frontier)
+    return {sites[key]: terms for key, terms in frontier.items()}
 
 
 def _decode(d: TangleDiagram, names: list[str], terms: dict[int, list[int]]) -> LaurentPoly:

@@ -6,11 +6,11 @@ open region at most once.  For a connected diagram with n open strands
 this forces exactly n-1 occupied open regions.  A state is its marker
 tuple: entry i is the quadrant (0..3) that holds the marker of crossing i.
 
-``enumerate_states`` walks the crossings in index order with a memo that
-says whether the crossings still to place can complete a state, so it
-enters no branch that ends without one and yields the states in lex order.
-``walk_tables`` builds the walk's tables and memo; the frontier pass of
-``nabla`` runs on the same ones.
+``walk_states`` is the one enumerator, a walk over the crossings in index
+order that meets the states in lex order and adds up the corner codes it
+is given; ``enumerate_states``, the ``gradings`` keys and the ``states``
+command read it.  ``walk_tables`` builds its tables and memo; the frontier
+pass of ``nabla`` runs on the same ones.
 """
 
 from __future__ import annotations
@@ -68,54 +68,58 @@ def walk_tables(d: TangleDiagram, s: Site | None = None):
     return bits, live, filled & live[0], children
 
 
-def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[tuple[int, ...]]:
-    """All generalised Kauffman states, sorted by their marker vectors; with
-    a site ``s``, only the states at ``s``.
+def walk_states(d: TangleDiagram, codes=None, s: Site | None = None):
+    """Per state in lex order (only those at ``s``, if given), three ints:
+    its markers (crossing i in base-4 digit m-1-i), the sum of
+    ``codes[i][q]`` over its corners (0 without codes) and the bits of the
+    open regions it occupies (see ``sites_of_bits``).
 
-    The walk places crossings 0..m-1 in index order, trying quadrants 0..3
-    at each, with region sets held as int bitmasks (see ``walk_tables``).
-    It enters a child only if the memo keyed by ``(i, filled & live[i])``
-    says the crossings from i on can still be placed, so every branch
-    entered ends in a state, in lex order.  Split diagrams have no states.
+    The walk tries quadrants 0..3 at each crossing and enters a child only
+    if the memo of ``walk_tables`` says the crossings after it can still be
+    placed, so every branch ends in a state.  Split diagrams have none.
     """
     tables = walk_tables(d, s)
     if tables is None:
         return []
     bits, _, start, children = tables
     m = len(bits)
-    out: list[tuple[int, ...]] = []
-    markers = [0] * m
+    codes = codes or [(0, 0, 0, 0)] * m
+    keep = sum(1 << k for k, r in enumerate(d.regions) if r.kind == "open")
+    opens = [tuple(b & keep for b in row) for row in bits]
+    out: list[tuple[int, int, int]] = []
 
-    def walk(i: int, key: int) -> None:
+    def walk(i: int, key: int, x: int, e: int, occupied: int) -> None:
         if i == m:
-            out.append(tuple(markers))
+            out.append((x, e, occupied))
             return
+        row, ob = codes[i], opens[i]
         for q, nxt in children(i, key):
-            markers[i] = q
-            walk(i + 1, nxt)
+            walk(i + 1, nxt, 4 * x + q, e + row[q], occupied | ob[q])
 
-    walk(0, start)
+    walk(0, start, 0, 0, 0)
     children.cache_clear()   # it refers to itself: free the memo now, not at the next gc
     return out
+
+
+def markers_of(x: int, m: int) -> tuple[int, ...]:
+    """The marker tuple of the base-4 marker code x of an m-crossing state."""
+    return tuple([x >> k & 3 for k in range(2 * m - 2, -1, -2)])
+
+
+def sites_of_bits(d: TangleDiagram, masks) -> dict[int, Site]:
+    """The site of each open-region bitmask in ``masks``."""
+    arcs = [(k, r.rid) for k, r in enumerate(d.regions) if r.kind == "open"]
+    return {b: Site(frozenset(a for k, a in arcs if b >> k & 1)) for b in masks}
+
+
+def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[tuple[int, ...]]:
+    """All generalised Kauffman states, sorted by their marker vectors; with
+    a site ``s``, only the states at ``s``.  Split diagrams have none."""
+    m = len(d.crossings)
+    return [markers_of(x, m) for x, _, _ in walk_states(d, s=s)]
 
 
 def site_of(d: TangleDiagram, x: tuple[int, ...]) -> Site:
     """The set of open regions (named by their arcs) occupied by x."""
     occupied = frozenset(row[q].region for row, q in zip(d.quadrants, x))
     return Site(occupied & d.open_regions)
-
-
-def state_codes(d: TangleDiagram, x: tuple[int, ...]) -> tuple[dict[str, int], int, int]:
-    """The quadrant codes of ``TangleDiagram.quadrants`` summed over x: the
-    doubled colour exponents (in first-appearance order: crossing order,
-    the under colour before the over colour), the doubled h exponent and
-    the doubled delta grading."""
-    exp2: dict[str, int] = {}
-    h2 = delta2 = 0
-    for row, q in zip(d.quadrants, x):
-        corner = row[q]
-        for v, e in corner.exp2:
-            exp2[v] = exp2.get(v, 0) + e
-        h2 += corner.h2
-        delta2 += corner.delta2
-    return exp2, h2, delta2

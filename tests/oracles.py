@@ -7,13 +7,15 @@ empty-site polynomial of 2-ended tangles is checked against a
 crossing-switch resolution that only knows the skein identity, descending
 diagrams and split detection.  The right-hand side of the glueing formula
 is summed by a scan of every site pair per target site.  ``rescan_euler``
-and ``gradings_output`` work from the generator list: the graded Euler
+and ``gradings_output`` work from a generator list: the graded Euler
 characteristic as a running sum over it, and the ``gradings`` command's
 stdout as the sorted list written by ``json.dumps`` or line by line.
 
-One oracle sits between brute force and the frontier pass of ``nabla``:
-``state_sum_nabla_hat`` enumerates the states with the index-order walk
-and sums the quadrant codes of each one, grouping the states by site.
+Two oracles sit between brute force and the fast paths: they enumerate the
+states with the index-order walk and sum the quadrant codes of each one
+(``state_codes``).  ``state_sum_nabla_hat`` groups the states by site, for
+the frontier pass of ``nabla``; ``rescan_generators`` lists the generators
+state by state with ``site_of``, for the packed keys of ``gradings``.
 
 ``canonicalize``, ``canonical_form`` and ``isomorphic`` compare diagrams up
 to relabelling of edges and crossings, for the transform tests.
@@ -30,8 +32,9 @@ from typing import Optional
 
 from tanglenabla import transform as tr
 from tanglenabla.diagram import Crossing, Site, TangleDiagram, TangleError, serialize
+from tanglenabla.gradings import GradedGenerator
 from tanglenabla.laurent import H, LaurentPoly, binomial
-from tanglenabla.states import enumerate_states, site_of, state_codes
+from tanglenabla.states import enumerate_states, site_of
 
 
 def _region_tables(d: TangleDiagram):
@@ -126,6 +129,22 @@ def brute_force_nabla_hat(d: TangleDiagram) -> dict[Site, LaurentPoly]:
     return out
 
 
+def state_codes(d: TangleDiagram, x: tuple[int, ...]) -> tuple[dict[str, int], int, int]:
+    """The quadrant codes of ``TangleDiagram.quadrants`` summed over x: the
+    doubled colour exponents (in first-appearance order: crossing order,
+    the under colour before the over colour), the doubled h exponent and
+    the doubled delta grading."""
+    exp2: dict[str, int] = {}
+    h2 = delta2 = 0
+    for row, q in zip(d.quadrants, x):
+        corner = row[q]
+        for v, e in corner.exp2:
+            exp2[v] = exp2.get(v, 0) + e
+        h2 += corner.h2
+        delta2 += corner.delta2
+    return exp2, h2, delta2
+
+
 def state_sum(d: TangleDiagram, states: list[tuple[int, ...]]) -> LaurentPoly:
     """The sum of the state monomials, one per state in the given order; a
     colour whose exponent sums to 0 over a state is left out of that
@@ -170,6 +189,27 @@ def brute_force_gradings(d: TangleDiagram) -> list[tuple]:
                 a2_bits[colour] += 4 * bit
             out.append((markers, bits, tuple(sorted(a2_bits.items())), delta2))
     return sorted(out)
+
+
+def rescan_generators(d: TangleDiagram) -> list[GradedGenerator]:
+    """The generators in generator order (states in lex order, decorations
+    in ``product`` order), each state's gradings re-summed from its corners
+    by ``state_codes`` and its site taken by ``site_of``."""
+    colours = sorted(d.colours())
+    closed = [c.colour for c in d.components if c.kind == "closed"]
+    out = []
+    for x in enumerate_states(d):
+        exp2, _, delta2 = state_codes(d, x)
+        s = site_of(d, x)
+        for bits in product((0, 1), repeat=len(closed)):
+            a2 = {c: exp2.get(c, 0) for c in colours}
+            for colour, bit in zip(closed, bits):
+                a2[colour] += 4 * bit
+            total = sum(a2.values()) - 2 * delta2
+            if total % 4:
+                raise TangleError("E_GRADING", "homological grading is not integral")
+            out.append(GradedGenerator(x, bits, tuple(a2.items()), delta2, total // 4, s))
+    return out
 
 
 def rescan_euler(gens, s: Site) -> LaurentPoly:

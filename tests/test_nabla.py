@@ -4,11 +4,11 @@ from tanglenabla.diagram import Site, TangleError, parse_tangle
 from tanglenabla.laurent import LaurentPoly, binomial
 from tanglenabla.nabla import (conway_potential, nabla_all, nabla_at_site,
                                nabla_hat, nabla_hat_all)
-from tanglenabla.states import enumerate_states, site_of, state_codes
+from tanglenabla.states import enumerate_states, site_of
 from tanglenabla import transform as tr
 
 from conftest import load, seeded_diagrams
-from oracles import conway_skein
+from oracles import conway_skein, state_codes
 
 
 def H(coef, **exp2):

@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from itertools import product
 
 from . import corpus
 from .diagram import Site, TangleError, compute_regions, parse_tangle, serialize
@@ -77,11 +78,21 @@ def _cmd_states(args):
     _sites(d)
     rows = walk_states(d)
     sites = sites_of_bits(d, {occupied for _, _, occupied in rows})
-    states = [(markers_of(x, len(d.crossings)), sites[occupied]) for x, _, occupied in rows]
-    lines = [" ".join(f"x{i + 1}:q{q}" for i, q in enumerate(x)) + f"  site {s}"
-             for x, s in states]
-    data = [{"markers": list(x), "site": sorted(s.arcs)} for x, s in states]
-    _emit(args, lines, {"diagram": d.name, "states": data})
+    m = len(d.crossings)
+    if args.format == "json":
+        if not rows:
+            _emit(args, [], {"diagram": d.name, "states": []})
+            return 0
+        tails = _tails(m)
+        tail = {b: tails(_site_json(s)) for b, s in sites.items()}
+        chunks = ["    {\n" + tail[occupied](x) for x, _, occupied in rows]
+        chunks[-1] = chunks[-1][:-2]                    # no comma after the last
+        sys.stdout.writelines(['{\n  "diagram": %s,\n  "states": [\n' % json.dumps(d.name),
+                               *chunks, "\n  ]\n}\n"])
+        return 0
+    lines = [" ".join(f"x{i + 1}:q{q}" for i, q in enumerate(markers_of(x, m)))
+             + f"  site {sites[occupied]}" for x, _, occupied in rows]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -125,75 +136,99 @@ def _json_block(items: list[str], brackets: str) -> str:
     return f"{brackets[0]}\n        " + ",\n        ".join(items) + f"\n      {brackets[1]}"
 
 
+def _site_json(s: Site) -> str:
+    return _json_block([json.dumps(a) for a in sorted(s.arcs)], "[]")
+
+
 # a generator's JSON text: a head fixed by its key >> 2m, then a tail
+# (``_tails``) fixed by its state; in ``states``, a state is "    {" and a tail
 _HEAD = """    {
       "alexander2": %s,
       "delta2": %d,
       "h": %d,
       "ladybug_bits": %s,
 """
-_TAIL = """      "markers": %s,
-      "site": %s
-    },
-"""
+
+
+def _tails(m: int):
+    """``tails(site)``: the function from the base-4 marker code of an
+    m-crossing state at the site whose JSON text is ``site`` to its tail,
+    the markers and the site closed with a comma, as json.dumps(indent=2,
+    sort_keys=True) lays out the end of a generator or a state.
+
+    The markers are read a byte of the code (four markers) at a time from
+    a table of 256 rendered pieces; the leading m % 4 markers, if any, have
+    their own smaller table."""
+    end = '      "site": %s\n    },\n'
+    if not m:
+        def empty(site):
+            tail = '      "markers": [],\n' + end % site
+            return lambda x: tail
+        return empty
+    sep = ",\n        "
+    lead = 8 * ((m - 1) // 4)                    # the bits below the leading piece
+    width = m - lead // 2
+    top = list(map(sep.join, product("0123", repeat=width)))
+    byte = list(map(sep.join, product("0123", repeat=4)))
+    shifts = range(lead - 8, -1, -8)
+
+    def tails(site):
+        pre, post = '      "markers": [\n        ', "\n      ],\n" + end % site
+        return lambda x: (pre + sep.join([top[x >> lead], *[byte[x >> k & 255] for k in shifts]])
+                          + post)
+    return tails
 
 
 def _json_site(layout):
-    """``chunk(s, keys)``: the JSON text of site s's generators, given by
-    their sorted keys (``gradings.generator_keys``), each with a comma after
-    it, byte for byte as ``json.dumps(indent=2, sort_keys=True)`` lays them
-    out in the gradings payload.  The generic encoder runs in pure Python
-    under ``indent`` and took most of the op; this fills the templates
-    instead, each head once per diagram and each tail once per state.
+    """``chunk(s, groups)``: the JSON text of site s's generators, each with
+    a comma after it, byte for byte as ``json.dumps(indent=2,
+    sort_keys=True)`` lays them out in the gradings payload.  ``groups``
+    maps a state's head without decoration to the marker codes of its
+    states in lex order (see ``KeyLayout.runs``).  The generic encoder runs
+    in pure Python under ``indent`` and took most of the op; this renders
+    each run's head once and each state's tail once (``_tails``), and
+    writes a run as ``head + head.join(tails)``.
     """
     labels = [json.dumps(c) + ": " for c in layout.colours]
     bits = [_json_block(list(map(str, b)), "[]") for b in layout.bits]
-    shift = 2 * layout.m
-    mask = (1 << shift) - 1
-    heads: dict[int, str] = {}
-    alex: dict[tuple, str] = {}
+    tails = _tails(layout.m)
+    alex: dict[int, str] = {}
 
-    def chunk(s, keys):
-        site = _json_block([json.dumps(a) for a in sorted(s.arcs)], "[]")
-        tails: dict[int, str] = {}
+    def chunk(s, groups):
+        tail = tails(_site_json(s))
+        group_tails = [list(map(tail, codes)) for codes in groups.values()]
         out = []
-        for key in keys:
-            head = heads.get(key >> shift)
-            if head is None:
-                a2, delta2, h, k = layout.grades(key >> shift)
-                a = alex.get(a2)
-                if a is None:
-                    a = alex[a2] = _json_block([f"{c}{e}" for c, e in zip(labels, a2)], "{}")
-                head = heads[key >> shift] = _HEAD % (a, delta2, h, bits[k])
-            tail = tails.get(key & mask)
-            if tail is None:
-                x = map(str, markers_of(key & mask, layout.m))
-                tail = tails[key & mask] = _TAIL % (_json_block(list(x), "[]"), site)
+        for packed, delta2, h, k, g in layout.runs(groups):
+            a = alex.get(packed)
+            if a is None:
+                a2 = layout.alexander(packed)
+                a = alex[packed] = _json_block([f"{c}{e}" for c, e in zip(labels, a2)], "{}")
+            head = _HEAD % (a, delta2, h, bits[k])
             out.append(head)
-            out.append(tail)
+            out.append(head.join(group_tails[g]))
         return "".join(out)
     return chunk
 
 
 def _text_site(layout):
-    """``chunk(s, keys)``: the text lines of site s's generators, as
-    ``_json_site`` takes them; a line has no markers, so one per head."""
+    """``chunk(s, groups)``: the text lines of site s's generators, as
+    ``_json_site`` takes them; a line has no markers, so a run is its
+    head's line once per state of its group."""
     labels = [f"{c}^" for c in layout.colours]
     bits = ["".join(map(str, b)) or "-" for b in layout.bits]
-    shift = 2 * layout.m
-    alex: dict[tuple, str] = {}
+    alex: dict[int, str] = {}
 
-    def chunk(s, keys):
-        lines: dict[int, str] = {}
-        for key in keys:
-            if key >> shift not in lines:
-                a2, delta2, h, k = layout.grades(key >> shift)
-                a = alex.get(a2)
-                if a is None:
-                    a = alex[a2] = " ".join(f"{c}{e / 2:+g}" for c, e in zip(labels, a2))
-                lines[key >> shift] = (f"site {s}  {a}  delta^{delta2 / 2:+g}  "
-                                       f"h={h}  bits={bits[k]}\n")
-        return "".join([lines[key >> shift] for key in keys])
+    def chunk(s, groups):
+        sizes = [len(codes) for codes in groups.values()]
+        out = []
+        for packed, delta2, h, k, g in layout.runs(groups):
+            a = alex.get(packed)
+            if a is None:
+                a2 = layout.alexander(packed)
+                a = alex[packed] = " ".join(f"{c}{e / 2:+g}" for c, e in zip(labels, a2))
+            out.append(f"site {s}  {a}  delta^{delta2 / 2:+g}  h={h}  bits={bits[k]}\n"
+                       * sizes[g])
+        return "".join(out)
     return chunk
 
 
@@ -207,13 +242,14 @@ def _cmd_gradings(args):
     if args.format == "json" and not rows:
         _emit(args, [], {"diagram": d.name, "generators": []})
         return 0
-    by_site: dict[int, list[int]] = {}
+    shift = 2 * layout.m
+    mask = (1 << shift) - 1
+    by_site: dict[int, dict[int, list[int]]] = {}
     for row, occupied in rows:
-        by_site.setdefault(occupied, []).append(row)
+        by_site.setdefault(occupied, {}).setdefault(row >> shift, []).append(row & mask)
     sites = sites_of_bits(d, by_site)
     chunk = (_json_site if args.format == "json" else _text_site)(layout)
-    chunks = [chunk(sites[b], sorted([r + dk for r in by_site[b] for dk in layout.dec_keys]))
-              for b in sorted(by_site, key=lambda b: str(sites[b]))]
+    chunks = [chunk(sites[b], by_site[b]) for b in sorted(by_site, key=lambda b: str(sites[b]))]
     if args.format == "json":
         chunks = ['{\n  "diagram": %s,\n  "generators": [\n' % json.dumps(d.name),
                   *chunks[:-1], chunks[-1][:-2], "\n  ]\n}\n"]   # no comma after the last

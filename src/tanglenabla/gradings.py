@@ -19,16 +19,19 @@ entries (colours by name) and delta as ``nabla``'s 20-bit digits biased by
 a state's key over its corners and decoration k adds a fixed key; a digit
 moves by at most 2 per corner and 4 per decoration bit, so for m below
 2^16 no addition carries, and a site's keys sort as (Alexander vector,
-delta, k, markers).  ``euler_characteristics`` builds no generator: the
-frontier pass of ``nabla`` sums the states per site by Alexander vector
-and delta, and each decoration shifts such a term.
+delta, k, markers).  The states of a site that share a head (the key
+without markers) form a group, and group g under decoration k is one run
+of generators with one set of gradings (``KeyLayout.runs``), so a site
+sorts and decodes groups times decorations heads, not generators.
+``euler_characteristics`` builds no generator either: the frontier pass of
+``nabla`` sums the states per site by Alexander vector and delta, and each
+decoration shifts such a term's packed Alexander digits.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import product
-from operator import add
 from typing import NamedTuple, Optional
 
 from .diagram import Site, TangleDiagram, TangleError
@@ -63,6 +66,34 @@ class KeyLayout(NamedTuple):
         if r:
             raise TangleError("E_GRADING", "homological grading is not integral")
         return a2, delta2, h, head & (1 << self.kbits) - 1
+
+    def alexander(self, alex: int) -> tuple[int, ...]:
+        """The doubled Alexander entries (colours by name) of the bits of a
+        key above delta's digit."""
+        return tuple([(alex >> at - _BITS & _MASK) - _HALF for at in self.at])
+
+    def runs(self, groups: dict[int, list]):
+        """One site's generators in key order, one run per head.
+
+        ``groups`` maps a state's head without decoration (``row >> 2m``,
+        see ``generator_keys``) to that group's states.  Yields ``(alex,
+        delta2, h, k, g)``: the gradings of group g (by position in
+        ``groups``) under decoration k, whose generators are the group's
+        states in lex order; ``alex`` is the packed Alexander vector (see
+        ``alexander``).  Heads of distinct runs differ, so the site sorts
+        one int per run, the group's head plus the decoration's; each group
+        is decoded once, and decoration k adds its number of set bits to h.
+        """
+        shift = 2 * self.m
+        dec = [dk >> shift for dk in self.dec_keys]     # bias, Alexander shift and k
+        grades = [self.grades(gh + dec[0])[1:3] for gh in groups]   # (delta2, h)
+        set_bits = [sum(b) for b in self.bits]
+        gb = len(grades).bit_length()
+        gmask, kmask, drop = (1 << gb) - 1, (1 << self.kbits) - 1, gb + self.kbits + _BITS
+        for key in sorted([gh + dh << gb | g for g, gh in enumerate(groups) for dh in dec]):
+            delta2, h = grades[key & gmask]
+            k = key >> gb & kmask
+            yield key >> drop, delta2, h + set_bits[k], k, key & gmask
 
 
 def _layout(d: TangleDiagram) -> tuple[KeyLayout, list[tuple[int, ...]]]:
@@ -136,28 +167,40 @@ def euler_characteristics(d: TangleDiagram,
 
     One frontier pass sums the corner codes of ``generator_keys``, so each
     term is a state's key without its markers, with its number of states
-    and the least of them.  A decoration's key reads as its shift of the
-    Alexander vector, delta 0 and h its number of set bits.  Summing the
-    terms in the order of their least states, decorations in ``product``
-    order and colours by name within a generator gives the variable table
-    of the generator-order sum: a variable first appears in a generator
-    whose state is the least one of its term.
+    and the least of them.  Each term is decoded once, for its h (and its
+    ``E_GRADING``); its Alexander digits stay packed, and decoration k adds
+    its packed shift to them and its number of set bits to h.  The term's
+    coefficient, signed by the parity of that h, goes to one int -> coef
+    map per site, terms in the order of their least states and decorations
+    in ``product`` order, so a key first enters the map at the first
+    generator with that Alexander vector.  Reading each distinct key once,
+    in that order, and colours by name within a key, gives the variable
+    table of the generator-order sum: a colour first appears in a generator
+    whose state is the least one of its term, and stays when its terms
+    cancel.
     """
     if s is not None:
         check_site(d, s)
     layout, codes = _layout(d)
     base, shift = layout.dec_keys[0], 2 * layout.m      # dec_keys[0]: the bias alone
-    decorations = [layout.grades(dk >> shift) for dk in layout.dec_keys]
+    drop = shift + layout.kbits + _BITS                 # below the colour digits
+    decorations = [(dk - base >> drop, sum(bs)) for dk, bs in zip(layout.dec_keys, layout.bits)]
     out = {}
     for site, terms in _frontier(d, s, codes).items():
-        monomials = []
+        acc: dict[int, int] = {}
         for _, e, c in sorted((least, e, c) for e, (c, least) in terms.items()):
-            a2, _, h, _ = layout.grades((base + e) >> shift)
-            for shift_k, _, h_k, _ in decorations:
-                a2_k = map(add, a2, shift_k)
-                monomials.append((-c if (h + h_k) % 2 else c,
-                                  [(v, x) for v, x in zip(layout.colours, a2_k) if x]))
-        out[site] = LaurentPoly.sum(monomials)
+            h = layout.grades((base + e) >> shift)[2]
+            alex = base + e >> drop
+            for dk, h_k in decorations:
+                acc[alex + dk] = acc.get(alex + dk, 0) + (-c if (h + h_k) % 2 else c)
+        rows = [(layout.alexander(alex), c) for alex, c in acc.items()]
+        found: dict[int, None] = {}         # colour indices, in first-appearance order
+        for a2, _ in rows:
+            if len(found) == len(a2):
+                break
+            found.update(dict.fromkeys(j for j, e in enumerate(a2) if e))
+        out[site] = LaurentPoly([layout.colours[j] for j in found],
+                                {tuple([a2[j] for j in found]): c for a2, c in rows})
     return {t: out.get(t, LaurentPoly.zero()) for t in (d.sites() if s is None else [s])}
 
 

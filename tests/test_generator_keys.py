@@ -8,12 +8,13 @@ the walk's region bits, against its rendering state by state with
 import io
 import json
 import random
+from collections import Counter
 from contextlib import redirect_stdout
 
 from hypothesis import given, settings, strategies as st
 
 import tanglenabla
-from tanglenabla import cli, gradings, states
+from tanglenabla import cli, gradings, states, transform as tr
 from tanglenabla.diagram import Site
 from tanglenabla.gradings import generator_gradings, generator_keys
 from tanglenabla.states import enumerate_states, site_of
@@ -45,7 +46,8 @@ def _cli(monkeypatch, d, *argv):
 
 def _check(monkeypatch, d, brute=False):
     """generator_gradings(d) and both formats of ``gradings`` against the
-    rescan (and the brute force); returns the rescan's generators."""
+    rescan (and the brute force), and both formats of ``states`` against
+    their rendering state by state; returns the rescan's generators."""
     want = rescan_generators(d)
     assert generator_gradings(d) == want, d.name
     if brute:
@@ -54,12 +56,23 @@ def _check(monkeypatch, d, brute=False):
     for fmt in ("json", "text"):
         assert _cli(monkeypatch, d, "--format", fmt, "gradings") == \
             (0, gradings_output(d.name, want, fmt)), (d.name, fmt)
+        assert _cli(monkeypatch, d, "--format", fmt, "states") == \
+            (0, _states_output(d, fmt)), (d.name, fmt)
     return want
+
+
+def _largest_group(d):
+    """The most states of one site that share a head (gradings without
+    decoration): the writer renders such a group's head once per
+    decoration and writes its states as one run."""
+    layout, rows = generator_keys(d)
+    return max(Counter((row >> 2 * layout.m, occupied) for row, occupied in rows).values())
 
 
 def test_gradings_match_the_rescan_on_grown_diagrams(monkeypatch):
     diagrams = [_grown(seed) for seed in GROWN]
     gens = [g for d in diagrams for g in _check(monkeypatch, d)]
+    assert min(map(_largest_group, diagrams)) >= 2
     assert sorted(d.m_closed for d in diagrams) == [0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5]
     assert {2 * d.n_open for d in diagrams} == {2, 4, 6, 8}
     assert max(len(d.crossings) for d in diagrams) == 16
@@ -74,12 +87,24 @@ def test_gradings_match_the_brute_force(monkeypatch, corpus_names):
     rng = random.Random(2026)
     diagrams += [random_diagram(rng, ends, rng.randint(1, 6))
                  for _ in range(20) for ends in (2, 4, 6, 8)]
-    checked = set()
+    checked, widths = set(), set()
     for d in diagrams:
         if not d.split and len(d.crossings) <= 6:
             _check(monkeypatch, d, brute=True)
             checked.add((2 * d.n_open, d.m_closed > 0))
+            widths.add(len(d.crossings) % 4)
     assert {(n, c) for n in (2, 4, 6, 8) for c in (False, True)} <= checked, checked
+    # the leading piece of the markers' table holds m % 4 markers (4 for 0)
+    assert widths == {0, 1, 2, 3}, widths
+
+
+def test_gradings_of_a_bare_arc(monkeypatch):
+    # no crossing: one state, whose markers are an empty list
+    d = tr.rm1_remove(tr.close_tangle(load("crossing_pos"), "a"), 0)
+    assert not d.crossings and not d.split
+    assert [g.markers for g in _check(monkeypatch, d, brute=True)] == [()]
+    code, out = _cli(monkeypatch, d, "--format", "json", "gradings")
+    assert [g["markers"] for g in json.loads(out)["generators"]] == [[]]
 
 
 def test_gradings_match_the_rescan_on_hypothesis_diagrams(monkeypatch):

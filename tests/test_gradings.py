@@ -247,21 +247,44 @@ def _brute_force_generators(d):
             for x, bits, a2, delta2 in brute_force_gradings(d)]
 
 
+def _first_set_by_a_decoration(d, gens, s):
+    """The closed colours whose first non-zero Alexander entry at s, in
+    generator order, is a decoration's 4 over a zero entry of the state."""
+    closed = [c.colour for c in d.components if c.kind == "closed"]
+    first = {}
+    for g in gens:
+        if g.site == s:
+            a2 = dict(g.alexander2)
+            for c, bit in zip(closed, g.ladybug_bits):
+                if a2[c]:
+                    first.setdefault(c, bit and a2[c] == 4)
+    return {c for c, by_decoration in first.items() if by_decoration}
+
+
 def _frontier_euler_matches_generators(d, brute=False):
     """The frontier Euler characteristics, of every site at once and of
     each site alone, against the one-pass sum over the generator list and
-    the running rescan of it (and of the brute-force generators)."""
+    the running rescan of it (and of the brute-force generators).  Returns
+    what the sites exercised: "cancelled" if a variable stays in a table
+    with no non-zero exponent left, "decoration" if a decoration's shift
+    first registers a closed colour."""
     gens = generator_gradings(d)
     sites = d.sites()
     listed = euler_by_site(gens, sites)
     frontier = euler_characteristics(d)
     assert list(frontier) == sites
+    seen = set()
     for s in sites:
         want = rescan_euler(gens, s)
         if brute:
             _same(rescan_euler(_brute_force_generators(d), s), want, (d.name, str(s)))
         for got in (frontier[s], euler_characteristics(d, s)[s], listed[s]):
             _same(got, want, (d.name, str(s)))
+        if any(not any(e[i] for e in want.terms) for i in range(len(want.vars))):
+            seen.add("cancelled")
+        if _first_set_by_a_decoration(d, gens, s):
+            seen.add("decoration")
+    return seen
 
 
 def test_frontier_euler_matches_the_generator_list(corpus_names):
@@ -271,12 +294,14 @@ def test_frontier_euler_matches_the_generator_list(corpus_names):
     kink = tr.close_tangle(load("crossing_pos"), "a")
     diagrams.append(tr.rm1_remove(kink, 0))
     assert not diagrams[-1].crossings
+    seen = set()
     for d in diagrams:
         if not d.split:
-            _frontier_euler_matches_generators(d)
+            seen |= _frontier_euler_matches_generators(d)
     # up to 4 closed components, so up to 16 decorations per state
     assert sum(d.m_closed >= 3 for d in diagrams if not d.split) >= 8
     assert max(d.m_closed for d in diagrams if not d.split) == 4
+    assert seen == {"cancelled", "decoration"}, seen
 
 
 def test_frontier_euler_matches_the_generator_list_on_hypothesis_diagrams():

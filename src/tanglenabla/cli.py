@@ -22,7 +22,7 @@ from .gradings import euler_characteristics, generator_keys
 from .laurent import LaurentError
 from .nabla import (check_site, conway_potential, nabla_all, nabla_at_site,
                     nabla_hat, nabla_hat_all)
-from .states import markers_of, sites_of_bits, walk_states
+from .states import sites_of_bits, walk_states
 from .transform import (close_tangle, glue_diagrams, mirror_diagram,
                         mutate_tangle, reverse_orientation)
 from .verify import PROPERTIES, run_check
@@ -90,10 +90,28 @@ def _cmd_states(args):
         sys.stdout.writelines(['{\n  "diagram": %s,\n  "states": [\n' % json.dumps(d.name),
                                *chunks, "\n  ]\n}\n"])
         return 0
-    lines = [" ".join(f"x{i + 1}:q{q}" for i, q in enumerate(markers_of(x, m)))
-             + f"  site {sites[occupied]}" for x, _, occupied in rows]
-    sys.stdout.write("\n".join(lines) + "\n")
+    text = _marker_text(m)
+    site = {b: f"  site {s}" for b, s in sites.items()}
+    sys.stdout.write("\n".join([text(x) + site[occupied] for x, _, occupied in rows]) + "\n")
     return 0
+
+
+def _marker_text(m: int):
+    """``text(x)``: the markers of the base-4 marker code x of an m-crossing
+    state as the text of ``states`` lists them, ``x1:q<marker> x2:q<marker>
+    ...``.  Like ``_tails``, it reads a byte of the code (four markers) at a
+    time from a table of 256 rendered pieces, one table per position; the
+    leading m % 4 markers, if any, have their own smaller table."""
+    if not m:
+        return lambda x: ""
+    lead = 8 * ((m - 1) // 4)                    # the bits below the leading piece
+
+    def table(first: int, width: int) -> list[str]:
+        return list(map(" ".join, product(*[[f"x{i}:q{q}" for q in range(4)]
+                                            for i in range(first + 1, first + width + 1)])))
+    top = table(0, m - lead // 2)
+    pieces = [(k, table(m - 4 - k // 2, 4)) for k in range(lead - 8, -1, -8)]
+    return lambda x: " ".join([top[x >> lead], *[t[x >> k & 255] for k, t in pieces]])
 
 
 def _cmd_nabla(args):

@@ -25,9 +25,19 @@ is followed end to end: from a tail end across its edge (``alpha``) to the
 head end, then out through the opposite slot (s + 2) % 4 of that crossing;
 the components, and the pieces that decide whether the diagram is split,
 come from that one walk.  Face tracing keeps the region of every dart, which
-is what ``region_beside`` and the corners of ``quadrants`` read; a split
-diagram traces no faces, so it has no regions and no region beside any
-edge.  Renaming edges and reversing strands are ``Crossing.renamed`` and
+is what ``region_beside`` reads; a split diagram traces no faces, so it has
+no regions and no region beside any edge.
+
+The Alexander corner rule is stated once, as ``CORNER_RULE``: per crossing
+sign and quadrant, the doubled exponents of the under colour, the over
+colour and h, and the doubled delta.  ``corners`` holds the ints it reads per
+crossing (sign, under and over colour, region of each quadrant), and
+``corner_codes`` packs each corner into one int under weights its caller
+chooses; the state walk, the state sum and the gradings read those ints.
+``quadrants`` derives records with region and colour names from them, for
+the readers that want names.
+
+Renaming edges and reversing strands are ``Crossing.renamed`` and
 ``Crossing.reversed``, and ``Crossing.from_slots`` inverts ``slots``; the
 transforms and glueing use them rather than building crossings by hand.
 """
@@ -127,6 +137,22 @@ class Quadrant(NamedTuple):
     exp2: tuple[tuple[str, int], ...]   # doubled colour exponents, non-zero
     h2: int                             # doubled exponent of h
     delta2: int                         # doubled delta contribution
+
+
+# The Alexander corner rule, with slot 0 the under-in end and quadrant q
+# between slots q and q+1: per quadrant q of a positive crossing (row 0) and
+# of a negative one (row 1), the doubled exponents of the under colour u, the
+# over colour o and h, and the doubled delta grading.
+#
+# * u contributes u^{+1/2} on the two quadrants right of the under-strand
+#   (q0, q1) and u^{-1/2} on its left (q2, q3);
+# * o contributes o^{+1/2} left of the over-strand and o^{-1/2} on its right;
+# * the quadrant between both incoming ends (q3 at a positive crossing, q0
+#   at a negative one) carries h^{-sign};
+# * that quadrant and the opposite one, between both outgoing ends, add
+#   sign/2 to the delta grading.
+CORNER_RULE = (((1, -1, 0, 0), (1, 1, 0, 1), (-1, 1, 0, 0), (-1, -1, -2, 1)),
+               ((1, 1, 2, -1), (1, -1, 0, 0), (-1, -1, 0, -1), (-1, 1, 0, 0)))
 
 
 class UnionFind:
@@ -306,6 +332,7 @@ class TangleDiagram:
         for colour in self.free_circles:
             comps.append(Component(colour, "closed", ()))
         self.components = tuple(comps)
+        self._colours = tuple(dict.fromkeys(c.colour for c in comps))
         self.colour_of_edge = {e: c.colour for c in comps for e in c.edges}
         self.n_open = sum(1 for c in comps if c.kind == "open")
         self.m_closed = len(comps) - self.n_open
@@ -313,11 +340,8 @@ class TangleDiagram:
             raise TangleError("E_ORIENT", "boundary ends inconsistent with open strands")
 
     def colours(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for c in self.components:
-            if c.colour not in seen:
-                seen.append(c.colour)
-        return tuple(seen)
+        """The distinct strand colours, in component order."""
+        return self._colours
 
     def _classify_pieces(self) -> bool:
         """True if the diagram is connected; False if only closed pieces are
@@ -456,38 +480,54 @@ class TangleDiagram:
         return [Site(frozenset(c)) for c in combinations(labels, k)]
 
     @cached_property
+    def corners(self) -> tuple[tuple[int, ...], ...]:
+        """Per crossing, the ints that the corner rule (``CORNER_RULE``)
+        reads: ``(sign, u, o, r0, r1, r2, r3)``, with u and o the under and
+        over colours as indices into ``colours()`` and r_q the region of
+        quadrant q, the face of dart 4ci + (q + 1) % 4, as an index into
+        ``regions`` (-1 on a split diagram).  Built once, on first use."""
+        colour = {c: k for k, c in enumerate(self.colours())}
+        of_edge = self.colour_of_edge
+        if self.split:
+            region = [-1] * self.n_ends
+        else:
+            index = {r.rid: k for k, r in enumerate(self.regions)}
+            region = [index.get(rid, -1) for rid in self._region_of_dart]
+        return tuple([(c.sign, colour[of_edge[c.under[0]]], colour[of_edge[c.over[0]]],
+                       region[4 * ci + 1], region[4 * ci + 2], region[4 * ci + 3],
+                       region[4 * ci]) for ci, c in enumerate(self.crossings)])
+
+    def corner_codes(self, weight, h: int = 0, delta: int = 0) -> list[tuple[int, ...]]:
+        """Per crossing, each quadrant's code as one int: the doubled
+        exponents of ``CORNER_RULE`` times ``weight[u]``, ``weight[o]`` and
+        ``h``, plus its doubled delta times ``delta``.  The packers choose
+        the weights: ``nabla`` one digit per colour and h, ``gradings`` one
+        per colour and delta."""
+        rule = CORNER_RULE
+        return [tuple([eu * weight[u] + eo * weight[o] + eh * h + ed * delta
+                       for eu, eo, eh, ed in rule[sign < 0]])
+                for sign, u, o, *_ in self.corners]
+
+    def corner_exp2(self, ci: int, q: int) -> tuple[tuple[str, int], ...]:
+        """The non-zero doubled colour exponents of ``CORNER_RULE`` at
+        quadrant q of crossing ci, the under colour first."""
+        sign, u, o = self.corners[ci][:3]
+        eu, eo = CORNER_RULE[sign < 0][q][:2]
+        cols = self.colours()
+        if u == o:
+            return ((cols[u], eu + eo),) if eu + eo else ()
+        return ((cols[u], eu), (cols[o], eo))
+
+    @cached_property
     def quadrants(self) -> tuple[tuple[Quadrant, ...], ...]:
-        """Per crossing, its four corners in quadrant order.
-
-        Built once, on first use.  The Alexander codes, with slot 0 the
-        under-in end and quadrant q between slots q and q+1:
-
-        * the under colour u contributes u^{-1/2} on the two quadrants left
-          of the under-strand (q2, q3) and u^{+1/2} on its right (q0, q1);
-        * the over colour o contributes o^{+1/2} left of the over-strand and
-          o^{-1/2} on its right;
-        * the quadrant between both incoming ends (q3 at a positive
-          crossing, q0 at a negative one) carries h^{-sign};
-        * that quadrant and the opposite one, between both outgoing ends,
-          add sign/2 to the delta grading.
-        """
-        table = []
-        for ci, c in enumerate(self.crossings):
-            u = self.colour_of_edge[c.under[0]]
-            o = self.colour_of_edge[c.over[0]]
-            left_of_over = ((c.over_in_slot + 2) % 4, (c.over_in_slot + 3) % 4)
-            both_in = 3 if c.sign > 0 else 0
-            row = []
-            for q in range(4):
-                exp = {u: -1 if q in (2, 3) else 1}
-                exp[o] = exp.get(o, 0) + (1 if q in left_of_over else -1)
-                row.append(Quadrant(
-                    None if self.split else self._region_of_dart[4 * ci + (q + 1) % 4],
-                    tuple((v, e) for v, e in exp.items() if e),
-                    -2 * c.sign if q == both_in else 0,
-                    c.sign if q % 2 == both_in % 2 else 0))
-            table.append(tuple(row))
-        return tuple(table)
+        """Per crossing, its four corners in quadrant order, as records: a
+        view of ``corners`` and ``CORNER_RULE`` for the readers that want
+        region and colour names.  Built once, on first use."""
+        rids = [r.rid for r in self.regions]
+        return tuple([tuple([Quadrant(rids[r] if r >= 0 else None, self.corner_exp2(ci, q),
+                                      *CORNER_RULE[row[0] < 0][q][2:])
+                             for q, r in enumerate(row[3:])])
+                      for ci, row in enumerate(self.corners)])
 
     def __eq__(self, other):
         if not isinstance(other, TangleDiagram):

@@ -6,7 +6,7 @@ closed component contributes); a generator is one row, ``GradedGenerator``.
 Gradings are absolute sums of crossing-local contributions:
 
 * the Alexander vector and the delta grading sum the colour exponents and
-  delta contributions of the marked quadrants (``TangleDiagram.quadrants``),
+  delta contributions of the marked quadrants (``diagram.CORNER_RULE``),
 * a set decoration bit adds 2 to that closed colour's Alexander entry and
   leaves delta alone,
 
@@ -109,8 +109,7 @@ def _layout(d: TangleDiagram) -> tuple[KeyLayout, list[tuple[int, ...]]]:
     base = _bias(len(colours) + 1) << low
     dec_keys = [base + (sum(4 * b << at[i] for i, b in zip(closed, bs)) << low) + (k << 2 * m)
                 for k, bs in enumerate(bits)]
-    codes = [tuple((c.delta2 + sum(e << digit[v] for v, e in c.exp2)) << low for c in row)
-             for row in d.quadrants]
+    codes = d.corner_codes([1 << digit[c] + low for c in d.colours()], delta=1 << low)
     return KeyLayout(colours, bits, dec_keys, m, kbits, at), codes
 
 

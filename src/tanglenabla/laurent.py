@@ -4,6 +4,15 @@ Exponents are stored *doubled* as plain integers, so half-integer powers
 (which arise from the per-crossing codes) need no rational arithmetic.
 Coefficients are arbitrary-precision integers.  Values are immutable;
 every operation returns a fresh polynomial in canonical form.
+
+Canonical form: ``vars`` is a tuple of distinct names, colours in
+first-appearance order and the grading variables last (``_order_vars``),
+and ``terms`` holds no zero coefficient.  A variable may have no non-zero
+exponent left.  The constructor puts any table in that form; an operation
+whose table is already canonical (negation, ``eval_h`` and the ring
+operations, the state-sum decoder of ``nabla``) builds through
+``_canonical``, which checks nothing, and ``==`` compares the terms of two
+polynomials over the same table directly.
 """
 
 from __future__ import annotations
@@ -48,6 +57,17 @@ class LaurentPoly:
             vs = ordered
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c != 0})
+
+    @classmethod
+    def _canonical(cls, variables: tuple[str, ...],
+                   terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
+        """The polynomial of a table already in canonical form: ``variables``
+        in ``_order_vars`` order and no zero coefficient in ``terms``, which
+        the polynomial then owns.  Nothing is checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("LaurentPoly is immutable")
@@ -104,6 +124,17 @@ class LaurentPoly:
         n = len(pos)
         return cls(tuple(pos), {k + (0,) * (n - len(k)): c for k, c in terms.items()})
 
+    @classmethod
+    def add_all(cls, polys: list["LaurentPoly"]) -> "LaurentPoly":
+        """The sum of ``polys`` in one pass, with the variable table that a
+        left-to-right ``+`` fold from zero gives."""
+        vs = _order_vars(v for p in polys for v in p.vars)
+        acc: dict[tuple[int, ...], int] = {}
+        for p in polys:
+            for e, c in p._aligned_to(vs).items():
+                acc[e] = acc.get(e, 0) + c
+        return cls._canonical(vs, {e: c for e, c in acc.items() if c})
+
     # ------------------------------------------------------------------
     # alignment of variable tables
 
@@ -126,7 +157,9 @@ class LaurentPoly:
         return out
 
     def _union_vars(self, other: "LaurentPoly") -> tuple[str, ...]:
-        return _order_vars(list(self.vars) + list(other.vars))
+        if self.vars == other.vars:
+            return self.vars
+        return _order_vars(self.vars + other.vars)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -136,10 +169,10 @@ class LaurentPoly:
         terms = self._aligned_to(vs)
         for e, c in other._aligned_to(vs).items():
             terms[e] = terms.get(e, 0) + c
-        return LaurentPoly(vs, terms)
+        return LaurentPoly._canonical(vs, {e: c for e, c in terms.items() if c})
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -153,11 +186,13 @@ class LaurentPoly:
             for eb, cb in b.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
                 terms[key] = terms.get(key, 0) + ca * cb
-        return LaurentPoly(vs, terms)
+        return LaurentPoly._canonical(vs, {e: c for e, c in terms.items() if c})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if self.vars == other.vars:
+            return self.terms == other.terms
         vs = self._union_vars(other)
         a = {e: c for e, c in self._aligned_to(vs).items() if c}
         b = {e: c for e, c in other._aligned_to(vs).items() if c}
@@ -225,7 +260,7 @@ class LaurentPoly:
                 c = -c
             key = e[:i] + e[i + 1:]
             terms[key] = terms.get(key, 0) + c
-        return LaurentPoly(rest, terms)
+        return LaurentPoly._canonical(rest, {e: c for e, c in terms.items() if c})
 
     # ------------------------------------------------------------------
     # structure queries

@@ -2,7 +2,8 @@
 potential.
 
 The hatted site value ∇̂_s is the sum, over the Kauffman states at s, of
-the product of the per-crossing quadrant codes (``TangleDiagram.quadrants``).
+the product of the per-crossing corner codes (``diagram.CORNER_RULE``,
+packed by ``TangleDiagram.corner_codes``).
 The codes are local, so the sum is taken crossing by crossing: a forward
 pass over the crossings 0..m-1 keeps, per frontier key, the partial sum of
 every prefix state that reaches it, multiplies it by the corner monomial of
@@ -18,9 +19,10 @@ carries its coefficient, a count of states, and the least prefix state (a
 base-4 int, which orders like the marker vectors) that gives it.  The
 variable table is the one that summing the states in lex order gives: a
 colour ranks by the lex-least state in which its exponent is non-zero, then
-by its first ``(crossing, slot of corner.exp2)`` in that state, and h comes
-last if any state has a non-zero h exponent.  ``eval_h`` keeps the table, so
-a colour whose terms cancel at h = -1 stays in it.
+by its first ``(crossing, slot of corner_exp2)`` in that state, and h comes
+last if any state has a non-zero h exponent.  That table is canonical, so the
+decoder builds its polynomial without re-ordering it.  ``eval_h`` keeps the
+table, so a colour whose terms cancel at h = -1 stays in it.
 
 ``gradings`` runs the same pass on its generator keys' corner codes (the
 Alexander and delta digits) for the graded Euler characteristics.
@@ -41,12 +43,15 @@ _HALF = 1 << (_BITS - 1)
 
 
 def _packing(d: TangleDiagram) -> tuple[list[str], list[tuple[int, ...]]]:
-    """The colour of each digit from 1 on, in the order the corner codes name
-    them, and, per crossing, each corner's packed monomial (h2 in digit 0)."""
-    at: dict[str, int] = {}
-    shifts = [tuple(c.h2 + sum(e << _BITS * at.setdefault(v, len(at) + 1) for v, e in c.exp2)
-                    for c in row) for row in d.quadrants]
-    return list(at), shifts
+    """The colour of each digit from 1 on, in the order the crossings name
+    them (under colour before over colour), and, per crossing, each
+    corner's packed monomial (h2 in digit 0)."""
+    cols = d.colours()
+    order = dict.fromkeys(x for _, u, o, *_ in d.corners for x in (u, o))
+    weight = [0] * len(cols)
+    for k, c in enumerate(order, 1):
+        weight[c] = 1 << _BITS * k
+    return [cols[c] for c in order], d.corner_codes(weight, h=1)
 
 
 def _bias(n: int) -> int:
@@ -107,26 +112,32 @@ def _decode(d: TangleDiagram, names: list[str], terms: dict[int, list[int]]) -> 
     for _, e, _ in rows:
         used |= e ^ bias
     todo = {k for k in range(1, len(names)) if used >> (_BITS * k) & _MASK}
-    m = len(d.quadrants)
+    m = len(d.crossings)
     order = []
     for least, e, _ in rows:   # distinct terms have distinct least states
         if not todo:
             break
         new = {k for k in todo if (e ^ bias) >> (_BITS * k) & _MASK}
         if len(new) > 1:
-            # in the order of their first (crossing, slot of corner.exp2) here
-            seen = dict.fromkeys(v for ci, row in enumerate(d.quadrants)
-                                 for v, _ in row[least >> 2 * (m - 1 - ci) & 3].exp2)
-            order += [k for k in map(names.index, seen) if k in new]
+            # in the order of their first (crossing, slot of corner_exp2) here
+            first = []
+            for ci in range(m):
+                for v, _ in d.corner_exp2(ci, least >> 2 * (m - 1 - ci) & 3):
+                    k = names.index(v)
+                    if k in new and k not in first:
+                        first.append(k)
+                if len(first) == len(new):
+                    break
+            order += first
         else:
             order += new
         todo -= new
     if used & _MASK:
         order.append(0)   # h
     ats = [_BITS * k for k in order]
-    return LaurentPoly([names[k] for k in order],
-                       {tuple([(e >> at & _MASK) - _HALF for at in ats]): c
-                        for _, e, c in rows})
+    return LaurentPoly._canonical(tuple([names[k] for k in order]),
+                                  {tuple([(e >> at & _MASK) - _HALF for at in ats]): c
+                                   for _, e, c in rows})
 
 
 def nabla_hat_all(d: TangleDiagram) -> dict[Site, LaurentPoly]:

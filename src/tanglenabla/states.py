@@ -25,19 +25,19 @@ def walk_tables(d: TangleDiagram, s: Site | None = None):
     given), or None when there are none.
 
     Returns ``(bits, live, start, children)``: ``bits[i][q]`` is the region
-    bit of quadrant q at crossing i, ``live[i]`` holds the regions with a
-    corner at crossing i or later, ``start`` is the key at crossing 0 (the
-    open regions outside ``s`` filled) and ``children(i, key)`` lists the
-    ``(quadrant, next key)`` pairs at crossing i, for ``key = filled &
-    live[i]``, from which the remaining crossings can still be placed.  A
-    region that must be filled (a closed one, or an open one in ``s``) is
-    checked right after its last crossing.  ``children`` is a memo that
-    refers to itself: call ``children.cache_clear()`` when done.
+    bit of quadrant q at crossing i (read off ``TangleDiagram.corners``),
+    ``live[i]`` holds the regions with a corner at crossing i or later,
+    ``start`` is the key at crossing 0 (the open regions outside ``s``
+    filled) and ``children(i, key)`` lists the ``(quadrant, next key)``
+    pairs at crossing i, for ``key = filled & live[i]``, from which the
+    remaining crossings can still be placed.  A region that must be filled
+    (a closed one, or an open one in ``s``) is checked right after its last
+    crossing.  ``children`` is a memo that refers to itself: call
+    ``children.cache_clear()`` when done.
     """
     if d.split:
         return None
-    index = {r.rid: k for k, r in enumerate(d.regions)}
-    bits = [tuple(1 << index[corner.region] for corner in row) for row in d.quadrants]
+    bits = [tuple([1 << r for r in row[3:]]) for row in d.corners]
     must = filled = 0
     for k, r in enumerate(d.regions):
         if r.kind == "closed" or (s is not None and r.rid in s.arcs):

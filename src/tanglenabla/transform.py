@@ -10,9 +10,11 @@ validated TangleDiagram construction and no intermediate diagram:
 kink and bigon removal) by way of ``_Splicer.rebuild`` after merging edges.
 
 Glueing and capping are stated once, on unvalidated ``Shape`` records:
-``_glue_shapes`` pairs, checks and joins the ends and renames the edges;
-``_cap_shape`` joins two ends and merges their arcs.  ``glue_diagrams`` and
-``_cap`` add colours, arc maps and the outer region of a closed result.
+``_glue_ends`` pairs the ends and checks their orientations (random growth
+in ``verify`` reads it too), ``_glue_shapes`` joins the paired ends and
+renames the edges; ``_cap_shape`` joins two ends and merges their arcs.
+``glue_diagrams`` and ``_cap`` add colours, arc maps and the outer region of
+a closed result.
 
 Edge renaming (splicing, glueing) goes through ``Crossing.renamed`` and
 strand reversal (``reverse_orientation``, ``mutate_tangle``) through
@@ -340,6 +342,20 @@ def _arc_labels(n: int) -> list[str]:
     return [base[i % 26] + (str(i // 26 + 1) if i >= 26 else "") for i in range(n)]
 
 
+def _glue_ends(incoming1, incoming2, start1: int, start2: int, count: int):
+    """The ends a glue joins and keeps, given ``incoming`` at the ends of
+    both sides: the paired positions ``(p1, p2)``, ends ``start1,
+    start1+1, ...`` of side 1 against ``start2, start2-1, ...`` of side 2,
+    and the kept positions of each side, in the glued boundary's order.
+    None when a pair would join two inward or two outward ends."""
+    n1, n2 = len(incoming1), len(incoming2)
+    pairs = [((start1 + t) % n1, (start2 - t) % n2) for t in range(count)]
+    if any(incoming1[p1] == incoming2[p2] for p1, p2 in pairs):
+        return None
+    return (pairs, [(start1 + count + t) % n1 for t in range(n1 - count)],
+            [(start2 + 1 + t) % n2 for t in range(n2 - count)])
+
+
 def _glue_shapes(s1: Shape, s2: Shape, start1: int, start2: int, count: int):
     """The shape of ``glue_diagrams``, the paired end positions ``(p1, p2)``,
     and the maps naming an edge of s1 or of s2 in the glued shape."""
@@ -348,9 +364,10 @@ def _glue_shapes(s1: Shape, s2: Shape, start1: int, start2: int, count: int):
         raise TangleError("E_ARITY", f"cannot glue {count} ends of {n1} and {n2}")
     if count == n1 and count == n2:
         raise TangleError("E_ARITY", "glueing away every end; use close_tangle instead")
-    pairs = [((start1 + t) % n1, (start2 - t) % n2) for t in range(count)]
-    if any(s1.incoming[p1] == s2.incoming[p2] for p1, p2 in pairs):
+    plan = _glue_ends(s1.incoming, s2.incoming, start1, start2, count)
+    if plan is None:
         raise TangleError("E_ORIENT", "glued ends must join an outgoing to an incoming strand")
+    pairs, keep1, keep2 = plan
     # prefix s2's edges so that no renamed id meets one of s1's
     taken, edges2 = ({e for c in s.crossings for e in (*c.under, *c.over)}.union(s.boundary)
                      for s in (s1, s2))
@@ -366,8 +383,6 @@ def _glue_shapes(s1: Shape, s2: Shape, start1: int, start2: int, count: int):
     def find2(e: str) -> str:
         return find(prefix + e)
 
-    keep1 = [(start1 + count + t) % n1 for t in range(n1 - count)]
-    keep2 = [(start2 + 1 + t) % n2 for t in range(n2 - count)]
     boundary = (*(find(s1.boundary[i]) for i in keep1), *(find2(s2.boundary[i]) for i in keep2))
     glued = Shape(f"{s1.name}+{s2.name}",
                   (*(c.renamed(find) for c in s1.crossings),

@@ -3,11 +3,14 @@ given diagrams or on seeded random ones, with machine-readable reports.
 
 Random diagrams are grown by repeatedly glueing fresh one-crossing pieces
 onto the boundary and capping adjacent ends, which keeps them connected and
-planar by construction.  Pieces, glues and caps are ``transform.Shape``
-records made by the transforms' own glue and cap rules; only the result is
-validated, its strands coloured t1, t2, ... in component order.  The cap
-closing the last two ends needs the outer region, so it caps a diagram.
-The glueing check sums its pieces' products in one pass over site pairs.
+planar by construction.  Pieces and caps are ``transform.Shape`` records.
+Growth pairs ends by the glue rule of ``transform._glue_ends``, skipping an
+option it rejects, and records the glued edge pairs on one union-find over
+the final edge ids; the edges are renamed once, when the shape is grown.
+Caps use the transforms' own cap rule.  Only the result is validated, its
+strands coloured t1, t2, ... in component order.  The cap closing the last
+two ends needs the outer region, so it caps a diagram.  The glueing check
+sums its pieces' products in one pass over site pairs.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ class CheckReport:
 def _fresh_piece(rng: random.Random, idx: int) -> tr.Shape:
     """A random one-crossing tangle with fresh edge ids: a crossing of random
     sign whose under strand u and over strand o are each reversed at random,
-    as ``reverse_orientation`` would (then named ``piece<idx>_rev``)."""
-    e = [f"p{idx}_{k}" for k in range(4)]
+    as ``reverse_orientation`` would (then named ``piece<idx>_rev``).  The
+    edges of piece 0 are ``p0_k``; those of a later piece ``g_p<idx>_k``,
+    the ids that ``transform._glue_shapes`` gives them on glueing."""
+    e = [f"{'g_' if idx else ''}p{idx}_{k}" for k in range(4)]
     c = Crossing(rng.choice((1, -1)), (e[0], e[1]), (e[2], e[3]))
     colours = rng.choice((set(), {"u"}, {"o"}, {"u", "o"}))
     r = c.reversed("u" in colours, "o" in colours)
@@ -102,15 +107,40 @@ def _first(f, options):
     return None
 
 
-def _try_random_diagram(rng, n_ends, n_crossings) -> Optional[TangleDiagram]:
+def _grow(rng, n_ends, n_crossings) -> Optional[tr.Shape]:
+    """Glue fresh pieces onto piece 0 until the shape has ``n_crossings``,
+    each at the first option (glue size, end of the shape, end of the
+    piece, in shuffled order) whose ends ``transform._glue_ends`` pairs;
+    None if a piece has no such option.  One union-find over the final
+    edge ids records the glued pairs, and the edges are renamed once, at
+    the end, to the least id of their pair, as ``_glue_shapes`` renames
+    them glue by glue."""
     s = _fresh_piece(rng, 0)
-    while s is not None and len(s.crossings) < n_crossings:
-        ends = len(s.boundary)
-        piece = _fresh_piece(rng, len(s.crossings))
+    name, crossings, boundary, incoming = s.name, list(s.crossings), s.boundary, s.incoming
+    edges = UnionFind()
+    while len(crossings) < n_crossings:
+        ends = len(boundary)
+        piece = _fresh_piece(rng, len(crossings))
         js = [j for j in (1, 2, 3) if ends + 4 - 2 * j >= max(n_ends, 2) and j < ends]
-        s = _first(lambda j, s1, s2: tr._glue_shapes(s, piece, s1, s2, j)[0],
-                   ((j, s1, s2) for j in _shuffled(rng, js or [1])
-                    for s1 in _shuffled(rng, range(ends)) for s2 in _shuffled(rng, range(4))))
+        options = ((s1, s2, j) for j in _shuffled(rng, js or [1])
+                   for s1 in _shuffled(rng, range(ends)) for s2 in _shuffled(rng, range(4)))
+        plan = next(filter(None, (tr._glue_ends(incoming, piece.incoming, *o)
+                                  for o in options)), None)
+        if plan is None:
+            return None
+        pairs, keep1, keep2 = plan
+        for p1, p2 in pairs:
+            edges.union(boundary[p1], piece.boundary[p2])
+        name = f"{name}+{piece.name}"
+        crossings += piece.crossings
+        boundary = (*(boundary[i] for i in keep1), *(piece.boundary[i] for i in keep2))
+        incoming = (*(incoming[i] for i in keep1), *(piece.incoming[i] for i in keep2))
+    return tr.Shape(name, tuple(c.renamed(edges.find) for c in crossings), boundary,
+                    tuple(tr._arc_labels(len(boundary))), incoming)
+
+
+def _try_random_diagram(rng, n_ends, n_crossings) -> Optional[TangleDiagram]:
+    s = _grow(rng, n_ends, n_crossings)
     # cap adjacent ends down to n_ends; the cap that closes the diagram needs
     # its outer region, so it caps the validated diagram
     for _ in range(50):
@@ -393,7 +423,8 @@ def _glued_sums(rec: tr.GlueRecord, hats_1: dict[Site, LaurentPoly],
     iotas, over the site pairs whose images are distinct regions that cover
     every closed region on the seam and, besides those, are exactly the
     site's open regions.  One pass maps each pair to that site, or to none;
-    each site adds its products in pair order."""
+    each site sums its products in one pass (``LaurentPoly.add_all``), with
+    the variable table of their ``+`` fold in pair order."""
     T = rec.diagram
     kind = {r.rid: r.kind for r in T.regions}
     seam_closed = {rid for rid in (*rec.arc_map_1.values(), *rec.arc_map_2.values())
@@ -412,7 +443,7 @@ def _glued_sums(rec: tr.GlueRecord, hats_1: dict[Site, LaurentPoly],
             target = Site(frozenset(open_occ))
             if target in terms and occ == seam_closed | open_occ:
                 terms[target].append(p1 * p2)
-    return {s: sum(ps, LaurentPoly.zero()) for s, ps in terms.items()}
+    return {s: LaurentPoly.add_all(ps) for s, ps in terms.items()}
 
 
 def _check_parity(rng, cases, fail):

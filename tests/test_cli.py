@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from tanglenabla import cli, corpus
 from tanglenabla.cli import main
 from tanglenabla.diagram import parse_tangle, serialize
 from tanglenabla.gradings import generator_gradings
+from tanglenabla.states import markers_of
 from tanglenabla.transform import close_tangle
 from tanglenabla.verify import PROPERTIES
 
@@ -134,8 +136,12 @@ def test_non_integral_grading_is_e_grading(monkeypatch, capsys):
     # a delta code off by 1/2 at every corner of crossing 0 makes every
     # state's h a half-integer
     d = corpus.load("mutorient")
-    first, *rest = d.quadrants
-    d.__dict__["quadrants"] = (tuple(c._replace(delta2=c.delta2 + 1) for c in first), *rest)
+    codes = d.corner_codes
+
+    def off_by_half(weight, h=0, delta=0):
+        first, *rest = codes(weight, h, delta)
+        return [tuple(c + delta for c in first), *rest]
+    monkeypatch.setattr(d, "corner_codes", off_by_half)
     monkeypatch.setattr(cli, "_read_diagram", lambda path: d)
     for argv in (["gradings"], ["--format", "json", "gradings"], ["euler"],
                  ["euler", "--site", "b"]):
@@ -325,3 +331,15 @@ def test_transform_reverse_and_glue(tmp_path, capsys):
                             "--start1", "2", "--start2", "1", "--count", "2",
                             capsys=capsys)
     assert code == 0 and "ends 4" in out3
+
+
+def test_state_marker_text_matches_the_per_crossing_rendering():
+    # every code for m <= 5, a sample with both extremes above
+    rng = random.Random(1607)
+    for m in range(10):
+        text = cli._marker_text(m)
+        codes = range(4 ** m) if m <= 5 else \
+            {0, 4 ** m - 1, *(rng.randrange(4 ** m) for _ in range(500))}
+        for x in codes:
+            want = " ".join(f"x{i + 1}:q{q}" for i, q in enumerate(markers_of(x, m)))
+            assert text(x) == want, (m, x)

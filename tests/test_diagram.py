@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanglenabla import corpus
-from tanglenabla.diagram import (TangleDiagram, TangleError, linking_number, parse_tangle,
-                                 serialize)
+from tanglenabla import transform as tr
+from tanglenabla.diagram import (CORNER_RULE, Site, TangleDiagram, TangleError,
+                                 linking_number, parse_tangle, serialize)
 from tanglenabla.laurent import LaurentError
-from tanglenabla.nabla import nabla_all
+from tanglenabla.nabla import nabla_all, nabla_hat
+from tanglenabla.states import walk_states
 from tanglenabla.transform import GlueRecord
 from tanglenabla.verify import random_diagram
 
 from conftest import load, seeded_diagrams, transform_outputs
-from oracles import canonical_form, isomorphic
+from oracles import _corner_codes, _region_tables, canonical_form, isomorphic
 
 
 def test_parse_single_crossing_counts():
@@ -280,3 +282,79 @@ def test_region_corners_cover_each_quadrant_once(corpus_names):
             assert d.quadrants[ci][q].region == rid
         seen += len(corners)
     assert seen == 504
+
+
+def _bare_arc():
+    """The non-split diagram without crossings that removing the kink of a
+    closed one-crossing tangle leaves: one open strand from end to end."""
+    return tr.rm1_remove(tr.close_tangle(load("crossing_pos"), "a"), 0)
+
+
+def test_a_bare_arc_is_not_split_and_its_text_does_not_parse():
+    # README's format section: transforms make crossingless open strands on
+    # diagrams that are not split too, and their text has no crossing line
+    d = _bare_arc()
+    assert not d.crossings and not d.split and d.boundary == ("e1", "e1")
+    with pytest.raises(TangleError) as e:
+        parse_tangle(serialize(d))
+    assert e.value.code == "E_NO_CROSSING"
+
+
+def _check_corners(d) -> int:
+    """The corner ints of ``d`` against the slot-role oracle and the region
+    tables, and ``quadrants`` and ``corner_codes`` against both; returns the
+    number of corners checked."""
+    cols = d.colours()
+    _, region_at = _region_tables(d)
+    weight = [7 ** (k + 1) for k in range(len(cols))]
+    codes = d.corner_codes(weight, h=1000, delta=100000)
+    assert len(d.corners) == len(codes) == len(d.quadrants) == len(d.crossings)
+    for ci, (sign, u, o, *regions) in enumerate(d.corners):
+        c = d.crossings[ci]
+        assert (sign, cols[u], cols[o]) == (c.sign, d.colour_of_edge[c.under[0]],
+                                            d.colour_of_edge[c.over[0]]), (d.name, ci)
+        for q, ((eu, eo, h2, delta2), r) in enumerate(zip(CORNER_RULE[sign < 0], regions)):
+            exp, want_h2, want_delta2 = _corner_codes(d, ci, q)
+            got = {cols[u]: eu}
+            got[cols[o]] = got.get(cols[o], 0) + eo
+            assert (got, h2, delta2) == (exp, want_h2, want_delta2), (d.name, ci, q)
+            rid = None if d.split else region_at[(ci, q)]
+            assert r == (-1 if d.split else [x.rid for x in d.regions].index(rid))
+            exp2 = tuple((v, e) for v, e in exp.items() if e)
+            assert d.corner_exp2(ci, q) == exp2
+            assert d.quadrants[ci][q] == (rid, exp2, h2, delta2), (d.name, ci, q)
+            assert codes[ci][q] == (sum(e * weight[cols.index(v)] for v, e in exp.items())
+                                    + 1000 * h2 + 100000 * delta2)
+    return 4 * len(d.crossings)
+
+
+def test_corner_ints_match_the_slot_roles(corpus_names):
+    split = parse_tangle("tangle split\nends 2\nboundary a e1 b e2\n"
+                         "crossing x1 + under e1 e3 over e3 e2\ncolour e1 t\ncircle u\n")
+    diagrams = [load(n) for n in corpus_names] + seeded_diagrams(23, 40, 8) + [split]
+    assert split.split and split.corners[0][3:] == (-1, -1, -1, -1)
+    assert _check_corners(_bare_arc()) == 0 and _bare_arc().corners == ()
+    # self-crossings, where the under and over colour codes add up
+    assert any(u == o for d in diagrams for _, u, o, *_ in d.corners)
+    assert sum(map(_check_corners, diagrams)) == 816
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), ends=st.sampled_from((2, 4, 6)),
+       m=st.integers(1, 9))
+def test_corner_ints_match_the_slot_roles_on_hypothesis_diagrams(seed, ends, m):
+    _check_corners(random_diagram(random.Random(seed), ends, m))
+
+
+def test_state_sums_and_walks_build_no_quadrant_records(corpus_names):
+    # the frontier pass, its decoder and the state walk read the corner
+    # ints; the records are a view for other readers
+    diagrams = [load(n) for n in corpus_names] + seeded_diagrams(29, 40, 9) + [_bare_arc()]
+    for d in diagrams:
+        nabla_all(d)
+        for s in d.sites():
+            nabla_hat(d, s)
+        walk_states(d)
+        for s in d.sites()[:2]:
+            walk_states(d, s=s)
+        assert "quadrants" not in d.__dict__, d.name

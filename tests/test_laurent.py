@@ -232,3 +232,78 @@ def test_rename_merges_like_renamed_monomials_law(monomials, mapping):
     renamed = [(c, [(mapping.get(v, v), e) for v, e in pairs]) for c, pairs in monomials]
     got, want = LaurentPoly.sum(monomials).rename(mapping), LaurentPoly.sum(renamed)
     assert got.vars == want.vars and got.to_json() == want.to_json()
+
+
+# The fast paths build polynomials without the validating constructor, from
+# tables that are already canonical, and compare equal tables directly.
+
+def _validated(p):
+    """``p`` rebuilt by the validating constructor from its own table."""
+    return LaurentPoly(p.vars, p.terms)
+
+
+def _same_table(p, q) -> bool:
+    """The same variable tuple and the same terms, in the same order."""
+    return (type(p.vars) is tuple and p.vars == q.vars
+            and list(p.terms.items()) == list(q.terms.items()))
+
+
+def _eval_h_validated(p):
+    """``eval_h`` through the validating constructor."""
+    if "h" not in p.vars:
+        return p
+    i = p.vars.index("h")
+    terms = {}
+    for e, c in p.terms.items():
+        key = e[:i] + e[i + 1:]
+        terms[key] = terms.get(key, 0) + (-c if e[i] // 2 % 2 else c)
+    return LaurentPoly(p.vars[:i] + p.vars[i + 1:], terms)
+
+
+def _aligned_equal(p, q) -> bool:
+    """``==`` without its fast path: both tables aligned to their union."""
+    vs = tuple(dict.fromkeys(p.vars + q.vars))
+    return ({e: c for e, c in p._aligned_to(vs).items() if c}
+            == {e: c for e, c in q._aligned_to(vs).items() if c})
+
+
+def _even_h(monomials):
+    """The monomials with every exponent of h doubled, so h = -1 applies."""
+    return [(c, [(v, 2 * e if v == "h" else e) for v, e in pairs]) for c, pairs in monomials]
+
+
+@LAWS
+@given(MONOMIALS, MONOMIALS)
+def test_fast_path_tables_are_the_validated_ones_law(m1, m2):
+    p, q = LaurentPoly.sum(_even_h(m1)), LaurentPoly.sum(_even_h(m2))
+    for r in (-p, p + q, p - q, p * q, p.eval_h(), LaurentPoly.add_all([p, q, -p])):
+        assert _same_table(r, _validated(r))
+    assert _same_table(p.eval_h(), _eval_h_validated(p))
+    assert _same_table(-p, LaurentPoly(p.vars, {e: -c for e, c in p.terms.items()}))
+
+
+@LAWS
+@given(MONOMIALS, MONOMIALS, st.permutations(range(6)))
+def test_equal_tables_fast_path_agrees_with_the_aligned_comparison_law(m1, m2, perm):
+    p, q = LaurentPoly.sum(m1), LaurentPoly.sum(m2)
+    # the same polynomial over a permuted table, and over one with an
+    # unused variable added: equal, though the tables differ
+    names = p.vars + ("z",)
+    order = [i for i in perm if i < len(names)]
+    widened = LaurentPoly([names[i] for i in order],
+                          {tuple((e + (0,))[i] for i in order): c for e, c in p.terms.items()})
+    assert "z" in widened.vars and widened.vars != p.vars
+    for a, b in ((p, q), (q, p), (p, p), (p, _validated(p)), (p, widened), (widened, p),
+                 (p + q, q + p), (p * q, q * p), (p, p + LaurentPoly.integer(1))):
+        assert (a == b) == _aligned_equal(a, b)
+    assert p == widened and p == _validated(p) and p + q == q + p
+
+
+@LAWS
+@given(st.lists(MONOMIALS, max_size=5))
+def test_add_all_is_the_fold_law(ms):
+    ps = [LaurentPoly.sum(m) for m in ms]
+    got = LaurentPoly.add_all(ps)
+    want = functools.reduce(operator.add, ps, LaurentPoly.zero())
+    assert got.vars == want.vars and got.terms == want.terms
+    assert _same_table(got, _validated(got))

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tanglenabla.diagram import Site, TangleError, parse_tangle
 from tanglenabla.laurent import LaurentPoly, binomial
@@ -6,6 +9,7 @@ from tanglenabla.nabla import (conway_potential, nabla_all, nabla_at_site,
                                nabla_hat, nabla_hat_all)
 from tanglenabla.states import enumerate_states, site_of
 from tanglenabla import transform as tr
+from tanglenabla.verify import random_diagram
 
 from conftest import load, seeded_diagrams
 from oracles import conway_skein, state_codes
@@ -197,3 +201,17 @@ def test_link_symmetry_under_minus_inverse():
             if c in q.vars:
                 q = q.substitute(c, {c: -2}, sign=-1)
         assert q == p, p.pretty()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), ends=st.sampled_from((2, 4, 6)),
+       m=st.integers(1, 9))
+def test_decoded_tables_are_the_validated_ones(seed, ends, m):
+    # the decoder and eval_h skip the validating constructor: their tables
+    # must be the ones it gives, variables and terms in the same order
+    d = random_diagram(random.Random(seed), ends, m)
+    hats = nabla_hat_all(d)
+    for p in [*hats.values(), *nabla_all(d).values(), *(nabla_hat(d, s) for s in hats)]:
+        q = LaurentPoly(p.vars, p.terms)
+        assert type(p.vars) is tuple and p.vars == q.vars
+        assert list(p.terms.items()) == list(q.terms.items())

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tanglenabla.diagram import Site, TangleDiagram, TangleError, parse_tangle, serialize
 from tanglenabla.laurent import LaurentPoly
@@ -175,6 +176,18 @@ def test_one_pass_glueing_sum_matches_the_site_scan():
         sites += len(fast)
         nonzero += sum(1 for p in fast.values() if p != LaurentPoly.zero())
     assert sites >= 150 and nonzero >= 50, (sites, nonzero)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_one_pass_glueing_sum_matches_the_site_scan_law(seed):
+    # the one-pass sums keep the variable table of the + fold in pair order
+    for rec, hats_1, hats_2 in _seeded_glues(seed, 2):
+        fast = verify._glued_sums(rec, hats_1, hats_2)
+        slow = glueing_sums(rec, hats_1, hats_2)
+        assert list(fast) == list(slow)
+        for s, p in fast.items():
+            assert p.vars == slow[s].vars and p.terms == slow[s].terms, str(s)
 
 
 def test_glueing_failure_reports_the_first_site(monkeypatch):

@@ -20,13 +20,15 @@ Conventions (used consistently everywhere):
 
 Construction numbers the edge ends (crossing ci slot s is 4*ci + s, boundary
 end k is 4*m + k) and states each rule on them once; callers read an end as
-that int, ``divmod(end, 4)``, with ``end >= 4*m`` a boundary end.  A strand
-is followed end to end: from a tail end across its edge (``alpha``) to the
+that int, ``divmod(end, 4)``, with ``end >= 4*m`` a boundary end.  Each end
+is incoming or not by the slot table of its crossing's sign.  A strand is
+followed end to end: from a tail end across its edge (``alpha``) to the
 head end, then out through the opposite slot (s + 2) % 4 of that crossing;
 the components, and the pieces that decide whether the diagram is split,
-come from that one walk.  Face tracing keeps the region of every dart, which
-is what ``region_beside`` reads; a split diagram traces no faces, so it has
-no regions and no region beside any edge.
+come from that one walk.  Faces are traced on the same ints, with no darts
+for the boundary arcs (``_trace_faces``), and every end keeps the index of
+its region, which ``region_beside`` and ``corners`` read; a split diagram
+traces no faces, so it has no regions and no region beside any edge.
 
 The Alexander corner rule is stated once, as ``CORNER_RULE``: per crossing
 sign and quadrant, the doubled exponents of the under colour, the over
@@ -47,6 +49,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 
@@ -80,18 +83,6 @@ class Crossing:
         oi = 3 if sign > 0 else 1
         return cls(sign, (slots[0], slots[2]), (slots[oi], slots[oi ^ 2]))
 
-    @property
-    def over_in_slot(self) -> int:
-        return 3 if self.sign > 0 else 1
-
-    def role_of_slot(self, s: int) -> tuple[str, bool]:
-        """(strand, incoming) for slot s, strand in {'under','over'}."""
-        if s == 0:
-            return "under", True
-        if s == 2:
-            return "under", False
-        return "over", s == self.over_in_slot
-
     def renamed(self, f) -> "Crossing":
         """The same crossing with every edge id e replaced by f(e)."""
         return Crossing(self.sign, (f(self.under[0]), f(self.under[1])),
@@ -105,23 +96,20 @@ class Crossing:
                         self.over[::-1] if over else self.over)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     colour: str
     kind: str                    # 'open' | 'closed'
     edges: tuple[str, ...]       # in flow order
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     rid: str
     kind: str                    # 'open' | 'closed' | 'outer'
     corners: tuple[tuple[int, int], ...]   # (crossing index, quadrant)
     arcs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Site:
+class Site(NamedTuple):
     """A choice of n-1 boundary arcs (equivalently open regions)."""
 
     arcs: frozenset[str]
@@ -153,6 +141,18 @@ class Quadrant(NamedTuple):
 #   sign/2 to the delta grading.
 CORNER_RULE = (((1, -1, 0, 0), (1, 1, 0, 1), (-1, 1, 0, 0), (-1, -1, -2, 1)),
                ((1, 1, 2, -1), (1, -1, 0, 0), (-1, -1, 0, -1), (-1, 1, 0, 0)))
+
+# Which of slots 0..3 are incoming ends, at a positive crossing (row 0: ccw
+# u_in, o_out, u_out, o_in) and at a negative one (row 1: u_in, o_in, u_out,
+# o_out).
+_SLOT_IN = ((True, False, False, True), (True, True, False, False))
+
+
+def _colour_name(colour: str) -> str:
+    """``colour``, if it may name a strand: a token other than h and delta."""
+    if colour in RESERVED_NAMES or not _TOKEN.match(colour):
+        raise TangleError("E_SYNTAX", f"bad colour name {colour!r}")
+    return colour
 
 
 class UnionFind:
@@ -200,6 +200,8 @@ class TangleDiagram:
         # the diagram invalid, since some open region meets the boundary
         # circle in more than one arc.
         self.split = bool(self.free_circles) or not self._classify_pieces()
+        if not self.boundary and self.outer_hint[0] not in self._first_end:
+            raise TangleError("E_SYNTAX", f"outer hint names no edge {self.outer_hint[0]!r}")
         self.regions: tuple[Region, ...] = ()   # a split diagram has no faces
         if not self.split:
             self._trace_faces()
@@ -225,60 +227,59 @@ class TangleDiagram:
 
     def _resolve_ends(self):
         """Number the edge ends: crossing ci slot s -> 4*ci+s, boundary k -> 4m+k."""
-        m = len(self.crossings)
-        occ: dict[str, list[int]] = {}
-        for ci, c in enumerate(self.crossings):
-            for s, e in enumerate(c.slots()):
-                occ.setdefault(e, []).append(4 * ci + s)
-        for k, e in enumerate(self.boundary):
-            occ.setdefault(e, []).append(4 * m + k)
-        for e, ends in occ.items():
-            if len(ends) != 2:
-                raise TangleError("E_DANGLING", f"edge {e!r} used {len(ends)} time(s)")
-        self.n_ends = 4 * m + len(self.boundary)
-        self.alpha = [0] * self.n_ends
-        self.edge_of_end = [""] * self.n_ends
-        for e, (a, b) in occ.items():
-            self.alpha[a], self.alpha[b] = b, a
-            self.edge_of_end[a] = self.edge_of_end[b] = e
-        self.edges = sorted(occ)
-        self._occ = occ
+        names = [e for c in self.crossings for e in c.slots()]
+        names += self.boundary
+        first: dict[str, int] = {}
+        alpha = [-1] * len(names)
+        for end, e in enumerate(names):
+            a = first.setdefault(e, end)
+            if a != end and alpha[a] < 0:
+                alpha[a], alpha[end] = end, a
+        if -1 in alpha:
+            e = next(e for e in first if names.count(e) != 2)
+            raise TangleError("E_DANGLING", f"edge {e!r} used {names.count(e)} time(s)")
+        self.n_ends = len(names)
+        self.alpha = alpha
+        self.edge_of_end = names
+        self.edges = sorted(first)
+        self._first_end = first
 
     # ------------------------------------------------------------------
     # orientations
 
     def _orient_edges(self, edge_dirs: Mapping[str, bool]):
-        """Mark each end incoming/outgoing; directions come from crossing roles.
+        """Mark each end incoming/outgoing: crossing ends by the slot table
+        of their sign, boundary ends opposite to the other end of their edge.
 
         An edge running from boundary to boundary meets no crossing; its
         flow comes from ``edge_dirs`` (True, the default: from its first
         boundary position to its second) and is kept, for these edges only,
         in ``self.edge_dirs``.
         """
-        m = len(self.crossings)
-        incoming: list[Optional[bool]] = [None] * self.n_ends
-        for ci, c in enumerate(self.crossings):
-            for s in range(4):
-                _, is_in = c.role_of_slot(s)
-                incoming[4 * ci + s] = is_in
-        for end in range(4 * m, self.n_ends):
-            other = self.alpha[end]
-            if incoming[other] is not None:
-                incoming[end] = not incoming[other]
+        m4 = 4 * len(self.crossings)
+        alpha = self.alpha
+        incoming: list[bool] = []
+        for c in self.crossings:
+            incoming += _SLOT_IN[c.sign < 0]
         self.edge_dirs: dict[str, bool] = {}
-        for e, (a, b) in self._occ.items():
-            if incoming[a] is None and incoming[b] is None:
+        for end in range(m4, self.n_ends):
+            other = alpha[end]
+            if other > end:     # the first end of a bare edge
+                e = self.edge_of_end[end]
                 first_is_tail = self.edge_dirs[e] = edge_dirs.get(e, True)
-                incoming[a] = not first_is_tail
-                incoming[b] = first_is_tail
-        for e, (a, b) in self._occ.items():
-            if incoming[a] == incoming[b]:
-                raise TangleError("E_ORIENT", f"edge {e!r} has inconsistent orientation")
+                incoming.append(not first_is_tail)
+            else:
+                incoming.append(not incoming[other])
+        for a in range(m4):
+            if incoming[a] == incoming[alpha[a]]:
+                raise TangleError("E_ORIENT",
+                                  f"edge {self.edge_of_end[a]!r} has inconsistent orientation")
         self.incoming = incoming
 
     def flow_ends(self, edge: str) -> tuple[int, int]:
         """(tail end, head end) of an edge."""
-        a, b = self._occ[edge]
+        a = self._first_end[edge]
+        b = self.alpha[a]
         return (a, b) if self.incoming[b] else (b, a)
 
     # ------------------------------------------------------------------
@@ -291,14 +292,15 @@ class TangleDiagram:
         boundary end they enter at; closed ones each start at their least
         edge.  Records the component of every tail end."""
         m4 = 4 * len(self.crossings)
-        alpha, edge_of_end = self.alpha, self.edge_of_end
+        alpha, edge_of_end, incoming = self.alpha, self.edge_of_end, self.incoming
         comp_of_tail = [-1] * self.n_ends
         walks: list[tuple[str, list[str]]] = []
 
         def walk(tail: int) -> tuple[str, list[str]]:
             edges = []
+            c = len(walks)
             while comp_of_tail[tail] < 0:
-                comp_of_tail[tail] = len(walks)
+                comp_of_tail[tail] = c
                 edges.append(edge_of_end[tail])
                 head = alpha[tail]
                 if head >= m4:
@@ -307,10 +309,13 @@ class TangleDiagram:
             return "closed", edges
 
         for end in range(m4, self.n_ends):
-            if not self.incoming[end]:
+            if not incoming[end]:
                 walks.append(walk(end))
+        first = self._first_end
         for e in self.edges:
-            tail, _ = self.flow_ends(e)
+            tail = first[e]
+            if incoming[tail]:
+                tail = alpha[tail]
             if comp_of_tail[tail] < 0:
                 kind, edges = walk(tail)
                 if kind == "open":
@@ -325,12 +330,9 @@ class TangleDiagram:
                 raise TangleError("E_SYNTAX", f"conflicting colours {sorted(colours)} on one strand")
             if not colours:
                 raise TangleError("E_SYNTAX", f"no colour given for the strand through {walk[0]!r}")
-            colour = colours.pop()
-            if colour in RESERVED_NAMES or not _TOKEN.match(colour):
-                raise TangleError("E_SYNTAX", f"bad colour name {colour!r}")
-            comps.append(Component(colour, kind, tuple(walk)))
+            comps.append(Component(_colour_name(colours.pop()), kind, tuple(walk)))
         for colour in self.free_circles:
-            comps.append(Component(colour, "closed", ()))
+            comps.append(Component(_colour_name(colour), "closed", ()))
         self.components = tuple(comps)
         self._colours = tuple(dict.fromkeys(c.colour for c in comps))
         self.colour_of_edge = {e: c.colour for c in comps for e in c.edges}
@@ -346,113 +348,93 @@ class TangleDiagram:
     def _classify_pieces(self) -> bool:
         """True if the diagram is connected; False if only closed pieces are
         disconnected (a split diagram); raises if open parts are separated."""
-        pieces = UnionFind()
+        piece = list(range(len(self.components)))   # the piece of each component
+        comp = self._comp_of_tail
         for ci, c in enumerate(self.crossings):
-            # the under and over strands leave at slot 2 and opposite over-in
-            pieces.union(self._comp_of_tail[4 * ci + 2],
-                         self._comp_of_tail[4 * ci + (c.over_in_slot + 2) % 4])
-        if len({pieces.find(i) for i in range(self.n_open)}) > 1:
+            # the under and over strands leave at slot 2 and at slot 1 or 3
+            a, b = piece[comp[4 * ci + 2]], piece[comp[4 * ci + (1 if c.sign > 0 else 3)]]
+            if a != b:
+                piece = [a if p == b else p for p in piece]
+        if len(set(piece[:self.n_open])) > 1:
             raise TangleError("E_DISCONNECTED",
                               "two separate parts of the diagram reach the boundary")
-        return len({pieces.find(i) for i in range(len(self.components))}) <= 1
+        return len(set(piece)) <= 1
 
     # ------------------------------------------------------------------
     # faces
 
     def _trace_faces(self):
-        """Orbit-trace the rotation system; identify regions and quadrants.
+        """Trace the faces on the edge ends, then name them.
 
-        Face-of-a-dart semantics: the face on the right-hand side when
-        travelling away from the dart's attachment along its edge.
+        The face of end d is the one on the right when leaving d along its
+        edge; it goes on at the slot after ``alpha[d]`` counterclockwise or,
+        when ``alpha[d]`` is boundary end k, past arc k to boundary end k-1.
+        The arcs are not numbered as ends: the face that passes end k is arc
+        k's open region, and the exterior of a tangle, the one face no end
+        lies on, is counted apart.  Corners are listed in (crossing,
+        quadrant) order, and closed faces are named r0, r1, ... in the
+        order of their least corner.
         """
         m = len(self.crossings)
-        two_n = len(self.boundary)
-        n_str = self.n_ends
-        # extra darts for boundary arcs: arc k start -> n_str + 2k, end -> n_str + 2k + 1
-        total = n_str + 2 * two_n
-        sigma = [0] * total
-        alpha = list(self.alpha) + [0] * (2 * two_n)
-        for k in range(two_n):
-            alpha[n_str + 2 * k] = n_str + 2 * k + 1
-            alpha[n_str + 2 * k + 1] = n_str + 2 * k
-        for ci in range(m):
-            for s in range(4):
-                sigma[4 * ci + s] = 4 * ci + (s + 1) % 4
-        for k in range(two_n):
-            nxt_arc_start = n_str + 2 * ((k + 1) % two_n)
-            strand = 4 * m + k
-            arc_end = n_str + 2 * k + 1
-            sigma[nxt_arc_start] = strand
-            sigma[strand] = arc_end
-            sigma[arc_end] = nxt_arc_start
-
-        face_of = [-1] * total
-        faces: list[list[int]] = []
-        for d0 in range(total):
-            if face_of[d0] >= 0:
+        m4, n = 4 * m, self.n_ends
+        alpha = self.alpha
+        face_of = [-1] * n
+        arcs_on: list[list[int]] = []    # per face, the arcs it passes
+        for start in range(n):
+            if face_of[start] >= 0:
                 continue
-            orbit = []
-            d = d0
+            f = len(arcs_on)
+            ks = []
+            d = start
             while face_of[d] < 0:
-                face_of[d] = len(faces)
-                orbit.append(d)
-                d = sigma[alpha[d]]
-            faces.append(orbit)
+                face_of[d] = f
+                d = alpha[d]
+                if d < m4:
+                    d = d - 3 if d & 3 == 3 else d + 1
+                else:
+                    ks.append(d - m4)
+                    d = d - 1 if d > m4 else n - 1
+            arcs_on.append(ks)
 
-        v = m + two_n if two_n else m
-        e = len(self.edges) + two_n
-        if v - e + len(faces) != 2:
+        if m - len(self.edges) + len(arcs_on) + bool(self.boundary) != 2:
             raise TangleError("E_NONPLANAR", "rotation system is not planar")
 
-        if two_n:
-            exterior = face_of[n_str]  # face of arc 0's start dart
+        if self.boundary:
+            shared = [sorted(ks) for ks in arcs_on if len(ks) > 1]
+            if shared:
+                raise TangleError(
+                    "E_DISCONNECTED",
+                    f"arcs {[self.arcs[k] for k in min(shared)]} lie on one region; "
+                    "the diagram is not connected")
+            kind = "open"
+            named = {f: self.arcs[ks[0]] for f, ks in enumerate(arcs_on) if ks}
         else:
+            kind = "outer"
             edge, side = self.outer_hint
             tail, head = self.flow_ends(edge)
-            exterior = face_of[tail if side == "R" else head]
+            named = {face_of[tail if side == "R" else head]: self.arcs[0]}
 
-        # classify faces
-        arc_end_face = {}
-        for k in range(two_n):
-            arc_end_face[k] = face_of[n_str + 2 * k + 1]
-        open_faces: dict[int, list[str]] = {}
-        for k, label in enumerate(self.arcs if two_n else ()):
-            open_faces.setdefault(arc_end_face[k], []).append(label)
-        if two_n:
-            if exterior in open_faces:
-                raise TangleError("E_DISCONNECTED", "an open region wraps around the diagram")
-            for fi, labels in open_faces.items():
-                if len(labels) > 1:
-                    raise TangleError(
-                        "E_DISCONNECTED",
-                        f"arcs {labels} lie on one region; the diagram is not connected")
-        else:
-            open_faces = {exterior: [self.arcs[0]]}
-
-        corners: dict[int, list[tuple[int, int]]] = {}
-        for ci in range(m):
-            for q in range(4):
-                fi = face_of[4 * ci + (q + 1) % 4]
-                corners.setdefault(fi, []).append((ci, q))
-
-        regions: list[Region] = []
-        closed_faces = [fi for fi in range(len(faces))
-                        if fi not in open_faces and (not two_n or fi != exterior)]
-        closed_faces.sort(key=lambda fi: min(corners.get(fi, [(m, 4)])))
-        named: dict[int, str] = {}
-        for fi, labels in sorted(open_faces.items(), key=lambda kv: kv[1][0]):
-            kind = "open" if two_n else "outer"
-            rid = labels[0]
-            named[fi] = rid
-            regions.append(Region(rid, kind, tuple(sorted(corners.get(fi, []))), tuple(labels)))
-        for idx, fi in enumerate(closed_faces):
-            rid = f"r{idx}"
-            named[fi] = rid
-            regions.append(Region(rid, "closed", tuple(sorted(corners.get(fi, []))), ()))
-        self.regions = tuple(sorted(regions, key=lambda r: r.rid))
-        self.open_regions = frozenset(r.rid for r in regions if r.kind == "open")
-        # region of each strand dart; None for the exterior of a tangle
-        self._region_of_dart = [named.get(fi) for fi in face_of[:n_str]]
+        corners: list[list[tuple[int, int]]] = [[] for _ in arcs_on]
+        for ci in range(m):     # quadrant q is the face of end 4ci + (q + 1) % 4
+            b = 4 * ci
+            corners[face_of[b + 1]].append((ci, 0))
+            corners[face_of[b + 2]].append((ci, 1))
+            corners[face_of[b + 3]].append((ci, 2))
+            corners[face_of[b]].append((ci, 3))
+        closed = sorted((f for f in range(len(arcs_on)) if f not in named),
+                        key=corners.__getitem__)
+        faces = [(rid, kind, f) for f, rid in named.items()]
+        faces += [(f"r{i}", "closed", f) for i, f in enumerate(closed)]
+        faces.sort(key=itemgetter(0))
+        index = [0] * len(arcs_on)
+        regions = []
+        for i, (rid, kind, f) in enumerate(faces):
+            index[f] = i
+            regions.append(Region(rid, kind, tuple(corners[f]), () if kind == "closed" else (rid,)))
+        self.regions = tuple(regions)
+        self.open_regions = frozenset(named.values()) if self.boundary else frozenset()
+        # region of each end, as an index into regions
+        self._region_of_dart = [index[f] for f in face_of]
 
     # ------------------------------------------------------------------
     # queries
@@ -465,10 +447,10 @@ class TangleDiagram:
         """Region on the 'L'/'R' side of an edge, w.r.t. its flow direction:
         the face of its tail dart on the right, of its head dart on the left.
         None for an unknown edge and on a split diagram."""
-        if self.split or edge not in self._occ:
+        if self.split or edge not in self._first_end:
             return None
         tail, head = self.flow_ends(edge)
-        return self._region_of_dart[tail if side == "R" else head]
+        return self.regions[self._region_of_dart[tail if side == "R" else head]].rid
 
     def sites(self) -> list[Site]:
         """All (n-1)-element subsets of the arcs, in deterministic order."""
@@ -486,16 +468,13 @@ class TangleDiagram:
         over colours as indices into ``colours()`` and r_q the region of
         quadrant q, the face of dart 4ci + (q + 1) % 4, as an index into
         ``regions`` (-1 on a split diagram).  Built once, on first use."""
-        colour = {c: k for k, c in enumerate(self.colours())}
-        of_edge = self.colour_of_edge
-        if self.split:
-            region = [-1] * self.n_ends
-        else:
-            index = {r.rid: k for k, r in enumerate(self.regions)}
-            region = [index.get(rid, -1) for rid in self._region_of_dart]
-        return tuple([(c.sign, colour[of_edge[c.under[0]]], colour[of_edge[c.over[0]]],
-                       region[4 * ci + 1], region[4 * ci + 2], region[4 * ci + 3],
-                       region[4 * ci]) for ci, c in enumerate(self.crossings)])
+        index = {c: k for k, c in enumerate(self._colours)}
+        colour = [index[c.colour] for c in self.components]
+        comp = self._comp_of_tail    # under leaves at slot 2, over at slot 1 or 3
+        region = [-1] * self.n_ends if self.split else self._region_of_dart
+        return tuple([(c.sign, colour[comp[b + 2]], colour[comp[b + (1 if c.sign > 0 else 3)]],
+                       region[b + 1], region[b + 2], region[b + 3], region[b])
+                      for c, b in zip(self.crossings, range(0, self.n_ends, 4))])
 
     def corner_codes(self, weight, h: int = 0, delta: int = 0) -> list[tuple[int, ...]]:
         """Per crossing, each quadrant's code as one int: the doubled
@@ -582,9 +561,13 @@ def parse_tangle(text: str) -> TangleDiagram:
     """Parse the `.tgl` plain-text diagram format.
 
     Lines: ``tangle <name>``, ``ends <2n>``, ``boundary <arc> <edge> ...``
-    (counterclockwise, starting with an arc label), one
+    (counterclockwise, starting with an arc label) or, for a 0-ended
+    diagram, ``outer <arc> <edge> <L|R>`` (the arc label of its outer
+    region, which lies on that side of that edge), one
     ``crossing <id> <+|-> under <in> <out> over <in> <out>`` per crossing,
-    and ``colour <seed-edge> <name>`` per strand.  ``#`` starts a comment.
+    ``colour <seed-edge> <name>`` per strand and ``circle <name>`` per
+    crossingless closed strand.  A colour name is a token other than ``h``
+    and ``delta``.  ``#`` starts a comment.
     """
     name = "tangle"
     ends_declared: Optional[int] = None

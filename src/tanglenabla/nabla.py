@@ -21,8 +21,15 @@ variable table is the one that summing the states in lex order gives: a
 colour ranks by the lex-least state in which its exponent is non-zero, then
 by its first ``(crossing, slot of corner_exp2)`` in that state, and h comes
 last if any state has a non-zero h exponent.  That table is canonical, so the
-decoder builds its polynomial without re-ordering it.  ``eval_h`` keeps the
-table, so a colour whose terms cancel at h = -1 stays in it.
+decoder builds its polynomial without re-ordering it.  ``_packing`` lists,
+once per diagram, the colour digits of each corner in ``corner_exp2``
+order, which breaks the ties of that rule.
+
+``nabla_all`` and ``nabla_at_site`` decode the value at h = -1 in the same
+pass: the h digit of a term gives its sign, terms that then share their
+colour exponents are added, and the table is the hatted one without h, so
+a colour whose terms cancel stays in it, as ``LaurentPoly.eval_h`` keeps it.
+No hatted polynomial is built for them.
 
 ``gradings`` runs the same pass on its generator keys' corner codes (the
 Alexander and delta digits) for the graded Euler characteristics.
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagram import Site, TangleDiagram, TangleError
+from .diagram import CORNER_RULE, Site, TangleDiagram, TangleError
 from .laurent import H, LaurentError, LaurentPoly, binomial
 from .states import sites_of_bits, walk_tables
 
@@ -42,16 +49,23 @@ _MASK = (1 << _BITS) - 1
 _HALF = 1 << (_BITS - 1)
 
 
-def _packing(d: TangleDiagram) -> tuple[list[str], list[tuple[int, ...]]]:
+def _packing(d: TangleDiagram):
     """The colour of each digit from 1 on, in the order the crossings name
-    them (under colour before over colour), and, per crossing, each
-    corner's packed monomial (h2 in digit 0)."""
+    them (under colour before over colour); per crossing, each corner's
+    packed monomial (h2 in digit 0); and per crossing and quadrant, the
+    digits of the colours with a non-zero exponent there, the under colour
+    first, as ``corner_exp2`` lists them."""
     cols = d.colours()
     order = dict.fromkeys(x for _, u, o, *_ in d.corners for x in (u, o))
     weight = [0] * len(cols)
+    digit = [0] * len(cols)
     for k, c in enumerate(order, 1):
         weight[c] = 1 << _BITS * k
-    return [cols[c] for c in order], d.corner_codes(weight, h=1)
+        digit[c] = k
+    firsts = [[(digit[u], digit[o])] * 4 if u != o else
+              [(digit[u],) if eu + eo else () for eu, eo, _, _ in CORNER_RULE[sign < 0]]
+              for sign, u, o, *_ in d.corners]
+    return [cols[c] for c in order], d.corner_codes(weight, h=1), firsts
 
 
 def _bias(n: int) -> int:
@@ -101,52 +115,67 @@ def _frontier(d: TangleDiagram, s: Optional[Site],
     return {sites[key]: terms for key, terms in frontier.items()}
 
 
-def _decode(d: TangleDiagram, names: list[str], terms: dict[int, list[int]]) -> LaurentPoly:
+def _decode(colours: list[str], firsts: list, terms: dict[int, list[int]],
+            at_h: bool) -> LaurentPoly:
     """The polynomial of packed terms, with the variable table of the
-    module docstring."""
+    module docstring; with ``at_h``, its value at h = -1, which keeps that
+    table without h."""
     if not terms:
-        return LaurentPoly.zero()
-    bias = _bias(len(names))
-    rows = sorted((least, e + bias, c) for e, (c, least) in terms.items())
-    used = 0
-    for _, e, _ in rows:
-        used |= e ^ bias
-    todo = {k for k in range(1, len(names)) if used >> (_BITS * k) & _MASK}
-    m = len(d.crossings)
+        return LaurentPoly._canonical((), {})
+    bias = _bias(len(colours) + 1)
+    rows = sorted([(least, e + bias, c) for e, (c, least) in terms.items()])
+    todo = range(1, len(colours) + 1)
     order = []
     for least, e, _ in rows:   # distinct terms have distinct least states
-        if not todo:
-            break
-        new = {k for k in todo if (e ^ bias) >> (_BITS * k) & _MASK}
+        x = e ^ bias
+        new = [k for k in todo if x >> _BITS * k & _MASK]
+        if not new:
+            continue
         if len(new) > 1:
             # in the order of their first (crossing, slot of corner_exp2) here
+            m = len(firsts)
             first = []
             for ci in range(m):
-                for v, _ in d.corner_exp2(ci, least >> 2 * (m - 1 - ci) & 3):
-                    k = names.index(v)
+                for k in firsts[ci][least >> 2 * (m - 1 - ci) & 3]:
                     if k in new and k not in first:
                         first.append(k)
                 if len(first) == len(new):
                     break
-            order += first
-        else:
-            order += new
-        todo -= new
-    if used & _MASK:
-        order.append(0)   # h
+            new = first
+        order += new
+        todo = [k for k in todo if k not in new]
+        if not todo:
+            break
+    names = tuple([colours[k - 1] for k in order])
+    if at_h:
+        # h2 is even, and the sign (-1)^(h2 / 2) is bit 1 of its biased digit
+        ats = [_BITS * (k - 1) for k in order]
+        sums: dict[int, int] = {}
+        for _, e, c in rows:
+            key = e >> _BITS
+            sums[key] = sums.get(key, 0) + (-c if e & 2 else c)
+        return LaurentPoly._canonical(names, {tuple([(key >> at & _MASK) - _HALF for at in ats]): c
+                                              for key, c in sums.items() if c})
+    if any(e & _MASK != _HALF for _, e, _ in rows):
+        order.append(0)
+        names += (H,)
     ats = [_BITS * k for k in order]
-    return LaurentPoly._canonical(tuple([names[k] for k in order]),
-                                  {tuple([(e >> at & _MASK) - _HALF for at in ats]): c
-                                   for _, e, c in rows})
+    return LaurentPoly._canonical(names, {tuple([(e >> at & _MASK) - _HALF for at in ats]): c
+                                          for _, e, c in rows})
+
+
+def _site_values(d: TangleDiagram, s: Optional[Site], at_h: bool) -> dict[Site, LaurentPoly]:
+    """The decoded state sum at every site, or at ``s`` alone."""
+    colours, shifts, firsts = _packing(d)
+    sums = _frontier(d, s, shifts)
+    return {t: _decode(colours, firsts, sums.get(t, {}), at_h)
+            for t in (d.sites() if s is None else [s])}
 
 
 def nabla_hat_all(d: TangleDiagram) -> dict[Site, LaurentPoly]:
     """The full family of hatted state sums, one per site (h unevaluated),
     from one frontier pass whose final keys are the sites."""
-    colours, shifts = _packing(d)
-    names = [H, *colours]
-    sums = _frontier(d, None, shifts)
-    return {s: _decode(d, names, sums.get(s, {})) for s in d.sites()}
+    return _site_values(d, None, False)
 
 
 def check_site(d: TangleDiagram, s: Site) -> None:
@@ -160,16 +189,18 @@ def nabla_hat(d: TangleDiagram, s: Site) -> LaurentPoly:
     with the open regions outside s filled, so it meets only the states at
     s; the variable table is the one ``nabla_hat_all`` gives at s."""
     check_site(d, s)
-    colours, shifts = _packing(d)
-    return _decode(d, [H, *colours], _frontier(d, s, shifts).get(s, {}))
+    return _site_values(d, s, False)[s]
 
 
 def nabla_at_site(d: TangleDiagram, s: Site) -> LaurentPoly:
-    return nabla_hat(d, s).eval_h()
+    """∇_s: the hatted state sum at s evaluated at h = -1, decoded in one pass."""
+    check_site(d, s)
+    return _site_values(d, s, True)[s]
 
 
 def nabla_all(d: TangleDiagram) -> dict[Site, LaurentPoly]:
-    return {s: p.eval_h() for s, p in nabla_hat_all(d).items()}
+    """∇_s at every site, each decoded at h = -1 from the frontier pass."""
+    return _site_values(d, None, True)
 
 
 @dataclass(frozen=True)

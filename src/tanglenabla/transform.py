@@ -62,7 +62,7 @@ def _rebuild(d: TangleDiagram, *, crossings=None, boundary=None, arcs=None,
 
 def _fresh_edge(d: TangleDiagram, taken: set[str]) -> str:
     i = len(d.edges) + len(taken) + 1
-    while f"e{i}" in d._occ or f"e{i}" in taken:
+    while f"e{i}" in d._first_end or f"e{i}" in taken:
         i += 1
     taken.add(f"e{i}")
     return f"e{i}"
@@ -503,7 +503,7 @@ def _replace_head_occurrence(crossings, boundary, d, edge, new_id):
 def rm1_insert(d: TangleDiagram, edge: str, side: str, sign: int) -> TangleDiagram:
     """Insert a kink on an edge; ``side`` ('L'/'R' of the flow) places the
     loop, ``sign`` picks the new crossing's sign."""
-    if edge not in d._occ or side not in ("L", "R") or sign not in (1, -1):
+    if edge not in d._first_end or side not in ("L", "R") or sign not in (1, -1):
         raise TangleError("E_BAD_LOCATION", f"bad kink location {edge!r}/{side}/{sign}")
     taken: set[str] = set()
     k2 = _fresh_edge(d, taken)

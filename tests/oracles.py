@@ -20,6 +20,11 @@ state by state with ``site_of``, for the packed keys of ``gradings``.
 ``canonicalize``, ``canonical_form`` and ``isomorphic`` compare diagrams up
 to relabelling of edges and crossings, for the transform tests.
 
+``trace_faces`` and ``corner_ints`` are the construction's face tracer and
+corner table as they were before it traced on the edge ends alone: an
+explicit rotation system with two darts per boundary arc, region names per
+dart, and corners looked up by region name.
+
 ``random_diagram`` is the seeded generator that builds every piece, glue
 and cap as a validated diagram; ``verify.random_diagram`` must make the
 same rng draws and return the same diagrams.
@@ -31,10 +36,113 @@ from itertools import product
 from typing import Optional
 
 from tanglenabla import transform as tr
-from tanglenabla.diagram import Crossing, Site, TangleDiagram, TangleError, serialize
+from tanglenabla.diagram import Crossing, Region, Site, TangleDiagram, TangleError, serialize
 from tanglenabla.gradings import GradedGenerator
 from tanglenabla.laurent import H, LaurentPoly, binomial
 from tanglenabla.states import enumerate_states, site_of
+
+
+def _role_of_slot(c: Crossing, s: int) -> tuple[str, bool]:
+    """(strand, incoming) for slot s of crossing c, strand 'under' or 'over'."""
+    if s == 0:
+        return "under", True
+    if s == 2:
+        return "under", False
+    return "over", s == (3 if c.sign > 0 else 1)
+
+
+def trace_faces(d: TangleDiagram):
+    """(regions, open region names, region name of each edge end) of a
+    diagram that is not split, by orbit-tracing its rotation system: the
+    edge ends plus a start and an end dart per boundary arc, with sigma
+    turning counterclockwise and alpha crossing an edge or an arc.  The
+    face of a dart lies on the right when leaving it along its edge."""
+    m = len(d.crossings)
+    two_n = len(d.boundary)
+    n_str = d.n_ends
+    # arc k's start dart is n_str + 2k, its end dart n_str + 2k + 1
+    total = n_str + 2 * two_n
+    sigma = [0] * total
+    alpha = list(d.alpha) + [0] * (2 * two_n)
+    for k in range(two_n):
+        alpha[n_str + 2 * k] = n_str + 2 * k + 1
+        alpha[n_str + 2 * k + 1] = n_str + 2 * k
+    for ci in range(m):
+        for s in range(4):
+            sigma[4 * ci + s] = 4 * ci + (s + 1) % 4
+    for k in range(two_n):
+        nxt_arc_start = n_str + 2 * ((k + 1) % two_n)
+        strand = 4 * m + k
+        arc_end = n_str + 2 * k + 1
+        sigma[nxt_arc_start] = strand
+        sigma[strand] = arc_end
+        sigma[arc_end] = nxt_arc_start
+
+    face_of = [-1] * total
+    faces: list[list[int]] = []
+    for d0 in range(total):
+        if face_of[d0] >= 0:
+            continue
+        orbit = []
+        x = d0
+        while face_of[x] < 0:
+            face_of[x] = len(faces)
+            orbit.append(x)
+            x = sigma[alpha[x]]
+        faces.append(orbit)
+    assert (m + two_n if two_n else m) - len(d.edges) - two_n + len(faces) == 2
+
+    if two_n:
+        exterior = face_of[n_str]
+    else:
+        edge, side = d.outer_hint
+        tail, head = d.flow_ends(edge)
+        exterior = face_of[tail if side == "R" else head]
+    open_faces: dict[int, list[str]] = {}
+    for k, label in enumerate(d.arcs if two_n else ()):
+        open_faces.setdefault(face_of[n_str + 2 * k + 1], []).append(label)
+    if two_n:
+        assert exterior not in open_faces
+        assert all(len(labels) == 1 for labels in open_faces.values())
+    else:
+        open_faces = {exterior: [d.arcs[0]]}
+
+    corners: dict[int, list[tuple[int, int]]] = {}
+    for ci in range(m):
+        for q in range(4):
+            corners.setdefault(face_of[4 * ci + (q + 1) % 4], []).append((ci, q))
+    closed_faces = [fi for fi in range(len(faces))
+                    if fi not in open_faces and (not two_n or fi != exterior)]
+    closed_faces.sort(key=lambda fi: min(corners.get(fi, [(m, 4)])))
+    named: dict[int, str] = {}
+    regions = []
+    for fi, labels in sorted(open_faces.items(), key=lambda kv: kv[1][0]):
+        named[fi] = labels[0]
+        regions.append(Region(labels[0], "open" if two_n else "outer",
+                              tuple(sorted(corners.get(fi, []))), tuple(labels)))
+    for idx, fi in enumerate(closed_faces):
+        named[fi] = f"r{idx}"
+        regions.append(Region(f"r{idx}", "closed", tuple(sorted(corners.get(fi, []))), ()))
+    return (tuple(sorted(regions, key=lambda r: r.rid)),
+            frozenset(r.rid for r in regions if r.kind == "open"),
+            [named.get(fi) for fi in face_of[:n_str]])
+
+
+def corner_ints(d: TangleDiagram) -> tuple[tuple[int, ...], ...]:
+    """``TangleDiagram.corners`` from colour names and region names: the
+    colours of each crossing's incoming edges, and the region of each
+    quadrant from ``trace_faces`` (-1 on a split diagram)."""
+    colour = {c: k for k, c in enumerate(d.colours())}
+    of_edge = d.colour_of_edge
+    if d.split:
+        region = [-1] * d.n_ends
+    else:
+        regions, _, region_of_dart = trace_faces(d)
+        index = {r.rid: k for k, r in enumerate(regions)}
+        region = [index.get(rid, -1) for rid in region_of_dart]
+    return tuple([(c.sign, colour[of_edge[c.under[0]]], colour[of_edge[c.over[0]]],
+                   region[4 * ci + 1], region[4 * ci + 2], region[4 * ci + 3],
+                   region[4 * ci]) for ci, c in enumerate(d.crossings)])
 
 
 def _region_tables(d: TangleDiagram):
@@ -100,11 +208,11 @@ def _corner_codes(d: TangleDiagram, ci: int, q: int) -> tuple[dict[str, int], in
     slots = c.slots()
     exp: dict[str, int] = {}
     for strand, right_sign in (("under", 1), ("over", -1)):
-        s_in = next(s for s in range(4) if c.role_of_slot(s) == (strand, True))
+        s_in = next(s for s in range(4) if _role_of_slot(c, s) == (strand, True))
         colour = d.colour_of_edge[slots[s_in]]
         right = q in (s_in, (s_in + 1) % 4)
         exp[colour] = exp.get(colour, 0) + (right_sign if right else -right_sign)
-    ends_in = (c.role_of_slot(q)[1], c.role_of_slot((q + 1) % 4)[1])
+    ends_in = (_role_of_slot(c, q)[1], _role_of_slot(c, (q + 1) % 4)[1])
     h2 = -2 * c.sign if ends_in == (True, True) else 0
     delta2 = c.sign if ends_in[0] == ends_in[1] else 0
     return exp, h2, delta2
@@ -380,7 +488,7 @@ def canonicalize(d: TangleDiagram) -> TangleDiagram:
     starts = list(d.boundary) if d.boundary else [d.outer_hint[0]]
     for e in starts:
         visit_edge(e)
-        for end in d._occ[e]:
+        for end in sorted(d.flow_ends(e)):
             discover(end)
     qi = 0
     while qi < len(queue):
@@ -391,7 +499,7 @@ def canonicalize(d: TangleDiagram) -> TangleDiagram:
             s = (entry_slot[ci] + off) % 4
             e = slots[s]
             visit_edge(e)
-            for end in d._occ[e]:
+            for end in sorted(d.flow_ends(e)):
                 discover(end)
 
     ren = edge_new.__getitem__

@@ -212,6 +212,41 @@ def test_non_utf8_input_is_one_syntax_error(argv, tmp_path, capsys):
     assert err.startswith("error: E_SYNTAX: ") and len(err.splitlines()) == 1
 
 
+CLOSED_TREFOIL = """tangle trefoil_closed_b
+ends 0
+outer r {edge} R
+crossing x1 + under e1 e4 over e5 e3
+crossing x2 + under e7 e5 over e6 e1
+crossing x3 + under e3 e6 over e4 e7
+colour e1 t
+"""
+
+
+@pytest.mark.parametrize("extra", ["", "circle s\n"], ids=["connected", "split"])
+def test_outer_hint_naming_no_edge_is_a_syntax_error(extra, tmp_path, capsys):
+    assert parse_tangle(CLOSED_TREFOIL.format(edge="e1") + extra).split == bool(extra)
+    path = tmp_path / "closed.tgl"
+    path.write_text(CLOSED_TREFOIL.format(edge="zz") + extra)
+    for cmd in ("regions", "states"):
+        code, out, err = run_cli(cmd, str(path), capsys=capsys)
+        assert (code, out) == (1, "") and err.startswith("error: E_SYNTAX: "), cmd
+        assert len(err.splitlines()) == 1 and "'zz'" in err
+
+
+@pytest.mark.parametrize("colour", ["h", "delta", "9x-"])
+def test_a_free_circle_keeps_the_colour_name_rule(colour, tmp_path, capsys):
+    # a strand coloured h would collide with the grading variable, in
+    # euler_factor among others; a free circle is a strand too
+    path = tmp_path / "circle.tgl"
+    for line, want in ((f"circle {colour}\n", 1), ("circle s\n", 0)):
+        path.write_text(corpus.source("trefoil") + line)
+        for cmd in ("nabla", "conway"):
+            code, out, err = run_cli(cmd, str(path), capsys=capsys)
+            assert code == want, (line, cmd)
+            if want:
+                assert out == "" and err == f"error: E_SYNTAX: bad colour name {colour!r}\n"
+
+
 def test_conway(capsys):
     code, out, _ = run_cli("conway", corpus_arg("trefoil"), capsys=capsys)
     assert code == 0

@@ -15,7 +15,8 @@ from tanglenabla.transform import GlueRecord
 from tanglenabla.verify import random_diagram
 
 from conftest import load, seeded_diagrams, transform_outputs
-from oracles import _corner_codes, _region_tables, canonical_form, isomorphic
+from oracles import (_corner_codes, _region_tables, canonical_form, corner_ints, isomorphic,
+                     trace_faces)
 
 
 def test_parse_single_crossing_counts():
@@ -266,6 +267,50 @@ def test_construction_is_pinned():
         texts.append(_construction_record(parsed))
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert digest == CONSTRUCTION_PIN
+
+
+def _check_faces(d) -> bool:
+    """The regions, open regions, region beside every edge side and corner
+    ints of ``d`` against the dart tracer of the oracles; True if ``d`` has
+    faces."""
+    assert d.corners == corner_ints(d), d.name
+    if d.split:
+        assert d.regions == () and {d.region_beside(e, s) for e in d.edges for s in "LR"} <= {None}
+        return False
+    regions, open_regions, region_of_dart = trace_faces(d)
+    assert d.regions == regions and d.open_regions == open_regions, d.name
+    for e in d.edges:
+        tail, head = d.flow_ends(e)
+        assert (d.region_beside(e, "R"), d.region_beside(e, "L")) == (
+            region_of_dart[tail], region_of_dart[head]), (d.name, e)
+    return True
+
+
+def test_face_tracing_matches_the_dart_oracle(corpus_names):
+    inputs = [load(name) for name in corpus_names] + seeded_diagrams(11, 24, 7)
+    diagrams = inputs + seeded_diagrams(5, 6, 16)
+    for d in inputs:
+        for _, result in transform_outputs(d):
+            if isinstance(result, GlueRecord):
+                result = result.diagram
+            if isinstance(result, TangleDiagram):
+                diagrams.append(result)
+    traced = [d for d in diagrams if _check_faces(d)]
+    # tangles and closed diagrams, split ones, a crossingless one, and
+    # diagrams whose closed faces outnumber ten (so r10 sorts before r2)
+    assert len(traced) > 2000 and len(diagrams) - len(traced) > 20
+    assert any(not d.boundary for d in traced) and any(not d.crossings for d in traced)
+    assert any(r.rid == "r10" for d in traced for r in d.regions)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), ends=st.sampled_from((2, 4, 6)),
+       m=st.integers(1, 12))
+def test_face_tracing_matches_the_dart_oracle_on_hypothesis_diagrams(seed, ends, m):
+    d = random_diagram(random.Random(seed), ends, m)
+    assert _check_faces(d)
+    if d.n_open == 1:       # and its closures, which are 0-ended
+        assert all(_check_faces(tr.close_tangle(d, a)) for a in d.arcs)
 
 
 def test_region_corners_cover_each_quadrant_once(corpus_names):

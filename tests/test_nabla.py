@@ -215,3 +215,33 @@ def test_decoded_tables_are_the_validated_ones(seed, ends, m):
         q = LaurentPoly(p.vars, p.terms)
         assert type(p.vars) is tuple and p.vars == q.vars
         assert list(p.terms.items()) == list(q.terms.items())
+
+
+def _decoded_at_h(d) -> tuple[int, int]:
+    """Every site value of ``d``, in full and one site at a time, against
+    the hatted value evaluated by ``eval_h``, compared by ``to_json()``
+    (which pins the variable table); returns the number of zero sites and
+    of non-zero sites whose table keeps a colour that cancelled at h = -1."""
+    hats, values = nabla_hat_all(d), nabla_all(d)
+    assert list(values) == list(hats) == d.sites()
+    zero = cancelled = 0
+    for s, hat in hats.items():
+        want = hat.eval_h().to_json()
+        assert values[s].to_json() == nabla_at_site(d, s).to_json() == want, (d.name, str(s))
+        p = values[s]
+        zero += not p
+        cancelled += bool(p) and any(not any(e[i] for e in p.terms) for i in range(len(p.vars)))
+    return zero, cancelled
+
+
+def test_values_decode_at_h_minus_one_as_eval_h_does():
+    diagrams = seeded_diagrams(1717, 60, 9) + [load("mutorient")]
+    zero, cancelled = map(sum, zip(*map(_decoded_at_h, diagrams)))
+    assert zero > 0 and cancelled > 0, (zero, cancelled)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), ends=st.sampled_from((2, 4, 6)),
+       m=st.integers(1, 10))
+def test_values_decode_at_h_minus_one_as_eval_h_does_on_hypothesis_diagrams(seed, ends, m):
+    _decoded_at_h(random_diagram(random.Random(seed), ends, m))

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from itertools import product
 
-from . import corpus
+from . import corpus, layout
 from .diagram import Site, TangleError, compute_regions, parse_tangle, serialize
 from .gradings import euler_characteristics, generator_keys
 from .laurent import LaurentError
-from .nabla import (check_site, conway_potential, nabla_all, nabla_at_site,
-                    nabla_hat, nabla_hat_all)
+from .nabla import conway_potential, nabla_all, nabla_at_site, nabla_hat, nabla_hat_all
 from .states import sites_of_bits, walk_states
 from .transform import (close_tangle, glue_diagrams, mirror_diagram,
                         mutate_tangle, reverse_orientation)
@@ -42,34 +40,33 @@ def _read_diagram(path: str):
 def _sites(d, arg=None) -> list[Site]:
     """The sites a command reports on: the one ``arg`` names (``-`` for the
     empty site) or, without ``arg``, all of them.  A diagram without ends
-    has no site, so it has nothing to report: ``E_BAD_SITE`` either way."""
+    has no site, so it has nothing to report: ``E_BAD_SITE`` either way
+    (for ``arg``, raised by the computation, which checks its site)."""
     if arg is not None:
-        s = Site(frozenset() if arg in ("-", "") else frozenset(arg.split(",")))
-        check_site(d, s)
-        return [s]
+        return [Site(frozenset() if arg in ("-", "") else frozenset(arg.split(",")))]
     sites = d.sites()
     if not sites:
         raise TangleError("E_BAD_SITE", f"diagram {d.name!r} has no ends, so no site")
     return sites
 
 
-def _emit(args, text_lines, payload):
-    if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
+def _emit(text: str) -> None:
+    """Write a command's output.  A command builds only the format asked
+    for: a payload for ``layout.dump``, polynomials in it as they are, or
+    its text lines."""
+    sys.stdout.write(text + "\n")
 
 
 def _cmd_regions(args):
     d = _read_diagram(args.diagram)
-    lines = []
-    data = []
-    for r in compute_regions(d):
-        lines.append(f"{r.rid}\t{r.kind}\tcorners={len(r.corners)}\t"
-                     f"arcs={','.join(r.arcs) or '-'}")
-        data.append({"id": r.rid, "kind": r.kind,
-                     "corners": [list(c) for c in r.corners], "arcs": list(r.arcs)})
-    _emit(args, lines, {"diagram": d.name, "regions": data})
+    regions = compute_regions(d)
+    if args.format == "json":
+        _emit(layout.dump({"diagram": d.name, "regions": [
+            {"id": r.rid, "kind": r.kind, "corners": r.corners, "arcs": r.arcs}
+            for r in regions]}))
+    else:
+        _emit("\n".join([f"{r.rid}\t{r.kind}\tcorners={len(r.corners)}\t"
+                         f"arcs={','.join(r.arcs) or '-'}" for r in regions]))
     return 0
 
 
@@ -80,15 +77,10 @@ def _cmd_states(args):
     sites = sites_of_bits(d, {occupied for _, _, occupied in rows})
     m = len(d.crossings)
     if args.format == "json":
-        if not rows:
-            _emit(args, [], {"diagram": d.name, "states": []})
-            return 0
-        tails = _tails(m)
-        tail = {b: tails(_site_json(s)) for b, s in sites.items()}
-        chunks = ["    {\n" + tail[occupied](x) for x, _, occupied in rows]
-        chunks[-1] = chunks[-1][:-2]                    # no comma after the last
-        sys.stdout.writelines(['{\n  "diagram": %s,\n  "states": [\n' % json.dumps(d.name),
-                               *chunks, "\n  ]\n}\n"])
+        tails = layout.tails(m)
+        tail = {b: tails(layout.site_json(s)) for b, s in sites.items()}
+        sys.stdout.writelines(layout.table(
+            d.name, "states", ["    {\n" + tail[occupied](x) for x, _, occupied in rows]))
         return 0
     text = _marker_text(m)
     site = {b: f"  site {s}" for b, s in sites.items()}
@@ -99,7 +91,7 @@ def _cmd_states(args):
 def _marker_text(m: int):
     """``text(x)``: the markers of the base-4 marker code x of an m-crossing
     state as the text of ``states`` lists them, ``x1:q<marker> x2:q<marker>
-    ...``.  Like ``_tails``, it reads a byte of the code (four markers) at a
+    ...``.  Like ``layout.tails``, it reads a byte of the code (four markers) at a
     time from a table of 256 rendered pieces, one table per position; the
     leading m % 4 markers, if any, have their own smaller table."""
     if not m:
@@ -122,127 +114,42 @@ def _cmd_nabla(args):
         values = {s: nabla_hat(d, s) if args.hat else nabla_at_site(d, s)}
     else:
         values = nabla_hat_all(d) if args.hat else nabla_all(d)
-    lines = []
-    data = {}
-    for s in sorted(values, key=str):
-        lines.append(f"site {s}: {values[s].pretty()}")
-        data[str(s)] = values[s].to_json()
-    _emit(args, lines, {"diagram": d.name, "hat": bool(args.hat), "nabla": data})
+    if args.format == "json":
+        _emit(layout.dump({"diagram": d.name, "hat": bool(args.hat),
+                           "nabla": {str(s): p for s, p in values.items()}}))
+    else:
+        _emit("\n".join([f"site {s}: {values[s].pretty()}" for s in sorted(values, key=str)]))
     return 0
 
 
 def _cmd_conway(args):
     d = _read_diagram(args.diagram)
     cp = conway_potential(d)
-    payload = {
-        "diagram": d.name,
-        "numerator": cp.numerator.to_json(),
-        "divisor_colour": cp.colour,
-        "quotient": cp.quotient.to_json() if cp.quotient is not None else None,
-    }
-    _emit(args, [f"numerator: {cp.numerator.pretty()}",
-                 f"divisor: {cp.colour} - {cp.colour}^-1",
-                 f"potential: {cp.pretty()}"], payload)
+    if args.format == "json":
+        _emit(layout.dump({"diagram": d.name, "numerator": cp.numerator,
+                           "divisor_colour": cp.colour, "quotient": cp.quotient}))
+    else:
+        _emit(f"numerator: {cp.numerator.pretty()}\n"
+              f"divisor: {cp.colour} - {cp.colour}^-1\n"
+              f"potential: {cp.pretty()}")
     return 0
 
 
-def _json_block(items: list[str], brackets: str) -> str:
-    """Encoded list items or dict entries laid out as json.dumps(indent=2)
-    lays out a value whose key sits six spaces in."""
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n        " + ",\n        ".join(items) + f"\n      {brackets[1]}"
-
-
-def _site_json(s: Site) -> str:
-    return _json_block([json.dumps(a) for a in sorted(s.arcs)], "[]")
-
-
-# a generator's JSON text: a head fixed by its key >> 2m, then a tail
-# (``_tails``) fixed by its state; in ``states``, a state is "    {" and a tail
-_HEAD = """    {
-      "alexander2": %s,
-      "delta2": %d,
-      "h": %d,
-      "ladybug_bits": %s,
-"""
-
-
-def _tails(m: int):
-    """``tails(site)``: the function from the base-4 marker code of an
-    m-crossing state at the site whose JSON text is ``site`` to its tail,
-    the markers and the site closed with a comma, as json.dumps(indent=2,
-    sort_keys=True) lays out the end of a generator or a state.
-
-    The markers are read a byte of the code (four markers) at a time from
-    a table of 256 rendered pieces; the leading m % 4 markers, if any, have
-    their own smaller table."""
-    end = '      "site": %s\n    },\n'
-    if not m:
-        def empty(site):
-            tail = '      "markers": [],\n' + end % site
-            return lambda x: tail
-        return empty
-    sep = ",\n        "
-    lead = 8 * ((m - 1) // 4)                    # the bits below the leading piece
-    width = m - lead // 2
-    top = list(map(sep.join, product("0123", repeat=width)))
-    byte = list(map(sep.join, product("0123", repeat=4)))
-    shifts = range(lead - 8, -1, -8)
-
-    def tails(site):
-        pre, post = '      "markers": [\n        ', "\n      ],\n" + end % site
-        return lambda x: (pre + sep.join([top[x >> lead], *[byte[x >> k & 255] for k in shifts]])
-                          + post)
-    return tails
-
-
-def _json_site(layout):
-    """``chunk(s, groups)``: the JSON text of site s's generators, each with
-    a comma after it, byte for byte as ``json.dumps(indent=2,
-    sort_keys=True)`` lays them out in the gradings payload.  ``groups``
-    maps a state's head without decoration to the marker codes of its
-    states in lex order (see ``KeyLayout.runs``).  The generic encoder runs
-    in pure Python under ``indent`` and took most of the op; this renders
-    each run's head once and each state's tail once (``_tails``), and
-    writes a run as ``head + head.join(tails)``.
-    """
-    labels = [json.dumps(c) + ": " for c in layout.colours]
-    bits = [_json_block(list(map(str, b)), "[]") for b in layout.bits]
-    tails = _tails(layout.m)
-    alex: dict[int, str] = {}
-
-    def chunk(s, groups):
-        tail = tails(_site_json(s))
-        group_tails = [list(map(tail, codes)) for codes in groups.values()]
-        out = []
-        for packed, delta2, h, k, g in layout.runs(groups):
-            a = alex.get(packed)
-            if a is None:
-                a2 = layout.alexander(packed)
-                a = alex[packed] = _json_block([f"{c}{e}" for c, e in zip(labels, a2)], "{}")
-            head = _HEAD % (a, delta2, h, bits[k])
-            out.append(head)
-            out.append(head.join(group_tails[g]))
-        return "".join(out)
-    return chunk
-
-
-def _text_site(layout):
+def _text_site(keys):
     """``chunk(s, groups)``: the text lines of site s's generators, as
-    ``_json_site`` takes them; a line has no markers, so a run is its
+    ``layout.json_site`` takes them; a line has no markers, so a run is its
     head's line once per state of its group."""
-    labels = [f"{c}^" for c in layout.colours]
-    bits = ["".join(map(str, b)) or "-" for b in layout.bits]
+    labels = [f"{c}^" for c in keys.colours]
+    bits = ["".join(map(str, b)) or "-" for b in keys.bits]
     alex: dict[int, str] = {}
 
     def chunk(s, groups):
         sizes = [len(codes) for codes in groups.values()]
         out = []
-        for packed, delta2, h, k, g in layout.runs(groups):
+        for packed, delta2, h, k, g in keys.runs(groups):
             a = alex.get(packed)
             if a is None:
-                a2 = layout.alexander(packed)
+                a2 = keys.alexander(packed)
                 a = alex[packed] = " ".join(f"{c}{e / 2:+g}" for c, e in zip(labels, a2))
             out.append(f"site {s}  {a}  delta^{delta2 / 2:+g}  h={h}  bits={bits[k]}\n"
                        * sizes[g])
@@ -256,21 +163,17 @@ def _cmd_gradings(args):
     E_GRADING leaves no output."""
     d = _read_diagram(args.diagram)
     _sites(d)
-    layout, rows = generator_keys(d)
-    if args.format == "json" and not rows:
-        _emit(args, [], {"diagram": d.name, "generators": []})
-        return 0
-    shift = 2 * layout.m
+    keys, rows = generator_keys(d)
+    shift = 2 * keys.m
     mask = (1 << shift) - 1
     by_site: dict[int, dict[int, list[int]]] = {}
     for row, occupied in rows:
         by_site.setdefault(occupied, {}).setdefault(row >> shift, []).append(row & mask)
     sites = sites_of_bits(d, by_site)
-    chunk = (_json_site if args.format == "json" else _text_site)(layout)
+    chunk = (layout.json_site if args.format == "json" else _text_site)(keys)
     chunks = [chunk(sites[b], by_site[b]) for b in sorted(by_site, key=lambda b: str(sites[b]))]
     if args.format == "json":
-        chunks = ['{\n  "diagram": %s,\n  "generators": [\n' % json.dumps(d.name),
-                  *chunks[:-1], chunks[-1][:-2], "\n  ]\n}\n"]   # no comma after the last
+        chunks = layout.table(d.name, "generators", chunks)
     sys.stdout.writelines(chunks or ["\n"])
     return 0
 
@@ -279,13 +182,10 @@ def _cmd_euler(args):
     d = _read_diagram(args.diagram)
     sites = _sites(d, args.site)
     chis = euler_characteristics(d, None if args.site is None else sites[0])
-    lines = []
-    data = {}
-    for s in sorted(sites, key=str):
-        chi = chis[s]
-        lines.append(f"site {s}: {chi.pretty()}")
-        data[str(s)] = chi.to_json()
-    _emit(args, lines, {"diagram": d.name, "euler": data})
+    if args.format == "json":
+        _emit(layout.dump({"diagram": d.name, "euler": {str(s): chis[s] for s in sites}}))
+    else:
+        _emit("\n".join([f"site {s}: {chis[s].pretty()}" for s in sorted(sites, key=str)]))
     return 0
 
 
@@ -311,7 +211,7 @@ def _cmd_transform(args):
         raise TangleError("E_BAD_LOCATION", f"unknown transform {args.op!r}")
     text = serialize(out)
     if args.format == "json":
-        sys.stdout.write(json.dumps({"diagram": text}, indent=2) + "\n")
+        _emit(layout.dump({"diagram": text}))
     else:
         sys.stdout.write(text)
     return 0
@@ -328,7 +228,7 @@ def _cmd_check(args):
             raise TangleError("E_USAGE", f"NABLA_SEED is not an integer: {raw!r}") from None
     report = run_check(args.property, diagrams, seed=seed, cases=args.cases)
     if args.format == "json":
-        sys.stdout.write(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+        _emit(layout.dump(report.to_json()))
     else:
         status = "pass" if report.passed else "FAIL"
         sys.stdout.write(f"{report.prop}: {status} "

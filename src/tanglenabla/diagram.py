@@ -452,14 +452,24 @@ class TangleDiagram:
         tail, head = self.flow_ends(edge)
         return self.regions[self._region_of_dart[tail if side == "R" else head]].rid
 
-    def sites(self) -> list[Site]:
-        """All (n-1)-element subsets of the arcs, in deterministic order."""
+    @cached_property
+    def _sites(self) -> tuple[Site, ...]:
+        """All (n-1)-element subsets of the arcs, in deterministic order.
+        Built once, on first use."""
         from itertools import combinations
         labels = sorted(self.arcs) if self.boundary else []
         k = self.n_open - 1
         if k < 0:
-            return []
-        return [Site(frozenset(c)) for c in combinations(labels, k)]
+            return ()
+        return tuple([Site(frozenset(c)) for c in combinations(labels, k)])
+
+    def sites(self) -> list[Site]:
+        """All (n-1)-element subsets of the arcs, in deterministic order."""
+        return list(self._sites)
+
+    def has_site(self, s: Site) -> bool:
+        """Whether ``s`` is one of ``sites()``."""
+        return s in self._sites
 
     @cached_property
     def corners(self) -> tuple[tuple[int, ...], ...]:

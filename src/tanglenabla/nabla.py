@@ -180,7 +180,7 @@ def nabla_hat_all(d: TangleDiagram) -> dict[Site, LaurentPoly]:
 
 def check_site(d: TangleDiagram, s: Site) -> None:
     """Raise ``E_BAD_SITE`` unless ``s`` is one of ``d.sites()``."""
-    if s not in d.sites():
+    if not d.has_site(s):
         raise TangleError("E_BAD_SITE", f"no site {s} on diagram {d.name!r}")
 
 

@@ -37,18 +37,6 @@ def test_nabla_text(capsys):
     assert out == "site b: q^-3 p - q^-1 p^-1 + q p^-1\n"
 
 
-def test_nabla_json_matches_schema(capsys):
-    code, out, _ = run_cli("--format", "json", "nabla", corpus_arg("clasp"),
-                           capsys=capsys)
-    assert code == 0
-    data = json.loads(out)
-    jsonschema = pytest.importorskip("jsonschema")
-    schema_path = Path(__file__).resolve().parents[1] / "src" / "tanglenabla" \
-        / "schemas" / "output.json"
-    schema = json.loads(schema_path.read_text())
-    jsonschema.validate(data, {**schema, "$ref": "#/$defs/nabla"})
-
-
 def test_states_output(capsys):
     code, out, _ = run_cli("states", corpus_arg("crossing_pos"), capsys=capsys)
     assert code == 0
@@ -56,17 +44,38 @@ def test_states_output(capsys):
                                 "x1:q2  site a", "x1:q3  site b"]
 
 
-def test_regions_and_euler_and_gradings_json(capsys):
+# every JSON-emitting command, with the definition of output.json it meets;
+# QUOTIENT stands for a 2-ended diagram with a closed component whose
+# Conway quotient is exact
+SCHEMA_CASES = {
+    "regions": (["regions", "corpus:clasp"], "regions"),
+    "states": (["states", "corpus:clasp"], "states"),
+    "nabla": (["nabla", "corpus:clasp"], "nabla"),
+    "nabla-hat-site": (["nabla", "corpus:pretzel_2m3", "--hat", "--site", "b"], "nabla"),
+    "conway": (["conway", "corpus:trefoil"], "conway"),
+    "conway-quotient": (["conway", "QUOTIENT"], "conway"),
+    "gradings": (["gradings", "corpus:clasp"], "gradings"),
+    "euler": (["euler", "corpus:clasp"], "euler"),
+    "transform": (["transform", "mirror", "corpus:clasp"], "transform"),
+    "check": (["check", "mirror", "--seed", "5", "--cases", "3"], "report"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_CASES))
+def test_json_output_matches_schema(case, tmp_path, capsys):
     jsonschema = pytest.importorskip("jsonschema")
     schema_path = Path(__file__).resolve().parents[1] / "src" / "tanglenabla" \
         / "schemas" / "output.json"
     schema = json.loads(schema_path.read_text())
-    for cmd, ref in (("regions", "regions"), ("euler", "euler"),
-                     ("gradings", "gradings"), ("states", "states")):
-        code, out, _ = run_cli("--format", "json", cmd, corpus_arg("clasp"),
-                               capsys=capsys)
-        assert code == 0
-        jsonschema.validate(json.loads(out), {**schema, "$ref": f"#/$defs/{ref}"})
+    argv, ref = SCHEMA_CASES[case]
+    path = tmp_path / "q.tgl"
+    path.write_text(serialize(seeded_diagrams(5, 40, 7)[30]))
+    argv = [str(path) if a == "QUOTIENT" else a for a in argv]
+    code, out, _ = run_cli("--format", "json", *argv, capsys=capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert (data.get("quotient") is not None) == (case == "conway-quotient")
+    jsonschema.validate(data, {**schema, "$ref": f"#/$defs/{ref}"})
 
 
 def test_gradings_pretzel_count(capsys):

@@ -155,3 +155,61 @@ def test_check_json_digests(capsys):
         got = main(["--format", "json", "check", prop, "--seed", str(seed), "--cases", "6"])
         out, _ = capsys.readouterr()
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), (prop, seed)
+
+
+# diagrams the corpus lacks, written out: a split one (no state, so
+# "states": [] and the zero polynomial, "terms": []), a 2-ended one with a
+# closed component whose Conway quotient is exact (``seeded_diagrams(5, 40,
+# 7)[30]``), and the trefoil under a name that JSON has to escape
+FILES = {
+    "split": "tangle split\nends 2\nboundary a e1 b e2\n"
+             "crossing x1 + under e1 e3 over e3 e2\ncolour e1 t\ncircle u\n",
+    "closed2": ("tangle piece0_rev+piece1_rev+piece2_rev+piece3_rev+piece4+piece5_rev\n"
+                "ends 2\nboundary a g_p4_1 b g_p5_3\n"
+                "crossing x1 + under g_p2_2 g_p3_3 over g_p3_1 g_p1_0\n"
+                "crossing x2 - under g_p1_0 g_p1_1 over g_p1_3 g_p1_2\n"
+                "crossing x3 - under g_p2_1 g_p1_3 over g_p1_1 g_p2_2\n"
+                "crossing x4 + under g_p3_0 g_p3_1 over g_p3_3 g_p2_1\n"
+                "crossing x5 + under g_p1_2 g_p4_1 over g_p4_2 g_p4_3\n"
+                "crossing x6 + under g_p4_3 g_p4_2 over g_p5_3 g_p3_0\n"
+                "colour g_p1_0 t1\ncolour g_p4_2 t2\n"),
+    "cafe": corpus.source("trefoil").replace("tangle trefoil", 'tangle café"q\\z'),
+}
+
+# "<format> <argv>" -> (exit code, sha256 of stdout), with a FILES key in
+# argv standing for a file of that text; recorded while every JSON output
+# still went through json.dumps(indent=2, sort_keys=True)
+MORE_GOLDEN = {
+    "text conway corpus:trefoil": (0, "e33e31075c4c8282eca96522dab5d1c1cb68d53382492567df439c2fa772f0a5"),
+    "json conway corpus:trefoil": (0, "c8ea0ab09e59d74184a60998217341c586d41c72f739cdef9c4c71939a10e19c"),
+    "text conway closed2": (0, "9cc73a6d59983c2046e0214f60d564057b773ca009ff0f18b6287a2e93a1d4d8"),
+    "json conway closed2": (0, "9b25fb0e598e31e749e34b6280ea51631c17f2cb70a81854b29c70bf06ba1080"),
+    "json transform mirror corpus:clasp": (0, "54de12f93bc277c3e9d1dcb02e5716de3061199b793b6993786009d6e1fe785a"),
+    "json nabla corpus:pretzel_2m3 --site b": (0, "6869bf5738a8fa4041ad87a8ee9ab14282c22ee86651d949a4f1d0e81b4eea9a"),
+    "json nabla corpus:pretzel_2m3 --site b --hat": (0, "2b346a2821f671f61a917d695b99ae1cb4b8631ff4f96586c21885954eab8419"),
+    "json euler corpus:pretzel_2m3 --site b": (0, "0c0d73244442955a849efccf548d266e91f9d8215eb47ccc8ba4acaa16eda203"),
+    "json states split": (0, "fdbbbb216f76fca832c71fa2c33c2f5640bca521dbcfe2c4a5fa469624df5090"),
+    "json nabla split": (0, "fd22323419a71a9fda53d1d9f0e451891ce5617320187f06bd5fdbbae1609083"),
+    "json nabla split --hat": (0, "bc6e21629b9575da407e6e8d5d96af5e619cff647f54a080e28dff0ab545462e"),
+    "json conway split": (0, "b26a5ff258c10dc89ab0a3331fec00533f3299d0bf9d8581228d47b696f47958"),
+    "json nabla closed2": (0, "d670b563923a90f03141d04d39636779be3723f959a33a1c2fd016a259098b8a"),
+    "json euler closed2": (0, "37c7cdc7dc924483e9ba6767175dea80d10ea3e06d0d08ab3326102463f4b00f"),
+    "json regions cafe": (0, "d290cde021198615cd2ebbc70a8f3a8a99be3a78a250583b4b6a806aa5a49778"),
+    "json states cafe": (0, "76325ee8bfd89f1fd4e1e8dfdfd527629c5bf0a5995b8af445c90724ccbe2797"),
+    "json nabla cafe": (0, "bc59af66bf21724e6c94efeb3e68d4bb0a23e0f5d699b2127903acb477810cda"),
+    "json conway cafe": (0, "b87621d846c27a949c95dd6622d90dfcfd3ed53c4a8ea201f9067b1936b5fae6"),
+    "json gradings cafe": (0, "a50eedbfa68f87aae3ce2e92886dd7593fe2e914fe0a266d77105dee5ca16498"),
+    "json euler cafe": (0, "762df66ad2952de1d9e291db9e3796a11eee7bed7d3a312fee0aed6d2b08d1cb"),
+    "json transform mirror cafe": (0, "1ef9b19a9aebeb8ca3709d506afd7b3c2677c45d342ba5a8039a3fc618b3a539"),
+}
+
+
+def test_more_cli_digests(tmp_path, capsys):
+    for key, text in FILES.items():
+        (tmp_path / f"{key}.tgl").write_text(text, encoding="utf-8")
+    for cmd, (code, digest) in MORE_GOLDEN.items():
+        fmt, *argv = cmd.split()
+        argv = [str(tmp_path / f"{a}.tgl") if a in FILES else a for a in argv]
+        got = main(["--format", fmt, *argv])
+        out, _ = capsys.readouterr()
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), cmd

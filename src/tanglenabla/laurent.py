@@ -11,8 +11,10 @@ and ``terms`` holds no zero coefficient.  A variable may have no non-zero
 exponent left.  The constructor puts any table in that form; an operation
 whose table is already canonical (negation, ``eval_h`` and the ring
 operations, the state-sum decoder of ``nabla``) builds through
-``_canonical``, which checks nothing, and ``==`` compares the terms of two
-polynomials over the same table directly.
+``_canonical``, which checks nothing.  ``==`` compares the terms of two
+polynomials over the same table directly, and over permuted tables moves
+the other's terms onto this table; only tables with different names are
+aligned to their union.
 """
 
 from __future__ import annotations
@@ -124,17 +126,6 @@ class LaurentPoly:
         n = len(pos)
         return cls(tuple(pos), {k + (0,) * (n - len(k)): c for k, c in terms.items()})
 
-    @classmethod
-    def add_all(cls, polys: list["LaurentPoly"]) -> "LaurentPoly":
-        """The sum of ``polys`` in one pass, with the variable table that a
-        left-to-right ``+`` fold from zero gives."""
-        vs = _order_vars(v for p in polys for v in p.vars)
-        acc: dict[tuple[int, ...], int] = {}
-        for p in polys:
-            for e, c in p._aligned_to(vs).items():
-                acc[e] = acc.get(e, 0) + c
-        return cls._canonical(vs, {e: c for e, c in acc.items() if c})
-
     # ------------------------------------------------------------------
     # alignment of variable tables
 
@@ -193,6 +184,15 @@ class LaurentPoly:
             return NotImplemented
         if self.vars == other.vars:
             return self.terms == other.terms
+        if len(self.vars) == len(other.vars) and set(self.vars) == set(other.vars):
+            # one table permutes the other: move the other's terms onto it
+            if len(self.terms) != len(other.terms):
+                return False
+            pos = {v: i for i, v in enumerate(other.vars)}
+            idx = [pos[v] for v in self.vars]
+            terms = self.terms
+            return all(terms.get(tuple([e[i] for i in idx])) == c
+                       for e, c in other.terms.items())
         vs = self._union_vars(other)
         a = {e: c for e, c in self._aligned_to(vs).items() if c}
         b = {e: c for e, c in other._aligned_to(vs).items() if c}

@@ -8,23 +8,26 @@ Growth pairs ends by the glue rule of ``transform._glue_ends``, skipping an
 option it rejects, and records the glued edge pairs on one union-find over
 the final edge ids; the edges are renamed once, when the shape is grown.
 Caps use the transforms' own cap rule.  Only the result is validated, its
-strands coloured t1, t2, ... in component order.  The cap closing the last
-two ends needs the outer region, so it caps a diagram.  The glueing check
-sums its pieces' products in one pass over site pairs.
+strands, walked on the shape's edge maps, coloured t1, t2, ... in component
+order; a knot tangle drops a shape with a closed strand before that.  The
+cap closing the last two ends needs the outer region, so it caps a diagram.
+The glueing check sums its pieces' products on packed terms, in one pass
+over site pairs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Optional
 
 from . import transform as tr
 from .diagram import (Crossing, Site, TangleDiagram, TangleError, UnionFind,
                       linking_number, serialize)
 from .gradings import euler_characteristics
-from .laurent import H, LaurentPoly, binomial
-from .nabla import euler_factor, nabla_all, nabla_hat_all
+from .laurent import H, LaurentPoly, _order_vars, binomial
+from .nabla import _BITS, _HALF, _MASK, _bias, euler_factor, nabla_all, nabla_hat_all
 
 
 @dataclass
@@ -59,18 +62,37 @@ def _fresh_piece(rng: random.Random, idx: int) -> tr.Shape:
                     ("a", "b", "c", "d"), tuple(x in (r.under[1], r.over[1]) for x in c.slots()))
 
 
-def _diagram(s: tr.Shape, closing: bool = False) -> TangleDiagram:
+def _strands(s: tr.Shape) -> tuple[list[tuple[str, str]], list[str]]:
+    """The strands of a shape, walked on its under and over in -> out edge
+    maps: ``(first, least)`` edge of each open strand, in the order of the
+    boundary edges they leave from, and the least edge of each closed
+    strand, sorted."""
+    follow = {e: f for c in s.crossings for e, f in (c.under, c.over)}
+    seen: set[str] = set()
+
+    def least(e):
+        out = e
+        while e is not None and e not in seen:
+            seen.add(e)
+            out = min(out, e)
+            e = follow.get(e)
+        return out
+
+    opens = [(e, least(e)) for e, inc in zip(s.boundary, s.incoming) if not inc]
+    return opens, sorted([least(e) for e in follow if e not in seen])
+
+
+def _diagram(s: tr.Shape, closing: bool = False, knot: bool = False) -> TangleDiagram:
     """The diagram of a grown shape, its strands coloured t1, t2, ... in
     component order: open ones by the end they leave from, then closed ones
-    by least edge (all by least edge when ``closing`` its last two ends)."""
-    strands = UnionFind()
-    for c in s.crossings:
-        strands.union(*c.under)
-        strands.union(*c.over)
-    find = strands.find
-    order = [] if closing else [find(e) for e, inc in zip(s.boundary, s.incoming) if not inc]
-    order += sorted({find(e) for c in s.crossings for e in (c.under[0], c.over[0])}
-                    - set(order))
+    by least edge (all by least edge when ``closing`` its last two ends).
+    With ``knot``, a shape with a closed strand raises E_GENERATION before
+    it is constructed."""
+    opens, closed = _strands(s)
+    if knot and closed:
+        raise TangleError("E_GENERATION", "the shape has a closed strand")
+    order = (sorted([e for _, e in opens] + closed) if closing
+             else [e for e, _ in opens] + closed)
     return TangleDiagram(s.name, s.crossings, s.boundary, s.arcs,
                          {e: f"t{i + 1}" for i, e in enumerate(order)})
 
@@ -80,11 +102,17 @@ def random_diagram(rng: random.Random, n_ends: int = 4, n_crossings: int = 6,
     """A random connected oriented tangle diagram with the requested number
     of boundary ends and crossings.  Components get colours t1, t2, ...
     """
+    return _random_diagram(rng, n_ends, n_crossings, max_tries)
+
+
+def _random_diagram(rng, n_ends, n_crossings, max_tries=200, knot=False) -> TangleDiagram:
+    """``random_diagram``; with ``knot``, a grown shape with a closed strand
+    raises E_GENERATION before it is constructed (see ``_diagram``)."""
     if n_ends < 0 or n_ends % 2:
         raise TangleError("E_GENERATION", f"no diagram has {n_ends} boundary ends")
     n_crossings = max(n_crossings, (n_ends - 2) // 2, 1)
     for _ in range(max_tries):
-        d = _try_random_diagram(rng, n_ends, n_crossings)
+        d = _try_random_diagram(rng, n_ends, n_crossings, knot)
         if d is not None:
             return d
     raise TangleError("E_GENERATION", "could not generate a diagram with these parameters")
@@ -139,7 +167,7 @@ def _grow(rng, n_ends, n_crossings) -> Optional[tr.Shape]:
                     tuple(tr._arc_labels(len(boundary))), incoming)
 
 
-def _try_random_diagram(rng, n_ends, n_crossings) -> Optional[TangleDiagram]:
+def _try_random_diagram(rng, n_ends, n_crossings, knot) -> Optional[TangleDiagram]:
     s = _grow(rng, n_ends, n_crossings)
     # cap adjacent ends down to n_ends; the cap that closes the diagram needs
     # its outer region, so it caps the validated diagram
@@ -153,20 +181,21 @@ def _try_random_diagram(rng, n_ends, n_crossings) -> Optional[TangleDiagram]:
         s = _first(cap, ((s, a) for a in _shuffled(rng, s.arcs)))
     if s is None or len(s.boundary) != n_ends:
         return None
-    d = s if isinstance(s, TangleDiagram) else _diagram(s)
+    d = s if isinstance(s, TangleDiagram) else _diagram(s, knot=knot)
     return None if d.split else d
 
 
 def random_knot_tangle(rng: random.Random, n_crossings: int,
                        max_tries: int = 400) -> TangleDiagram:
-    """A 2-ended diagram whose single component is open (a knot tangle)."""
+    """A 2-ended diagram whose single component is open (a knot tangle).
+    Each try is one ``random_diagram(rng, 2, n_crossings)`` that ends at
+    its first candidate with a closed strand, before that is constructed;
+    a 2-ended candidate without one is a knot."""
     for _ in range(max_tries):
         try:
-            d = random_diagram(rng, 2, n_crossings)
+            return _random_diagram(rng, 2, n_crossings, knot=True)
         except TangleError:
             continue
-        if len(d.components) == 1:
-            return d
     raise TangleError("E_GENERATION", "no knot tangle found")
 
 
@@ -419,31 +448,86 @@ def _check_glueing(rng, cases, fail):
 def _glued_sums(rec: tr.GlueRecord, hats_1: dict[Site, LaurentPoly],
                 hats_2: dict[Site, LaurentPoly]) -> dict[Site, LaurentPoly]:
     """The right-hand side of the glueing formula at every site of the
-    glued diagram: the sum of ``hats_1[s1] * hats_2[s2]``, colours renamed by the record's
-    iotas, over the site pairs whose images are distinct regions that cover
-    every closed region on the seam and, besides those, are exactly the
-    site's open regions.  One pass maps each pair to that site, or to none;
-    each site sums its products in one pass (``LaurentPoly.add_all``), with
-    the variable table of their ``+`` fold in pair order."""
+    glued diagram: the sum of ``hats_1[s1] * hats_2[s2]``, colours renamed
+    by the record's iotas, over the site pairs whose images are distinct
+    regions that cover every closed region on the seam and, besides those,
+    are exactly the site's open regions.
+
+    Each piece polynomial is packed once, a term to one int of ``nabla``'s
+    balanced digits, one digit per glued colour and h: a colour takes the
+    digit of its iota image, so colours the glue merges add their
+    exponents, and a product term is one int addition.  A site's arc
+    images are a bitmask over the seam's closed regions and the open
+    regions, so a pair test is a few int operations.  Each glued site sums
+    its product terms in one int -> coef map and is built once, over the
+    table of the ``+`` fold of its products in pair order: the union of
+    its pairs' renamed tables in that order, one entry per distinct pair
+    of tables."""
     T = rec.diagram
     kind = {r.rid: r.kind for r in T.regions}
-    seam_closed = {rid for rid in (*rec.arc_map_1.values(), *rec.arc_map_2.values())
-                   if kind.get(rid) == "closed"}
-    renamed_2 = [([rec.arc_map_2[a] for a in s2.arcs], p2.rename(rec.iota_2))
-                 for s2, p2 in hats_2.items()]
-    terms: dict[Site, list[LaurentPoly]] = {s: [] for s in T.sites()}
-    for s1, p1 in hats_1.items():
-        img1 = [rec.arc_map_1[a] for a in s1.arcs]
-        p1 = p1.rename(rec.iota_1)
-        for img2, p2 in renamed_2:
-            occ = set(img1 + img2)
-            if len(occ) != len(img1) + len(img2) or not seam_closed <= occ:
+    seam = {rid for rid in (*rec.arc_map_1.values(), *rec.arc_map_2.values())
+            if kind.get(rid) == "closed"}
+    bit = {r.rid: 1 << k for k, r in enumerate(T.regions) if r.kind == "open" or r.rid in seam}
+    seam_bits = sum(bit[rid] for rid in seam)
+    target = {sum(bit[a] for a in s.arcs): s for s in T.sites()}
+    digit: dict[str, int] = {}
+
+    def packed(hats, arc_map, iota, tables):
+        """Per site whose images are distinct regions with a bit: the mask
+        of its images, the index of its renamed table in ``tables`` and its
+        packed terms."""
+        index: dict[tuple[str, ...], tuple[int, list[int]]] = {}
+        out = []
+        for s, p in hats.items():
+            img = {arc_map[a] for a in s.arcs}
+            if len(img) != len(s.arcs) or not img <= bit.keys():
                 continue
-            open_occ = {r for r in occ if kind.get(r) == "open"}
-            target = Site(frozenset(open_occ))
-            if target in terms and occ == seam_closed | open_occ:
-                terms[target].append(p1 * p2)
-    return {s: LaurentPoly.add_all(ps) for s, ps in terms.items()}
+            t = index.get(p.vars)
+            if t is None:
+                names = [iota.get(v, v) for v in p.vars]
+                t = index[p.vars] = (len(tables), [1 << _BITS * digit.setdefault(n, len(digit))
+                                                   for n in names])
+                tables.append(names)
+            terms: dict[int, int] = {}
+            for e, c in p.terms.items():
+                k = sum(map(mul, e, t[1]))
+                terms[k] = terms.get(k, 0) + c
+            out.append((sum(bit[r] for r in img), t[0], terms))
+        return out
+
+    tables_1: list[list[str]] = []
+    tables_2: list[list[str]] = []
+    side_2 = packed(hats_2, rec.arc_map_2, rec.iota_2, tables_2)
+    sums: dict[Site, dict[int, int]] = {s: {} for s in target.values()}
+    pairs: dict[Site, dict[tuple[int, int], None]] = {s: {} for s in target.values()}
+    for m1, t1, x1 in packed(hats_1, rec.arc_map_1, rec.iota_1, tables_1):
+        for m2, t2, x2 in side_2:
+            m = m1 | m2
+            if m1 & m2 or m & seam_bits != seam_bits:
+                continue
+            s = target.get(m ^ seam_bits)
+            if s is None:
+                continue
+            pairs[s][t1, t2] = None
+            acc = sums[s]
+            for e1, c1 in x1.items():
+                for e2, c2 in x2.items():
+                    e = e1 + e2
+                    acc[e] = acc.get(e, 0) + c1 * c2
+    bias = _bias(len(digit))
+    folds: dict[tuple, tuple] = {}     # a site's pairs of tables -> its table, digits
+    out = {}
+    for s in T.sites():
+        key = tuple(pairs[s])
+        fold = folds.get(key)
+        if fold is None:
+            vs = _order_vars(v for t1, t2 in key for v in (*tables_1[t1], *tables_2[t2]))
+            fold = folds[key] = (vs, [_BITS * digit[v] for v in vs])
+        vs, ats = fold
+        out[s] = LaurentPoly._canonical(vs, {tuple([(e + bias >> at & _MASK) - _HALF
+                                                    for at in ats]): c
+                                             for e, c in sums[s].items() if c})
+    return out
 
 
 def _check_parity(rng, cases, fail):

@@ -6,7 +6,8 @@ codes are derived afresh from the slot roles of each crossing, and the
 empty-site polynomial of 2-ended tangles is checked against a
 crossing-switch resolution that only knows the skein identity, descending
 diagrams and split detection.  The right-hand side of the glueing formula
-is summed by a scan of every site pair per target site.  ``rescan_euler``
+is summed by a scan of every site pair per target site; ``add_all`` sums a
+list of polynomials in one pass with the table of their ``+`` fold.  ``rescan_euler``
 and ``gradings_output`` work from a generator list: the graded Euler
 characteristic as a running sum over it, and the ``gradings`` command's
 stdout as the sorted list written by ``json.dumps`` or line by line.
@@ -27,18 +28,21 @@ dart, and corners looked up by region name.
 
 ``random_diagram`` is the seeded generator that builds every piece, glue
 and cap as a validated diagram; ``verify.random_diagram`` must make the
-same rng draws and return the same diagrams.
+same rng draws and return the same diagrams.  ``random_knot_tangle``
+builds whole diagrams on it and drops those with a closed strand, where
+``verify.random_knot_tangle`` drops their shapes unbuilt.
 """
 
 import json
 import random
+from collections import Counter
 from itertools import product
 from typing import Optional
 
 from tanglenabla import transform as tr
 from tanglenabla.diagram import Crossing, Region, Site, TangleDiagram, TangleError, serialize
 from tanglenabla.gradings import GradedGenerator
-from tanglenabla.laurent import H, LaurentPoly, binomial
+from tanglenabla.laurent import H, LaurentPoly, _order_vars, binomial
 from tanglenabla.states import enumerate_states, site_of
 
 
@@ -320,6 +324,14 @@ def rescan_generators(d: TangleDiagram) -> list[GradedGenerator]:
     return out
 
 
+def poincare_rows(gens, s: Optional[Site] = None) -> list[dict]:
+    """``gradings.poincare_table`` counted generator by generator."""
+    rows = Counter((str(g.site), g.alexander2, g.delta2, g.h)
+                   for g in gens if s is None or g.site == s)
+    return [{"site": site, "alexander": {v: e / 2 for v, e in a2}, "delta": d2 / 2,
+             "h": h, "count": count} for (site, a2, d2, h), count in sorted(rows.items())]
+
+
 def rescan_euler(gens, s: Site) -> LaurentPoly:
     """The graded Euler characteristic at s as a running LaurentPoly sum of
     (-1)^h times the Alexander monomial, rescanning every generator."""
@@ -349,6 +361,17 @@ def gradings_output(name: str, gens, fmt: str = "text") -> str:
         bits = "".join(map(str, g.ladybug_bits)) or "-"
         lines.append(f"site {g.site}  {a}  delta^{g.delta2 / 2:+g}  h={g.h}  bits={bits}")
     return "\n".join(lines) + "\n"
+
+
+def add_all(polys: list[LaurentPoly]) -> LaurentPoly:
+    """The sum of ``polys`` in one pass, with the variable table that a
+    left-to-right ``+`` fold from zero gives."""
+    vs = _order_vars(v for p in polys for v in p.vars)
+    acc: dict[tuple[int, ...], int] = {}
+    for p in polys:
+        for e, c in p._aligned_to(vs).items():
+            acc[e] = acc.get(e, 0) + c
+    return LaurentPoly._canonical(vs, {e: c for e, c in acc.items() if c})
 
 
 def glueing_sums(rec: tr.GlueRecord, hats_1: dict, hats_2: dict) -> dict[Site, LaurentPoly]:
@@ -555,6 +578,20 @@ def random_diagram(rng: random.Random, n_ends: int = 4, n_crossings: int = 6,
             mapping = {c: f"t{i + 1}" for i, c in enumerate(comps)}
             return tr.recolour(d, mapping)
     raise TangleError("E_GENERATION", "could not generate a diagram with these parameters")
+
+
+def random_knot_tangle(rng: random.Random, n_crossings: int,
+                       max_tries: int = 400) -> TangleDiagram:
+    """A knot tangle: ``random_diagram(rng, 2, n_crossings)`` built whole,
+    and tried again when it has a closed strand."""
+    for _ in range(max_tries):
+        try:
+            d = random_diagram(rng, 2, n_crossings)
+        except TangleError:
+            continue
+        if len(d.components) == 1:
+            return d
+    raise TangleError("E_GENERATION", "no knot tangle found")
 
 
 def _try_random_diagram(rng, n_ends, n_crossings) -> Optional[TangleDiagram]:

@@ -166,7 +166,10 @@ def _seeded_glues(seed, count):
 
 
 def test_one_pass_glueing_sum_matches_the_site_scan():
-    sites = nonzero = 0
+    # among the records: iotas that send two colours of a piece to one glued
+    # colour, once where two terms of a piece then coincide, and piece arcs
+    # on a closed region of the glued diagram, which lie in no site
+    sites = nonzero = merged = collided = on_closed = 0
     for rec, hats_1, hats_2 in _seeded_glues(13, 40):
         fast = verify._glued_sums(rec, hats_1, hats_2)
         slow = glueing_sums(rec, hats_1, hats_2)
@@ -175,7 +178,16 @@ def test_one_pass_glueing_sum_matches_the_site_scan():
         assert fast == nabla_hat_all(rec.diagram)
         sites += len(fast)
         nonzero += sum(1 for p in fast.values() if p != LaurentPoly.zero())
+        for hats, iota in ((hats_1, rec.iota_1), (hats_2, rec.iota_2)):
+            if len(set(iota.values())) < len(iota):
+                merged += 1
+                collided += sum(1 for p in hats.values()
+                                if len(p.rename(iota).terms) < len(p.terms))
+        kind = {r.rid: r.kind for r in rec.diagram.regions}
+        on_closed += any(kind[r] == "closed"
+                         for r in (*rec.arc_map_1.values(), *rec.arc_map_2.values()))
     assert sites >= 150 and nonzero >= 50, (sites, nonzero)
+    assert merged >= 5 and collided >= 1 and on_closed >= 10, (merged, collided, on_closed)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -250,6 +262,30 @@ def test_generator_builds_at_most_two_diagrams_per_result(monkeypatch):
             built.clear()
             d = random_diagram(rng, ends, m)
             assert built[-1] is d and len(built) <= 2, (ends, m, len(built))
+
+
+def test_knot_tangles_match_the_whole_diagram_oracle():
+    for seed in range(30):
+        for m in (1, 3, 5, 8):
+            assert (_generated(random_knot_tangle, random.Random(seed), m)
+                    == _generated(oracles.random_knot_tangle, random.Random(seed), m)), (seed, m)
+
+
+def test_knot_tangle_builds_one_diagram_per_result(monkeypatch):
+    # a candidate with a closed strand is dropped as a shape, unbuilt
+    built = []
+    init = TangleDiagram.__init__
+
+    def counting(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(TangleDiagram, "__init__", counting)
+    rng = random.Random(5)
+    for m in range(1, 13):
+        built.clear()
+        d = random_knot_tangle(rng, m)
+        assert len(built) == 1 and built[0] is d, (m, len(built))
 
 
 @pytest.mark.parametrize("ends", [-2, -1, 1, 3, 7])

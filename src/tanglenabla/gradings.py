@@ -204,23 +204,8 @@ def euler_characteristics(d: TangleDiagram,
 
 
 def poincare_table(d: TangleDiagram, s: Site | None = None):
-    """Grouped counts of generators by (site, Alexander vector, delta, h).
-    A run of ``KeyLayout.runs`` is one such row's share, as many
-    generators as its group has states, so no generator is built."""
-    layout, rows = generator_keys(d)
-    shift = 2 * layout.m
-    by_site: dict[int, dict[int, int]] = {}
-    for row, occupied in rows:
-        groups = by_site.setdefault(occupied, {})
-        groups[row >> shift] = groups.get(row >> shift, 0) + 1
-    sites = sites_of_bits(d, by_site)
-    counts: Counter = Counter()
-    for b, groups in by_site.items():
-        if s is not None and sites[b] != s:
-            continue
-        sizes = list(groups.values())
-        site = str(sites[b])
-        for alex, d2, h, _, g in layout.runs(groups):
-            counts[site, tuple(zip(layout.colours, layout.alexander(alex))), d2, h] += sizes[g]
+    """Grouped counts of generators by (site, Alexander vector, delta, h)."""
+    rows = Counter((str(g.site), g.alexander2, g.delta2, g.h)
+                   for g in generator_gradings(d) if s is None or g.site == s)
     return [{"site": site, "alexander": {v: e / 2 for v, e in a2}, "delta": d2 / 2,
-             "h": h, "count": count} for (site, a2, d2, h), count in sorted(counts.items())]
+             "h": h, "count": count} for (site, a2, d2, h), count in sorted(rows.items())]

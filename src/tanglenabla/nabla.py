@@ -38,7 +38,8 @@ Alexander and delta digits) for the graded Euler characteristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from operator import mul
+from typing import Callable, Optional
 
 from .diagram import CORNER_RULE, Site, TangleDiagram, TangleError
 from .laurent import H, LaurentError, LaurentPoly, binomial
@@ -73,6 +74,39 @@ def _bias(n: int) -> int:
     exponent reads off without a borrow, as ``(e >> _BITS * k & _MASK) -
     _HALF``, and e ^ bias has a zero digit where e's digit is zero."""
     return _HALF * ((1 << _BITS * n) - 1) // _MASK
+
+
+def _packer(digits: list[int]) -> Callable[[dict[tuple[int, ...], int]], dict[int, int]]:
+    """A LaurentPoly term table packed with exponent j on digit
+    ``digits[j]``, one int a term; exponents that share a digit add, and so
+    may their terms.  A term whose exponents reach _HALF / 2 in absolute sum
+    raises E_EXPONENT_RANGE, so every digit stays below _HALF / 2 and a
+    product of two packed terms is the sum of their ints."""
+    weights = [1 << _BITS * k for k in digits]
+    limit = _HALF >> 1
+
+    def pack(terms: dict[tuple[int, ...], int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for e, c in terms.items():
+            if sum(map(abs, e)) >= limit:
+                raise LaurentError("E_EXPONENT_RANGE", "exponent too large to pack")
+            k = sum(map(mul, e, weights))
+            out[k] = out.get(k, 0) + c
+        return out
+    return pack
+
+
+def _unpacker(n: int, digits: list[int]) -> Callable[[dict[int, int]], dict]:
+    """The inverse of ``_packer`` for terms over n digits: a packed table back
+    to a term table, exponent j read off digit ``digits[j]``, and zero
+    coefficients dropped."""
+    bias = _bias(n)
+    ats = [_BITS * k for k in digits]
+
+    def unpack(terms: dict[int, int]) -> dict[tuple[int, ...], int]:
+        return {tuple([(e + bias >> at & _MASK) - _HALF for at in ats]): c
+                for e, c in terms.items() if c}
+    return unpack
 
 
 def _frontier(d: TangleDiagram, s: Optional[Site],

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Callable, Optional
 
 from . import transform as tr
@@ -27,7 +26,7 @@ from .diagram import (Crossing, Site, TangleDiagram, TangleError, UnionFind,
                       linking_number, serialize)
 from .gradings import euler_characteristics
 from .laurent import H, LaurentPoly, _order_vars, binomial
-from .nabla import _BITS, _HALF, _MASK, _bias, euler_factor, nabla_all, nabla_hat_all
+from .nabla import _packer, _unpacker, euler_factor, nabla_all, nabla_hat_all
 
 
 @dataclass
@@ -62,11 +61,11 @@ def _fresh_piece(rng: random.Random, idx: int) -> tr.Shape:
                     ("a", "b", "c", "d"), tuple(x in (r.under[1], r.over[1]) for x in c.slots()))
 
 
-def _strands(s: tr.Shape) -> tuple[list[tuple[str, str]], list[str]]:
+def _strands(s: tr.Shape) -> tuple[list[str], list[str]]:
     """The strands of a shape, walked on its under and over in -> out edge
-    maps: ``(first, least)`` edge of each open strand, in the order of the
-    boundary edges they leave from, and the least edge of each closed
-    strand, sorted."""
+    maps: the least edge of each open strand, in the order of the boundary
+    edges they leave from, and the least edge of each closed strand,
+    sorted."""
     follow = {e: f for c in s.crossings for e, f in (c.under, c.over)}
     seen: set[str] = set()
 
@@ -78,7 +77,7 @@ def _strands(s: tr.Shape) -> tuple[list[tuple[str, str]], list[str]]:
             e = follow.get(e)
         return out
 
-    opens = [(e, least(e)) for e, inc in zip(s.boundary, s.incoming) if not inc]
+    opens = [least(e) for e, inc in zip(s.boundary, s.incoming) if not inc]
     return opens, sorted([least(e) for e in follow if e not in seen])
 
 
@@ -91,8 +90,7 @@ def _diagram(s: tr.Shape, closing: bool = False, knot: bool = False) -> TangleDi
     opens, closed = _strands(s)
     if knot and closed:
         raise TangleError("E_GENERATION", "the shape has a closed strand")
-    order = (sorted([e for _, e in opens] + closed) if closing
-             else [e for e, _ in opens] + closed)
+    order = sorted(opens + closed) if closing else opens + closed
     return TangleDiagram(s.name, s.crossings, s.boundary, s.arcs,
                          {e: f"t{i + 1}" for i, e in enumerate(order)})
 
@@ -453,16 +451,15 @@ def _glued_sums(rec: tr.GlueRecord, hats_1: dict[Site, LaurentPoly],
     regions that cover every closed region on the seam and, besides those,
     are exactly the site's open regions.
 
-    Each piece polynomial is packed once, a term to one int of ``nabla``'s
-    balanced digits, one digit per glued colour and h: a colour takes the
-    digit of its iota image, so colours the glue merges add their
-    exponents, and a product term is one int addition.  A site's arc
-    images are a bitmask over the seam's closed regions and the open
-    regions, so a pair test is a few int operations.  Each glued site sums
-    its product terms in one int -> coef map and is built once, over the
-    table of the ``+`` fold of its products in pair order: the union of
-    its pairs' renamed tables in that order, one entry per distinct pair
-    of tables."""
+    Each piece polynomial is packed once (``nabla._packer``), one digit per
+    glued colour and h: a colour takes the digit of its iota image, so
+    colours the glue merges add their exponents, and a product term is one
+    int addition.  A site's arc images are a bitmask over the seam's closed
+    regions and the open regions, so a pair test is a few int operations.
+    Each glued site sums its product terms in one int -> coef map and is
+    built once (``nabla._unpacker``), over the table of the ``+`` fold of its
+    products in pair order: the union of its pairs' renamed tables in that
+    order, one entry per distinct pair of tables."""
     T = rec.diagram
     kind = {r.rid: r.kind for r in T.regions}
     seam = {rid for rid in (*rec.arc_map_1.values(), *rec.arc_map_2.values())
@@ -476,7 +473,7 @@ def _glued_sums(rec: tr.GlueRecord, hats_1: dict[Site, LaurentPoly],
         """Per site whose images are distinct regions with a bit: the mask
         of its images, the index of its renamed table in ``tables`` and its
         packed terms."""
-        index: dict[tuple[str, ...], tuple[int, list[int]]] = {}
+        index: dict[tuple[str, ...], tuple[int, Callable]] = {}
         out = []
         for s, p in hats.items():
             img = {arc_map[a] for a in s.arcs}
@@ -485,14 +482,10 @@ def _glued_sums(rec: tr.GlueRecord, hats_1: dict[Site, LaurentPoly],
             t = index.get(p.vars)
             if t is None:
                 names = [iota.get(v, v) for v in p.vars]
-                t = index[p.vars] = (len(tables), [1 << _BITS * digit.setdefault(n, len(digit))
-                                                   for n in names])
+                t = index[p.vars] = (len(tables), _packer([digit.setdefault(n, len(digit))
+                                                           for n in names]))
                 tables.append(names)
-            terms: dict[int, int] = {}
-            for e, c in p.terms.items():
-                k = sum(map(mul, e, t[1]))
-                terms[k] = terms.get(k, 0) + c
-            out.append((sum(bit[r] for r in img), t[0], terms))
+            out.append((sum(bit[r] for r in img), t[0], t[1](p.terms)))
         return out
 
     tables_1: list[list[str]] = []
@@ -514,19 +507,16 @@ def _glued_sums(rec: tr.GlueRecord, hats_1: dict[Site, LaurentPoly],
                 for e2, c2 in x2.items():
                     e = e1 + e2
                     acc[e] = acc.get(e, 0) + c1 * c2
-    bias = _bias(len(digit))
-    folds: dict[tuple, tuple] = {}     # a site's pairs of tables -> its table, digits
+    folds: dict[tuple, tuple] = {}     # a site's pairs of tables -> its table, unpacker
     out = {}
     for s in T.sites():
         key = tuple(pairs[s])
         fold = folds.get(key)
         if fold is None:
             vs = _order_vars(v for t1, t2 in key for v in (*tables_1[t1], *tables_2[t2]))
-            fold = folds[key] = (vs, [_BITS * digit[v] for v in vs])
-        vs, ats = fold
-        out[s] = LaurentPoly._canonical(vs, {tuple([(e + bias >> at & _MASK) - _HALF
-                                                    for at in ats]): c
-                                             for e, c in sums[s].items() if c})
+            fold = folds[key] = (vs, _unpacker(len(digit), [digit[v] for v in vs]))
+        vs, unpack = fold
+        out[s] = LaurentPoly._canonical(vs, unpack(sums[s]))
     return out
 
 

@@ -35,7 +35,6 @@ builds whole diagrams on it and drops those with a closed strand, where
 
 import json
 import random
-from collections import Counter
 from itertools import product
 from typing import Optional
 
@@ -322,14 +321,6 @@ def rescan_generators(d: TangleDiagram) -> list[GradedGenerator]:
                 raise TangleError("E_GRADING", "homological grading is not integral")
             out.append(GradedGenerator(x, bits, tuple(a2.items()), delta2, total // 4, s))
     return out
-
-
-def poincare_rows(gens, s: Optional[Site] = None) -> list[dict]:
-    """``gradings.poincare_table`` counted generator by generator."""
-    rows = Counter((str(g.site), g.alexander2, g.delta2, g.h)
-                   for g in gens if s is None or g.site == s)
-    return [{"site": site, "alexander": {v: e / 2 for v, e in a2}, "delta": d2 / 2,
-             "h": h, "count": count} for (site, a2, d2, h), count in sorted(rows.items())]
 
 
 def rescan_euler(gens, s: Site) -> LaurentPoly:

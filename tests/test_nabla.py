@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanglenabla.diagram import Site, TangleError, parse_tangle
-from tanglenabla.laurent import LaurentPoly, binomial
-from tanglenabla.nabla import (conway_potential, nabla_all, nabla_at_site,
+from tanglenabla.laurent import LaurentError, LaurentPoly, binomial
+from tanglenabla.nabla import (_packer, _unpacker, conway_potential, nabla_all, nabla_at_site,
                                nabla_hat, nabla_hat_all)
 from tanglenabla.states import enumerate_states, site_of
 from tanglenabla import transform as tr
@@ -245,3 +245,34 @@ def test_values_decode_at_h_minus_one_as_eval_h_does():
        m=st.integers(1, 10))
 def test_values_decode_at_h_minus_one_as_eval_h_does_on_hypothesis_diagrams(seed, ends, m):
     _decoded_at_h(random_diagram(random.Random(seed), ends, m))
+
+
+_TERMS = st.dictionaries(st.tuples(*[st.integers(-40, 40)] * 3), st.integers(-5, 5).filter(bool),
+                         max_size=6)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(x=_TERMS, y=_TERMS)
+def test_packed_terms_multiply_by_adding_their_ints(x, y):
+    # exponents 0 and 2 share digit 1, so they add; digit 0 is never used
+    digits, n = [1, 3, 1], 4
+
+    def merged(e):
+        return e[0] + e[2], e[1]
+
+    assert _unpacker(3, [0, 1, 2])(_packer([0, 1, 2])(x)) == x
+    pack = _packer(digits)
+    px, py = pack(x), pack(y)
+    prod: dict[int, int] = {}
+    for a, c in px.items():
+        for b, d in py.items():
+            prod[a + b] = prod.get(a + b, 0) + c * d
+    want = LaurentPoly(("p", "q"), {merged(e): c for e, c in x.items()}) * \
+        LaurentPoly(("p", "q"), {merged(e): c for e, c in y.items()})
+    assert LaurentPoly(("p", "q"), _unpacker(n, [1, 3])(prod)) == want
+
+
+def test_packing_refuses_a_term_that_a_product_could_overflow():
+    with pytest.raises(LaurentError) as e:
+        _packer([0, 1])({(1 << 17, 1 << 17): 1})
+    assert e.value.code == "E_EXPONENT_RANGE"

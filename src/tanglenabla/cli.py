@@ -13,14 +13,13 @@ import argparse
 import functools
 import os
 import sys
-from itertools import product
 
 from . import corpus, layout
 from .diagram import Site, TangleError, compute_regions, parse_tangle, serialize
 from .gradings import euler_characteristics, generator_keys
 from .laurent import LaurentError
 from .nabla import conway_potential, nabla_all, nabla_at_site, nabla_hat, nabla_hat_all
-from .states import sites_of_bits, walk_states
+from .states import frontier, marker_codes
 from .transform import (close_tangle, glue_diagrams, mirror_diagram,
                         mutate_tangle, reverse_orientation)
 from .verify import PROPERTIES, run_check
@@ -71,39 +70,24 @@ def _cmd_regions(args):
 
 
 def _cmd_states(args):
+    """The states in lex order with their sites, from one pass that keeps
+    one term per state (``states.marker_codes``); the sort takes (marker
+    code, site index) pairs."""
     d = _read_diagram(args.diagram)
     _sites(d)
-    rows = walk_states(d)
-    sites = sites_of_bits(d, {occupied for _, _, occupied in rows})
     m = len(d.crossings)
+    sums = list(frontier(d, None, marker_codes(m)).items())
+    rows = sorted([(x, j) for j, (_, terms) in enumerate(sums) for x in terms])
     if args.format == "json":
-        tails = layout.tails(m)
-        tail = {b: tails(layout.site_json(s)) for b, s in sites.items()}
+        at = layout.tails(m)
+        tails = [at(layout.site_json(s)) for s, _ in sums]
         sys.stdout.writelines(layout.table(
-            d.name, "states", ["    {\n" + tail[occupied](x) for x, _, occupied in rows]))
+            d.name, "states", ["    {\n" + tails[j](x) for x, j in rows]))
         return 0
-    text = _marker_text(m)
-    site = {b: f"  site {s}" for b, s in sites.items()}
-    sys.stdout.write("\n".join([text(x) + site[occupied] for x, _, occupied in rows]) + "\n")
+    at = layout.markers(m, lambda i, q: f"x{i + 1}:q{q}", " ")
+    lines = [at(post=f"  site {s}") for s, _ in sums]
+    sys.stdout.write("\n".join([lines[j](x) for x, j in rows]) + "\n")
     return 0
-
-
-def _marker_text(m: int):
-    """``text(x)``: the markers of the base-4 marker code x of an m-crossing
-    state as the text of ``states`` lists them, ``x1:q<marker> x2:q<marker>
-    ...``.  Like ``layout.tails``, it reads a byte of the code (four markers) at a
-    time from a table of 256 rendered pieces, one table per position; the
-    leading m % 4 markers, if any, have their own smaller table."""
-    if not m:
-        return lambda x: ""
-    lead = 8 * ((m - 1) // 4)                    # the bits below the leading piece
-
-    def table(first: int, width: int) -> list[str]:
-        return list(map(" ".join, product(*[[f"x{i}:q{q}" for q in range(4)]
-                                            for i in range(first + 1, first + width + 1)])))
-    top = table(0, m - lead // 2)
-    pieces = [(k, table(m - 4 - k // 2, 4)) for k in range(lead - 8, -1, -8)]
-    return lambda x: " ".join([top[x >> lead], *[t[x >> k & 255] for k, t in pieces]])
 
 
 def _cmd_nabla(args):
@@ -163,15 +147,9 @@ def _cmd_gradings(args):
     E_GRADING leaves no output."""
     d = _read_diagram(args.diagram)
     _sites(d)
-    keys, rows = generator_keys(d)
-    shift = 2 * keys.m
-    mask = (1 << shift) - 1
-    by_site: dict[int, dict[int, list[int]]] = {}
-    for row, occupied in rows:
-        by_site.setdefault(occupied, {}).setdefault(row >> shift, []).append(row & mask)
-    sites = sites_of_bits(d, by_site)
+    keys, sites = generator_keys(d)
     chunk = (layout.json_site if args.format == "json" else _text_site)(keys)
-    chunks = [chunk(sites[b], by_site[b]) for b in sorted(by_site, key=lambda b: str(sites[b]))]
+    chunks = [chunk(s, groups) for s, groups in sorted(sites, key=lambda t: str(t[0]))]
     if args.format == "json":
         chunks = layout.table(d.name, "generators", chunks)
     sys.stdout.writelines(chunks or ["\n"])

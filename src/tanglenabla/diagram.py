@@ -35,7 +35,7 @@ sign and quadrant, the doubled exponents of the under colour, the over
 colour and h, and the doubled delta.  ``corners`` holds the ints it reads per
 crossing (sign, under and over colour, region of each quadrant), and
 ``corner_codes`` packs each corner into one int under weights its caller
-chooses; the state walk, the state sum and the gradings read those ints.
+chooses; the one pass over the states (``states.frontier``) reads them.
 ``quadrants`` derives records with region and colour names from them, for
 the readers that want names.
 
@@ -600,7 +600,7 @@ def parse_tangle(text: str) -> TangleDiagram:
                 raise TangleError("E_SYNTAX", f"line {lineno}: tangle <name>")
             name = tok[1]
         elif kw == "ends":
-            if len(tok) != 2 or not tok[1].isdigit():
+            if len(tok) != 2 or not (tok[1].isascii() and tok[1].isdigit()):
                 raise TangleError("E_SYNTAX", f"line {lineno}: ends <2n>")
             ends_declared = int(tok[1])
         elif kw == "boundary":

@@ -15,29 +15,31 @@ which these local rules keep integral.
 
 A generator is one int key, high digits to low: the doubled Alexander
 entries (colours by name) and delta as ``nabla``'s 20-bit digits biased by
-``_HALF``, the decoration index k, the base-4 markers.  The state walk sums
-a state's key over its corners and decoration k adds a fixed key; a digit
-moves by at most 2 per corner and 4 per decoration bit, so for m below
-2^16 no addition carries, and a site's keys sort as (Alexander vector,
-delta, k, markers).  The states of a site that share a head (the key
-without markers) form a group, and group g under decoration k is one run
-of generators with one set of gradings (``KeyLayout.runs``), so a site
-sorts and decodes groups times decorations heads, not generators.
-``euler_characteristics`` builds no generator either: the frontier pass of
-``nabla`` sums the states per site by Alexander vector and delta, and each
-decoration shifts such a term's packed Alexander digits.
+``_HALF``, the decoration index k, the base-4 markers.  The one pass over
+the states, ``states.frontier``, sums a state's key over its corners, the
+markers included, so it keeps one term per state; decoration k adds a
+fixed key.  A digit moves by at most 2 per corner and 4 per decoration
+bit, so for m below 2^16 no addition carries, and a site's keys sort as
+(Alexander vector, delta, k, markers).  The states of a site that share a
+head (the key without markers) form a group, and group g under decoration
+k is one run of generators with one set of gradings (``KeyLayout.runs``),
+so a site sorts and decodes groups times decorations heads, not
+generators.  ``euler_characteristics`` runs the same pass without the
+markers, so it sums the states per site by Alexander vector and delta, and
+each decoration shifts such a term's packed Alexander digits.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+from operator import add
 from typing import NamedTuple, Optional
 
 from .diagram import Site, TangleDiagram, TangleError
 from .laurent import LaurentPoly
-from .nabla import _BITS, _HALF, _MASK, _bias, _frontier, check_site
-from .states import markers_of, sites_of_bits, walk_states
+from .nabla import _BITS, _HALF, _MASK, _bias, check_site
+from .states import frontier, marker_codes, markers_of
 
 
 class GradedGenerator(NamedTuple):
@@ -75,12 +77,12 @@ class KeyLayout(NamedTuple):
     def runs(self, groups: dict[int, list]):
         """One site's generators in key order, one run per head.
 
-        ``groups`` maps a state's head without decoration (``row >> 2m``,
-        see ``generator_keys``) to that group's states.  Yields ``(alex,
-        delta2, h, k, g)``: the gradings of group g (by position in
-        ``groups``) under decoration k, whose generators are the group's
-        states in lex order; ``alex`` is the packed Alexander vector (see
-        ``alexander``).  Heads of distinct runs differ, so the site sorts
+        ``groups`` maps a state's head without decoration (see
+        ``generator_keys``) to the marker codes of that group's states.
+        Yields ``(alex, delta2, h, k, g)``: the gradings of group g (by
+        position in ``groups``) under decoration k, whose generators are the
+        group's states in lex order; ``alex`` is the packed Alexander vector
+        (see ``alexander``).  Heads of distinct runs differ, so the site sorts
         one int per run, the group's head plus the decoration's; each group
         is decoded once, and decoration k adds its number of set bits to h.
         """
@@ -113,25 +115,38 @@ def _layout(d: TangleDiagram) -> tuple[KeyLayout, list[tuple[int, ...]]]:
     return KeyLayout(colours, bits, dec_keys, m, kbits, at), codes
 
 
-def generator_keys(d: TangleDiagram) -> tuple[KeyLayout, list[tuple[int, int]]]:
-    """The key layout and, per state in lex order, ``(row, occupied)``: the
-    keys of its generators are ``row + layout.dec_keys[k]``, and
-    ``states.sites_of_bits`` reads its site off ``occupied``."""
+def generator_keys(d: TangleDiagram) -> tuple[KeyLayout, list[tuple[Site, dict[int, list[int]]]]]:
+    """The key layout and each site's head groups: a state's head (its key
+    without decoration and markers, ``key >> 2m``) maps to the marker codes
+    of the site's states with that head, in lex order.  The generators of
+    the state with head ``head`` and marker code x have the keys ``(head <<
+    2m) + x + layout.dec_keys[k]``."""
     layout, codes = _layout(d)
-    return layout, [(e + x, occupied) for x, e, occupied in walk_states(d, codes)]
+    shift = 2 * layout.m
+    mask = (1 << shift) - 1
+    codes = [tuple(map(add, row, mrow)) for row, mrow in zip(codes, marker_codes(layout.m))]
+    out = []
+    for site, terms in frontier(d, None, codes).items():
+        groups: dict[int, list[int]] = {}
+        for row in sorted(terms):
+            groups.setdefault(row >> shift, []).append(row & mask)
+        out.append((site, groups))
+    return layout, out
 
 
 def generator_gradings(d: TangleDiagram) -> list[GradedGenerator]:
     """All graded generators, one per (state, decoration) pair: states in
     lex order, decorations in ``product`` order."""
-    layout, rows = generator_keys(d)
-    sites, m = sites_of_bits(d, {occupied for _, occupied in rows}), layout.m
+    layout, sites = generator_keys(d)
+    m, shift = layout.m, 2 * layout.m
+    rows = sorted([(x, head, site) for site, groups in sites
+                   for head, xs in groups.items() for x in xs])
     out = []
-    for row, occupied in rows:
-        x = markers_of(row & (1 << 2 * m) - 1, m)
-        for a2, delta2, h, k in (layout.grades((row + dk) >> 2 * m) for dk in layout.dec_keys):
-            out.append(GradedGenerator(x, layout.bits[k], tuple(zip(layout.colours, a2)),
-                                       delta2, h, sites[occupied]))
+    for x, head, site in rows:
+        markers = markers_of(x, m)
+        for a2, delta2, h, k in (layout.grades(head + (dk >> shift)) for dk in layout.dec_keys):
+            out.append(GradedGenerator(markers, layout.bits[k], tuple(zip(layout.colours, a2)),
+                                       delta2, h, site))
     return out
 
 
@@ -164,19 +179,19 @@ def euler_characteristics(d: TangleDiagram,
     """The graded Euler characteristic at every site (only at ``s``, if
     given), equal to ``euler_by_site(generator_gradings(d), sites)``.
 
-    One frontier pass sums the corner codes of ``generator_keys``, so each
-    term is a state's key without its markers, with its number of states
-    and the least of them.  Each term is decoded once, for its h (and its
-    ``E_GRADING``); its Alexander digits stay packed, and decoration k adds
-    its packed shift to them and its number of set bits to h.  The term's
-    coefficient, signed by the parity of that h, goes to one int -> coef
-    map per site, terms in the order of their least states and decorations
-    in ``product`` order, so a key first enters the map at the first
-    generator with that Alexander vector.  Reading each distinct key once,
-    in that order, and colours by name within a key, gives the variable
-    table of the generator-order sum: a colour first appears in a generator
-    whose state is the least one of its term, and stays when its terms
-    cancel.
+    One pass of ``states.frontier`` sums the corner codes of the generator
+    keys without the markers, so each term is a state's key without them,
+    with its number of states and the least of them.  Each term is decoded
+    once, for its h (and its ``E_GRADING``); its Alexander digits stay
+    packed, and decoration k adds its packed shift to them and its number of
+    set bits to h.  The term's coefficient, signed by the parity of that h,
+    goes to one int -> coef map per site, terms in the order of their least
+    states and decorations in ``product`` order, so a key first enters the
+    map at the first generator with that Alexander vector.  Reading each
+    distinct key once, in that order, and colours by name within a key,
+    gives the variable table of the generator-order sum: a colour first
+    appears in a generator whose state is the least one of its term, and
+    stays when its terms cancel.
     """
     if s is not None:
         check_site(d, s)
@@ -185,7 +200,7 @@ def euler_characteristics(d: TangleDiagram,
     drop = shift + layout.kbits + _BITS                 # below the colour digits
     decorations = [(dk - base >> drop, sum(bs)) for dk, bs in zip(layout.dec_keys, layout.bits)]
     out = {}
-    for site, terms in _frontier(d, s, codes).items():
+    for site, terms in frontier(d, s, codes).items():
         acc: dict[int, int] = {}
         for _, e, c in sorted((least, e, c) for e, (c, least) in terms.items()):
             h = layout.grades((base + e) >> shift)[2]

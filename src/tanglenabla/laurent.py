@@ -354,14 +354,11 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # rendering
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items())
-
     def pretty(self) -> str:
         if not self.terms:
             return "0"
         chunks = []
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.terms.items()):
             factors = []
             for v, x in zip(self.vars, e):
                 if x == 0:
@@ -383,7 +380,7 @@ class LaurentPoly:
     def to_json(self) -> dict:
         return {
             "vars": list(self.vars),
-            "terms": [{"coef": str(c), "exp2": list(e)} for e, c in self.sorted_terms()],
+            "terms": [{"coef": str(c), "exp2": list(e)} for e, c in sorted(self.terms.items())],
         }
 
     @classmethod

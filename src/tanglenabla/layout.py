@@ -14,7 +14,9 @@ the polynomials took to compute; these writers fill fixed templates:
 * ``dump`` writes a payload of dicts, lists, strings, ints, bools, None and
   polynomials;
 * ``table`` wraps the per-state chunks of ``states`` and ``gradings``, which
-  ``tails`` and ``json_site`` write.
+  ``tails`` and ``json_site`` write;
+* ``markers`` writes a state's markers from tables of four-marker pieces,
+  for ``tails`` and the text of ``states``.
 
 A value at depth k sits inside k containers: its closing bracket is
 indented 2k spaces and its items 2k + 2.
@@ -102,33 +104,42 @@ _HEAD = """    {
 """
 
 
+def markers(m: int, piece, sep: str):
+    """``at(pre, post)``: the function from the base-4 marker code of an
+    m-crossing state to ``pre``, its markers joined by ``sep``, and
+    ``post``, crossing i's marker q written as ``piece(i, q)``.
+
+    The code is read a byte (four markers) at a time from a table of 256
+    joined pieces per position; the leading m % 4 markers, if any, have
+    their own smaller table.  Positions whose pieces agree share a table."""
+    if not m:
+        return lambda pre="", post="": lambda x: pre + post
+
+    @functools.cache
+    def table(labels: tuple[tuple[str, ...], ...]) -> list[str]:
+        return list(map(sep.join, product(*labels)))
+
+    labels = [tuple([piece(i, q) for q in range(4)]) for i in range(m)]
+    lead = 8 * ((m - 1) // 4)                    # the bits below the leading piece
+    top = table(tuple(labels[:m - lead // 2]))
+    rest = [(k, table(tuple(labels[m - 4 - k // 2:m - k // 2]))) for k in range(lead - 8, -1, -8)]
+
+    def at(pre: str = "", post: str = ""):
+        return lambda x: (pre + sep.join([top[x >> lead], *[t[x >> k & 255] for k, t in rest]])
+                          + post)
+    return at
+
+
 def tails(m: int):
     """``tails(site)``: the function from the base-4 marker code of an
     m-crossing state at the site whose JSON text is ``site`` to its tail,
     the markers and the site closed with a comma, as ``dump`` lays out the
-    end of a generator or a state.
-
-    The markers are read a byte of the code (four markers) at a time from
-    a table of 256 rendered pieces; the leading m % 4 markers, if any, have
-    their own smaller table."""
+    end of a generator or a state."""
+    at = markers(m, lambda i, q: str(q), ",\n        ")
+    pre, post = ('      "markers": [\n        ', "\n      ],\n") if m else \
+        ('      "markers": [', "],\n")
     end = '      "site": %s\n    },\n'
-    if not m:
-        def empty(site):
-            tail = '      "markers": [],\n' + end % site
-            return lambda x: tail
-        return empty
-    sep = ",\n        "
-    lead = 8 * ((m - 1) // 4)                    # the bits below the leading piece
-    width = m - lead // 2
-    top = list(map(sep.join, product("0123", repeat=width)))
-    byte = list(map(sep.join, product("0123", repeat=4)))
-    shifts = range(lead - 8, -1, -8)
-
-    def at_site(site):
-        pre, post = '      "markers": [\n        ', "\n      ],\n" + end % site
-        return lambda x: (pre + sep.join([top[x >> lead], *[byte[x >> k & 255] for k in shifts]])
-                          + post)
-    return at_site
+    return lambda site: at(pre, post + end % site)
 
 
 def json_site(keys):

@@ -4,13 +4,11 @@ potential.
 The hatted site value ∇̂_s is the sum, over the Kauffman states at s, of
 the product of the per-crossing corner codes (``diagram.CORNER_RULE``,
 packed by ``TangleDiagram.corner_codes``).
-The codes are local, so the sum is taken crossing by crossing: a forward
-pass over the crossings 0..m-1 keeps, per frontier key, the partial sum of
-every prefix state that reaches it, multiplies it by the corner monomial of
-each quadrant the walk of ``states.walk_tables`` admits, and merges prefixes
-with equal keys.  The key is the walk's ``filled & live[i]``; for the full
-family it also keeps the open regions filled so far, so the final keys are
-the sites.  No state is built.
+The codes are local, so the sum is taken crossing by crossing, by the one
+pass over the states, ``states.frontier``: per frontier key it keeps the
+partial sum of every prefix state that reaches it, multiplies it by the
+corner monomial of each admitted quadrant and merges prefixes with equal
+keys.  For the full family the final keys are the sites.  No state is built.
 
 A monomial is one int: its doubled exponents (h, then the colours) are 20-bit
 balanced digits, so multiplying by a corner monomial adds two ints (a
@@ -30,9 +28,6 @@ pass: the h digit of a term gives its sign, terms that then share their
 colour exponents are added, and the table is the hatted one without h, so
 a colour whose terms cancel stays in it, as ``LaurentPoly.eval_h`` keeps it.
 No hatted polynomial is built for them.
-
-``gradings`` runs the same pass on its generator keys' corner codes (the
-Alexander and delta digits) for the graded Euler characteristics.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from typing import Callable, Optional
 
 from .diagram import CORNER_RULE, Site, TangleDiagram, TangleError
 from .laurent import H, LaurentError, LaurentPoly, binomial
-from .states import sites_of_bits, walk_tables
+from .states import frontier
 
 _BITS = 20
 _MASK = (1 << _BITS) - 1
@@ -109,46 +104,6 @@ def _unpacker(n: int, digits: list[int]) -> Callable[[dict[int, int]], dict]:
     return unpack
 
 
-def _frontier(d: TangleDiagram, s: Optional[Site],
-              shifts: list[tuple[int, ...]]) -> dict[Site, dict[int, list[int]]]:
-    """The packed state sums per site reached (only ``s``, if given), each
-    a map from packed exponent to ``[coef, least state]``."""
-    tables = walk_tables(d, s)
-    if tables is None:
-        return {}
-    bits, live, start, children = tables
-    keep = 0 if s is not None else sum(
-        1 << k for k, r in enumerate(d.regions) if r.kind == "open")
-    frontier = {start: {0: [1, 0]}}
-    for i, row in enumerate(shifts):
-        out: dict[int, dict[int, list[int]]] = {}
-        lv = live[i]
-        row_bits = bits[i]
-        for key, terms in frontier.items():
-            for q, nxt in children(i, key & lv):
-                sh = row[q]
-                k2 = nxt | (key | row_bits[q]) & keep
-                dst = out.get(k2)
-                if dst is None:
-                    out[k2] = {e + sh: [c, 4 * l + q] for e, (c, l) in terms.items()}
-                    continue
-                for e, (c, l) in terms.items():
-                    l = 4 * l + q
-                    t = dst.get(e + sh)
-                    if t is None:
-                        dst[e + sh] = [c, l]
-                    else:
-                        t[0] += c
-                        if l < t[1]:
-                            t[1] = l
-        frontier = out
-    children.cache_clear()   # it refers to itself: free the memo now
-    if s is not None:
-        return {s: terms for terms in frontier.values()}
-    sites = sites_of_bits(d, frontier)
-    return {sites[key]: terms for key, terms in frontier.items()}
-
-
 def _decode(colours: list[str], firsts: list, terms: dict[int, list[int]],
             at_h: bool) -> LaurentPoly:
     """The polynomial of packed terms, with the variable table of the
@@ -201,7 +156,7 @@ def _decode(colours: list[str], firsts: list, terms: dict[int, list[int]],
 def _site_values(d: TangleDiagram, s: Optional[Site], at_h: bool) -> dict[Site, LaurentPoly]:
     """The decoded state sum at every site, or at ``s`` alone."""
     colours, shifts, firsts = _packing(d)
-    sums = _frontier(d, s, shifts)
+    sums = frontier(d, s, shifts)
     return {t: _decode(colours, firsts, sums.get(t, {}), at_h)
             for t in (d.sites() if s is None else [s])}
 

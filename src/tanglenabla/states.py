@@ -1,4 +1,4 @@
-"""Enumeration of generalised Kauffman states.
+"""Generalised Kauffman states and the one pass over them.
 
 A state places one marker per crossing into one of its four quadrant
 regions so that every closed region is occupied exactly once and every
@@ -6,11 +6,15 @@ open region at most once.  For a connected diagram with n open strands
 this forces exactly n-1 occupied open regions.  A state is its marker
 tuple: entry i is the quadrant (0..3) that holds the marker of crossing i.
 
-``walk_states`` is the one enumerator, a walk over the crossings in index
-order that meets the states in lex order and adds up the corner codes it
-is given; ``enumerate_states``, the ``gradings`` keys and the ``states``
-command read it.  ``walk_tables`` builds its tables and memo; the frontier
-pass of ``nabla`` runs on the same ones.
+``frontier`` is the one walk over the states.  It sums per-corner codes
+over each state crossing by crossing and merges the states whose sums and
+frontier keys agree, so it meets no state one by one: ``nabla`` runs it on
+the corner monomials, ``gradings`` on the Alexander and delta codes.  With
+each corner's marker added to its code in base-4 digit m-1-i
+(``marker_codes``), no two states share a sum, so the pass keeps one term
+per state, whose sum holds the state's markers in its low 2m bits; that is
+how ``enumerate_states``, the ``states`` command and
+``gradings.generator_keys`` list the states.
 """
 
 from __future__ import annotations
@@ -20,36 +24,43 @@ import functools
 from .diagram import Site, TangleDiagram
 
 
-def walk_tables(d: TangleDiagram, s: Site | None = None):
-    """The tables of the index-order walk over the states (at ``s``, if
-    given), or None when there are none.
+def frontier(d: TangleDiagram, s: Site | None,
+             codes: list[tuple[int, ...]]) -> dict[Site, dict[int, list[int]]]:
+    """The state sums per site reached (only ``s``, if given), each a map
+    from the sum of ``codes[i][q]`` over a state's corners to ``[number of
+    states, least state]``, a state as its marker code (crossing i in base-4
+    digit m-1-i, which orders like the marker tuples).  Split diagrams have
+    none.
 
-    Returns ``(bits, live, start, children)``: ``bits[i][q]`` is the region
-    bit of quadrant q at crossing i (read off ``TangleDiagram.corners``),
-    ``live[i]`` holds the regions with a corner at crossing i or later,
-    ``start`` is the key at crossing 0 (the open regions outside ``s``
-    filled) and ``children(i, key)`` lists the ``(quadrant, next key)``
-    pairs at crossing i, for ``key = filled & live[i]``, from which the
-    remaining crossings can still be placed.  A region that must be filled
-    (a closed one, or an open one in ``s``) is checked right after its last
-    crossing.  ``children`` is a memo that refers to itself: call
-    ``children.cache_clear()`` when done.
+    The pass keeps, per frontier key, the sums of the prefix states that
+    reach it.  At crossing i it adds each admitted quadrant's code to them
+    and merges prefixes with equal keys.  ``bits[i][q]`` is the region bit
+    of quadrant q at crossing i (read off ``TangleDiagram.corners``) and
+    ``live[i]`` holds the regions with a corner at crossing i or later.
+    The key at crossing i is ``filled & live[i]``, which starts with the
+    open regions outside ``s`` filled; for the full family it also keeps
+    the open regions filled so far, so the final keys are the sites.  A
+    region that must be filled (a closed one, or an open one in ``s``) is
+    checked right after its last crossing, and the memo ``children`` admits
+    a quadrant only if the crossings after it can still be placed, so every
+    prefix ends in a state.
     """
     if d.split:
-        return None
+        return {}
     bits = [tuple([1 << r for r in row[3:]]) for row in d.corners]
-    must = filled = 0
+    must = opens = 0
     for k, r in enumerate(d.regions):
         if r.kind == "closed" or (s is not None and r.rid in s.arcs):
             must |= 1 << k
-        elif s is not None and r.kind == "open":
-            filled |= 1 << k
+        elif r.kind == "open":
+            opens |= 1 << k
+    filled, keep = (opens, 0) if s is not None else (0, opens)
     m = len(bits)
     live = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         live[i] = live[i + 1] | bits[i][0] | bits[i][1] | bits[i][2] | bits[i][3]
     if must & ~live[0]:
-        return None        # an untouchable region to fill: no states
+        return {}          # an untouchable region to fill: no states
     # check[i]: the regions to fill whose last corner is at crossing i
     check = [must & live[i] & ~live[i + 1] for i in range(m)]
 
@@ -65,40 +76,41 @@ def walk_tables(d: TangleDiagram, s: Site | None = None):
                 got.append((q, nxt))
         return got
 
-    return bits, live, filled & live[0], children
-
-
-def walk_states(d: TangleDiagram, codes=None, s: Site | None = None):
-    """Per state in lex order (only those at ``s``, if given), three ints:
-    its markers (crossing i in base-4 digit m-1-i), the sum of
-    ``codes[i][q]`` over its corners (0 without codes) and the bits of the
-    open regions it occupies (see ``sites_of_bits``).
-
-    The walk tries quadrants 0..3 at each crossing and enters a child only
-    if the memo of ``walk_tables`` says the crossings after it can still be
-    placed, so every branch ends in a state.  Split diagrams have none.
-    """
-    tables = walk_tables(d, s)
-    if tables is None:
-        return []
-    bits, _, start, children = tables
-    m = len(bits)
-    codes = codes or [(0, 0, 0, 0)] * m
-    keep = sum(1 << k for k, r in enumerate(d.regions) if r.kind == "open")
-    opens = [tuple(b & keep for b in row) for row in bits]
-    out: list[tuple[int, int, int]] = []
-
-    def walk(i: int, key: int, x: int, e: int, occupied: int) -> None:
-        if i == m:
-            out.append((x, e, occupied))
-            return
-        row, ob = codes[i], opens[i]
-        for q, nxt in children(i, key):
-            walk(i + 1, nxt, 4 * x + q, e + row[q], occupied | ob[q])
-
-    walk(0, start, 0, 0, 0)
+    front = {filled & live[0]: {0: [1, 0]}}
+    for i, row in enumerate(codes):
+        out: dict[int, dict[int, list[int]]] = {}
+        lv = live[i]
+        row_bits = bits[i]
+        for key, terms in front.items():
+            for q, nxt in children(i, key & lv):
+                sh = row[q]
+                k2 = nxt | (key | row_bits[q]) & keep
+                dst = out.get(k2)
+                if dst is None:
+                    out[k2] = {e + sh: [c, 4 * l + q] for e, (c, l) in terms.items()}
+                    continue
+                for e, (c, l) in terms.items():
+                    l = 4 * l + q
+                    t = dst.get(e + sh)
+                    if t is None:
+                        dst[e + sh] = [c, l]
+                    else:
+                        t[0] += c
+                        if l < t[1]:
+                            t[1] = l
+        front = out
     children.cache_clear()   # it refers to itself: free the memo now, not at the next gc
-    return out
+    if s is not None:
+        return {s: terms for terms in front.values()}
+    arcs = [(k, r.rid) for k, r in enumerate(d.regions) if r.kind == "open"]
+    return {Site(frozenset([a for k, a in arcs if key >> k & 1])): terms
+            for key, terms in front.items()}
+
+
+def marker_codes(m: int) -> list[tuple[int, int, int, int]]:
+    """Quadrant q of crossing i as q in base-4 digit m-1-i: summed over a
+    state's corners, its marker code."""
+    return [(0, 1 << k, 2 << k, 3 << k) for k in range(2 * m - 2, -1, -2)]
 
 
 def markers_of(x: int, m: int) -> tuple[int, ...]:
@@ -106,17 +118,12 @@ def markers_of(x: int, m: int) -> tuple[int, ...]:
     return tuple([x >> k & 3 for k in range(2 * m - 2, -1, -2)])
 
 
-def sites_of_bits(d: TangleDiagram, masks) -> dict[int, Site]:
-    """The site of each open-region bitmask in ``masks``."""
-    arcs = [(k, r.rid) for k, r in enumerate(d.regions) if r.kind == "open"]
-    return {b: Site(frozenset(a for k, a in arcs if b >> k & 1)) for b in masks}
-
-
 def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[tuple[int, ...]]:
     """All generalised Kauffman states, sorted by their marker vectors; with
     a site ``s``, only the states at ``s``.  Split diagrams have none."""
     m = len(d.crossings)
-    return [markers_of(x, m) for x, _, _ in walk_states(d, s=s)]
+    sums = frontier(d, s, marker_codes(m))
+    return [markers_of(x, m) for x in sorted([x for terms in sums.values() for x in terms])]
 
 
 def site_of(d: TangleDiagram, x: tuple[int, ...]) -> Site:

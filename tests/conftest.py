@@ -1,12 +1,14 @@
+import io
 import random
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tanglenabla import corpus
+from tanglenabla import cli, corpus
 from tanglenabla import transform as tr
 from tanglenabla.diagram import TangleDiagram, TangleError
 from tanglenabla.verify import random_diagram
@@ -27,6 +29,15 @@ def seeded_diagrams(seed, count, max_crossings):
     rng = random.Random(seed)
     return [random_diagram(rng, rng.choice((2, 4, 6)), rng.randint(1, max_crossings))
             for _ in range(count)]
+
+
+def cli_on(monkeypatch, d, *argv):
+    """(exit code, stdout) of the CLI on d, read from a stand-in path."""
+    monkeypatch.setattr(cli, "_read_diagram", lambda path: d)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main([*argv, "d.tgl"])
+    return code, buf.getvalue()
 
 
 @pytest.fixture

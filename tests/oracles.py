@@ -13,7 +13,7 @@ characteristic as a running sum over it, and the ``gradings`` command's
 stdout as the sorted list written by ``json.dumps`` or line by line.
 
 Two oracles sit between brute force and the fast paths: they enumerate the
-states with the index-order walk and sum the quadrant codes of each one
+states with ``enumerate_states`` and sum the quadrant codes of each one
 (``state_codes``).  ``state_sum_nabla_hat`` groups the states by site, for
 the frontier pass of ``nabla``; ``rescan_generators`` lists the generators
 state by state with ``site_of``, for the packed keys of ``gradings``.

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tanglenabla
-from tanglenabla import cli, corpus
+from tanglenabla import cli, corpus, layout
 from tanglenabla.cli import main
 from tanglenabla.diagram import parse_tangle, serialize
 from tanglenabla.gradings import generator_gradings
@@ -221,6 +221,19 @@ def test_non_utf8_input_is_one_syntax_error(argv, tmp_path, capsys):
     assert err.startswith("error: E_SYNTAX: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("ends", ["²", "٤", "４", "+4"])
+def test_ends_takes_ascii_digits_only(ends, tmp_path, capsys):
+    # str.isdigit holds for "²", which int() rejects, and for the Arabic-Indic
+    # and fullwidth fours, which int() reads as 4
+    path = tmp_path / "clasp.tgl"
+    for line, want in ((f"ends {ends}\n", 1), ("ends 4\n", 0)):
+        path.write_text(corpus.source("clasp").replace("ends 4\n", line), encoding="utf-8")
+        code, out, err = run_cli("regions", str(path), capsys=capsys)
+        assert code == want, line
+        if want:
+            assert out == "" and err == "error: E_SYNTAX: line 4: ends <2n>\n", line
+
+
 CLOSED_TREFOIL = """tangle trefoil_closed_b
 ends 0
 outer r {edge} R
@@ -378,12 +391,15 @@ def test_transform_reverse_and_glue(tmp_path, capsys):
 
 
 def test_state_marker_text_matches_the_per_crossing_rendering():
-    # every code for m <= 5, a sample with both extremes above
+    # layout.markers with the pieces of the states text and of the JSON
+    # tails: every code for m <= 5, a sample with both extremes above
     rng = random.Random(1607)
+    pieces = [(lambda i, q: f"x{i + 1}:q{q}", " "), (lambda i, q: str(q), ",\n        ")]
     for m in range(10):
-        text = cli._marker_text(m)
         codes = range(4 ** m) if m <= 5 else \
             {0, 4 ** m - 1, *(rng.randrange(4 ** m) for _ in range(500))}
-        for x in codes:
-            want = " ".join(f"x{i + 1}:q{q}" for i, q in enumerate(markers_of(x, m)))
-            assert text(x) == want, (m, x)
+        for piece, sep in pieces:
+            text = layout.markers(m, piece, sep)("<", ">")
+            for x in codes:
+                want = sep.join(piece(i, q) for i, q in enumerate(markers_of(x, m)))
+                assert text(x) == "<" + want + ">", (m, x)

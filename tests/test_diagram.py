@@ -10,7 +10,7 @@ from tanglenabla.diagram import (CORNER_RULE, Site, TangleDiagram, TangleError,
                                  linking_number, parse_tangle, serialize)
 from tanglenabla.laurent import LaurentError
 from tanglenabla.nabla import nabla_all, nabla_hat
-from tanglenabla.states import walk_states
+from tanglenabla.states import enumerate_states
 from tanglenabla.transform import GlueRecord
 from tanglenabla.verify import random_diagram
 
@@ -392,14 +392,14 @@ def test_corner_ints_match_the_slot_roles_on_hypothesis_diagrams(seed, ends, m):
 
 
 def test_state_sums_and_walks_build_no_quadrant_records(corpus_names):
-    # the frontier pass, its decoder and the state walk read the corner
+    # the frontier pass, its decoder and the state enumeration read the corner
     # ints; the records are a view for other readers
     diagrams = [load(n) for n in corpus_names] + seeded_diagrams(29, 40, 9) + [_bare_arc()]
     for d in diagrams:
         nabla_all(d)
         for s in d.sites():
             nabla_hat(d, s)
-        walk_states(d)
+        enumerate_states(d)
         for s in d.sites()[:2]:
-            walk_states(d, s=s)
+            enumerate_states(d, s)
         assert "quadrants" not in d.__dict__, d.name

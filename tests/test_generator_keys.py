@@ -2,14 +2,11 @@
 packed generator keys of ``gradings.generator_keys``, against the
 generators listed state by state (``oracles.rescan_generators``) and the
 4^m brute force; and the ``states`` command, which takes its sites from
-the walk's region bits, against its rendering state by state with
-``site_of``."""
+the final keys of the one pass over the states, against its rendering
+state by state with ``site_of``."""
 
-import io
 import json
 import random
-from collections import Counter
-from contextlib import redirect_stdout
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +18,7 @@ from tanglenabla.states import enumerate_states, site_of
 from tanglenabla.verify import random_diagram
 
 import oracles
-from conftest import load
+from conftest import cli_on, load
 from oracles import brute_force_gradings, gradings_output, rescan_generators
 
 # _grown(seed) for these seeds: 0 to 5 closed components (so up to 32
@@ -35,15 +32,6 @@ def _grown(seed):
     return random_diagram(rng, ends, rng.randint(8, 16))
 
 
-def _cli(monkeypatch, d, *argv):
-    """(exit code, stdout) of the CLI on d."""
-    monkeypatch.setattr(cli, "_read_diagram", lambda path: d)
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = cli.main([*argv, "d.tgl"])
-    return code, buf.getvalue()
-
-
 def _check(monkeypatch, d, brute=False):
     """generator_gradings(d) and both formats of ``gradings`` against the
     rescan (and the brute force), and both formats of ``states`` against
@@ -54,9 +42,9 @@ def _check(monkeypatch, d, brute=False):
         assert sorted((g.markers, g.ladybug_bits, g.alexander2, g.delta2)
                       for g in want) == brute_force_gradings(d), d.name
     for fmt in ("json", "text"):
-        assert _cli(monkeypatch, d, "--format", fmt, "gradings") == \
+        assert cli_on(monkeypatch, d, "--format", fmt, "gradings") == \
             (0, gradings_output(d.name, want, fmt)), (d.name, fmt)
-        assert _cli(monkeypatch, d, "--format", fmt, "states") == \
+        assert cli_on(monkeypatch, d, "--format", fmt, "states") == \
             (0, _states_output(d, fmt)), (d.name, fmt)
     return want
 
@@ -65,8 +53,7 @@ def _largest_group(d):
     """The most states of one site that share a head (gradings without
     decoration): the writer renders such a group's head once per
     decoration and writes its states as one run."""
-    layout, rows = generator_keys(d)
-    return max(Counter((row >> 2 * layout.m, occupied) for row, occupied in rows).values())
+    return max(len(xs) for _, groups in generator_keys(d)[1] for xs in groups.values())
 
 
 def test_gradings_match_the_rescan_on_grown_diagrams(monkeypatch):
@@ -103,7 +90,7 @@ def test_gradings_of_a_bare_arc(monkeypatch):
     d = tr.rm1_remove(tr.close_tangle(load("crossing_pos"), "a"), 0)
     assert not d.crossings and not d.split
     assert [g.markers for g in _check(monkeypatch, d, brute=True)] == [()]
-    code, out = _cli(monkeypatch, d, "--format", "json", "gradings")
+    code, out = cli_on(monkeypatch, d, "--format", "json", "gradings")
     assert [g["markers"] for g in json.loads(out)["generators"]] == [[]]
 
 
@@ -136,7 +123,7 @@ def _states_output(d, fmt):
 
 def test_no_state_is_rescanned(monkeypatch):
     # gradings and states read every state's gradings and site off the
-    # walk: with site_of and state_codes raising and Site hashes counted,
+    # pass: with site_of and state_codes raising and Site hashes counted,
     # both still print what the per-state rescan prints
     cases = [(d, cmd, fmt, gradings_output(d.name, rescan_generators(d), fmt)
               if cmd == "gradings" else _states_output(d, fmt))
@@ -154,5 +141,5 @@ def test_no_state_is_rescanned(monkeypatch):
     monkeypatch.setattr(Site, "__hash__", lambda s: hashes.append(s) or real_hash(s))
     for d, cmd, fmt, out in cases:
         hashes.clear()
-        assert _cli(monkeypatch, d, "--format", fmt, cmd) == (0, out), (d.name, cmd, fmt)
+        assert cli_on(monkeypatch, d, "--format", fmt, cmd) == (0, out), (d.name, cmd, fmt)
         assert len(hashes) <= len(d.sites()), (d.name, cmd, fmt, len(hashes))

@@ -1,8 +1,8 @@
 """State lists of diagrams too large for the 4^m oracle, pinned by count
 and by a sha256 of the marker tuples in enumeration order, in full and per
 site.  The values were recorded with the most-constrained-first search that
-preceded the index-order walk, so they tie the walk to it beyond the sizes
-brute force can reach."""
+preceded the index-order walk, so they tie the enumeration to it beyond the
+sizes brute force can reach."""
 
 import hashlib
 import random

@@ -1,12 +1,15 @@
+import json
 import random
+import sys
 
 from hypothesis import given, settings, strategies as st
 
-from tanglenabla.diagram import Site
+from tanglenabla import corpus, states, transform as tr
+from tanglenabla.diagram import Site, parse_tangle
 from tanglenabla.states import enumerate_states, site_of
 from tanglenabla.verify import random_diagram
 
-from conftest import load, seeded_diagrams
+from conftest import cli_on, load, seeded_diagrams
 from oracles import brute_force_site, brute_force_states, state_defect
 
 
@@ -90,3 +93,68 @@ def test_deterministic_order():
     a = enumerate_states(d)
     b = enumerate_states(d)
     assert a == b == sorted(a)
+
+
+def _brute_force_states_output(d, fmt):
+    """The stdout of ``states``, from the 4^m filter and its sites."""
+    xs = brute_force_states(d)
+    if fmt == "json":
+        return json.dumps({"diagram": d.name, "states": [
+            {"markers": list(x), "site": sorted(brute_force_site(d, x).arcs)} for x in xs]},
+            indent=2, sort_keys=True) + "\n"
+    return "\n".join(" ".join(f"x{i + 1}:q{q}" for i, q in enumerate(x))
+                     + f"  site {brute_force_site(d, x)}" for x in xs) + "\n"
+
+
+def _assert_states_command(monkeypatch, d):
+    _assert_ordered_oracle(d)
+    for fmt in ("json", "text"):
+        assert cli_on(monkeypatch, d, "--format", fmt, "states") == \
+            (0, _brute_force_states_output(d, fmt)), (d.name, fmt)
+
+
+def test_states_command_matches_the_brute_force(monkeypatch):
+    # a bare arc (m = 0: one state, no markers) and a split diagram (none)
+    bare = tr.rm1_remove(tr.close_tangle(load("crossing_pos"), "a"), 0)
+    split = parse_tangle(corpus.source("clasp") + "circle u\n")
+    assert not bare.crossings and not bare.split and split.split
+    for d in (bare, split):
+        _assert_states_command(monkeypatch, d)
+    assert enumerate_states(bare) == [()] and enumerate_states(split) == []
+    seen = set()
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), ends=st.sampled_from((2, 4, 6, 8)),
+           m=st.integers(1, 6))
+    def check(seed, ends, m):
+        d = random_diagram(random.Random(seed), ends, m)
+        _assert_states_command(monkeypatch, d)
+        seen.add((2 * d.n_open, d.m_closed > 0))
+
+    check()
+    assert {(n, False) for n in (2, 4, 6, 8)} | {(2, True), (4, True)} <= seen, seen
+
+
+def test_each_command_makes_one_pass(monkeypatch):
+    # the pass builds the walk's tables and memo: every name bound to it in
+    # the package is counted, so a second pass cannot hide behind an import
+    passes = []
+    real = states.frontier
+
+    def counted(d, s, codes):
+        passes.append(s)
+        return real(d, s, codes)
+
+    holders = [mod for name, mod in sys.modules.items()
+               if name.split(".")[0] == "tanglenabla" and getattr(mod, "frontier", None) is real]
+    assert len(holders) >= 4, holders
+    for mod in holders:
+        monkeypatch.setattr(mod, "frontier", counted)
+    d = load("mutorient")
+    site = str(d.sites()[0])
+    for argv in (["states"], ["gradings"], ["euler"], ["euler", "--site", site],
+                 ["nabla"], ["nabla", "--hat"], ["nabla", "--site", site]):
+        for fmt in ("json", "text"):
+            passes.clear()
+            assert cli_on(monkeypatch, d, "--format", fmt, *argv)[0] == 0, argv
+            assert len(passes) == 1, (argv, fmt, passes)

@@ -28,13 +28,18 @@ pass: the h digit of a term gives its sign, terms that then share their
 colour exponents are added, and the table is the hatted one without h, so
 a colour whose terms cancel stays in it, as ``LaurentPoly.eval_h`` keeps it.
 No hatted polynomial is built for them.
+
+``packed_family`` gives the family undecoded, ``{site: {int: coef}}``, under
+a layout of colour digits that its caller shares between diagrams, so the
+catalogue compares and transforms families as int maps.  ``packed_digit``
+and ``packed_weight`` read and build its digits, and ``check_product``
+guards a product of two families against digit overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .diagram import CORNER_RULE, Site, TangleDiagram, TangleError
 from .laurent import H, LaurentError, LaurentPoly, binomial
@@ -71,37 +76,52 @@ def _bias(n: int) -> int:
     return _HALF * ((1 << _BITS * n) - 1) // _MASK
 
 
-def _packer(digits: list[int]) -> Callable[[dict[tuple[int, ...], int]], dict[int, int]]:
-    """A LaurentPoly term table packed with exponent j on digit
-    ``digits[j]``, one int a term; exponents that share a digit add, and so
-    may their terms.  A term whose exponents reach _HALF / 2 in absolute sum
-    raises E_EXPONENT_RANGE, so every digit stays below _HALF / 2 and a
-    product of two packed terms is the sum of their ints."""
-    weights = [1 << _BITS * k for k in digits]
-    limit = _HALF >> 1
+def packed_family(d: TangleDiagram, digit: Mapping[str, int],
+                  at_h: bool = False) -> dict[Site, dict[int, int]]:
+    """The state sum at every site of ``d`` as packed terms, ``{int: coef}``,
+    under a layout that the caller shares between diagrams: h on digit 0 and
+    colour c on digit ``digit[c]``, so colours given one digit add their
+    exponents.  A site that no state reaches maps to {}.  With ``at_h``, the
+    value at h = -1: a term's sign is bit 1 of its h digit, that digit is
+    dropped (colour digit k moves to k - 1) and terms that cancel go.  One
+    frontier pass, and no polynomial is built.
 
-    def pack(terms: dict[tuple[int, ...], int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for e, c in terms.items():
-            if sum(map(abs, e)) >= limit:
-                raise LaurentError("E_EXPONENT_RANGE", "exponent too large to pack")
-            k = sum(map(mul, e, weights))
-            out[k] = out.get(k, 0) + c
-        return out
-    return pack
+    A crossing moves a digit by at most 2, so the digits of an m-crossing
+    family stay within 2m, and a product of families (``check_product``)
+    stays in range while their crossings add up to less than 2^18."""
+    weight = [1 << _BITS * digit[c] for c in d.colours()]
+    sums = frontier(d, None, d.corner_codes(weight, h=1))
+    out = {}
+    for s in d.sites():
+        terms = sums.get(s, {})
+        if not at_h:
+            out[s] = {e: c for e, (c, _) in terms.items()}
+            continue
+        acc: dict[int, int] = {}
+        for e, (c, _) in terms.items():
+            k = e + _HALF >> _BITS
+            acc[k] = acc.get(k, 0) + (-c if e & 2 else c)
+        out[s] = {k: c for k, c in acc.items() if c}
+    return out
 
 
-def _unpacker(n: int, digits: list[int]) -> Callable[[dict[int, int]], dict]:
-    """The inverse of ``_packer`` for terms over n digits: a packed table back
-    to a term table, exponent j read off digit ``digits[j]``, and zero
-    coefficients dropped."""
-    bias = _bias(n)
-    ats = [_BITS * k for k in digits]
+def packed_weight(k: int) -> int:
+    """The packed int of doubled exponent 1 on digit k."""
+    return 1 << _BITS * k
 
-    def unpack(terms: dict[int, int]) -> dict[tuple[int, ...], int]:
-        return {tuple([(e + bias >> at & _MASK) - _HALF for at in ats]): c
-                for e, c in terms.items() if c}
-    return unpack
+
+def packed_digit(k: int) -> Callable[[int], int]:
+    """The reader of digit k of a packed term: its doubled exponent there."""
+    bias, at = _bias(k + 1), _BITS * k
+    return lambda e: (e + bias >> at & _MASK) - _HALF
+
+
+def check_product(*diagrams: TangleDiagram) -> None:
+    """Raise E_EXPONENT_RANGE unless the product of packed families of
+    ``diagrams`` keeps every digit below _HALF: their crossings must add up
+    to less than 2^18."""
+    if sum(len(d.crossings) for d in diagrams) >= _HALF >> 1:
+        raise LaurentError("E_EXPONENT_RANGE", "too many crossings to multiply packed families")
 
 
 def _decode(colours: list[str], firsts: list, terms: dict[int, list[int]],

@@ -11,8 +11,20 @@ Caps use the transforms' own cap rule.  Only the result is validated, its
 strands, walked on the shape's edge maps, coloured t1, t2, ... in component
 order; a knot tangle drops a shape with a closed strand before that.  The
 cap closing the last two ends needs the outer region, so it caps a diagram.
-The glueing check sums its pieces' products on packed terms, in one pass
-over site pairs.
+
+The checks compare site families as packed int maps
+(``nabla.packed_family``): the diagrams of one case share a layout, one
+digit per colour name and h on digit 0, so each identity is a map on ints.
+Mirroring negates a term; reversing colour c subtracts x (2 w_c + 1) for
+its digit x and weight w_c; h = -1 and renaming every colour to t are
+layouts; (m - m^-1) p is two shifted copies of p; setting a colour to ±1
+drops its digit with a sign; parity reads digits mod 4.  The glueing check
+packs each piece with colour c on the digit of its image iota(c), so a
+product term is one int addition, summed over the site pairs in one pass.
+A polynomial is decoded only for a failure payload, so a report reads as
+before.  ``euler_char`` and ``mutorient_counterexample`` compare
+polynomials: the one against the gradings' Euler characteristics, the
+other on a single given diagram.
 """
 
 from __future__ import annotations
@@ -25,8 +37,9 @@ from . import transform as tr
 from .diagram import (Crossing, Site, TangleDiagram, TangleError, UnionFind,
                       linking_number, serialize)
 from .gradings import euler_characteristics
-from .laurent import H, LaurentPoly, _order_vars, binomial
-from .nabla import _packer, _unpacker, euler_factor, nabla_all, nabla_hat_all
+from .laurent import LaurentPoly, binomial
+from .nabla import (check_product, euler_factor, nabla_all, nabla_hat_all, packed_digit,
+                    packed_family, packed_weight)
 
 
 @dataclass
@@ -232,20 +245,55 @@ def random_rm_sequence(rng: random.Random, d: TangleDiagram, moves: int):
 # ----------------------------------------------------------------------
 # helpers shared by the checks
 
-def _sub_if(p: LaurentPoly, var: str, repl, sign=1) -> LaurentPoly:
-    return p.substitute(var, repl, sign) if var in p.vars else p
+def _layout(*diagrams: TangleDiagram) -> dict[str, int]:
+    """One digit per colour name of ``diagrams``, from digit 1 on in order of
+    first appearance, for ``packed_family`` (h is on digit 0; at h = -1,
+    colour c is on digit ``layout[c] - 1``)."""
+    names = dict.fromkeys(c for d in diagrams for c in d.colours())
+    return {c: k for k, c in enumerate(names, 1)}
 
 
-def _invert_all(p: LaurentPoly, colours, invert_h=False) -> LaurentPoly:
-    for v in colours:
-        p = _sub_if(p, v, {v: -2})
-    if invert_h:
-        p = _sub_if(p, H, {H: -2})
-    return p
+def _mirrored(terms: dict[int, int]) -> dict[int, int]:
+    """Every colour and h inverted: each packed exponent negated."""
+    return {-e: c for e, c in terms.items()}
 
 
-def _single_variable(p: LaurentPoly, colours, t="t") -> LaurentPoly:
-    return p.rename({c: t for c in colours})
+def _reversed(terms: dict[int, int], flips, shift: int = 0) -> dict[int, int]:
+    """Hatted terms with c^x sent to c^-x h^-x for each colour c in
+    ``flips``, given as (reader of its digit, 2 * its weight + 1), times
+    h^shift (doubled)."""
+    return {e - sum([read(e) * w for read, w in flips]) + shift: c for e, c in terms.items()}
+
+
+def _binomial_times(terms: dict[int, int], x: int, unit: int = 1) -> dict[int, int]:
+    """unit * (m - m^-1) * terms, for the packed monomial m = x: two
+    shifted copies."""
+    out: dict[int, int] = {}
+    for e, c in terms.items():
+        out[e + x] = out.get(e + x, 0) + unit * c
+        out[e - x] = out.get(e - x, 0) - unit * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _difference(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a - b, zero terms dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def _at_unit(terms: dict[int, int], read, w: int, sign: int) -> dict[int, int]:
+    """The terms with the colour on one digit (its reader and weight) set to
+    ``sign``: that digit dropped and, at -1, each term times (-1)^(x/2) for
+    its doubled exponent x there.  x is even: the checks set the colour of a
+    knot or of a closed component, whose exponents are all integral."""
+    out: dict[int, int] = {}
+    for e, c in terms.items():
+        x = read(e)
+        k = e - x * w
+        out[k] = out.get(k, 0) + (-c if sign < 0 and x & 2 else c)
+    return {k: c for k, c in out.items() if c}
 
 
 def _payload(**kw):
@@ -274,61 +322,49 @@ def orientation_type(d: TangleDiagram):
     return 2, r
 
 
-def normalized_nabla(d: TangleDiagram, rotation: int) -> dict[str, LaurentPoly]:
-    """Site values keyed by normalized position labels a, b, c, d."""
-    vals = nabla_all(d)
-    labels = "abcd"
-    out = {}
-    for i in range(4):
-        orig = d.arcs[(i + rotation) % 4]
-        out[labels[i]] = vals[Site(frozenset({orig}))]
-    return out
+def _normalized(d: TangleDiagram, family: dict, rotation: int) -> list:
+    """The values of a site family at the sites {a}, {b}, {c}, {d} of the
+    normalized position labels."""
+    return [family[Site(frozenset({d.arcs[(i + rotation) % 4]}))] for i in range(4)]
 
 
 # ----------------------------------------------------------------------
-# the catalogue
+# the catalogue: each identity compared on packed site families
 
 def _check_rm_invariance(rng, cases, fail):
     for k in range(cases):
         d = random_diagram(rng, rng.choice((2, 4, 4, 6)), rng.randint(1, 8))
-        before = nabla_all(d)
         d2, moves = random_rm_sequence(rng, d, rng.randint(1, 6))
-        after = nabla_all(d2)
-        if before != after:
+        lay = _layout(d, d2)
+        if packed_family(d, lay, True) != packed_family(d2, lay, True):
             fail(_payload(case=k, diagram=d, moved=d2, moves=repr(moves)))
 
 
 def _check_mirror(rng, cases, fail):
     for k in range(cases):
         d = random_diagram(rng, rng.choice((2, 4, 6)), rng.randint(1, 7))
-        m = tr.mirror_diagram(d)
-        lhs = nabla_hat_all(m)
-        rhs = {s: _invert_all(p, d.colours(), invert_h=True)
-               for s, p in nabla_hat_all(d).items()}
-        if lhs != rhs:
+        lay = _layout(d)
+        lhs = packed_family(tr.mirror_diagram(d), lay)
+        if lhs != {s: _mirrored(t) for s, t in packed_family(d, lay).items()}:
             fail(_payload(case=k, diagram=d))
 
 
 def _check_reversal(rng, cases, fail):
     for k in range(cases):
         d = random_diagram(rng, rng.choice((2, 4, 6)), rng.randint(1, 7))
-        hats = nabla_hat_all(d)
-        # single strand
+        lay = _layout(d)
+        hats = packed_family(d, lay)
+        flips = {c: (packed_digit(x), 2 * packed_weight(x) + 1) for c, x in lay.items()}
+        # single strand: c -> c^-1 h^-1, times h^lk2
         colour = rng.choice(d.colours())
         lk2 = int(2 * linking_number(d, colour, "all")) if len(d.colours()) > 1 else 0
         r1 = tr.reverse_orientation(d, {colour})
-        pref = LaurentPoly.monomial(1, {H: lk2} if lk2 else {})
-        ok = True
-        for s, p in nabla_hat_all(r1).items():
-            rhs = pref * _sub_if(hats[s], colour, {colour: -2, H: -2})
-            ok = ok and p == rhs
         # all strands
         rall = tr.reverse_orientation(d, set(d.colours()))
-        for s, p in nabla_hat_all(rall).items():
-            rhs = hats[s]
-            for v in d.colours():
-                rhs = _sub_if(rhs, v, {v: -2, H: -2})
-            ok = ok and p == rhs
+        ok = (packed_family(r1, lay) == {s: _reversed(t, [flips[colour]], lk2)
+                                         for s, t in hats.items()}
+              and packed_family(rall, lay) == {s: _reversed(t, flips.values())
+                                               for s, t in hats.items()})
         if not ok:
             fail(_payload(case=k, diagram=d, colour=colour))
 
@@ -354,29 +390,24 @@ def _check_skein(rng, cases, fail):
             continue
         done += 1
         k = done
-        cols = set(plus.colours()) | set(zero.colours())
-        t = binomial("t")
-        pluses, minuses, zeros = nabla_all(plus), nabla_all(minus), nabla_all(zero)
-        ok = True
-        for s in plus.sites():
-            a = _single_variable(pluses[s], cols)
-            b = _single_variable(minuses[s], cols)
-            cc = _single_variable(zeros[s], cols)
-            ok = ok and (a - b == t * cc)
-        if not ok:
+        # every colour renamed to t: all on digit 1, so t on weight 1 at h = -1
+        one = dict.fromkeys((*plus.colours(), *zero.colours()), 1)
+        pluses, minuses, zeros = (packed_family(x, one, True) for x in (plus, minus, zero))
+        t = 2 * packed_weight(0)
+        if not all(_difference(pluses[s], minuses[s]) == _binomial_times(zeros[s], t)
+                   for s in plus.sites()):
             fail(_payload(case=k, diagram=d, crossing=ci))
 
 
 def _check_knot_pm_one(rng, cases, fail):
-    one = LaurentPoly.integer(1)
+    read = packed_digit(0)
     for k in range(cases):
         d = random_knot_tangle(rng, rng.randint(1, 8))
-        p = nabla_all(d)[Site(frozenset())]
-        colour = d.colours()[0]
-        at_plus = _sub_if(p, colour, {})
-        at_minus = _sub_if(p, colour, {}, sign=-1)
-        if at_plus != one or at_minus != one:
-            fail(_payload(case=k, diagram=d, value=p))
+        # the one colour on digit 0 at h = -1: at ±1 the value is a signed
+        # sum of coefficients, on the key 0
+        p = packed_family(d, {d.colours()[0]: 1}, True)[Site(frozenset())]
+        if _at_unit(p, read, 1, 1) != {0: 1} or _at_unit(p, read, 1, -1) != {0: 1}:
+            fail(_payload(case=k, diagram=d, value=nabla_all(d)[Site(frozenset())]))
 
 
 def _check_set_pm_one(rng, cases, fail):
@@ -398,23 +429,33 @@ def _check_set_pm_one(rng, cases, fail):
             # pieces; that diagram of the remainder is not connected
             continue
         done += 1
-        nd = nabla_all(d)
-        nrest = nabla_all(rest) if not rest.split else {s: LaurentPoly.zero()
-                                                        for s in d.sites()}
+        lay = _layout(d, rest)
+        nd = packed_family(d, lay, True)
+        nrest = (packed_family(rest, lay, True) if not rest.split
+                 else {s: {} for s in d.sites()})
         others = [c for c in d.colours() if c != t1]
         lks = {c: int(2 * linking_number(d, t1, c)) for c in others}
         lk_total = sum(lks.values()) // 2
-        fwd = LaurentPoly.monomial(1, {c: lk for c, lk in lks.items() if lk})
-        bwd = LaurentPoly.monomial(1, {c: -lk for c, lk in lks.items() if lk})
+        # m = prod c^lk_c, so that the right-hand side is unit * (m - m^-1) * nrest
+        m = sum(lk * packed_weight(lay[c] - 1) for c, lk in lks.items())
+        read, w = packed_digit(lay[t1] - 1), packed_weight(lay[t1] - 1)
         for s in d.sites():
             for sign in (1, -1):
-                lhs = _sub_if(nd[s], t1, {}, sign=sign)
                 unit = 1 if sign == 1 or (lk_total + 1) % 2 == 0 else -1
-                rhs = LaurentPoly.integer(unit) * (fwd - bwd) * nrest[s]
-                if lhs != rhs:
+                if _at_unit(nd[s], read, w, sign) != _binomial_times(nrest[s], m, unit):
                     fail(_payload(case=done, diagram=d, colour=t1, site=str(s),
-                                  lhs=lhs, rhs=rhs))
+                                  **_pm_one_sides(d, rest, t1, s, sign, lks, unit)))
                     return
+
+
+def _pm_one_sides(d, rest, t1, s, sign, lks, unit) -> dict[str, LaurentPoly]:
+    """The two sides of the set_pm_one identity at s, as polynomials."""
+    p = nabla_all(d)[s]
+    lhs = p.substitute(t1, {}, sign) if t1 in p.vars else p
+    fwd = LaurentPoly.monomial(1, {c: lk for c, lk in lks.items() if lk})
+    bwd = LaurentPoly.monomial(1, {c: -lk for c, lk in lks.items() if lk})
+    q = nabla_all(rest)[s] if not rest.split else LaurentPoly.zero()
+    return {"lhs": lhs, "rhs": LaurentPoly.integer(unit) * (fwd - bwd) * q}
 
 
 def _check_glueing(rng, cases, fail):
@@ -434,32 +475,23 @@ def _check_glueing(rng, cases, fail):
         if rec is None or rec.diagram.split:
             continue
         T = rec.diagram
-        hats_T = nabla_hat_all(T)
-        totals = _glued_sums(rec, nabla_hat_all(d1), nabla_hat_all(d2))
+        lay = _layout(T)
+        hats_T = packed_family(T, lay)
+        totals = _glued_sums(rec, d1, d2, lay)
         for s in T.sites():
             if totals[s] != hats_T[s]:
-                fail(_payload(case=k, glued=T, site=str(s),
-                              got=totals[s], expected=hats_T[s]))
+                fail(_payload(case=k, glued=T, site=str(s), got=_glued_value(rec, d1, d2, s),
+                              expected=nabla_hat_all(T)[s]))
                 return
 
 
-def _glued_sums(rec: tr.GlueRecord, hats_1: dict[Site, LaurentPoly],
-                hats_2: dict[Site, LaurentPoly]) -> dict[Site, LaurentPoly]:
-    """The right-hand side of the glueing formula at every site of the
-    glued diagram: the sum of ``hats_1[s1] * hats_2[s2]``, colours renamed
-    by the record's iotas, over the site pairs whose images are distinct
+def _glue_pairs(rec: tr.GlueRecord, d1: TangleDiagram, d2: TangleDiagram):
+    """The site pairs of the glueing formula, as (glued site, site of d1,
+    site of d2), d1's sites outermost: the pairs whose images are distinct
     regions that cover every closed region on the seam and, besides those,
-    are exactly the site's open regions.
-
-    Each piece polynomial is packed once (``nabla._packer``), one digit per
-    glued colour and h: a colour takes the digit of its iota image, so
-    colours the glue merges add their exponents, and a product term is one
-    int addition.  A site's arc images are a bitmask over the seam's closed
-    regions and the open regions, so a pair test is a few int operations.
-    Each glued site sums its product terms in one int -> coef map and is
-    built once (``nabla._unpacker``), over the table of the ``+`` fold of its
-    products in pair order: the union of its pairs' renamed tables in that
-    order, one entry per distinct pair of tables."""
+    are exactly the glued site's open regions.  A site's images are a
+    bitmask over the seam's closed regions and the open regions, so a pair
+    test is a few int operations."""
     T = rec.diagram
     kind = {r.rid: r.kind for r in T.regions}
     seam = {rid for rid in (*rec.arc_map_1.values(), *rec.arc_map_2.values())
@@ -467,67 +499,70 @@ def _glued_sums(rec: tr.GlueRecord, hats_1: dict[Site, LaurentPoly],
     bit = {r.rid: 1 << k for k, r in enumerate(T.regions) if r.kind == "open" or r.rid in seam}
     seam_bits = sum(bit[rid] for rid in seam)
     target = {sum(bit[a] for a in s.arcs): s for s in T.sites()}
-    digit: dict[str, int] = {}
 
-    def packed(hats, arc_map, iota, tables):
-        """Per site whose images are distinct regions with a bit: the mask
-        of its images, the index of its renamed table in ``tables`` and its
-        packed terms."""
-        index: dict[tuple[str, ...], tuple[int, Callable]] = {}
+    def masks(d, arc_map):
         out = []
-        for s, p in hats.items():
+        for s in d.sites():
             img = {arc_map[a] for a in s.arcs}
-            if len(img) != len(s.arcs) or not img <= bit.keys():
-                continue
-            t = index.get(p.vars)
-            if t is None:
-                names = [iota.get(v, v) for v in p.vars]
-                t = index[p.vars] = (len(tables), _packer([digit.setdefault(n, len(digit))
-                                                           for n in names]))
-                tables.append(names)
-            out.append((sum(bit[r] for r in img), t[0], t[1](p.terms)))
+            if len(img) == len(s.arcs) and img <= bit.keys():
+                out.append((sum(bit[r] for r in img), s))
         return out
 
-    tables_1: list[list[str]] = []
-    tables_2: list[list[str]] = []
-    side_2 = packed(hats_2, rec.arc_map_2, rec.iota_2, tables_2)
-    sums: dict[Site, dict[int, int]] = {s: {} for s in target.values()}
-    pairs: dict[Site, dict[tuple[int, int], None]] = {s: {} for s in target.values()}
-    for m1, t1, x1 in packed(hats_1, rec.arc_map_1, rec.iota_1, tables_1):
-        for m2, t2, x2 in side_2:
+    side_2 = masks(d2, rec.arc_map_2)
+    for m1, s1 in masks(d1, rec.arc_map_1):
+        for m2, s2 in side_2:
             m = m1 | m2
             if m1 & m2 or m & seam_bits != seam_bits:
                 continue
             s = target.get(m ^ seam_bits)
-            if s is None:
-                continue
-            pairs[s][t1, t2] = None
-            acc = sums[s]
-            for e1, c1 in x1.items():
-                for e2, c2 in x2.items():
-                    e = e1 + e2
-                    acc[e] = acc.get(e, 0) + c1 * c2
-    folds: dict[tuple, tuple] = {}     # a site's pairs of tables -> its table, unpacker
-    out = {}
-    for s in T.sites():
-        key = tuple(pairs[s])
-        fold = folds.get(key)
-        if fold is None:
-            vs = _order_vars(v for t1, t2 in key for v in (*tables_1[t1], *tables_2[t2]))
-            fold = folds[key] = (vs, _unpacker(len(digit), [digit[v] for v in vs]))
-        vs, unpack = fold
-        out[s] = LaurentPoly._canonical(vs, unpack(sums[s]))
+            if s is not None:
+                yield s, s1, s2
+
+
+def _glued_sums(rec: tr.GlueRecord, d1: TangleDiagram, d2: TangleDiagram,
+                lay: dict[str, int]) -> dict[Site, dict[int, int]]:
+    """The right-hand side of the glueing formula at every site of the
+    glued diagram, packed under ``lay`` (a layout of its colours): the sum
+    of the products of the pieces' hatted values over ``_glue_pairs``.  Each
+    piece is packed with its colour c on the digit of its image iota(c), so
+    colours the glue merges add their exponents and a product term is one
+    int addition."""
+    check_product(d1, d2)
+    f1 = packed_family(d1, {c: lay[rec.iota_1.get(c, c)] for c in d1.colours()})
+    f2 = packed_family(d2, {c: lay[rec.iota_2.get(c, c)] for c in d2.colours()})
+    sums: dict[Site, dict[int, int]] = {s: {} for s in rec.diagram.sites()}
+    for s, s1, s2 in _glue_pairs(rec, d1, d2):
+        acc = sums[s]
+        x2 = f2[s2]
+        for e1, c1 in f1[s1].items():
+            for e2, c2 in x2.items():
+                e = e1 + e2
+                acc[e] = acc.get(e, 0) + c1 * c2
+    return sums
+
+
+def _glued_value(rec: tr.GlueRecord, d1: TangleDiagram, d2: TangleDiagram,
+                 s: Site) -> LaurentPoly:
+    """The right-hand side of the glueing formula at s as a polynomial: the
+    ``+`` fold of its pairs' products, colours renamed by the iotas."""
+    hats_1, hats_2 = nabla_hat_all(d1), nabla_hat_all(d2)
+    out = LaurentPoly.zero()
+    for t, s1, s2 in _glue_pairs(rec, d1, d2):
+        if t == s:
+            out = out + hats_1[s1].rename(rec.iota_1) * hats_2[s2].rename(rec.iota_2)
     return out
 
 
 def _check_parity(rng, cases, fail):
     for k in range(cases):
         d = random_diagram(rng, rng.choice((2, 4, 6)), rng.randint(1, 8))
-        for s, p in nabla_all(d).items():
-            for v in d.colours():
-                exps = p.exponents_of(v)
-                if len({e % 4 for e in exps}) > 1:
-                    fail(_payload(case=k, diagram=d, site=str(s), colour=v, value=p))
+        lay = _layout(d)
+        reads = [(v, packed_digit(lay[v] - 1)) for v in d.colours()]
+        for s, t in packed_family(d, lay, True).items():
+            for v, read in reads:
+                if len({read(e) % 4 for e in t}) > 1:
+                    fail(_payload(case=k, diagram=d, site=str(s), colour=v,
+                                  value=nabla_all(d)[s]))
                     return
 
 
@@ -545,32 +580,33 @@ def _check_fourended(rng, cases, fail):
             d = tr._rebuild(d, crossings=crossings, edge_dirs=dirs, name=d.name + "_rev")
         typ, rot = orientation_type(d)
         seen[typ] += 1
-        vals = normalized_nabla(d, rot)
         rall = tr.reverse_orientation(d, set(d.colours()))
-        vals_r = normalized_nabla(rall, rot)
-        cols = set(d.colours())
-        f = lambda p: _single_variable(p, cols)
-        ok = (f(vals["a"]) == f(vals_r["c"]) == f(vals["c"])
-              and f(vals["d"]) == f(vals_r["b"]))
+        # every colour renamed to t: all on one digit
+        one = dict.fromkeys(d.colours(), 1)
+        a, b, c, dd = _normalized(d, packed_family(d, one, True), rot)
+        _, rb, rc, _ = _normalized(rall, packed_family(rall, one, True), rot)
+        ok = a == rc == c and dd == rb
         if typ == 1:
-            ok = ok and f(vals["d"]) == f(vals["b"])
+            ok = ok and dd == b
         if not ok:
             fail(_payload(case=k, diagram=d, type=typ))
     return f"orientation types seen: 1 x{seen[1]}, 2 x{seen[2]}"
 
 
 def _check_mutation_one(d: TangleDiagram, fail, case=0):
+    if len(d.boundary) != 4:
+        raise TangleError("E_HYPOTHESIS", "mutation invariance needs a 4-ended diagram")
     open_cols = {c.colour for c in d.components if c.kind == "open"}
     if len(open_cols) != 1:
         raise TangleError("E_HYPOTHESIS",
                           "mutation invariance needs equal colours on the open strands")
-    before = nabla_all(d)
+    lay = _layout(d)
+    before = packed_family(d, lay, True)
     for axis in ("x", "y", "z"):
         md = tr.mutate_tangle(d, axis)
-        after = nabla_all(md)
-        same = all(before[Site(frozenset({a}))] == after[Site(frozenset({a}))]
-                   for a in d.arcs)
-        if not same:
+        after = packed_family(md, _layout(d, md), True)
+        if not all(before[Site(frozenset({a}))] == after[Site(frozenset({a}))]
+                   for a in d.arcs):
             fail(_payload(case=case, diagram=d, axis=axis))
 
 
@@ -608,15 +644,18 @@ def _mutorient_diagram() -> TangleDiagram:
 
 def _check_mutorient(rng, cases, fail, diagram: Optional[TangleDiagram] = None):
     d = diagram if diagram is not None else _mutorient_diagram()
-    vals = nabla_all(d)
     site_b = Site(frozenset({"b"}))
+    closed = [c.colour for c in d.components if c.kind == "closed"]
+    if not d.has_site(site_b) or not closed:
+        raise TangleError("E_HYPOTHESIS", "the counterexample needs a diagram with a "
+                          "site {b} and a closed strand to reverse")
+    vals = nabla_all(d)
     expected = (LaurentPoly.monomial(1, {"p": 4, "r": 2})
                 - binomial("r")
                 - LaurentPoly.monomial(1, {"p": -4, "r": -2}))
     if vals[site_b] != expected:
         fail(_payload(diagram=d, got=vals[site_b], expected=expected))
         return
-    closed = [c.colour for c in d.components if c.kind == "closed"]
     rev = tr.reverse_orientation(d, {closed[0]})
     if nabla_all(rev)[site_b] == vals[site_b]:
         fail(_payload(diagram=d,

@@ -7,7 +7,10 @@ empty-site polynomial of 2-ended tangles is checked against a
 crossing-switch resolution that only knows the skein identity, descending
 diagrams and split detection.  The right-hand side of the glueing formula
 is summed by a scan of every site pair per target site; ``add_all`` sums a
-list of polynomials in one pass with the table of their ``+`` fold.  ``rescan_euler``
+list of polynomials in one pass with the table of their ``+`` fold, and
+``pack`` packs a polynomial as ``nabla.packed_family`` packs a family.
+``CHECKS`` holds the catalogue checks as they ran on polynomials, before
+they compared packed families.  ``rescan_euler``
 and ``gradings_output`` work from a generator list: the graded Euler
 characteristic as a running sum over it, and the ``gradings`` command's
 stdout as the sorted list written by ``json.dumps`` or line by line.
@@ -39,9 +42,12 @@ from itertools import product
 from typing import Optional
 
 from tanglenabla import transform as tr
-from tanglenabla.diagram import Crossing, Region, Site, TangleDiagram, TangleError, serialize
+from tanglenabla import verify as vf
+from tanglenabla.diagram import (Crossing, Region, Site, TangleDiagram, TangleError,
+                                 linking_number, serialize)
 from tanglenabla.gradings import GradedGenerator
 from tanglenabla.laurent import H, LaurentPoly, _order_vars, binomial
+from tanglenabla.nabla import nabla_all, nabla_hat_all
 from tanglenabla.states import enumerate_states, site_of
 
 
@@ -365,6 +371,18 @@ def add_all(polys: list[LaurentPoly]) -> LaurentPoly:
     return LaurentPoly._canonical(vs, {e: c for e, c in acc.items() if c})
 
 
+def pack(p: LaurentPoly, digit: dict[str, int]) -> dict[int, int]:
+    """The terms of p as ``nabla.packed_family`` packs them: one int a term,
+    h on 20-bit digit 0 and colour v on digit ``digit[v]``, exponents that
+    share a digit added and zero coefficients dropped."""
+    weights = [1 << 20 * (0 if v == H else digit[v]) for v in p.vars]
+    out: dict[int, int] = {}
+    for e, c in p.terms.items():
+        k = sum(x * w for x, w in zip(e, weights))
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
 def glueing_sums(rec: tr.GlueRecord, hats_1: dict, hats_2: dict) -> dict[Site, LaurentPoly]:
     """The right-hand side of the glueing formula per site of the glued
     diagram, scanning
@@ -633,3 +651,235 @@ def _try_random_diagram(rng, n_ends, n_crossings) -> Optional[TangleDiagram]:
     if len(d.boundary) != n_ends or d.split:
         return None
     return d
+
+
+# ----------------------------------------------------------------------
+# the catalogue checks on polynomials
+#
+# Each check as ``verify`` ran it before its identities were compared on
+# packed site families: every site value built as a LaurentPoly, then
+# specialized with ``substitute``, renamed or multiplied, and compared with
+# ``==``.  They draw the same diagrams from the rng and write the same
+# failure payloads, so a report is the same with either check.
+
+def _sub_if(p: LaurentPoly, var: str, repl, sign=1) -> LaurentPoly:
+    return p.substitute(var, repl, sign) if var in p.vars else p
+
+
+def _invert_all(p: LaurentPoly, colours, invert_h=False) -> LaurentPoly:
+    for v in colours:
+        p = _sub_if(p, v, {v: -2})
+    if invert_h:
+        p = _sub_if(p, H, {H: -2})
+    return p
+
+
+def _single_variable(p: LaurentPoly, colours, t="t") -> LaurentPoly:
+    return p.rename({c: t for c in colours})
+
+
+def normalized_nabla(d: TangleDiagram, rotation: int) -> dict[str, LaurentPoly]:
+    """Site values keyed by normalized position labels a, b, c, d."""
+    vals = nabla_all(d)
+    return {label: vals[Site(frozenset({d.arcs[(i + rotation) % 4]}))]
+            for i, label in enumerate("abcd")}
+
+
+def check_rm_invariance(rng, cases, fail):
+    for k in range(cases):
+        d = vf.random_diagram(rng, rng.choice((2, 4, 4, 6)), rng.randint(1, 8))
+        before = nabla_all(d)
+        d2, moves = vf.random_rm_sequence(rng, d, rng.randint(1, 6))
+        if before != nabla_all(d2):
+            fail(vf._payload(case=k, diagram=d, moved=d2, moves=repr(moves)))
+
+
+def check_mirror(rng, cases, fail):
+    for k in range(cases):
+        d = vf.random_diagram(rng, rng.choice((2, 4, 6)), rng.randint(1, 7))
+        lhs = nabla_hat_all(tr.mirror_diagram(d))
+        rhs = {s: _invert_all(p, d.colours(), invert_h=True)
+               for s, p in nabla_hat_all(d).items()}
+        if lhs != rhs:
+            fail(vf._payload(case=k, diagram=d))
+
+
+def check_reversal(rng, cases, fail):
+    for k in range(cases):
+        d = vf.random_diagram(rng, rng.choice((2, 4, 6)), rng.randint(1, 7))
+        hats = nabla_hat_all(d)
+        colour = rng.choice(d.colours())
+        lk2 = int(2 * linking_number(d, colour, "all")) if len(d.colours()) > 1 else 0
+        r1 = tr.reverse_orientation(d, {colour})
+        pref = LaurentPoly.monomial(1, {H: lk2} if lk2 else {})
+        ok = True
+        for s, p in nabla_hat_all(r1).items():
+            ok = ok and p == pref * _sub_if(hats[s], colour, {colour: -2, H: -2})
+        rall = tr.reverse_orientation(d, set(d.colours()))
+        for s, p in nabla_hat_all(rall).items():
+            rhs = hats[s]
+            for v in d.colours():
+                rhs = _sub_if(rhs, v, {v: -2, H: -2})
+            ok = ok and p == rhs
+        if not ok:
+            fail(vf._payload(case=k, diagram=d, colour=colour))
+
+
+def check_skein(rng, cases, fail):
+    done = guard = 0
+    while done < cases and guard < cases * 40:
+        guard += 1
+        d = vf.random_diagram(rng, rng.choice((2, 4)), rng.randint(1, 6))
+        ci = rng.randrange(len(d.crossings))
+        c = d.crossings[ci]
+        cu, co = d.colour_of_edge[c.under[0]], d.colour_of_edge[c.over[0]]
+        if cu != co:
+            d = tr.recolour(d, {co: cu})
+        plus = d if d.crossings[ci].sign > 0 else tr.switch_crossing(d, ci)
+        minus = tr.switch_crossing(plus, ci)
+        try:
+            zero = tr.smooth_crossing(plus, ci)
+        except TangleError:
+            continue
+        done += 1
+        cols = set(plus.colours()) | set(zero.colours())
+        t = binomial("t")
+        pluses, minuses, zeros = nabla_all(plus), nabla_all(minus), nabla_all(zero)
+        ok = True
+        for s in plus.sites():
+            a, b, cc = (_single_variable(x[s], cols) for x in (pluses, minuses, zeros))
+            ok = ok and (a - b == t * cc)
+        if not ok:
+            fail(vf._payload(case=done, diagram=d, crossing=ci))
+
+
+def check_knot_pm_one(rng, cases, fail):
+    one = LaurentPoly.integer(1)
+    for k in range(cases):
+        d = vf.random_knot_tangle(rng, rng.randint(1, 8))
+        p = nabla_all(d)[Site(frozenset())]
+        colour = d.colours()[0]
+        if _sub_if(p, colour, {}) != one or _sub_if(p, colour, {}, sign=-1) != one:
+            fail(vf._payload(case=k, diagram=d, value=p))
+
+
+def check_set_pm_one(rng, cases, fail):
+    done = guard = 0
+    while done < cases and guard < cases * 60:
+        guard += 1
+        d = vf.random_diagram(rng, rng.choice((2, 4)), rng.randint(2, 7))
+        closed = [c.colour for c in d.components if c.kind == "closed" and c.edges]
+        if not closed:
+            continue
+        t1 = rng.choice(closed)
+        if sum(1 for c in d.components if c.colour == t1) > 1:
+            continue
+        try:
+            rest = tr.delete_component(d, t1)
+        except TangleError:
+            continue
+        done += 1
+        nd = nabla_all(d)
+        nrest = nabla_all(rest) if not rest.split else {s: LaurentPoly.zero()
+                                                        for s in d.sites()}
+        lks = {c: int(2 * linking_number(d, t1, c)) for c in d.colours() if c != t1}
+        lk_total = sum(lks.values()) // 2
+        fwd = LaurentPoly.monomial(1, {c: lk for c, lk in lks.items() if lk})
+        bwd = LaurentPoly.monomial(1, {c: -lk for c, lk in lks.items() if lk})
+        for s in d.sites():
+            for sign in (1, -1):
+                lhs = _sub_if(nd[s], t1, {}, sign=sign)
+                unit = 1 if sign == 1 or (lk_total + 1) % 2 == 0 else -1
+                rhs = LaurentPoly.integer(unit) * (fwd - bwd) * nrest[s]
+                if lhs != rhs:
+                    fail(vf._payload(case=done, diagram=d, colour=t1, site=str(s),
+                                     lhs=lhs, rhs=rhs))
+                    return
+
+
+def check_glueing(rng, cases, fail):
+    for k in range(cases):
+        d1 = vf.random_diagram(rng, rng.choice((4, 6)), rng.randint(1, 4))
+        d2 = vf.random_diagram(rng, rng.choice((4, 6)), rng.randint(1, 4))
+        rec = None
+        for _ in range(40):
+            s1 = rng.randrange(len(d1.boundary))
+            s2 = rng.randrange(len(d2.boundary))
+            count = rng.randint(1, min(len(d1.boundary), len(d2.boundary)) - 1)
+            try:
+                rec = tr.glue_diagrams(d1, d2, s1, s2, count)
+                break
+            except TangleError:
+                continue
+        if rec is None or rec.diagram.split:
+            continue
+        T = rec.diagram
+        hats_T = nabla_hat_all(T)
+        totals = glueing_sums(rec, nabla_hat_all(d1), nabla_hat_all(d2))
+        for s in T.sites():
+            if totals[s] != hats_T[s]:
+                fail(vf._payload(case=k, glued=T, site=str(s),
+                                 got=totals[s], expected=hats_T[s]))
+                return
+
+
+def check_parity(rng, cases, fail):
+    for k in range(cases):
+        d = vf.random_diagram(rng, rng.choice((2, 4, 6)), rng.randint(1, 8))
+        for s, p in nabla_all(d).items():
+            for v in d.colours():
+                if len({e % 4 for e in p.exponents_of(v)}) > 1:
+                    fail(vf._payload(case=k, diagram=d, site=str(s), colour=v, value=p))
+                    return
+
+
+def check_fourended(rng, cases, fail):
+    seen = {1: 0, 2: 0}
+    for k in range(cases):
+        d = vf.random_diagram(rng, 4, rng.randint(1, 7))
+        open_cols = [c.colour for c in d.components if c.kind == "open"]
+        d = tr.recolour(d, {open_cols[1]: open_cols[0]})
+        if rng.random() < 0.5:
+            comp = next(c for c in d.components if c.kind == "open")
+            crossings, dirs = tr._reversed(d, d.crossings, set(comp.edges))
+            d = tr._rebuild(d, crossings=crossings, edge_dirs=dirs, name=d.name + "_rev")
+        typ, rot = vf.orientation_type(d)
+        seen[typ] += 1
+        vals = normalized_nabla(d, rot)
+        vals_r = normalized_nabla(tr.reverse_orientation(d, set(d.colours())), rot)
+        cols = set(d.colours())
+        f = lambda p: _single_variable(p, cols)
+        ok = (f(vals["a"]) == f(vals_r["c"]) == f(vals["c"])
+              and f(vals["d"]) == f(vals_r["b"]))
+        if typ == 1:
+            ok = ok and f(vals["d"]) == f(vals["b"])
+        if not ok:
+            fail(vf._payload(case=k, diagram=d, type=typ))
+    return f"orientation types seen: 1 x{seen[1]}, 2 x{seen[2]}"
+
+
+def check_mutation(rng, cases, fail):
+    for k in range(cases):
+        d = vf.random_diagram(rng, 4, rng.randint(1, 7))
+        open_cols = [c.colour for c in d.components if c.kind == "open"]
+        d = tr.recolour(d, {open_cols[1]: open_cols[0]})
+        before = nabla_all(d)
+        for axis in ("x", "y", "z"):
+            after = nabla_all(tr.mutate_tangle(d, axis))
+            if not all(before[Site(frozenset({a}))] == after[Site(frozenset({a}))]
+                       for a in d.arcs):
+                fail(vf._payload(case=k, diagram=d, axis=axis))
+
+
+CHECKS = {
+    "rm_invariance": check_rm_invariance,
+    "mirror": check_mirror,
+    "reversal": check_reversal,
+    "skein": check_skein,
+    "knot_pm_one": check_knot_pm_one,
+    "set_pm_one": check_set_pm_one,
+    "glueing": check_glueing,
+    "parity": check_parity,
+    "fourended_symmetry": check_fourended,
+    "mutation": check_mutation,
+}

@@ -341,6 +341,18 @@ def test_check_rejects_diagrams_for_generated_only_properties(capsys):
     assert (code, out) == (0, "euler_char: pass (1 cases, seed 0)\n")
 
 
+def test_check_rejects_diagrams_outside_the_hypothesis(capsys):
+    # mutation needs 4 ends, also when the open strands share a colour (the
+    # trefoil's one does); the counterexample needs a site {b} (the trefoil
+    # has none) and a closed strand to reverse (the clasp has none)
+    for prop, name in (("mutation", "trefoil"), ("mutorient_counterexample", "trefoil"),
+                       ("mutorient_counterexample", "clasp")):
+        code, out, err = run_cli("check", prop, corpus_arg(name), capsys=capsys)
+        assert (code, out) == (2, ""), (prop, name)
+        assert err.startswith("error: E_HYPOTHESIS"), (prop, name, err)
+        assert "Traceback" not in err
+
+
 def test_nabla_seed_env(monkeypatch, capsys):
     monkeypatch.setenv("NABLA_SEED", "99")
     code, out, _ = run_cli("--format", "json", "check", "parity", "--cases", "2",

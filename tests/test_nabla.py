@@ -1,18 +1,20 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanglenabla.diagram import Site, TangleError, parse_tangle
 from tanglenabla.laurent import LaurentError, LaurentPoly, binomial
-from tanglenabla.nabla import (_packer, _unpacker, conway_potential, nabla_all, nabla_at_site,
-                               nabla_hat, nabla_hat_all)
+from tanglenabla.nabla import (check_product, conway_potential, nabla_all, nabla_at_site,
+                               nabla_hat, nabla_hat_all, packed_family)
 from tanglenabla.states import enumerate_states, site_of
 from tanglenabla import transform as tr
+from tanglenabla import verify
 from tanglenabla.verify import random_diagram
 
 from conftest import load, seeded_diagrams
-from oracles import conway_skein, state_codes
+from oracles import conway_skein, pack, state_codes
 
 
 def H(coef, **exp2):
@@ -247,32 +249,48 @@ def test_values_decode_at_h_minus_one_as_eval_h_does_on_hypothesis_diagrams(seed
     _decoded_at_h(random_diagram(random.Random(seed), ends, m))
 
 
-_TERMS = st.dictionaries(st.tuples(*[st.integers(-40, 40)] * 3), st.integers(-5, 5).filter(bool),
-                         max_size=6)
+def _layouts(d, shared):
+    """A layout of d's colours from digit 1 on; with ``shared``, every other
+    colour moved onto the digit of the one before it."""
+    cols = d.colours()
+    return {c: (k - (k % 2 == 0) if shared else k) for k, c in enumerate(cols, 1)}
 
 
-@settings(max_examples=80, derandomize=True, deadline=None, database=None)
-@given(x=_TERMS, y=_TERMS)
-def test_packed_terms_multiply_by_adding_their_ints(x, y):
-    # exponents 0 and 2 share digit 1, so they add; digit 0 is never used
-    digits, n = [1, 3, 1], 4
-
-    def merged(e):
-        return e[0] + e[2], e[1]
-
-    assert _unpacker(3, [0, 1, 2])(_packer([0, 1, 2])(x)) == x
-    pack = _packer(digits)
-    px, py = pack(x), pack(y)
-    prod: dict[int, int] = {}
-    for a, c in px.items():
-        for b, d in py.items():
-            prod[a + b] = prod.get(a + b, 0) + c * d
-    want = LaurentPoly(("p", "q"), {merged(e): c for e, c in x.items()}) * \
-        LaurentPoly(("p", "q"), {merged(e): c for e, c in y.items()})
-    assert LaurentPoly(("p", "q"), _unpacker(n, [1, 3])(prod)) == want
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m1=st.integers(1, 6), m2=st.integers(1, 6),
+       shared=st.booleans())
+def test_packed_terms_multiply_by_adding_their_ints(seed, m1, m2, shared):
+    # each family packs as its polynomials do, in full and at h = -1, also
+    # with colours sharing a digit; and a product of two packed families,
+    # term ints added, is the packed product of their polynomials
+    rng = random.Random(seed)
+    d1, d2 = (random_diagram(rng, rng.choice((2, 4, 6)), m) for m in (m1, m2))
+    lay = _layouts(d1, shared)
+    down = {c: k - 1 for c, k in lay.items()}
+    assert packed_family(d1, lay) == {s: pack(p, lay) for s, p in nabla_hat_all(d1).items()}
+    assert packed_family(d1, lay, True) == {s: pack(p, down) for s, p in nabla_all(d1).items()}
+    names = {c: f"x{k}" for c, k in lay.items()}   # colours on one digit, one name
+    lay2 = {c: k + len(lay) for k, c in enumerate(d2.colours(), 1)}
+    both = {**{f"x{k}": k for k in lay.values()}, **lay2}
+    f1, f2 = packed_family(d1, lay), packed_family(d2, lay2)
+    hats_1, hats_2 = nabla_hat_all(d1), nabla_hat_all(d2)
+    for s1, x1 in f1.items():
+        for s2, x2 in f2.items():
+            prod: dict[int, int] = {}
+            for a, c in x1.items():
+                for b, e in x2.items():
+                    prod[a + b] = prod.get(a + b, 0) + c * e
+            assert prod == pack(hats_1[s1].rename(names) * hats_2[s2], both), (str(s1), str(s2))
 
 
 def test_packing_refuses_a_term_that_a_product_could_overflow():
-    with pytest.raises(LaurentError) as e:
-        _packer([0, 1])({(1 << 17, 1 << 17): 1})
-    assert e.value.code == "E_EXPONENT_RANGE"
+    # a crossing moves a digit by at most 2: a product of families keeps its
+    # digits below 2^19 while the crossings add up to less than 2^18
+    def crossings(m):
+        return SimpleNamespace(crossings=range(m))
+
+    check_product(crossings(1 << 17), crossings((1 << 17) - 1))
+    for glue in (check_product, lambda a, b: verify._glued_sums(None, a, b, {})):
+        with pytest.raises(LaurentError) as e:
+            glue(crossings(1 << 17), crossings(1 << 17))
+        assert e.value.code == "E_EXPONENT_RANGE"

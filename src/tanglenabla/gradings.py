@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 from .diagram import Site, TangleDiagram, TangleError
 from .laurent import LaurentPoly
 from .nabla import _BITS, _HALF, _MASK, _bias, check_site
-from .states import frontier, marker_codes, markers_of
+from .states import count_bits, frontier, marker_codes, markers_of
 
 
 class GradedGenerator(NamedTuple):
@@ -181,17 +181,18 @@ def euler_characteristics(d: TangleDiagram,
 
     One pass of ``states.frontier`` sums the corner codes of the generator
     keys without the markers, so each term is a state's key without them,
-    with its number of states and the least of them.  Each term is decoded
-    once, for its h (and its ``E_GRADING``); its Alexander digits stay
-    packed, and decoration k adds its packed shift to them and its number of
-    set bits to h.  The term's coefficient, signed by the parity of that h,
-    goes to one int -> coef map per site, terms in the order of their least
-    states and decorations in ``product`` order, so a key first enters the
-    map at the first generator with that Alexander vector.  Reading each
-    distinct key once, in that order, and colours by name within a key,
-    gives the variable table of the generator-order sum: a colour first
-    appears in a generator whose state is the least one of its term, and
-    stays when its terms cancel.
+    with one int: its number of states in the low ``count_bits(m)`` bits
+    and the least of them above, so the terms sort by their least states.
+    Each term is decoded once, for its h (and its ``E_GRADING``); its
+    Alexander digits stay packed, and decoration k adds its packed shift to
+    them and its number of set bits to h.  The term's coefficient, signed
+    by the parity of that h, goes to one int -> coef map per site, terms in
+    the order of their least states and decorations in ``product`` order,
+    so a key first enters the map at the first generator with that
+    Alexander vector.  Reading each distinct key once, in that order, and
+    colours by name within a key, gives the variable table of the
+    generator-order sum: a colour first appears in a generator whose state
+    is the least one of its term, and stays when its terms cancel.
     """
     if s is not None:
         check_site(d, s)
@@ -199,10 +200,12 @@ def euler_characteristics(d: TangleDiagram,
     base, shift = layout.dec_keys[0], 2 * layout.m      # dec_keys[0]: the bias alone
     drop = shift + layout.kbits + _BITS                 # below the colour digits
     decorations = [(dk - base >> drop, sum(bs)) for dk, bs in zip(layout.dec_keys, layout.bits)]
+    mask = (1 << count_bits(layout.m)) - 1
     out = {}
-    for site, terms in frontier(d, s, codes).items():
+    for site, terms in frontier(d, s, codes, least=True).items():
         acc: dict[int, int] = {}
-        for _, e, c in sorted((least, e, c) for e, (c, least) in terms.items()):
+        for v, e in sorted([(v, e) for e, v in terms.items()]):
+            c = v & mask
             h = layout.grades((base + e) >> shift)[2]
             alex = base + e >> drop
             for dk, h_k in decorations:

@@ -13,13 +13,15 @@ keys.  For the full family the final keys are the sites.  No state is built.
 A monomial is one int: its doubled exponents (h, then the colours) are 20-bit
 balanced digits, so multiplying by a corner monomial adds two ints (a
 crossing moves a digit by at most 2, so any m below 2^18 fits).  Each term
-carries its coefficient, a count of states, and the least prefix state (a
-base-4 int, which orders like the marker vectors) that gives it.  The
-variable table is the one that summing the states in lex order gives: a
-colour ranks by the lex-least state in which its exponent is non-zero, then
-by its first ``(crossing, slot of corner_exp2)`` in that state, and h comes
-last if any state has a non-zero h exponent.  That table is canonical, so the
-decoder builds its polynomial without re-ordering it.  ``_packing`` lists,
+carries one int: its coefficient, a count of states, in the low
+``states.count_bits(m)`` bits, and above it the least state that gives it,
+as its base-4 marker code, which orders like the marker vectors; so a
+site's terms sort by their least states as ints.  The variable table is
+the one that summing the states in lex order gives: a colour ranks by the
+lex-least state in which its exponent is non-zero, then by its first
+``(crossing, slot of corner_exp2)`` in that state, and h comes last if any
+state has a non-zero h exponent.  That table is canonical, so the decoder
+builds its polynomial without re-ordering it.  ``_packing`` lists,
 once per diagram, the colour digits of each corner in ``corner_exp2``
 order, which breaks the ties of that rule.
 
@@ -31,7 +33,8 @@ No hatted polynomial is built for them.
 
 ``packed_family`` gives the family undecoded, ``{site: {int: coef}}``, under
 a layout of colour digits that its caller shares between diagrams, so the
-catalogue compares and transforms families as int maps.  ``packed_digit``
+catalogue compares and transforms families as int maps.  It runs the pass
+with counts alone, so the pass's maps are its result.  ``packed_digit``
 and ``packed_weight`` read and build its digits, and ``check_product``
 guards a product of two families against digit overflow.
 """
@@ -43,7 +46,7 @@ from typing import Callable, Mapping, Optional
 
 from .diagram import CORNER_RULE, Site, TangleDiagram, TangleError
 from .laurent import H, LaurentError, LaurentPoly, binomial
-from .states import frontier
+from .states import count_bits, frontier
 
 _BITS = 20
 _MASK = (1 << _BITS) - 1
@@ -95,10 +98,10 @@ def packed_family(d: TangleDiagram, digit: Mapping[str, int],
     for s in d.sites():
         terms = sums.get(s, {})
         if not at_h:
-            out[s] = {e: c for e, (c, _) in terms.items()}
+            out[s] = terms
             continue
         acc: dict[int, int] = {}
-        for e, (c, _) in terms.items():
+        for e, c in terms.items():
             k = e + _HALF >> _BITS
             acc[k] = acc.get(k, 0) + (-c if e & 2 else c)
         out[s] = {k: c for k, c in acc.items() if c}
@@ -124,28 +127,31 @@ def check_product(*diagrams: TangleDiagram) -> None:
         raise LaurentError("E_EXPONENT_RANGE", "too many crossings to multiply packed families")
 
 
-def _decode(colours: list[str], firsts: list, terms: dict[int, list[int]],
+def _decode(colours: list[str], firsts: list, terms: dict[int, int],
             at_h: bool) -> LaurentPoly:
-    """The polynomial of packed terms, with the variable table of the
-    module docstring; with ``at_h``, its value at h = -1, which keeps that
-    table without h."""
+    """The polynomial of packed terms (``frontier``'s, with their least
+    states), with the variable table of the module docstring; with
+    ``at_h``, its value at h = -1, which keeps that table without h."""
     if not terms:
         return LaurentPoly._canonical((), {})
     bias = _bias(len(colours) + 1)
-    rows = sorted([(least, e + bias, c) for e, (c, least) in terms.items()])
+    m = len(firsts)
+    k0 = count_bits(m)
+    mask = (1 << k0) - 1
+    # distinct terms have distinct least states, so the ints sort by them
+    rows = sorted([(v, e + bias) for e, v in terms.items()])
     todo = range(1, len(colours) + 1)
     order = []
-    for least, e, _ in rows:   # distinct terms have distinct least states
+    for v, e in rows:
         x = e ^ bias
         new = [k for k in todo if x >> _BITS * k & _MASK]
         if not new:
             continue
         if len(new) > 1:
             # in the order of their first (crossing, slot of corner_exp2) here
-            m = len(firsts)
             first = []
             for ci in range(m):
-                for k in firsts[ci][least >> 2 * (m - 1 - ci) & 3]:
+                for k in firsts[ci][v >> k0 + 2 * (m - 1 - ci) & 3]:
                     if k in new and k not in first:
                         first.append(k)
                 if len(first) == len(new):
@@ -160,23 +166,23 @@ def _decode(colours: list[str], firsts: list, terms: dict[int, list[int]],
         # h2 is even, and the sign (-1)^(h2 / 2) is bit 1 of its biased digit
         ats = [_BITS * (k - 1) for k in order]
         sums: dict[int, int] = {}
-        for _, e, c in rows:
-            key = e >> _BITS
+        for v, e in rows:
+            key, c = e >> _BITS, v & mask
             sums[key] = sums.get(key, 0) + (-c if e & 2 else c)
         return LaurentPoly._canonical(names, {tuple([(key >> at & _MASK) - _HALF for at in ats]): c
                                               for key, c in sums.items() if c})
-    if any(e & _MASK != _HALF for _, e, _ in rows):
+    if any(e & _MASK != _HALF for _, e in rows):
         order.append(0)
         names += (H,)
     ats = [_BITS * k for k in order]
-    return LaurentPoly._canonical(names, {tuple([(e >> at & _MASK) - _HALF for at in ats]): c
-                                          for _, e, c in rows})
+    return LaurentPoly._canonical(names, {tuple([(e >> at & _MASK) - _HALF for at in ats]):
+                                          v & mask for v, e in rows})
 
 
 def _site_values(d: TangleDiagram, s: Optional[Site], at_h: bool) -> dict[Site, LaurentPoly]:
     """The decoded state sum at every site, or at ``s`` alone."""
     colours, shifts, firsts = _packing(d)
-    sums = frontier(d, s, shifts)
+    sums = frontier(d, s, shifts, least=True)
     return {t: _decode(colours, firsts, sums.get(t, {}), at_h)
             for t in (d.sites() if s is None else [s])}
 

@@ -9,12 +9,15 @@ tuple: entry i is the quadrant (0..3) that holds the marker of crossing i.
 ``frontier`` is the one walk over the states.  It sums per-corner codes
 over each state crossing by crossing and merges the states whose sums and
 frontier keys agree, so it meets no state one by one: ``nabla`` runs it on
-the corner monomials, ``gradings`` on the Alexander and delta codes.  With
-each corner's marker added to its code in base-4 digit m-1-i
-(``marker_codes``), no two states share a sum, so the pass keeps one term
-per state, whose sum holds the state's markers in its low 2m bits; that is
-how ``enumerate_states``, the ``states`` command and
-``gradings.generator_keys`` list the states.
+the corner monomials, ``gradings`` on the Alexander and delta codes.  Each
+term is one int, its number of states; for the callers that order terms by
+their least state (``nabla``'s decoder and ``gradings.euler_characteristics``)
+the least state's marker code sits above the count, so extending a term is
+one addition and a merge keeps the smaller int.  With each corner's marker
+added to its code in base-4 digit m-1-i (``marker_codes``), no two states
+share a sum, so the pass keeps one term per state, whose sum holds the
+state's markers in its low 2m bits; that is how ``enumerate_states``, the
+``states`` command and ``gradings.generator_keys`` list the states.
 """
 
 from __future__ import annotations
@@ -24,13 +27,15 @@ import functools
 from .diagram import Site, TangleDiagram
 
 
-def frontier(d: TangleDiagram, s: Site | None,
-             codes: list[tuple[int, ...]]) -> dict[Site, dict[int, list[int]]]:
+def frontier(d: TangleDiagram, s: Site | None, codes: list[tuple[int, ...]],
+             least: bool = False) -> dict[Site, dict[int, int]]:
     """The state sums per site reached (only ``s``, if given), each a map
-    from the sum of ``codes[i][q]`` over a state's corners to ``[number of
-    states, least state]``, a state as its marker code (crossing i in base-4
-    digit m-1-i, which orders like the marker tuples).  Split diagrams have
-    none.
+    from the sum of ``codes[i][q]`` over a state's corners to one int: the
+    number of states with that sum.  With ``least``, the int also holds the
+    least of those states above its low ``count_bits(m)`` bits, a state as
+    its marker code (crossing i in base-4 digit m-1-i, which orders like the
+    marker tuples), so the ints of a site's terms order as their least
+    states.  Split diagrams have none.
 
     The pass keeps, per frontier key, the sums of the prefix states that
     reach it.  At crossing i it adds each admitted quadrant's code to them
@@ -76,28 +81,39 @@ def frontier(d: TangleDiagram, s: Site | None,
                 got.append((q, nxt))
         return got
 
-    front = {filled & live[0]: {0: [1, 0]}}
+    # a term is its count plus, with ``least``, its least prefix state
+    # shifted above the count (quadrant q of crossing i adds marks[i][q]);
+    # a merge keeps the smaller int, with the least state, and adds the
+    # other's count, masked off.  Counts alone add in full.
+    if least:
+        k = count_bits(m)
+        marks = [tuple([x << k for x in row]) for row in marker_codes(m)]
+        mask = (1 << k) - 1
+    else:
+        marks, mask = [(0, 0, 0, 0)] * m, -1
+    front = {filled & live[0]: {0: 1}}
     for i, row in enumerate(codes):
-        out: dict[int, dict[int, list[int]]] = {}
+        out: dict[int, dict[int, int]] = {}
         lv = live[i]
-        row_bits = bits[i]
+        row_bits, row_marks = bits[i], marks[i]
         for key, terms in front.items():
             for q, nxt in children(i, key & lv):
-                sh = row[q]
+                sh, mk = row[q], row_marks[q]
                 k2 = nxt | (key | row_bits[q]) & keep
                 dst = out.get(k2)
                 if dst is None:
-                    out[k2] = {e + sh: [c, 4 * l + q] for e, (c, l) in terms.items()}
+                    out[k2] = {e + sh: v + mk for e, v in terms.items()}
                     continue
-                for e, (c, l) in terms.items():
-                    l = 4 * l + q
-                    t = dst.get(e + sh)
+                for e, v in terms.items():
+                    e += sh
+                    v += mk
+                    t = dst.get(e)
                     if t is None:
-                        dst[e + sh] = [c, l]
+                        dst[e] = v
+                    elif t < v:
+                        dst[e] = t + (v & mask)
                     else:
-                        t[0] += c
-                        if l < t[1]:
-                            t[1] = l
+                        dst[e] = v + (t & mask)
         front = out
     children.cache_clear()   # it refers to itself: free the memo now, not at the next gc
     if s is not None:
@@ -105,6 +121,13 @@ def frontier(d: TangleDiagram, s: Site | None,
     arcs = [(k, r.rid) for k, r in enumerate(d.regions) if r.kind == "open"]
     return {Site(frozenset([a for k, a in arcs if key >> k & 1])): terms
             for key, terms in front.items()}
+
+
+def count_bits(m: int) -> int:
+    """The low bits of a term of ``frontier(..., least=True)`` that hold its
+    count: an m-crossing diagram has at most 4^m states, so every count
+    fits, with a bit to spare."""
+    return 2 * m + 2
 
 
 def marker_codes(m: int) -> list[tuple[int, int, int, int]]:

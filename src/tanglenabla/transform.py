@@ -10,11 +10,12 @@ validated TangleDiagram construction and no intermediate diagram:
 kink and bigon removal) by way of ``_Splicer.rebuild`` after merging edges.
 
 Glueing and capping are stated once, on unvalidated ``Shape`` records:
-``_glue_ends`` pairs the ends and checks their orientations (random growth
-in ``verify`` reads it too), ``_glue_shapes`` joins the paired ends and
-renames the edges; ``_cap_shape`` joins two ends and merges their arcs.
-``glue_diagrams`` and ``_cap`` add colours, arc maps and the outer region of
-a closed result.
+``_glue_ends`` pairs the ends and checks their orientations, ``_glue_shapes``
+joins the paired ends and renames the edges; ``_cap_shape`` states which two
+ends a cap joins and how the arcs merge, and leaves the crossings to its
+caller.  ``glue_diagrams`` and ``_cap`` add colours, arc maps and the outer
+region of a closed result.  Random growth in ``verify`` reads
+``_glue_ends`` and ``_cap_shape`` on int edge ids.
 
 Edge renaming (splicing, glueing) goes through ``Crossing.renamed`` and
 strand reversal (``reverse_orientation``, ``mutate_tangle``) through
@@ -239,9 +240,12 @@ def delete_component(d: TangleDiagram, colour: str) -> TangleDiagram:
 
 def _cap_shape(s: Shape, arc: str) -> tuple[Shape, str, str]:
     """Join the two boundary ends flanking ``arc`` by an arc inside its
-    region: the joined edges take the smaller id, and the arcs on both sides
-    of ``arc`` merge, keeping the smaller label.  Returns the capped shape
-    and the edges at the two joined ends."""
+    region: the arcs on both sides of ``arc`` merge, keeping the smaller
+    label, and a boundary end of a joined edge takes the smaller id.
+    Returns the capped shape and the edges at the two joined ends.  The
+    crossings pass through as they are: the caller joins the two edges in
+    them (``_cap`` by its ``_Splicer``, the random growth of ``verify`` on
+    its edge ids)."""
     if arc not in s.arcs or not s.boundary:
         raise TangleError("E_BAD_LOCATION", f"no boundary arc {arc!r}")
     two_n = len(s.boundary)
@@ -257,7 +261,7 @@ def _cap_shape(s: Shape, arc: str) -> tuple[Shape, str, str]:
     side_arcs = (s.arcs[k - 1], s.arcs[(k + 1) % two_n])
     merged = min(side_arcs)
     arcs = tuple(merged if s.arcs[i] in side_arcs else s.arcs[i] for i in keep)
-    capped = Shape(s.name + "_cap", tuple(c.renamed(join) for c in s.crossings),
+    capped = Shape(s.name + "_cap", s.crossings,
                    tuple(join(s.boundary[i]) for i in keep), arcs or (merged,),
                    tuple(s.incoming[i] for i in keep))
     return capped, e_prev, e_next
@@ -349,9 +353,10 @@ def _glue_ends(incoming1, incoming2, start1: int, start2: int, count: int):
     and the kept positions of each side, in the glued boundary's order.
     None when a pair would join two inward or two outward ends."""
     n1, n2 = len(incoming1), len(incoming2)
+    for t in range(count):
+        if incoming1[(start1 + t) % n1] == incoming2[(start2 - t) % n2]:
+            return None
     pairs = [((start1 + t) % n1, (start2 - t) % n2) for t in range(count)]
-    if any(incoming1[p1] == incoming2[p2] for p1, p2 in pairs):
-        return None
     return (pairs, [(start1 + count + t) % n1 for t in range(n1 - count)],
             [(start2 + 1 + t) % n2 for t in range(n2 - count)])
 

@@ -3,14 +3,18 @@ given diagrams or on seeded random ones, with machine-readable reports.
 
 Random diagrams are grown by repeatedly glueing fresh one-crossing pieces
 onto the boundary and capping adjacent ends, which keeps them connected and
-planar by construction.  Pieces and caps are ``transform.Shape`` records.
-Growth pairs ends by the glue rule of ``transform._glue_ends``, skipping an
-option it rejects, and records the glued edge pairs on one union-find over
-the final edge ids; the edges are renamed once, when the shape is grown.
-Caps use the transforms' own cap rule.  Only the result is validated, its
-strands, walked on the shape's edge maps, coloured t1, t2, ... in component
-order; a knot tangle drops a shape with a closed strand before that.  The
-cap closing the last two ends needs the outer region, so it caps a diagram.
+planar by construction.  Growth runs on int edge ids: piece i owns the ids
+4i .. 4i+3, and its crossing is one of eight tabled pieces (sign, and which
+strands are reversed).  Glues pair ends by the rule of
+``transform._glue_ends`` and caps by that of ``transform._cap_shape``, on
+the boundary's ids and ``incoming`` flags; each join pairs two ids that
+were not joined before, so one list, ``mate``, records every edge.  Names,
+crossings and the diagram are built once, for a try whose caps reach the
+requested ends: an edge takes the least name of its two ids, and the
+strands, walked on the crossings' edge maps, are coloured t1, t2, ... in
+component order; a knot tangle drops a shape with a closed strand before
+its crossings are built.  The cap closing the last two ends needs the
+outer region, so it caps a diagram.
 
 The checks compare site families as packed int maps
 (``nabla.packed_family``): the diagrams of one case share a layout, one
@@ -31,11 +35,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import transform as tr
-from .diagram import (Crossing, Site, TangleDiagram, TangleError, UnionFind,
-                      linking_number, serialize)
+from .diagram import Crossing, Site, TangleDiagram, TangleError, linking_number, serialize
 from .gradings import euler_characteristics
 from .laurent import LaurentPoly, binomial
 from .nabla import (check_product, euler_factor, nabla_all, nabla_hat_all, packed_digit,
@@ -59,27 +62,42 @@ class CheckReport:
 # ----------------------------------------------------------------------
 # random diagram generation
 
-def _fresh_piece(rng: random.Random, idx: int) -> tr.Shape:
-    """A random one-crossing tangle with fresh edge ids: a crossing of random
-    sign whose under strand u and over strand o are each reversed at random,
-    as ``reverse_orientation`` would (then named ``piece<idx>_rev``).  The
-    edges of piece 0 are ``p0_k``; those of a later piece ``g_p<idx>_k``,
-    the ids that ``transform._glue_shapes`` gives them on glueing."""
-    e = [f"{'g_' if idx else ''}p{idx}_{k}" for k in range(4)]
-    c = Crossing(rng.choice((1, -1)), (e[0], e[1]), (e[2], e[3]))
-    colours = rng.choice((set(), {"u"}, {"o"}, {"u", "o"}))
-    r = c.reversed("u" in colours, "o" in colours)
-    # an end is incoming where its edge leaves the crossing
-    return tr.Shape(f"piece{idx}_rev" if colours else f"piece{idx}", (r,), c.slots(),
-                    ("a", "b", "c", "d"), tuple(x in (r.under[1], r.over[1]) for x in c.slots()))
+class _Piece(NamedTuple):
+    """A one-crossing piece on the local edge ids 0..3: whether a strand is
+    reversed, its crossing's sign and under and over strands in flow order,
+    its boundary edges (the slots of the unreversed crossing) and whether
+    each end is incoming."""
+
+    rev: bool
+    sign: int
+    under: tuple[int, int]
+    over: tuple[int, int]
+    boundary: tuple[int, int, int, int]
+    incoming: tuple[bool, ...]
 
 
-def _strands(s: tr.Shape) -> tuple[list[str], list[str]]:
-    """The strands of a shape, walked on its under and over in -> out edge
-    maps: the least edge of each open strand, in the order of the boundary
-    edges they leave from, and the least edge of each closed strand,
-    sorted."""
-    follow = {e: f for c in s.crossings for e, f in (c.under, c.over)}
+def _pieces(sign: int) -> tuple[_Piece, ...]:
+    """The four pieces of one sign, in the order growth draws them: the
+    crossing with under strand (0, 1) and over strand (2, 3), with no
+    strand, u, o or both reversed, as ``reverse_orientation`` would."""
+    c = Crossing(sign, (0, 1), (2, 3))
+    out = []
+    for u, o in ((False, False), (True, False), (False, True), (True, True)):
+        r = c.reversed(u, o)
+        # an end is incoming where its edge leaves the crossing
+        out.append(_Piece(u or o, r.sign, r.under, r.over, c.slots(),
+                          tuple(x in (r.under[1], r.over[1]) for x in c.slots())))
+    return tuple(out)
+
+
+_PIECES = {sign: _pieces(sign) for sign in (1, -1)}
+
+
+def _strands(follow: dict[str, str], starts) -> tuple[list[str], list[str]]:
+    """The strands of a diagram, walked on its in -> out edge map
+    ``follow``: the least edge of each open strand, in the order of the
+    edges in ``starts`` that they enter at, and the least edge of each
+    closed strand, sorted."""
     seen: set[str] = set()
 
     def least(e):
@@ -90,21 +108,36 @@ def _strands(s: tr.Shape) -> tuple[list[str], list[str]]:
             e = follow.get(e)
         return out
 
-    opens = [least(e) for e, inc in zip(s.boundary, s.incoming) if not inc]
+    opens = [least(e) for e in starts]
     return opens, sorted([least(e) for e in follow if e not in seen])
 
 
-def _diagram(s: tr.Shape, closing: bool = False, knot: bool = False) -> TangleDiagram:
-    """The diagram of a grown shape, its strands coloured t1, t2, ... in
-    component order: open ones by the end they leave from, then closed ones
-    by least edge (all by least edge when ``closing`` its last two ends).
-    With ``knot``, a shape with a closed strand raises E_GENERATION before
-    it is constructed."""
-    opens, closed = _strands(s)
+def _diagram(pieces: list[_Piece], mate: list[int], s: tr.Shape, closing: bool = False,
+             knot: bool = False) -> TangleDiagram:
+    """The diagram of grown ``pieces`` capped to ``s``, a shape on their
+    edge ids, without crossings, named by its caps.  An edge takes the
+    least name of its ids (``mate``): piece 0 names its edges ``p0_k``, a
+    later piece i ``g_p<i>_k``, the ids that ``transform._glue_shapes``
+    gives them.  Strands are coloured t1, t2, ... in component order: open
+    ones by the end they enter at, then closed ones by least edge (all by
+    least edge when ``closing`` its last two ends).  With ``knot``, a shape
+    with a closed strand raises E_GENERATION before its crossings are built."""
+    ids = [f"p0_{k}" for k in range(4)]
+    ids += [f"g_p{i}_{k}" for i in range(1, len(pieces)) for k in range(4)]
+    edge = [min(e, ids[y]) for e, y in zip(ids, mate)]
+    follow = {edge[4 * i + a]: edge[4 * i + b]
+              for i, p in enumerate(pieces) for a, b in (p.under, p.over)}
+    boundary = [edge[x] for x in s.boundary]
+    opens, closed = _strands(follow, [e for e, inc in zip(boundary, s.incoming) if not inc])
     if knot and closed:
         raise TangleError("E_GENERATION", "the shape has a closed strand")
     order = sorted(opens + closed) if closing else opens + closed
-    return TangleDiagram(s.name, s.crossings, s.boundary, s.arcs,
+    crossings = [Crossing(p.sign, (edge[4 * i + p.under[0]], edge[4 * i + p.under[1]]),
+                          (edge[4 * i + p.over[0]], edge[4 * i + p.over[1]]))
+                 for i, p in enumerate(pieces)]
+    name = "+".join([f"piece{i}_rev" if p.rev else f"piece{i}"
+                     for i, p in enumerate(pieces)]) + s.name
+    return TangleDiagram(name, crossings, boundary, s.arcs,
                          {e: f"t{i + 1}" for i, e in enumerate(order)})
 
 
@@ -146,53 +179,64 @@ def _first(f, options):
     return None
 
 
-def _grow(rng, n_ends, n_crossings) -> Optional[tr.Shape]:
-    """Glue fresh pieces onto piece 0 until the shape has ``n_crossings``,
-    each at the first option (glue size, end of the shape, end of the
-    piece, in shuffled order) whose ends ``transform._glue_ends`` pairs;
-    None if a piece has no such option.  One union-find over the final
-    edge ids records the glued pairs, and the edges are renamed once, at
-    the end, to the least id of their pair, as ``_glue_shapes`` renames
-    them glue by glue."""
-    s = _fresh_piece(rng, 0)
-    name, crossings, boundary, incoming = s.name, list(s.crossings), s.boundary, s.incoming
-    edges = UnionFind()
-    while len(crossings) < n_crossings:
-        ends = len(boundary)
-        piece = _fresh_piece(rng, len(crossings))
-        js = [j for j in (1, 2, 3) if ends + 4 - 2 * j >= max(n_ends, 2) and j < ends]
+def _grow(rng, n_ends, n_crossings):
+    """Glue fresh pieces onto piece 0 until there are ``n_crossings``, each
+    at the first option (glue size, end of the shape, end of the piece, in
+    shuffled order) whose ends ``transform._glue_ends`` pairs; None if a
+    piece has no such option.  Piece i owns the edge ids 4i .. 4i+3.
+    Returns the pieces, ``mate``, which maps each glued id to the id it was
+    glued to and every other id to itself, and the ids and ``incoming``
+    flags of the boundary ends.  A glued end leaves the boundary, so no id
+    is glued twice."""
+    pieces = [rng.choice(_PIECES[rng.choice((1, -1))])]
+    boundary, incoming = pieces[0].boundary, pieces[0].incoming
+    mate = list(range(4 * n_crossings))
+    while len(pieces) < n_crossings:
+        n = len(boundary)
+        piece = rng.choice(_PIECES[rng.choice((1, -1))])
+        js = [j for j in (1, 2, 3) if n + 4 - 2 * j >= max(n_ends, 2) and j < n]
         options = ((s1, s2, j) for j in _shuffled(rng, js or [1])
-                   for s1 in _shuffled(rng, range(ends)) for s2 in _shuffled(rng, range(4)))
+                   for s1 in _shuffled(rng, range(n)) for s2 in _shuffled(rng, range(4)))
         plan = next(filter(None, (tr._glue_ends(incoming, piece.incoming, *o)
                                   for o in options)), None)
         if plan is None:
             return None
         pairs, keep1, keep2 = plan
+        ends = [4 * len(pieces) + x for x in piece.boundary]
         for p1, p2 in pairs:
-            edges.union(boundary[p1], piece.boundary[p2])
-        name = f"{name}+{piece.name}"
-        crossings += piece.crossings
-        boundary = (*(boundary[i] for i in keep1), *(piece.boundary[i] for i in keep2))
+            x, y = boundary[p1], ends[p2]
+            mate[x], mate[y] = y, x
+        boundary = (*(boundary[i] for i in keep1), *(ends[i] for i in keep2))
         incoming = (*(incoming[i] for i in keep1), *(piece.incoming[i] for i in keep2))
-    return tr.Shape(name, tuple(c.renamed(edges.find) for c in crossings), boundary,
-                    tuple(tr._arc_labels(len(boundary))), incoming)
+        pieces.append(piece)
+    return pieces, mate, boundary, incoming
 
 
 def _try_random_diagram(rng, n_ends, n_crossings, knot) -> Optional[TangleDiagram]:
-    s = _grow(rng, n_ends, n_crossings)
-    # cap adjacent ends down to n_ends; the cap that closes the diagram needs
-    # its outer region, so it caps the validated diagram
-    for _ in range(50):
-        if s is None or len(s.boundary) <= n_ends:
-            break
-        closing = len(s.boundary) == 2
-        if closing:
-            s = _diagram(s, closing=True)
-        cap = tr._cap if closing else lambda s, a: tr._cap_shape(s, a)[0]
-        s = _first(cap, ((s, a) for a in _shuffled(rng, s.arcs)))
-    if s is None or len(s.boundary) != n_ends:
+    grown = _grow(rng, n_ends, n_crossings)
+    if grown is None:
         return None
-    d = s if isinstance(s, TangleDiagram) else _diagram(s, knot=knot)
+    pieces, mate, boundary, incoming = grown
+    # cap adjacent ends down to n_ends, on a shape of edge ids that carries
+    # no crossings and is named by its caps: each cap pairs its two ids in
+    # ``mate``.  The cap that closes the diagram needs its outer region, so
+    # it caps the validated diagram.
+    s = tr.Shape("", (), boundary, tuple(tr._arc_labels(len(boundary))), incoming)
+    for _ in range(50):
+        if len(s.boundary) <= n_ends:
+            break
+        if len(s.boundary) == 2:
+            d = _diagram(pieces, mate, s, closing=True)
+            d = _first(tr._cap, ((d, a) for a in _shuffled(rng, d.arcs)))
+            return None if d is None or d.split else d
+        capped = _first(tr._cap_shape, ((s, a) for a in _shuffled(rng, s.arcs)))
+        if capped is None:
+            return None
+        s, x, y = capped
+        mate[x], mate[y] = y, x
+    if len(s.boundary) != n_ends:
+        return None
+    d = _diagram(pieces, mate, s, knot=knot)
     return None if d.split else d
 
 
@@ -216,12 +260,12 @@ def random_rm_sequence(rng: random.Random, d: TangleDiagram, moves: int):
     applied = []
     for _ in range(moves):
         options = [("RM1_insert", (rng.choice(d.edges), rng.choice("LR"), rng.choice((1, -1))))]
-        sides = [(e, s) for e in d.edges for s in "LR"
-                 if d.region_beside(e, s) is not None]
+        # each edge side with the region beside it, read once
+        sides = [(e, s, r) for e in d.edges for s in "LR"
+                 for r in (d.region_beside(e, s),) if r is not None]
         rng.shuffle(sides)
-        for (e1, s1) in sides:
-            mates = [(e2, s2) for (e2, s2) in sides
-                     if e2 != e1 and d.region_beside(e2, s2) == d.region_beside(e1, s1)]
+        for e1, s1, r1 in sides:
+            mates = [(e2, s2) for e2, s2, r2 in sides if e2 != e1 and r2 == r1]
             if mates:
                 e2, s2 = rng.choice(mates)
                 options.append(("RM2_insert", (e1, s1, e2, s2, rng.random() < 0.5)))
@@ -429,23 +473,34 @@ def _check_set_pm_one(rng, cases, fail):
             # pieces; that diagram of the remainder is not connected
             continue
         done += 1
-        lay = _layout(d, rest)
-        nd = packed_family(d, lay, True)
-        nrest = (packed_family(rest, lay, True) if not rest.split
-                 else {s: {} for s in d.sites()})
-        others = [c for c in d.colours() if c != t1]
-        lks = {c: int(2 * linking_number(d, t1, c)) for c in others}
-        lk_total = sum(lks.values()) // 2
-        # m = prod c^lk_c, so that the right-hand side is unit * (m - m^-1) * nrest
-        m = sum(lk * packed_weight(lay[c] - 1) for c, lk in lks.items())
-        read, w = packed_digit(lay[t1] - 1), packed_weight(lay[t1] - 1)
-        for s in d.sites():
-            for sign in (1, -1):
-                unit = 1 if sign == 1 or (lk_total + 1) % 2 == 0 else -1
-                if _at_unit(nd[s], read, w, sign) != _binomial_times(nrest[s], m, unit):
-                    fail(_payload(case=done, diagram=d, colour=t1, site=str(s),
-                                  **_pm_one_sides(d, rest, t1, s, sign, lks, unit)))
-                    return
+        lks = {c: int(2 * linking_number(d, t1, c)) for c in d.colours() if c != t1}
+        bad = _pm_one_failure(d, rest, t1, lks)
+        if bad is not None:
+            s, sign, unit = bad
+            fail(_payload(case=done, diagram=d, colour=t1, site=str(s),
+                          **_pm_one_sides(d, rest, t1, s, sign, lks, unit)))
+            return
+
+
+def _pm_one_failure(d: TangleDiagram, rest: TangleDiagram, t1: str, lks: dict[str, int]):
+    """The first (site, sign, unit) at which the set_pm_one identity fails
+    for the closed colour t1 of d, ``rest`` the diagram without it and
+    ``lks`` its doubled linking numbers with the other colours; None if it
+    holds at every site, for t1 = 1 and t1 = -1."""
+    lay = _layout(d, rest)
+    nd = packed_family(d, lay, True)
+    nrest = (packed_family(rest, lay, True) if not rest.split
+             else {s: {} for s in d.sites()})
+    lk_total = sum(lks.values()) // 2
+    # m = prod c^lk_c, so that the right-hand side is unit * (m - m^-1) * nrest
+    m = sum(lk * packed_weight(lay[c] - 1) for c, lk in lks.items())
+    read, w = packed_digit(lay[t1] - 1), packed_weight(lay[t1] - 1)
+    for s in d.sites():
+        for sign in (1, -1):
+            unit = 1 if sign == 1 or (lk_total + 1) % 2 == 0 else -1
+            if _at_unit(nd[s], read, w, sign) != _binomial_times(nrest[s], m, unit):
+                return s, sign, unit
+    return None
 
 
 def _pm_one_sides(d, rest, t1, s, sign, lks, unit) -> dict[str, LaurentPoly]:

@@ -88,6 +88,49 @@ def test_brute_force_oracle_on_hypothesis_diagrams(seed, ends, m):
     _assert_ordered_oracle(random_diagram(random.Random(seed), ends, m))
 
 
+def _assert_terms_match_brute_force(d):
+    """Each int term of ``frontier`` against the 4^m filter.  Under nabla's
+    colour digits, and with every colour and h on one digit so that many
+    states share a sum, a term's count and (with ``least``) least state are
+    the number and the least marker code of the states at its site with
+    its sum; counts alone give the same counts, and a pass at one site the
+    same terms."""
+    m, n = len(d.crossings), len(d.colours())
+    k = states.count_bits(m)
+    marks = states.marker_codes(m)
+    brute = [(x, brute_force_site(d, x)) for x in brute_force_states(d)]
+    for codes in (d.corner_codes([1 << 20 * j for j in range(1, n + 1)], h=1),
+                  d.corner_codes([1] * n, h=1)):
+        want: dict = {}
+        for x, s in brute:
+            e = sum(row[q] for row, q in zip(codes, x))
+            code = sum(row[q] for row, q in zip(marks, x))
+            count, least = want.setdefault(s, {}).get(e, (0, code))
+            want[s][e] = (count + 1, min(least, code))
+        got = states.frontier(d, None, codes, least=True)
+        assert {s: {e: (v & (1 << k) - 1, v >> k) for e, v in terms.items()}
+                for s, terms in got.items()} == want, d.name
+        assert states.frontier(d, None, codes) == {
+            s: {e: c for e, (c, _) in terms.items()} for s, terms in want.items()}, d.name
+        for s in d.sites():
+            assert states.frontier(d, s, codes, least=True) == (
+                {s: got[s]} if s in got else {}), (d.name, str(s))
+    return sum(c > 1 for terms in want.values() for c, _ in terms.values())
+
+
+def test_int_terms_match_the_brute_force_on_seeded_diagrams():
+    merged = sum(_assert_terms_match_brute_force(d) for d in seeded_diagrams(4, 40, 6))
+    # with every colour on one digit, many terms count several states
+    assert merged >= 80, merged
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), ends=st.sampled_from((2, 4, 6)),
+       m=st.integers(1, 6))
+def test_int_terms_match_the_brute_force_on_hypothesis_diagrams(seed, ends, m):
+    _assert_terms_match_brute_force(random_diagram(random.Random(seed), ends, m))
+
+
 def test_deterministic_order():
     d = load("pretzel_2m3")
     a = enumerate_states(d)
@@ -141,9 +184,9 @@ def test_each_command_makes_one_pass(monkeypatch):
     passes = []
     real = states.frontier
 
-    def counted(d, s, codes):
+    def counted(d, s, codes, least=False):
         passes.append(s)
-        return real(d, s, codes)
+        return real(d, s, codes, least)
 
     holders = [mod for name, mod in sys.modules.items()
                if name.split(".")[0] == "tanglenabla" and getattr(mod, "frontier", None) is real]

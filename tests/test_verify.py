@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tanglenabla.diagram import Site, TangleDiagram, TangleError, parse_tangle, serialize
+from tanglenabla.diagram import (Crossing, Site, TangleDiagram, TangleError, linking_number,
+                                 parse_tangle, serialize)
 from tanglenabla.laurent import LaurentPoly
 from tanglenabla.nabla import nabla_all, nabla_hat_all, packed_family
 from tanglenabla.verify import (CheckReport, PROPERTIES, orientation_type,
@@ -445,3 +446,75 @@ def test_impossible_end_counts_fail_before_any_try(ends):
     assert e.value.code == "E_GENERATION"
     assert rng.random() == random.Random(0).random()
     assert _generated(oracles.random_diagram, random.Random(0), ends, 3)[0] == "E_GENERATION"
+
+
+def test_generation_renames_no_crossing(monkeypatch):
+    # growth and its caps join int edge ids: a crossing is built once, with
+    # its final edge names, and only for a try that reaches the requested
+    # ends, so none is renamed glue by glue or cap by cap
+    def refuse(self, f):
+        raise AssertionError("generation renamed a crossing")
+
+    monkeypatch.setattr(Crossing, "renamed", refuse)
+    for seed in range(50):
+        rng = random.Random(seed)
+        for ends in (2, 4, 6, 8):
+            assert len(random_diagram(rng, ends, rng.randint(1, 12)).boundary) == ends
+        assert len(random_knot_tangle(random.Random(seed), 1 + seed % 8).components) == 1
+
+
+def _pm_one_cases(seed, count):
+    """``count`` seeded (d, rest, t1, lks) cases of set_pm_one whose total
+    linking of t1 with the other strands is even and non-zero, and whose
+    right-hand side is non-zero at some site: there the unit at t1 = -1 is
+    -1, so the evaluations at 1 and at -1 state different identities."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(400):
+        if len(out) >= count:
+            break
+        d = random_diagram(rng, rng.choice((2, 4)), rng.randint(2, 9))
+        for comp in d.components:
+            t1 = comp.colour
+            if comp.kind != "closed" or sum(c.colour == t1 for c in d.components) > 1:
+                continue
+            lks = {c: int(2 * linking_number(d, t1, c)) for c in d.colours() if c != t1}
+            lk_total = sum(lks.values()) // 2
+            if not lk_total or lk_total % 2:
+                continue
+            try:
+                rest = tr.delete_component(d, t1)
+            except TangleError:
+                continue
+            if not rest.split and any(p.terms for p in nabla_all(rest).values()):
+                out.append((d, rest, t1, lks))
+    return out
+
+
+def test_set_pm_one_weighs_the_sign_at_minus_one(monkeypatch):
+    cases = _pm_one_cases(3, 6)
+    assert len(cases) >= 6, len(cases)
+    for d, rest, t1, lks in cases:
+        assert verify._pm_one_failure(d, rest, t1, lks) is None, d.name
+        # the packed sides at t1 = -1 are the polynomial oracle's, packed
+        lay = verify._layout(d, rest)
+        at = {c: k - 1 for c, k in lay.items()}
+        nd, nrest = packed_family(d, lay, True), packed_family(rest, lay, True)
+        m = sum(lk * nabla.packed_weight(at[c]) for c, lk in lks.items())
+        read, w = nabla.packed_digit(at[t1]), nabla.packed_weight(at[t1])
+        fwd = LaurentPoly.monomial(1, {c: lk for c, lk in lks.items() if lk})
+        bwd = LaurentPoly.monomial(1, {c: -lk for c, lk in lks.items() if lk})
+        polys, polys_rest = nabla_all(d), nabla_all(rest)
+        for s in d.sites():
+            lhs = oracles._sub_if(polys[s], t1, {}, sign=-1)
+            rhs = LaurentPoly.integer(-1) * (fwd - bwd) * polys_rest[s]
+            assert lhs == rhs, (d.name, str(s))
+            assert verify._at_unit(nd[s], read, w, -1) == oracles.pack(lhs, at)
+            assert verify._binomial_times(nrest[s], m, -1) == oracles.pack(rhs, at)
+    # with the sign (-1)^(x/2) dropped, t1 = -1 reads as t1 = 1 and the
+    # identity at -1 fails on every case
+    monkeypatch.setattr(verify, "_at_unit",
+                        lambda t, read, w, sign: _REAL["_at_unit"](t, read, w, 1))
+    for case in cases:
+        bad = verify._pm_one_failure(*case)
+        assert bad is not None and bad[1:] == (-1, -1), case[0].name

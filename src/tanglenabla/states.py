@@ -48,7 +48,9 @@ def frontier(d: TangleDiagram, s: Site | None, codes: list[tuple[int, ...]],
     region that must be filled (a closed one, or an open one in ``s``) is
     checked right after its last crossing, and the memo ``children`` admits
     a quadrant only if the crossings after it can still be placed, so every
-    prefix ends in a state.
+    prefix ends in a state.  Each crossing fills one region, so ``children``
+    drops a quadrant without recursing when it leaves more regions to fill
+    than crossings to place.
     """
     if d.split:
         return {}
@@ -66,8 +68,10 @@ def frontier(d: TangleDiagram, s: Site | None, codes: list[tuple[int, ...]],
         live[i] = live[i + 1] | bits[i][0] | bits[i][1] | bits[i][2] | bits[i][3]
     if must & ~live[0]:
         return {}          # an untouchable region to fill: no states
-    # check[i]: the regions to fill whose last corner is at crossing i
+    # check[i]: the regions to fill whose last corner is at crossing i;
+    # need[i]: those to fill with a corner at crossing i or later
     check = [must & live[i] & ~live[i + 1] for i in range(m)]
+    need = [must & lv for lv in live]
 
     @functools.cache
     def children(i: int, key: int) -> list[tuple[int, int]]:
@@ -77,6 +81,9 @@ def frontier(d: TangleDiagram, s: Site | None, codes: list[tuple[int, ...]],
             if key & b or (key | b) & check[i] != check[i]:
                 continue
             nxt = (key | b) & live[i + 1]
+            # each crossing left fills one region
+            if (need[i + 1] & ~nxt).bit_count() > m - i - 1:
+                continue
             if i + 1 == m or children(i + 1, nxt):
                 got.append((q, nxt))
         return got

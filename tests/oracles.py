@@ -10,10 +10,11 @@ is summed by a scan of every site pair per target site; ``add_all`` sums a
 list of polynomials in one pass with the table of their ``+`` fold, and
 ``pack`` packs a polynomial as ``nabla.packed_family`` packs a family.
 ``CHECKS`` holds the catalogue checks as they ran on polynomials, before
-they compared packed families.  ``rescan_euler``
-and ``gradings_output`` work from a generator list: the graded Euler
-characteristic as a running sum over it, and the ``gradings`` command's
-stdout as the sorted list written by ``json.dumps`` or line by line.
+they compared packed families.  ``rescan_euler``, ``gradings_output`` and
+``poincare_table`` work from a generator list: the graded Euler
+characteristic as a running sum over it, the ``gradings`` command's stdout
+as the sorted list written by ``json.dumps`` or line by line, and the
+grouped generator table as a count of its generators.
 
 Two oracles sit between brute force and the fast paths: they enumerate the
 states with ``enumerate_states`` and sum the quadrant codes of each one
@@ -38,6 +39,7 @@ builds whole diagrams on it and drops those with a closed strand, where
 
 import json
 import random
+from collections import Counter
 from itertools import product
 from typing import Optional
 
@@ -45,7 +47,7 @@ from tanglenabla import transform as tr
 from tanglenabla import verify as vf
 from tanglenabla.diagram import (Crossing, Region, Site, TangleDiagram, TangleError,
                                  linking_number, serialize)
-from tanglenabla.gradings import GradedGenerator
+from tanglenabla.gradings import GradedGenerator, generator_gradings
 from tanglenabla.laurent import H, LaurentPoly, _order_vars, binomial
 from tanglenabla.nabla import nabla_all, nabla_hat_all
 from tanglenabla.states import enumerate_states, site_of
@@ -358,6 +360,15 @@ def gradings_output(name: str, gens, fmt: str = "text") -> str:
         bits = "".join(map(str, g.ladybug_bits)) or "-"
         lines.append(f"site {g.site}  {a}  delta^{g.delta2 / 2:+g}  h={g.h}  bits={bits}")
     return "\n".join(lines) + "\n"
+
+
+def poincare_table(d: TangleDiagram, s: Optional[Site] = None):
+    """The rows of ``gradings.poincare_table``: the generators of
+    ``generator_gradings`` counted by (site, Alexander vector, delta, h)."""
+    rows = Counter((str(g.site), g.alexander2, g.delta2, g.h)
+                   for g in generator_gradings(d) if s is None or g.site == s)
+    return [{"site": site, "alexander": {v: e / 2 for v, e in a2}, "delta": d2 / 2,
+             "h": h, "count": count} for (site, a2, d2, h), count in sorted(rows.items())]
 
 
 def add_all(polys: list[LaurentPoly]) -> LaurentPoly:

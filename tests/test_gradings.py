@@ -5,14 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from tanglenabla.diagram import Site, TangleError, parse_tangle
 from tanglenabla.gradings import (GradedGenerator, euler_by_site, euler_characteristics,
-                                  generator_gradings, graded_euler_characteristic,
-                                  poincare_table)
+                                  generator_gradings, generator_keys,
+                                  graded_euler_characteristic, poincare_table)
 from tanglenabla.laurent import DELTA, LaurentPoly
 from tanglenabla.nabla import euler_factor, nabla_all
 from tanglenabla.verify import random_diagram
 from tanglenabla import transform as tr
 
 from conftest import load, seeded_diagrams
+import oracles
 from oracles import brute_force_gradings, brute_force_site, rescan_euler
 
 
@@ -221,6 +222,38 @@ def test_poincare_table_shapes():
     assert sum(r["count"] for r in p) == 22
 
 
+def test_poincare_table_matches_the_generator_count(corpus_names):
+    diagrams = [load(n) for n in corpus_names] + seeded_diagrams(23, 40, 9)
+    grouped = 0             # rows that count several generators
+    for d in diagrams:
+        if d.split:
+            continue
+        for s in [None, *d.sites(), S("no-such-arc")]:
+            want = oracles.poincare_table(d, s)
+            assert poincare_table(d, s) == want, (d.name, s)
+            grouped += sum(r["count"] > 1 for r in want)
+    assert grouped > 100, grouped
+
+
+def test_off_by_half_grading_is_e_grading_in_the_library(monkeypatch):
+    # the patch of tests/test_cli.py: a delta code off by 1/2 at every
+    # corner of crossing 0 makes every state's h a half-integer
+    d = load("mutorient")
+    codes = d.corner_codes
+
+    def off_by_half(weight, h=0, delta=0):
+        first, *rest = codes(weight, h, delta)
+        return [tuple(c + delta for c in first), *rest]
+    monkeypatch.setattr(d, "corner_codes", off_by_half)
+    calls = [lambda: euler_characteristics(d), lambda: euler_characteristics(d, S("b")),
+             lambda: generator_keys(d), lambda: generator_gradings(d),
+             lambda: poincare_table(d)]
+    for call in calls:
+        with pytest.raises(TangleError) as e:
+            call()
+        assert e.value.code == "E_GRADING"
+
+
 def test_pretzel_bd_generator_tables_match_under_reversal():
     # the generator tables at site b of the tangle and site d of its
     # all-strand reversal coincide: reversal negates the Alexander vector
@@ -261,18 +294,32 @@ def _first_set_by_a_decoration(d, gens, s):
     return {c for c, by_decoration in first.items() if by_decoration}
 
 
+def _by_name(p):
+    """The terms of p with each exponent vector as a set of (variable,
+    non-zero exponent) pairs: equal for equal polynomials, whatever their
+    variable tables."""
+    return {frozenset((v, x) for v, x in zip(p.vars, e) if x): c for e, c in p.terms.items()}
+
+
 def _frontier_euler_matches_generators(d, brute=False):
     """The frontier Euler characteristics, of every site at once and of
     each site alone, against the one-pass sum over the generator list and
-    the running rescan of it (and of the brute-force generators).  Returns
+    the running rescan of it (and of the brute-force generators), and
+    against the closed-strand law: P_s, rescanned over the undecorated
+    generators, times (1 - t_c^2) for each closed component c.  Returns
     what the sites exercised: "cancelled" if a variable stays in a table
     with no non-zero exponent left, "decoration" if a decoration's shift
-    first registers a closed colour."""
+    first registers a closed colour, "factored" if a diagram with a closed
+    component has a non-zero value."""
     gens = generator_gradings(d)
     sites = d.sites()
     listed = euler_by_site(gens, sites)
     frontier = euler_characteristics(d)
     assert list(frontier) == sites
+    factor = LaurentPoly.monomial(1, {})
+    for c in d.components:
+        if c.kind == "closed":
+            factor = factor * (LaurentPoly.monomial(1, {}) - LaurentPoly.monomial(1, {c.colour: 4}))
     seen = set()
     for s in sites:
         want = rescan_euler(gens, s)
@@ -280,10 +327,14 @@ def _frontier_euler_matches_generators(d, brute=False):
             _same(rescan_euler(_brute_force_generators(d), s), want, (d.name, str(s)))
         for got in (frontier[s], euler_characteristics(d, s)[s], listed[s]):
             _same(got, want, (d.name, str(s)))
+        p_s = rescan_euler([g for g in gens if not any(g.ladybug_bits)], s)
+        assert _by_name(frontier[s]) == _by_name(p_s * factor), (d.name, str(s))
         if any(not any(e[i] for e in want.terms) for i in range(len(want.vars))):
             seen.add("cancelled")
         if _first_set_by_a_decoration(d, gens, s):
             seen.add("decoration")
+        if d.m_closed and want.terms:
+            seen.add("factored")
     return seen
 
 
@@ -295,17 +346,21 @@ def test_frontier_euler_matches_the_generator_list(corpus_names):
     diagrams.append(tr.rm1_remove(kink, 0))
     assert not diagrams[-1].crossings
     seen = set()
+    factored = 0            # diagrams with a closed component and a non-zero value
     for d in diagrams:
         if not d.split:
-            seen |= _frontier_euler_matches_generators(d)
+            found = _frontier_euler_matches_generators(d)
+            seen |= found
+            factored += "factored" in found
     # up to 4 closed components, so up to 16 decorations per state
     assert sum(d.m_closed >= 3 for d in diagrams if not d.split) >= 8
     assert max(d.m_closed for d in diagrams if not d.split) == 4
-    assert seen == {"cancelled", "decoration"}, seen
+    assert seen == {"cancelled", "decoration", "factored"}, seen
+    assert factored >= 20, factored
 
 
 def test_frontier_euler_matches_the_generator_list_on_hypothesis_diagrams():
-    closed = set()
+    closed, seen = set(), set()
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), ends=st.sampled_from((2, 4, 6)),
@@ -313,8 +368,9 @@ def test_frontier_euler_matches_the_generator_list_on_hypothesis_diagrams():
     def check(seed, ends, m):
         d = random_diagram(random.Random(seed), ends, m)
         if not d.split:
-            _frontier_euler_matches_generators(d, brute=m <= 6)
+            seen.update(_frontier_euler_matches_generators(d, brute=m <= 6))
             closed.add(d.m_closed)
 
     check()
     assert {0, 1, 2} <= closed, closed
+    assert "factored" in seen, seen

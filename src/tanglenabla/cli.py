@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import corpus, layout
-from .diagram import Site, TangleError, compute_regions, parse_tangle, serialize
+from .diagram import Site, TangleError, parse_tangle, serialize
 from .gradings import euler_characteristics, generator_keys
 from .laurent import LaurentError
 from .nabla import conway_potential, nabla_all, nabla_at_site, nabla_hat, nabla_hat_all
@@ -58,14 +58,15 @@ def _emit(text: str) -> None:
 
 def _cmd_regions(args):
     d = _read_diagram(args.diagram)
-    regions = compute_regions(d)
+    if d.split:
+        raise TangleError("E_SPLIT", "a split diagram has no region structure")
     if args.format == "json":
         _emit(layout.dump({"diagram": d.name, "regions": [
             {"id": r.rid, "kind": r.kind, "corners": r.corners, "arcs": r.arcs}
-            for r in regions]}))
+            for r in d.regions]}))
     else:
         _emit("\n".join([f"{r.rid}\t{r.kind}\tcorners={len(r.corners)}\t"
-                         f"arcs={','.join(r.arcs) or '-'}" for r in regions]))
+                         f"arcs={','.join(r.arcs) or '-'}" for r in d.regions]))
     return 0
 
 

@@ -36,8 +36,9 @@ colour and h, and the doubled delta.  ``corners`` holds the ints it reads per
 crossing (sign, under and over colour, region of each quadrant), and
 ``corner_codes`` packs each corner into one int under weights its caller
 chooses; the one pass over the states (``states.frontier``) reads them.
-``quadrants`` derives records with region and colour names from them, for
-the readers that want names.
+They are the only form of the quadrant labels: a region is named by
+``regions[r].rid`` and a colour by ``colours()[c]`` where a reader wants
+names.
 
 Renaming edges and reversing strands are ``Crossing.renamed`` and
 ``Crossing.reversed``, and ``Crossing.from_slots`` inverts ``slots``; the
@@ -116,15 +117,6 @@ class Site(NamedTuple):
 
     def __str__(self):
         return ",".join(sorted(self.arcs)) if self.arcs else "-"
-
-
-class Quadrant(NamedTuple):
-    """One corner of a crossing: its region and its local Alexander code."""
-
-    region: Optional[str]               # None on a split diagram
-    exp2: tuple[tuple[str, int], ...]   # doubled colour exponents, non-zero
-    h2: int                             # doubled exponent of h
-    delta2: int                         # doubled delta contribution
 
 
 # The Alexander corner rule, with slot 0 the under-in end and quadrant q
@@ -432,7 +424,6 @@ class TangleDiagram:
             index[f] = i
             regions.append(Region(rid, kind, tuple(corners[f]), () if kind == "closed" else (rid,)))
         self.regions = tuple(regions)
-        self.open_regions = frozenset(named.values()) if self.boundary else frozenset()
         # region of each end, as an index into regions
         self._region_of_dart = [index[f] for f in face_of]
 
@@ -497,27 +488,6 @@ class TangleDiagram:
                        for eu, eo, eh, ed in rule[sign < 0]])
                 for sign, u, o, *_ in self.corners]
 
-    def corner_exp2(self, ci: int, q: int) -> tuple[tuple[str, int], ...]:
-        """The non-zero doubled colour exponents of ``CORNER_RULE`` at
-        quadrant q of crossing ci, the under colour first."""
-        sign, u, o = self.corners[ci][:3]
-        eu, eo = CORNER_RULE[sign < 0][q][:2]
-        cols = self.colours()
-        if u == o:
-            return ((cols[u], eu + eo),) if eu + eo else ()
-        return ((cols[u], eu), (cols[o], eo))
-
-    @cached_property
-    def quadrants(self) -> tuple[tuple[Quadrant, ...], ...]:
-        """Per crossing, its four corners in quadrant order, as records: a
-        view of ``corners`` and ``CORNER_RULE`` for the readers that want
-        region and colour names.  Built once, on first use."""
-        rids = [r.rid for r in self.regions]
-        return tuple([tuple([Quadrant(rids[r] if r >= 0 else None, self.corner_exp2(ci, q),
-                                      *CORNER_RULE[row[0] < 0][q][2:])
-                             for q, r in enumerate(row[3:])])
-                      for ci, row in enumerate(self.corners)])
-
     def __eq__(self, other):
         if not isinstance(other, TangleDiagram):
             return NotImplemented
@@ -529,14 +499,6 @@ class TangleDiagram:
     def __repr__(self):
         return (f"<TangleDiagram {self.name!r}: {len(self.crossings)} crossings, "
                 f"{2 * self.n_open} ends, {self.m_closed} closed>")
-
-
-def compute_regions(d: TangleDiagram) -> tuple[Region, ...]:
-    """The faces of the diagram's combinatorial map, open regions named by
-    their boundary arc and closed ones r0, r1, ... deterministically."""
-    if d.split:
-        raise TangleError("E_SPLIT", "a split diagram has no region structure")
-    return d.regions
 
 
 def linking_number(d: TangleDiagram, i: str, j: str = "all") -> "Fraction":
@@ -577,7 +539,8 @@ def parse_tangle(text: str) -> TangleDiagram:
     ``crossing <id> <+|-> under <in> <out> over <in> <out>`` per crossing,
     ``colour <seed-edge> <name>`` per strand and ``circle <name>`` per
     crossingless closed strand.  A colour name is a token other than ``h``
-    and ``delta``.  ``#`` starts a comment.
+    and ``delta``; a ``colour`` line names an edge of the diagram, and at
+    most one names each edge.  ``#`` starts a comment.
     """
     name = "tangle"
     ends_declared: Optional[int] = None
@@ -585,6 +548,7 @@ def parse_tangle(text: str) -> TangleDiagram:
     arcs: list[str] = []
     crossings: list[Crossing] = []
     colour_seeds: dict[str, str] = {}
+    colour_lines: list[tuple[int, str]] = []
     free_circles: list[str] = []
     outer_hint = None
     seen_ids = set()
@@ -629,6 +593,7 @@ def parse_tangle(text: str) -> TangleDiagram:
             if len(tok) != 3:
                 raise TangleError("E_SYNTAX", f"line {lineno}: colour <seed-edge> <name>")
             colour_seeds[tok[1]] = tok[2]
+            colour_lines.append((lineno, tok[1]))
         elif kw == "circle":
             if len(tok) != 2:
                 raise TangleError("E_SYNTAX", f"line {lineno}: circle <colour>")
@@ -641,8 +606,16 @@ def parse_tangle(text: str) -> TangleDiagram:
     if ends_declared is not None and ends_declared != len(boundary):
         raise TangleError("E_SYNTAX",
                           f"ends {ends_declared} but boundary lists {len(boundary)}")
-    return TangleDiagram(name, crossings, boundary, arcs, colour_seeds, outer_hint,
-                         free_circles=free_circles)
+    d = TangleDiagram(name, crossings, boundary, arcs, colour_seeds, outer_hint,
+                      free_circles=free_circles)
+    coloured = set()
+    for lineno, e in colour_lines:
+        if e not in d.colour_of_edge:
+            raise TangleError("E_SYNTAX", f"line {lineno}: colour names no edge {e!r}")
+        if e in coloured:
+            raise TangleError("E_SYNTAX", f"line {lineno}: edge {e!r} coloured twice")
+        coloured.add(e)
+    return d
 
 
 def serialize(d: TangleDiagram) -> str:

@@ -174,34 +174,19 @@ def generator_gradings(d: TangleDiagram) -> list[GradedGenerator]:
     return out
 
 
-def euler_by_site(gens: list[GradedGenerator], sites: list[Site]) -> dict[Site, LaurentPoly]:
-    """The graded Euler characteristic at each of ``sites``, in one pass.
-
-    Each value is the sum of (-1)^h times the Alexander monomial over the
-    generators at its site, with the variable table of the generator-order
-    sum: variables in first-appearance order (by name within a generator),
-    kept when their terms cancel.
-    """
-    acc: dict[Site, dict[tuple, int]] = {s: {} for s in sites}
-    for g in gens:
-        counts = acc.get(g.site)
-        if counts is not None:
-            counts[g.alexander2] = counts.get(g.alexander2, 0) + (-1 if g.h % 2 else 1)
-    # summing per distinct Alexander vector, in first-appearance order,
-    # registers the variables in the order the generators do
-    return {s: LaurentPoly.sum((c, [(v, e) for v, e in a2 if e]) for a2, c in counts.items())
-            for s, counts in acc.items()}
-
-
 def graded_euler_characteristic(gens: list[GradedGenerator], s: Site) -> LaurentPoly:
-    """Sum of (-1)^h times the Alexander monomial over the generators at s."""
-    return euler_by_site(gens, [s])[s]
+    """Sum of (-1)^h times the Alexander monomial over the generators at s,
+    in generator order: variables in first-appearance order (by name within
+    a generator), kept when their terms cancel."""
+    return LaurentPoly.sum((-1 if g.h % 2 else 1, [(v, e) for v, e in g.alexander2 if e])
+                           for g in gens if g.site == s)
 
 
 def euler_characteristics(d: TangleDiagram,
                           s: Optional[Site] = None) -> dict[Site, LaurentPoly]:
     """The graded Euler characteristic at every site (only at ``s``, if
-    given), equal to ``euler_by_site(generator_gradings(d), sites)``.
+    given), equal to ``graded_euler_characteristic(generator_gradings(d), s)``
+    at each site s.
 
     It is P_s times the product of (1 - t_c^2) over the closed components
     c (see the module docstring).  One pass of ``states.frontier`` sums the

@@ -338,13 +338,6 @@ class LaurentPoly:
                 payload=LaurentPoly(self.vars, rem_terms))
         return LaurentPoly(self.vars, quot)
 
-    def exponents_of(self, var: str) -> set[int]:
-        """Doubled exponents of ``var`` over all terms."""
-        if var not in self.vars:
-            return {0} if self.terms else set()
-        i = self.vars.index(var)
-        return {e[i] for e in self.terms}
-
     def rename(self, mapping: Mapping[str, str]) -> "LaurentPoly":
         """Rename variables; merging two names identifies the variables."""
         names = tuple(mapping.get(v, v) for v in self.vars)

@@ -18,12 +18,14 @@ carries one int: its coefficient, a count of states, in the low
 as its base-4 marker code, which orders like the marker vectors; so a
 site's terms sort by their least states as ints.  The variable table is
 the one that summing the states in lex order gives: a colour ranks by the
-lex-least state in which its exponent is non-zero, then by its first
-``(crossing, slot of corner_exp2)`` in that state, and h comes last if any
-state has a non-zero h exponent.  That table is canonical, so the decoder
-builds its polynomial without re-ordering it.  ``_packing`` lists,
-once per diagram, the colour digits of each corner in ``corner_exp2``
-order, which breaks the ties of that rule.
+lex-least state in which its exponent is non-zero, then by the first
+corner of that state that lists it, and h comes last if any state has a
+non-zero h exponent.  A corner lists its under colour before its over
+colour, and at a self-crossing the one colour with the sum of its two
+halves, or not at all if they cancel.  That table is canonical, so the
+decoder builds its polynomial without re-ordering it.  ``_packing`` is
+the one statement of that tie-break: it lists, once per diagram, the
+colour digits of each corner in that order.
 
 ``nabla_all`` and ``nabla_at_site`` decode the value at h = -1 in the same
 pass: the h digit of a term gives its sign, terms that then share their
@@ -57,8 +59,9 @@ def _packing(d: TangleDiagram):
     """The colour of each digit from 1 on, in the order the crossings name
     them (under colour before over colour); per crossing, each corner's
     packed monomial (h2 in digit 0); and per crossing and quadrant, the
-    digits of the colours with a non-zero exponent there, the under colour
-    first, as ``corner_exp2`` lists them."""
+    digits of the colours with a non-zero exponent there: the under colour
+    first, and at a self-crossing its one digit, listed only if the halves
+    of its two strands do not cancel."""
     cols = d.colours()
     order = dict.fromkeys(x for _, u, o, *_ in d.corners for x in (u, o))
     weight = [0] * len(cols)
@@ -148,7 +151,7 @@ def _decode(colours: list[str], firsts: list, terms: dict[int, int],
         if not new:
             continue
         if len(new) > 1:
-            # in the order of their first (crossing, slot of corner_exp2) here
+            # in the order of the first corner of this state that lists them
             first = []
             for ci in range(m):
                 for k in firsts[ci][v >> k0 + 2 * (m - 1 - ci) & 3]:

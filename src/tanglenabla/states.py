@@ -17,7 +17,9 @@ one addition and a merge keeps the smaller int.  With each corner's marker
 added to its code in base-4 digit m-1-i (``marker_codes``), no two states
 share a sum, so the pass keeps one term per state, whose sum holds the
 state's markers in its low 2m bits; that is how ``enumerate_states``, the
-``states`` command and ``gradings.generator_keys`` list the states.
+``states`` command and ``gradings.generator_keys`` list the states.  A
+state's site is read off the pass too: the final keys of the full pass are
+the sites, and ``enumerate_states(d, s)`` lists the states at s alone.
 """
 
 from __future__ import annotations
@@ -154,9 +156,3 @@ def enumerate_states(d: TangleDiagram, s: Site | None = None) -> list[tuple[int,
     m = len(d.crossings)
     sums = frontier(d, s, marker_codes(m))
     return [markers_of(x, m) for x in sorted([x for terms in sums.values() for x in terms])]
-
-
-def site_of(d: TangleDiagram, x: tuple[int, ...]) -> Site:
-    """The set of open regions (named by their arcs) occupied by x."""
-    occupied = frozenset(row[q].region for row, q in zip(d.quadrants, x))
-    return Site(occupied & d.open_regions)

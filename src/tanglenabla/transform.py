@@ -369,6 +369,8 @@ def _glue_shapes(s1: Shape, s2: Shape, start1: int, start2: int, count: int):
         raise TangleError("E_ARITY", f"cannot glue {count} ends of {n1} and {n2}")
     if count == n1 and count == n2:
         raise TangleError("E_ARITY", "glueing away every end; use close_tangle instead")
+    if not (0 <= start1 < n1 and 0 <= start2 < n2):
+        raise TangleError("E_BAD_LOCATION", f"no end {start1} of {n1} or no end {start2} of {n2}")
     plan = _glue_ends(s1.incoming, s2.incoming, start1, start2, count)
     if plan is None:
         raise TangleError("E_ORIENT", "glued ends must join an outgoing to an incoming strand")
@@ -400,7 +402,8 @@ def _glue_shapes(s1: Shape, s2: Shape, start1: int, start2: int, count: int):
 def glue_diagrams(d1: TangleDiagram, d2: TangleDiagram,
                   start1: int, start2: int, count: int) -> GlueRecord:
     """Glue boundary ends ``start1 .. start1+count-1`` of d1 (ccw) to ends
-    ``start2, start2-1, ...`` of d2 (cw), identifying strands end to end.
+    ``start2, start2-1, ...`` of d2 (cw), identifying strands end to end;
+    ``E_BAD_LOCATION`` unless each start is an end of its diagram.
 
     Arc labels of the result are assigned fresh, counterclockwise from the
     first surviving d1 end; the returned record maps each input arc to the

@@ -142,16 +142,11 @@ def _diagram(pieces: list[_Piece], mate: list[int], s: tr.Shape, closing: bool =
 
 
 def random_diagram(rng: random.Random, n_ends: int = 4, n_crossings: int = 6,
-                   max_tries: int = 200) -> TangleDiagram:
+                   max_tries: int = 200, knot: bool = False) -> TangleDiagram:
     """A random connected oriented tangle diagram with the requested number
     of boundary ends and crossings.  Components get colours t1, t2, ...
-    """
-    return _random_diagram(rng, n_ends, n_crossings, max_tries)
-
-
-def _random_diagram(rng, n_ends, n_crossings, max_tries=200, knot=False) -> TangleDiagram:
-    """``random_diagram``; with ``knot``, a grown shape with a closed strand
-    raises E_GENERATION before it is constructed (see ``_diagram``)."""
+    With ``knot``, a grown shape with a closed strand raises E_GENERATION
+    before it is constructed (see ``_diagram``)."""
     if n_ends < 0 or n_ends % 2:
         raise TangleError("E_GENERATION", f"no diagram has {n_ends} boundary ends")
     n_crossings = max(n_crossings, (n_ends - 2) // 2, 1)
@@ -243,12 +238,12 @@ def _try_random_diagram(rng, n_ends, n_crossings, knot) -> Optional[TangleDiagra
 def random_knot_tangle(rng: random.Random, n_crossings: int,
                        max_tries: int = 400) -> TangleDiagram:
     """A 2-ended diagram whose single component is open (a knot tangle).
-    Each try is one ``random_diagram(rng, 2, n_crossings)`` that ends at
-    its first candidate with a closed strand, before that is constructed;
+    Each try is one ``random_diagram(rng, 2, n_crossings, knot=True)``,
+    which ends at its first candidate with a closed strand, unbuilt;
     a 2-ended candidate without one is a knot."""
     for _ in range(max_tries):
         try:
-            return _random_diagram(rng, 2, n_crossings, knot=True)
+            return random_diagram(rng, 2, n_crossings, knot=True)
         except TangleError:
             continue
     raise TangleError("E_GENERATION", "no knot tangle found")

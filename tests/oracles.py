@@ -1,8 +1,10 @@
 """Independent reference computations used by the test suite.
 
-These deliberately avoid the quadrant table (``TangleDiagram.quadrants``)
-and the state search: states are checked against a raw 4^m filter, their
-codes are derived afresh from the slot roles of each crossing, and the
+These deliberately avoid the corner ints and their rule
+(``TangleDiagram.corners``, ``diagram.CORNER_RULE``) and the state search:
+states are checked against a raw 4^m filter and their sites read off the
+regions' corner lists (``brute_force_site``), their codes are derived
+afresh from the slot roles of each crossing, and the
 empty-site polynomial of 2-ended tangles is checked against a
 crossing-switch resolution that only knows the skein identity, descending
 diagrams and split detection.  The right-hand side of the glueing formula
@@ -17,10 +19,11 @@ as the sorted list written by ``json.dumps`` or line by line, and the
 grouped generator table as a count of its generators.
 
 Two oracles sit between brute force and the fast paths: they enumerate the
-states with ``enumerate_states`` and sum the quadrant codes of each one
+states with ``enumerate_states`` and sum the slot-role codes of each one
 (``state_codes``).  ``state_sum_nabla_hat`` groups the states by site, for
 the frontier pass of ``nabla``; ``rescan_generators`` lists the generators
-state by state with ``site_of``, for the packed keys of ``gradings``.
+state by state with ``brute_force_site``, for the packed keys of
+``gradings``.
 
 ``canonicalize``, ``canonical_form`` and ``isomorphic`` compare diagrams up
 to relabelling of edges and crossings, for the transform tests.
@@ -50,7 +53,7 @@ from tanglenabla.diagram import (Crossing, Region, Site, TangleDiagram, TangleEr
 from tanglenabla.gradings import GradedGenerator, generator_gradings
 from tanglenabla.laurent import H, LaurentPoly, _order_vars, binomial
 from tanglenabla.nabla import nabla_all, nabla_hat_all
-from tanglenabla.states import enumerate_states, site_of
+from tanglenabla.states import enumerate_states
 
 
 def _role_of_slot(c: Crossing, s: int) -> tuple[str, bool]:
@@ -203,11 +206,19 @@ def brute_force_states(d: TangleDiagram) -> list[tuple[int, ...]]:
             if defect(markers) is None]
 
 
+def _site_reader(d: TangleDiagram):
+    """``brute_force_site`` for ``d``, with its region tables built once."""
+    kind, region_at = _region_tables(d)
+
+    def site(markers) -> Site:
+        regions = (region_at[corner] for corner in enumerate(markers))
+        return Site(frozenset(r for r in regions if kind[r] == "open"))
+    return site
+
+
 def brute_force_site(d: TangleDiagram, markers) -> Site:
     """The open regions (named by their arcs) that the markers occupy."""
-    kind, region_at = _region_tables(d)
-    regions = (region_at[corner] for corner in enumerate(markers))
-    return Site(frozenset(r for r in regions if kind[r] == "open"))
+    return _site_reader(d)(markers)
 
 
 def _corner_codes(d: TangleDiagram, ci: int, q: int) -> tuple[dict[str, int], int, int]:
@@ -248,29 +259,41 @@ def brute_force_nabla_hat(d: TangleDiagram) -> dict[Site, LaurentPoly]:
     return out
 
 
+def _state_coder(d: TangleDiagram):
+    """``state_codes`` for ``d``, with the codes of its corners built once."""
+    table = [[_corner_codes(d, ci, q) for q in range(4)] for ci in range(len(d.crossings))]
+
+    def codes_of(x: tuple[int, ...]) -> tuple[dict[str, int], int, int]:
+        exp2: dict[str, int] = {}
+        h2 = delta2 = 0
+        for row, q in zip(table, x):
+            codes, ch2, cdelta2 = row[q]
+            for v, e in codes.items():
+                if e:
+                    exp2[v] = exp2.get(v, 0) + e
+            h2 += ch2
+            delta2 += cdelta2
+        return exp2, h2, delta2
+    return codes_of
+
+
 def state_codes(d: TangleDiagram, x: tuple[int, ...]) -> tuple[dict[str, int], int, int]:
-    """The quadrant codes of ``TangleDiagram.quadrants`` summed over x: the
-    doubled colour exponents (in first-appearance order: crossing order,
-    the under colour before the over colour), the doubled h exponent and
-    the doubled delta grading."""
-    exp2: dict[str, int] = {}
-    h2 = delta2 = 0
-    for row, q in zip(d.quadrants, x):
-        corner = row[q]
-        for v, e in corner.exp2:
-            exp2[v] = exp2.get(v, 0) + e
-        h2 += corner.h2
-        delta2 += corner.delta2
-    return exp2, h2, delta2
+    """The corner codes of ``_corner_codes`` summed over x: the doubled
+    colour exponents (in first-appearance order: crossing order, the under
+    colour before the over colour, and a self-crossing's colour only where
+    its two halves do not cancel), the doubled h exponent and the doubled
+    delta grading."""
+    return _state_coder(d)(x)
 
 
 def state_sum(d: TangleDiagram, states: list[tuple[int, ...]]) -> LaurentPoly:
     """The sum of the state monomials, one per state in the given order; a
     colour whose exponent sums to 0 over a state is left out of that
     state's monomial."""
+    codes_of = _state_coder(d)
     monomials = []
     for x in states:
-        exp2, h2, _ = state_codes(d, x)
+        exp2, h2, _ = codes_of(x)
         pairs = [(v, e) for v, e in exp2.items() if e]
         if h2:
             pairs.append((H, h2))
@@ -280,12 +303,14 @@ def state_sum(d: TangleDiagram, states: list[tuple[int, ...]]) -> LaurentPoly:
 
 def state_sum_nabla_hat(d: TangleDiagram, s: Optional[Site] = None):
     """The hatted state sum per site over the enumerated states, grouped by
-    ``site_of``; with a site ``s``, the value at s over ``enumerate_states(d, s)``."""
+    ``brute_force_site``; with a site ``s``, the value at s over
+    ``enumerate_states(d, s)``."""
     if s is not None:
         return state_sum(d, enumerate_states(d, s))
+    site = _site_reader(d)
     by_site: dict[Site, list[tuple[int, ...]]] = {t: [] for t in d.sites()}
     for x in enumerate_states(d):
-        by_site[site_of(d, x)].append(x)
+        by_site[site(x)].append(x)
     return {t: state_sum(d, states) for t, states in by_site.items()}
 
 
@@ -313,13 +338,14 @@ def brute_force_gradings(d: TangleDiagram) -> list[tuple]:
 def rescan_generators(d: TangleDiagram) -> list[GradedGenerator]:
     """The generators in generator order (states in lex order, decorations
     in ``product`` order), each state's gradings re-summed from its corners
-    by ``state_codes`` and its site taken by ``site_of``."""
+    by ``state_codes`` and its site taken by ``brute_force_site``."""
     colours = sorted(d.colours())
     closed = [c.colour for c in d.components if c.kind == "closed"]
+    codes_of, site = _state_coder(d), _site_reader(d)
     out = []
     for x in enumerate_states(d):
-        exp2, _, delta2 = state_codes(d, x)
-        s = site_of(d, x)
+        exp2, _, delta2 = codes_of(x)
+        s = site(x)
         for bits in product((0, 1), repeat=len(closed)):
             a2 = {c: exp2.get(c, 0) for c in colours}
             for colour, bit in zip(closed, bits):
@@ -839,7 +865,7 @@ def check_parity(rng, cases, fail):
         d = vf.random_diagram(rng, rng.choice((2, 4, 6)), rng.randint(1, 8))
         for s, p in nabla_all(d).items():
             for v in d.colours():
-                if len({e % 4 for e in p.exponents_of(v)}) > 1:
+                if v in p.vars and len({e[p.vars.index(v)] % 4 for e in p.terms}) > 1:
                     fail(vf._payload(case=k, diagram=d, site=str(s), colour=v, value=p))
                     return
 

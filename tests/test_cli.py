@@ -402,6 +402,19 @@ def test_transform_reverse_and_glue(tmp_path, capsys):
     assert code == 0 and "ends 4" in out3
 
 
+def test_glue_start_outside_the_ends_is_e_bad_location(capsys):
+    # clasp has 4 ends and crossing_pos 4; an end is 0 <= start < 4 on each
+    # side, not read modulo the number of ends
+    glue = ("transform", "glue", corpus_arg("clasp"), "--with", corpus_arg("crossing_pos"),
+            "--count", "1")
+    code, out, _ = run_cli(*glue, "--start1", "1", capsys=capsys)
+    assert code == 0 and out
+    for start in (("--start1", "5"), ("--start1", "-3"), ("--start1", "4"),
+                  ("--start2", "4"), ("--start2", "-1")):
+        code, out, err = run_cli(*glue, *start, capsys=capsys)
+        assert (code, out) == (1, "") and err.startswith("error: E_BAD_LOCATION: "), start
+
+
 def test_state_marker_text_matches_the_per_crossing_rendering():
     # layout.markers with the pieces of the states text and of the JSON
     # tails: every code for m <= 5, a sample with both extremes above

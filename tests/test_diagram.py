@@ -9,8 +9,7 @@ from tanglenabla import transform as tr
 from tanglenabla.diagram import (CORNER_RULE, Site, TangleDiagram, TangleError,
                                  linking_number, parse_tangle, serialize)
 from tanglenabla.laurent import LaurentError
-from tanglenabla.nabla import nabla_all, nabla_hat
-from tanglenabla.states import enumerate_states
+from tanglenabla.nabla import nabla_all
 from tanglenabla.transform import GlueRecord
 from tanglenabla.verify import random_diagram
 
@@ -45,6 +44,18 @@ colour e1 t
     with pytest.raises(TangleError) as e:
         parse_tangle(src)
     assert e.value.code == "E_DANGLING"
+
+
+def test_colour_lines_name_each_edge_of_the_diagram_once():
+    # a colour line for an edge the diagram lacks is not ignored, and a
+    # second one for an edge does not recolour its strand
+    head = "tangle t\nends 2\nboundary a e1 b e3\ncrossing x1 + under e1 e2 over e2 e3\n"
+    assert parse_tangle(head + "colour e1 t\ncolour e3 t\n").colours() == ("t",)
+    for tail, line in (("colour e1 t\ncolour e9 t\n", 6), ("colour e9 t\ncolour e1 t\n", 5),
+                       ("colour e1 t\ncolour e1 u\n", 6), ("colour e1 t\ncolour e1 t\n", 6)):
+        with pytest.raises(TangleError) as e:
+            parse_tangle(head + tail)
+        assert str(e.value).startswith(f"E_SYNTAX: line {line}: "), tail
 
 
 def test_no_crossing_rejected():
@@ -94,7 +105,7 @@ def test_region_counts_across_corpus(corpus_names):
 
 def test_region_quadrant_map_single_crossing():
     d = load("crossing_pos")
-    assert [q.region for q in d.quadrants[0]] == ["c", "d", "a", "b"]
+    assert [d.regions[r].rid for r in d.corners[0][3:]] == ["c", "d", "a", "b"]
 
 
 def test_clasp_regions():
@@ -167,23 +178,6 @@ colour e2 o
     with pytest.raises(TangleError) as e:
         parse_tangle(src)
     assert e.value.code == "E_NONPLANAR"
-
-
-def test_compute_regions_contract():
-    from tanglenabla.diagram import compute_regions
-    d = load("clasp")
-    regions = compute_regions(d)
-    assert regions is d.regions
-    split = parse_tangle("""tangle split
-ends 2
-boundary a e1 b e3
-crossing x1 + under e1 e2 over e2 e3
-colour e1 t
-circle s
-""")
-    with pytest.raises(TangleError) as e:
-        compute_regions(split)
-    assert e.value.code == "E_SPLIT"
 
 
 def _mutated(rng, text):
@@ -277,8 +271,8 @@ def _check_faces(d) -> bool:
     if d.split:
         assert d.regions == () and {d.region_beside(e, s) for e in d.edges for s in "LR"} <= {None}
         return False
-    regions, open_regions, region_of_dart = trace_faces(d)
-    assert d.regions == regions and d.open_regions == open_regions, d.name
+    regions, _, region_of_dart = trace_faces(d)
+    assert d.regions == regions, d.name
     for e in d.edges:
         tail, head = d.flow_ends(e)
         assert (d.region_beside(e, "R"), d.region_beside(e, "L")) == (
@@ -324,7 +318,7 @@ def test_region_corners_cover_each_quadrant_once(corpus_names):
         assert sorted(c for c, _ in corners) == [
             (ci, q) for ci in range(len(d.crossings)) for q in range(4)], d.name
         for (ci, q), rid in corners:
-            assert d.quadrants[ci][q].region == rid
+            assert d.regions[d.corners[ci][3 + q]].rid == rid
         seen += len(corners)
     assert seen == 504
 
@@ -347,13 +341,13 @@ def test_a_bare_arc_is_not_split_and_its_text_does_not_parse():
 
 def _check_corners(d) -> int:
     """The corner ints of ``d`` against the slot-role oracle and the region
-    tables, and ``quadrants`` and ``corner_codes`` against both; returns the
+    tables, and ``corner_codes`` against both; returns the
     number of corners checked."""
     cols = d.colours()
     _, region_at = _region_tables(d)
     weight = [7 ** (k + 1) for k in range(len(cols))]
     codes = d.corner_codes(weight, h=1000, delta=100000)
-    assert len(d.corners) == len(codes) == len(d.quadrants) == len(d.crossings)
+    assert len(d.corners) == len(codes) == len(d.crossings)
     for ci, (sign, u, o, *regions) in enumerate(d.corners):
         c = d.crossings[ci]
         assert (sign, cols[u], cols[o]) == (c.sign, d.colour_of_edge[c.under[0]],
@@ -365,9 +359,6 @@ def _check_corners(d) -> int:
             assert (got, h2, delta2) == (exp, want_h2, want_delta2), (d.name, ci, q)
             rid = None if d.split else region_at[(ci, q)]
             assert r == (-1 if d.split else [x.rid for x in d.regions].index(rid))
-            exp2 = tuple((v, e) for v, e in exp.items() if e)
-            assert d.corner_exp2(ci, q) == exp2
-            assert d.quadrants[ci][q] == (rid, exp2, h2, delta2), (d.name, ci, q)
             assert codes[ci][q] == (sum(e * weight[cols.index(v)] for v, e in exp.items())
                                     + 1000 * h2 + 100000 * delta2)
     return 4 * len(d.crossings)
@@ -389,17 +380,3 @@ def test_corner_ints_match_the_slot_roles(corpus_names):
        m=st.integers(1, 9))
 def test_corner_ints_match_the_slot_roles_on_hypothesis_diagrams(seed, ends, m):
     _check_corners(random_diagram(random.Random(seed), ends, m))
-
-
-def test_state_sums_and_walks_build_no_quadrant_records(corpus_names):
-    # the frontier pass, its decoder and the state enumeration read the corner
-    # ints; the records are a view for other readers
-    diagrams = [load(n) for n in corpus_names] + seeded_diagrams(29, 40, 9) + [_bare_arc()]
-    for d in diagrams:
-        nabla_all(d)
-        for s in d.sites():
-            nabla_hat(d, s)
-        enumerate_states(d)
-        for s in d.sites()[:2]:
-            enumerate_states(d, s)
-        assert "quadrants" not in d.__dict__, d.name

@@ -49,7 +49,7 @@ def test_state_sum_and_gradings_match_brute_force(corpus_names):
 
 
 # The frontier pass of nabla against two oracles: the sum over the
-# enumerated states (grouped by site_of, or enumerated at one site) and the
+# enumerated states (grouped by brute_force_site, or enumerated at one site) and the
 # 4^m brute force.
 
 SPLIT = """tangle split

@@ -3,23 +3,22 @@ packed generator keys of ``gradings.generator_keys``, against the
 generators listed state by state (``oracles.rescan_generators``) and the
 4^m brute force; and the ``states`` command, which takes its sites from
 the final keys of the one pass over the states, against its rendering
-state by state with ``site_of``."""
+state by state with ``oracles.brute_force_site``."""
 
 import json
 import random
 
 from hypothesis import given, settings, strategies as st
 
-import tanglenabla
-from tanglenabla import cli, gradings, states, transform as tr
+from tanglenabla import transform as tr
 from tanglenabla.diagram import Site
 from tanglenabla.gradings import generator_gradings, generator_keys
-from tanglenabla.states import enumerate_states, site_of
+from tanglenabla.states import enumerate_states
 from tanglenabla.verify import random_diagram
 
 import oracles
 from conftest import cli_on, load
-from oracles import brute_force_gradings, gradings_output, rescan_generators
+from oracles import brute_force_gradings, brute_force_site, gradings_output, rescan_generators
 
 # _grown(seed) for these seeds: 0 to 5 closed components (so up to 32
 # decorations, and k takes 5 bits), 2, 4, 6 and 8 ends, 14 to 16 crossings
@@ -111,20 +110,20 @@ def test_gradings_match_the_rescan_on_hypothesis_diagrams(monkeypatch):
 
 
 def _states_output(d, fmt):
-    """The stdout of ``states``, rendered state by state with site_of."""
+    """The stdout of ``states``, rendered state by state with brute_force_site."""
     xs = enumerate_states(d)
     if fmt == "json":
         return json.dumps({"diagram": d.name, "states": [
-            {"markers": list(x), "site": sorted(site_of(d, x).arcs)} for x in xs]},
+            {"markers": list(x), "site": sorted(brute_force_site(d, x).arcs)} for x in xs]},
             indent=2, sort_keys=True) + "\n"
     return "\n".join(" ".join(f"x{i + 1}:q{q}" for i, q in enumerate(x))
-                     + f"  site {site_of(d, x)}" for x in xs) + "\n"
+                     + f"  site {brute_force_site(d, x)}" for x in xs) + "\n"
 
 
 def test_no_state_is_rescanned(monkeypatch):
     # gradings and states read every state's gradings and site off the
-    # pass: with site_of and state_codes raising and Site hashes counted,
-    # both still print what the per-state rescan prints
+    # pass: with state_codes raising and Site hashes counted, both still
+    # print what the per-state rescan prints
     cases = [(d, cmd, fmt, gradings_output(d.name, rescan_generators(d), fmt)
               if cmd == "gradings" else _states_output(d, fmt))
              for d in map(_grown, (10, 205, 208))
@@ -133,8 +132,6 @@ def test_no_state_is_rescanned(monkeypatch):
     def boom(*args):
         raise AssertionError("a per-state rescan ran")
 
-    for mod in (tanglenabla, states, gradings, cli):
-        monkeypatch.setattr(mod, "site_of", boom, raising=False)
     monkeypatch.setattr(oracles, "state_codes", boom)
     hashes = []
     real_hash = Site.__hash__

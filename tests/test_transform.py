@@ -452,7 +452,8 @@ def test_glue_arc_maps_agree_with_the_corners_of_the_input_regions():
                         continue
                     glues += 1
                     ends.update((len(d1.boundary), len(d2.boundary)))
-                    quadrants = rec.diagram.quadrants
+                    rids = [r.rid for r in rec.diagram.regions]
+                    rows = rec.diagram.corners
                     for d, arc_map, offset in ((d1, rec.arc_map_1, 0),
                                                (d2, rec.arc_map_2, len(d1.crossings))):
                         for a in d.arcs:
@@ -460,7 +461,7 @@ def test_glue_arc_maps_agree_with_the_corners_of_the_input_regions():
                             assert corners, (d.name, a)
                             arcs += 1
                             for ci, q in corners:
-                                assert quadrants[ci + offset][q].region == arc_map[a]
+                                assert rids[rows[ci + offset][3 + q]] == arc_map[a]
     assert ends == {2, 4, 6}
     assert glues >= 200 and arcs >= 2000, (glues, arcs)
 

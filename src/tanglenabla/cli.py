@@ -56,6 +56,16 @@ def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
+def _emit_family(args, d, key: str, values: dict, **head) -> None:
+    """Write a site family: as JSON, the diagram's name, ``head`` and the
+    values under ``key`` by site; as text, one line per site, by name."""
+    if args.format == "json":
+        _emit(layout.dump({"diagram": d.name, **head,
+                           key: {str(s): p for s, p in values.items()}}))
+    else:
+        _emit("\n".join([f"site {s}: {values[s].pretty()}" for s in sorted(values, key=str)]))
+
+
 def _cmd_regions(args):
     d = _read_diagram(args.diagram)
     if d.split:
@@ -99,11 +109,7 @@ def _cmd_nabla(args):
         values = {s: nabla_hat(d, s) if args.hat else nabla_at_site(d, s)}
     else:
         values = nabla_hat_all(d) if args.hat else nabla_all(d)
-    if args.format == "json":
-        _emit(layout.dump({"diagram": d.name, "hat": bool(args.hat),
-                           "nabla": {str(s): p for s, p in values.items()}}))
-    else:
-        _emit("\n".join([f"site {s}: {values[s].pretty()}" for s in sorted(values, key=str)]))
+    _emit_family(args, d, "nabla", values, hat=bool(args.hat))
     return 0
 
 
@@ -161,10 +167,7 @@ def _cmd_euler(args):
     d = _read_diagram(args.diagram)
     sites = _sites(d, args.site)
     chis = euler_characteristics(d, None if args.site is None else sites[0])
-    if args.format == "json":
-        _emit(layout.dump({"diagram": d.name, "euler": {str(s): chis[s] for s in sites}}))
-    else:
-        _emit("\n".join([f"site {s}: {chis[s].pretty()}" for s in sorted(sites, key=str)]))
+    _emit_family(args, d, "euler", chis)
     return 0
 
 

@@ -147,25 +147,6 @@ def _colour_name(colour: str) -> str:
     return colour
 
 
-class UnionFind:
-    """Disjoint sets of hashable items, each represented by its smallest member."""
-
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        parent = self.parent
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 class TangleDiagram:
     """Validated oriented tangle diagram.  Treat instances as immutable."""
 
@@ -540,7 +521,10 @@ def parse_tangle(text: str) -> TangleDiagram:
     ``colour <seed-edge> <name>`` per strand and ``circle <name>`` per
     crossingless closed strand.  A colour name is a token other than ``h``
     and ``delta``; a ``colour`` line names an edge of the diagram, and at
-    most one names each edge.  ``#`` starts a comment.
+    most one names each edge.  ``flow <edge> <k>`` says that a bare arc, an
+    edge from boundary end k to another boundary end, flows from end k
+    (ends count from 0); without it a bare arc flows from its first end.
+    ``#`` starts a comment.
     """
     name = "tangle"
     ends_declared: Optional[int] = None
@@ -549,6 +533,7 @@ def parse_tangle(text: str) -> TangleDiagram:
     crossings: list[Crossing] = []
     colour_seeds: dict[str, str] = {}
     colour_lines: list[tuple[int, str]] = []
+    flows: dict[str, tuple[int, int]] = {}     # bare arc -> (line, end it flows from)
     free_circles: list[str] = []
     outer_hint = None
     seen_ids = set()
@@ -592,8 +577,16 @@ def parse_tangle(text: str) -> TangleDiagram:
         elif kw == "colour":
             if len(tok) != 3:
                 raise TangleError("E_SYNTAX", f"line {lineno}: colour <seed-edge> <name>")
+            if tok[1] in colour_seeds:
+                raise TangleError("E_SYNTAX", f"line {lineno}: edge {tok[1]!r} coloured twice")
             colour_seeds[tok[1]] = tok[2]
             colour_lines.append((lineno, tok[1]))
+        elif kw == "flow":
+            if len(tok) != 3 or not (tok[2].isascii() and tok[2].isdigit()):
+                raise TangleError("E_SYNTAX", f"line {lineno}: flow <edge> <k>")
+            if tok[1] in flows:
+                raise TangleError("E_SYNTAX", f"line {lineno}: edge {tok[1]!r} given two flows")
+            flows[tok[1]] = (lineno, int(tok[2]))
         elif kw == "circle":
             if len(tok) != 2:
                 raise TangleError("E_SYNTAX", f"line {lineno}: circle <colour>")
@@ -606,15 +599,17 @@ def parse_tangle(text: str) -> TangleDiagram:
     if ends_declared is not None and ends_declared != len(boundary):
         raise TangleError("E_SYNTAX",
                           f"ends {ends_declared} but boundary lists {len(boundary)}")
-    d = TangleDiagram(name, crossings, boundary, arcs, colour_seeds, outer_hint,
-                      free_circles=free_circles)
-    coloured = set()
+    edge_dirs = {}
+    for e, (lineno, k) in flows.items():
+        ends = [j for j, b in enumerate(boundary) if b == e]
+        if len(ends) != 2 or k not in ends:
+            raise TangleError("E_SYNTAX", f"line {lineno}: no bare arc {e!r} at end {k}")
+        edge_dirs[e] = k == ends[0]
+    d = TangleDiagram(name, crossings, boundary, arcs, colour_seeds, outer_hint, edge_dirs,
+                      free_circles)
     for lineno, e in colour_lines:
         if e not in d.colour_of_edge:
             raise TangleError("E_SYNTAX", f"line {lineno}: colour names no edge {e!r}")
-        if e in coloured:
-            raise TangleError("E_SYNTAX", f"line {lineno}: edge {e!r} coloured twice")
-        coloured.add(e)
     return d
 
 
@@ -634,6 +629,9 @@ def serialize(d: TangleDiagram) -> str:
     for comp in d.components:
         if comp.edges:
             lines.append(f"colour {min(comp.edges)} {comp.colour}")
+    for e, first_is_tail in d.edge_dirs.items():
+        if not first_is_tail:
+            lines.append(f"flow {e} {d.boundary.index(e, d.boundary.index(e) + 1)}")
     for colour in d.free_circles:
         lines.append(f"circle {colour}")
     return "\n".join(lines) + "\n"

@@ -68,9 +68,10 @@ class KeyLayout(NamedTuple):
     at: list[int]                     # delta's; colour j's is at[j] bits above 4h's
 
     def grades(self, head: int) -> tuple[tuple[int, ...], int, int, int]:
-        """``(a2, delta2, h, k)`` of a generator's ``key >> 2m``."""
+        """``(a2, delta2, h, k)`` of a generator's ``key >> 2m``.  Its 4h
+        digit is a multiple of 4: ``generator_keys`` checked the head, and a
+        decoration adds multiples of 4 to it."""
         e = head >> self.kbits
-        _integral(e, 0)
         return (tuple([(e >> at & _MASK) - _HALF for at in self.at]),
                 (e >> _BITS & _MASK) - _HALF, (e & _MASK) - _HALF >> 2,
                 head & (1 << self.kbits) - 1)
@@ -252,16 +253,15 @@ def euler_characteristics(d: TangleDiagram,
     return {t: out.get(t, LaurentPoly.zero()) for t in (d.sites() if s is None else [s])}
 
 
-def poincare_table(d: TangleDiagram, s: Site | None = None):
+def poincare_table(d: TangleDiagram):
     """Grouped counts of generators by (site, Alexander vector, delta, h):
     each run of ``KeyLayout.runs`` adds its group's size to its row."""
     layout, sites = generator_keys(d)
     rows: Counter = Counter()
     for site, groups in sites:
-        if s is None or site == s:
-            sizes = [len(xs) for xs in groups.values()]
-            for alex, delta2, h, _, g in layout.runs(groups):
-                rows[str(site), layout.alexander(alex), delta2, h] += sizes[g]
+        sizes = [len(xs) for xs in groups.values()]
+        for alex, delta2, h, _, g in layout.runs(groups):
+            rows[str(site), layout.alexander(alex), delta2, h] += sizes[g]
     return [{"site": site, "alexander": {v: e / 2 for v, e in zip(layout.colours, a2)},
              "delta": d2 / 2, "h": h, "count": count}
             for (site, a2, d2, h), count in sorted(rows.items())]

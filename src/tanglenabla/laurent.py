@@ -6,15 +6,14 @@ Coefficients are arbitrary-precision integers.  Values are immutable;
 every operation returns a fresh polynomial in canonical form.
 
 Canonical form: ``vars`` is a tuple of distinct names, colours in
-first-appearance order and the grading variables last (``_order_vars``),
+first-appearance order and the grading variable h last (``_order_vars``),
 and ``terms`` holds no zero coefficient.  A variable may have no non-zero
 exponent left.  The constructor puts any table in that form; an operation
 whose table is already canonical (negation, ``eval_h`` and the ring
 operations, the state-sum decoder of ``nabla``) builds through
 ``_canonical``, which checks nothing.  ``==`` compares the terms of two
-polynomials over the same table directly, and over permuted tables moves
-the other's terms onto this table; only tables with different names are
-aligned to their union.
+polynomials over the same table directly, and aligns any other pair to the
+union of their tables.
 """
 
 from __future__ import annotations
@@ -22,12 +21,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 
-# Grading variables are pinned to the end of every variable table, in this
-# order, so that serialized output is stable no matter how a polynomial was
-# assembled.
+# The grading variable is pinned to the end of every variable table, so that
+# serialized output is stable no matter how a polynomial was assembled.
 H = "h"
-DELTA = "delta"
-_PINNED = (H, DELTA)
 
 
 class LaurentError(Exception):
@@ -40,9 +36,9 @@ class LaurentError(Exception):
 
 
 def _order_vars(names: Iterable[str]) -> tuple[str, ...]:
-    """Colour variables in first-appearance order, then the pinned grading vars."""
+    """Colour variables in first-appearance order, then the grading variable h."""
     seen = dict.fromkeys(names)
-    return tuple(v for v in seen if v not in _PINNED) + tuple(p for p in _PINNED if p in seen)
+    return tuple(v for v in seen if v != H) + ((H,) if H in seen else ())
 
 
 class LaurentPoly:
@@ -103,7 +99,7 @@ class LaurentPoly:
         The variable table is the one a left-to-right ``+`` fold of
         ``monomial`` gives: every pair registers its variable (zero
         exponents and zero coefficients included), colours in
-        first-appearance order with the grading variables last, and a
+        first-appearance order with the grading variable h last, and a
         variable stays when its terms cancel.  A variable repeated within
         one monomial has its exponents added.
         """
@@ -184,19 +180,8 @@ class LaurentPoly:
             return NotImplemented
         if self.vars == other.vars:
             return self.terms == other.terms
-        if len(self.vars) == len(other.vars) and set(self.vars) == set(other.vars):
-            # one table permutes the other: move the other's terms onto it
-            if len(self.terms) != len(other.terms):
-                return False
-            pos = {v: i for i, v in enumerate(other.vars)}
-            idx = [pos[v] for v in self.vars]
-            terms = self.terms
-            return all(terms.get(tuple([e[i] for i in idx])) == c
-                       for e, c in other.terms.items())
         vs = self._union_vars(other)
-        a = {e: c for e, c in self._aligned_to(vs).items() if c}
-        b = {e: c for e, c in other._aligned_to(vs).items() if c}
-        return a == b
+        return self._aligned_to(vs) == other._aligned_to(vs)
 
     def __hash__(self):
         return hash(self.key())

@@ -39,7 +39,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .diagram import Crossing, TangleDiagram, TangleError, UnionFind
+from .diagram import Crossing, TangleDiagram, TangleError
+
+
+class UnionFind:
+    """Disjoint sets of hashable items, each represented by its smallest member."""
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def _seeds_of(d: TangleDiagram) -> dict[str, str]:
@@ -185,14 +204,18 @@ class _Splicer(UnionFind):
                         free_circles=circles)
 
     def removal(self, removed: set[int], name: str, what: str) -> TangleDiagram:
-        """``rebuild`` for a removing move, whose disconnected result is E_DISCONNECTS."""
+        """``rebuild`` for a removing move: E_DISCONNECTS when the result is
+        disconnected, or split where the diagram was not or the reverse."""
         try:
-            return self.rebuild(removed, name)
+            out = self.rebuild(removed, name)
         except TangleError as ex:
             if ex.code == "E_DISCONNECTED":
                 raise TangleError("E_DISCONNECTS",
                                   f"{what} removal leaves an invalid diagram") from ex
             raise
+        if out.split != self.d.split:
+            raise TangleError("E_DISCONNECTS", f"{what} removal disconnects the diagram")
+        return out
 
 
 def smooth_crossing(d: TangleDiagram, ci: int) -> TangleDiagram:
@@ -308,25 +331,22 @@ def close_tangle(d: TangleDiagram, at: Optional[str] = None) -> TangleDiagram:
     return _cap(d, arc, name=d.name + f"_closed_{arc}")
 
 
-def reopen(d: TangleDiagram, edge: Optional[str] = None) -> TangleDiagram:
-    """Cut one strand of a closed (0-ended) diagram next to the outer
-    region, producing a 2-ended tangle."""
+def reopen(d: TangleDiagram) -> TangleDiagram:
+    """Cut the least edge on the outer region of a closed (0-ended)
+    diagram, producing a 2-ended tangle."""
     if d.boundary or d.split:
         raise TangleError("E_BAD_LOCATION", "reopen expects a closed connected diagram")
-    choices = [(e, side) for e in sorted(d.edges) for side in ("L", "R")
-               if d.region_beside(e, side) == d.arcs[0] and edge in (None, e)]
+    choices = [(e, side) for e in d.edges for side in ("L", "R")
+               if d.region_beside(e, side) == d.arcs[0]]
     if not choices:
-        raise TangleError("E_BAD_LOCATION", "edge does not border the outer region")
+        raise TangleError("E_BAD_LOCATION", "no edge borders the outer region")
     e, side = choices[0]
     e_new = _fresh_edge(d, set())
     # tail piece keeps the id `e` and exits the disc; the head piece enters.
     # A closed diagram has no boundary, so the head sits at a crossing.
     crossings, _ = _replace_head_occurrence(d.crossings, d.boundary, d, e, e_new)
-    seeds = _seeds_of(d)
-    seeds[e_new] = d.colour_of_edge[e]
     return _rebuild(d, crossings=crossings, boundary=(e_new, e) if side == "L" else (e, e_new),
-                    arcs=("a", "b"), seeds=seeds, edge_dirs={}, outer_hint=None,
-                    name=d.name + "_open")
+                    arcs=("a", "b"), edge_dirs={}, outer_hint=None, name=d.name + "_open")
 
 
 # ----------------------------------------------------------------------
@@ -524,10 +544,7 @@ def rm1_insert(d: TangleDiagram, edge: str, side: str, sign: int) -> TangleDiagr
         c = Crossing(sign, (edge, k2), (k2, k3))
     crossings, boundary = _replace_head_occurrence(d.crossings, d.boundary, d, edge, k3)
     crossings.append(c)
-    seeds = _seeds_of(d)
-    seeds.setdefault(edge, d.colour_of_edge[edge])
-    return _rebuild(d, crossings=crossings, boundary=boundary, seeds=seeds,
-                    name=d.name + "_rm1")
+    return _rebuild(d, crossings=crossings, boundary=boundary, name=d.name + "_rm1")
 
 
 def _kink_slot(d: TangleDiagram, ci) -> Optional[int]:
@@ -555,10 +572,7 @@ def rm1_remove(d: TangleDiagram, ci: int) -> TangleDiagram:
     sp = _Splicer(d)
     sp.dead.add(slots[s])
     sp.union(a, b)
-    out = sp.removal({ci}, d.name + "_rm1r", "kink")
-    if out.split != d.split:
-        raise TangleError("E_DISCONNECTS", "kink removal disconnects the diagram")
-    return out
+    return sp.removal({ci}, d.name + "_rm1r", "kink")
 
 
 def rm2_insert(d: TangleDiagram, edge1: str, side1: str, edge2: str, side2: str,
@@ -585,11 +599,7 @@ def rm2_insert(d: TangleDiagram, edge1: str, side1: str, edge2: str, side2: str,
     crossings, boundary = _replace_head_occurrence(crossings, boundary,
                                                    d, edge2, b3)
     crossings.extend([cx, cy])
-    seeds = _seeds_of(d)
-    seeds.setdefault(edge1, d.colour_of_edge[edge1])
-    seeds.setdefault(edge2, d.colour_of_edge[edge2])
-    return _rebuild(d, crossings=crossings, boundary=boundary, seeds=seeds,
-                    name=d.name + "_rm2")
+    return _rebuild(d, crossings=crossings, boundary=boundary, name=d.name + "_rm2")
 
 
 def _bigon(d: TangleDiagram, r) -> Optional[tuple[int, int, str, str]]:
@@ -627,10 +637,7 @@ def rm2_remove(d: TangleDiagram, region: str) -> TangleDiagram:
         outs = [slots[(slots.index(g) + 2) % 4]
                 for slots in (d.crossings[c1].slots(), d.crossings[c2].slots())]
         sp.union(*outs)
-    out = sp.removal({c1, c2}, d.name + "_rm2r", "bigon")
-    if out.split and not d.split:
-        raise TangleError("E_DISCONNECTS", "bigon removal disconnects the diagram")
-    return out
+    return sp.removal({c1, c2}, d.name + "_rm2r", "bigon")
 
 
 def _triangle(d: TangleDiagram, r) -> Optional[list[str]]:

@@ -141,8 +141,13 @@ def _diagram(pieces: list[_Piece], mate: list[int], s: tr.Shape, closing: bool =
                          {e: f"t{i + 1}" for i, e in enumerate(order)})
 
 
+# growth attempts of one random_diagram call, and of one random_knot_tangle
+_DIAGRAM_TRIES = 200
+_KNOT_TRIES = 400
+
+
 def random_diagram(rng: random.Random, n_ends: int = 4, n_crossings: int = 6,
-                   max_tries: int = 200, knot: bool = False) -> TangleDiagram:
+                   knot: bool = False) -> TangleDiagram:
     """A random connected oriented tangle diagram with the requested number
     of boundary ends and crossings.  Components get colours t1, t2, ...
     With ``knot``, a grown shape with a closed strand raises E_GENERATION
@@ -150,7 +155,7 @@ def random_diagram(rng: random.Random, n_ends: int = 4, n_crossings: int = 6,
     if n_ends < 0 or n_ends % 2:
         raise TangleError("E_GENERATION", f"no diagram has {n_ends} boundary ends")
     n_crossings = max(n_crossings, (n_ends - 2) // 2, 1)
-    for _ in range(max_tries):
+    for _ in range(_DIAGRAM_TRIES):
         d = _try_random_diagram(rng, n_ends, n_crossings, knot)
         if d is not None:
             return d
@@ -235,13 +240,12 @@ def _try_random_diagram(rng, n_ends, n_crossings, knot) -> Optional[TangleDiagra
     return None if d.split else d
 
 
-def random_knot_tangle(rng: random.Random, n_crossings: int,
-                       max_tries: int = 400) -> TangleDiagram:
+def random_knot_tangle(rng: random.Random, n_crossings: int) -> TangleDiagram:
     """A 2-ended diagram whose single component is open (a knot tangle).
     Each try is one ``random_diagram(rng, 2, n_crossings, knot=True)``,
     which ends at its first candidate with a closed strand, unbuilt;
     a 2-ended candidate without one is a knot."""
-    for _ in range(max_tries):
+    for _ in range(_KNOT_TRIES):
         try:
             return random_diagram(rng, 2, n_crossings, knot=True)
         except TangleError:
@@ -620,14 +624,13 @@ def _check_fourended(rng, cases, fail):
     seen = {1: 0, 2: 0}
     for k in range(cases):
         d = random_diagram(rng, 4, rng.randint(1, 7))
+        flip = rng.random() < 0.5
         open_cols = [c.colour for c in d.components if c.kind == "open"]
+        if flip:
+            # flip the orientation type by reversing one open strand, while
+            # the two open strands still have their own colours
+            d = tr.reverse_orientation(d, {open_cols[0]})
         d = tr.recolour(d, {open_cols[1]: open_cols[0]})
-        if rng.random() < 0.5:
-            # flip the orientation type by reversing one open strand; both
-            # open strands share a colour, so reverse its edges, not its colour
-            comp = next(c for c in d.components if c.kind == "open")
-            crossings, dirs = tr._reversed(d, d.crossings, set(comp.edges))
-            d = tr._rebuild(d, crossings=crossings, edge_dirs=dirs, name=d.name + "_rev")
         typ, rot = orientation_type(d)
         seen[typ] += 1
         rall = tr.reverse_orientation(d, set(d.colours()))

@@ -50,6 +50,26 @@ def pretzel():
     return load("pretzel_2m3")
 
 
+def _renamed(d, a, b, **kw):
+    """``d`` with the edge ids ``a`` and ``b`` swapped."""
+    swap = {a: b, b: a}.get
+    return tr._rebuild(d, crossings=[c.renamed(lambda e: swap(e, e)) for c in d.crossings],
+                       boundary=[swap(e, e) for e in d.boundary],
+                       seeds={swap(e, e): c for e, c in tr._seeds_of(d).items()}, **kw)
+
+
+def reopen_at(d, e):
+    """``tr.reopen`` cutting edge ``e`` instead of the least edge on the
+    outer region: ``e`` swaps ids with the least edge for the cut, and back.
+    E_BAD_LOCATION unless ``e`` borders the outer region."""
+    if not d.split and d.arcs[0] not in (d.region_beside(e, "L"), d.region_beside(e, "R")):
+        raise TangleError("E_BAD_LOCATION", f"edge {e!r} does not border the outer region")
+    least = d.edges[0]
+    hint, side = d.outer_hint
+    hint = {e: least, least: e}.get(hint, hint)
+    return _renamed(tr.reopen(_renamed(d, e, least, outer_hint=(hint, side))), e, least)
+
+
 def transform_outputs(d):
     """``(label, result)`` for every transform of ``transform.py`` at every
     location of ``d`` (RM2 insertions: the first six side pairs), in a fixed
@@ -87,7 +107,7 @@ def transform_outputs(d):
         if isinstance(closed, TangleDiagram) and not closed.boundary:
             out.append(run(f"{label} reopen", tr.reopen, closed))
             for e in closed.edges:
-                out.append(run(f"{label} reopen {e}", tr.reopen, closed, e))
+                out.append(run(f"{label} reopen {e}", reopen_at, closed, e))
     if not d.boundary:
         out.append(run("reopen", tr.reopen, d))
     for axis in "xyz":

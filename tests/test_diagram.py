@@ -52,7 +52,8 @@ def test_colour_lines_name_each_edge_of_the_diagram_once():
     head = "tangle t\nends 2\nboundary a e1 b e3\ncrossing x1 + under e1 e2 over e2 e3\n"
     assert parse_tangle(head + "colour e1 t\ncolour e3 t\n").colours() == ("t",)
     for tail, line in (("colour e1 t\ncolour e9 t\n", 6), ("colour e9 t\ncolour e1 t\n", 5),
-                       ("colour e1 t\ncolour e1 u\n", 6), ("colour e1 t\ncolour e1 t\n", 6)):
+                       ("colour e1 t\ncolour e1 u\n", 6), ("colour e1 t\ncolour e1 t\n", 6),
+                       ("colour e1 t\ncolour e1 u\ncolour e3 t\n", 6)):
         with pytest.raises(TangleError) as e:
             parse_tangle(head + tail)
         assert str(e.value).startswith(f"E_SYNTAX: line {line}: "), tail
@@ -153,6 +154,27 @@ def test_parse_inverts_serialize_on_generated_and_transformed_diagrams(seed, end
         assert serialize(again) == text
 
 
+def test_the_text_format_keeps_the_flow_of_a_bare_arc():
+    # smoothing crossing 5 leaves a bare arc flowing from its second
+    # boundary end to its first; deleting t2 keeps it
+    x = tr.smooth_crossing(seeded_diagrams(11, 24, 7)[14], 5)
+    for d in (x, tr.delete_component(x, "t2")):
+        assert False in d.edge_dirs.values()
+        again = parse_tangle(serialize(d))
+        assert again.incoming == d.incoming and again.edge_dirs == d.edge_dirs
+    # a flow line names a bare arc and one of its two ends, once
+    text = serialize(x)
+    assert text.endswith("\nflow g_p5_1 1\n")
+    text = text[:-len("flow g_p5_1 1\n")]
+    line = text.count("\n") + 1
+    assert parse_tangle(text + "flow g_p5_1 0\n").edge_dirs == {"g_p5_1": True}
+    for tail, at in (("flow g_p5_1 1\nflow g_p5_1 1\n", line + 1), ("flow g_p1_0 0\n", line),
+                     ("flow g_p5_1 2\n", line), ("flow g_p5_1\n", line), ("flow e9 0\n", line)):
+        with pytest.raises(TangleError) as e:
+            parse_tangle(text + tail)
+        assert str(e.value).startswith(f"E_SYNTAX: line {at}: "), tail
+
+
 def test_sites_enumeration():
     d = load("clasp")
     assert sorted(str(s) for s in d.sites()) == ["b", "l", "r", "t"]
@@ -226,8 +248,11 @@ def test_token_mutated_corpus_files_fail_only_with_coded_errors():
 # mutations above: per result its serialize() text, components, split flag,
 # regions, boundary in/out pattern and the region beside every edge side,
 # or the code of the TangleError raised.  Recorded before the strand walk,
-# the rename and reversal rules and the side table were restated.
-CONSTRUCTION_PIN = "83c55581c6be3a2334bb32145522624998df7ffe8850c791a288c6e300566359"
+# the rename and reversal rules and the side table were restated, and again
+# when serialize() began to write the flow of a bare arc (6 records) and
+# parse_tangle to reject a repeated colour line at that line (one mutated
+# text, E_DANGLING before).
+CONSTRUCTION_PIN = "456ad27a789d2707c24115694b0666764b2a2a0fd28843686689f36aa596018e"
 
 
 def _construction_record(x) -> str:

@@ -10,13 +10,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from tanglenabla import cli, gradings, states
 from tanglenabla import transform as tr
 from tanglenabla.diagram import Site
 from tanglenabla.gradings import generator_gradings, generator_keys
 from tanglenabla.states import enumerate_states
 from tanglenabla.verify import random_diagram
 
-import oracles
 from conftest import cli_on, load
 from oracles import brute_force_gradings, brute_force_site, gradings_output, rescan_generators
 
@@ -122,8 +122,9 @@ def _states_output(d, fmt):
 
 def test_no_state_is_rescanned(monkeypatch):
     # gradings and states read every state's gradings and site off the
-    # pass: with state_codes raising and Site hashes counted, both still
-    # print what the per-state rescan prints
+    # pass: with the package's per-state helpers (markers_of and
+    # enumerate_states) raising and Site hashes counted, both still print
+    # what the per-state rescan prints
     cases = [(d, cmd, fmt, gradings_output(d.name, rescan_generators(d), fmt)
               if cmd == "gradings" else _states_output(d, fmt))
              for d in map(_grown, (10, 205, 208))
@@ -132,7 +133,10 @@ def test_no_state_is_rescanned(monkeypatch):
     def boom(*args):
         raise AssertionError("a per-state rescan ran")
 
-    monkeypatch.setattr(oracles, "state_codes", boom)
+    for module in (states, gradings, cli):
+        for name in ("markers_of", "enumerate_states"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, boom)
     hashes = []
     real_hash = Site.__hash__
     monkeypatch.setattr(Site, "__hash__", lambda s: hashes.append(s) or real_hash(s))

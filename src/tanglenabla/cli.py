@@ -176,7 +176,7 @@ def _cmd_transform(args):
     if args.op == "mirror":
         out = mirror_diagram(d)
     elif args.op == "reverse":
-        colours = set(args.colours.split(",")) if args.colours else set(d.colours())
+        colours = set(d.colours()) if args.colours is None else set(args.colours.split(","))
         out = reverse_orientation(d, colours)
     elif args.op == "mutate":
         if not args.axis:

@@ -524,7 +524,8 @@ def parse_tangle(text: str) -> TangleDiagram:
     most one names each edge.  ``flow <edge> <k>`` says that a bare arc, an
     edge from boundary end k to another boundary end, flows from end k
     (ends count from 0); without it a bare arc flows from its first end.
-    ``#`` starts a comment.
+    ``#`` starts a comment.  Each of ``tangle``, ``ends``, ``boundary`` and
+    ``outer`` may appear once, and ``outer`` not with ``boundary``.
     """
     name = "tangle"
     ends_declared: Optional[int] = None
@@ -537,6 +538,7 @@ def parse_tangle(text: str) -> TangleDiagram:
     free_circles: list[str] = []
     outer_hint = None
     seen_ids = set()
+    headers: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -544,6 +546,12 @@ def parse_tangle(text: str) -> TangleDiagram:
             continue
         tok = line.split()
         kw = tok[0]
+        if kw in ("tangle", "ends", "boundary", "outer"):
+            if kw in headers:
+                raise TangleError("E_SYNTAX", f"line {lineno}: a second {kw} line")
+            if kw in ("boundary", "outer") and headers & {"boundary", "outer"}:
+                raise TangleError("E_SYNTAX", f"line {lineno}: outer and boundary lines together")
+            headers.add(kw)
         if kw == "tangle":
             if len(tok) != 2:
                 raise TangleError("E_SYNTAX", f"line {lineno}: tangle <name>")

@@ -200,37 +200,6 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # specializations
 
-    def substitute(self, var: str, replacement_exp2: Mapping[str, int],
-                   sign: int = 1) -> "LaurentPoly":
-        """Substitute ``var -> sign * (monomial given by replacement_exp2)``.
-
-        The replacement must have integer exponents (doubled values even); a
-        negative sign additionally requires every exponent of ``var`` in the
-        polynomial to be integral, since (-m)^(1/2) has no meaning here.
-        """
-        if var not in self.vars:
-            raise LaurentError("E_UNKNOWN_VAR", f"no variable {var!r} in {self.vars}")
-        if sign not in (1, -1):
-            raise LaurentError("E_BAD_SUBST", "sign must be +1 or -1")
-        if any(m % 2 for m in replacement_exp2.values()):
-            raise LaurentError("E_BAD_SUBST", "replacement monomial must have integer exponents")
-        i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        monomials = []
-        for e, c in self.terms.items():
-            k2 = e[i]  # doubled exponent of `var` in this term
-            if sign == -1:
-                if k2 % 2:
-                    raise LaurentError(
-                        "E_BAD_SUBST",
-                        f"cannot raise a negative monomial to exponent {k2}/2")
-                if (k2 // 2) % 2:
-                    c = -c
-            exp2 = [(v, x) for v, x in zip(rest, e[:i] + e[i + 1:]) if x]
-            exp2 += [(v, k2 * (m2 // 2)) for v, m2 in replacement_exp2.items()]
-            monomials.append((c, exp2))
-        return LaurentPoly.sum(monomials)
-
     def eval_h(self) -> "LaurentPoly":
         """Eliminate the grading variable h at h = -1."""
         if H not in self.vars:

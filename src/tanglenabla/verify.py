@@ -25,8 +25,9 @@ layouts; (m - m^-1) p is two shifted copies of p; setting a colour to ±1
 drops its digit with a sign; parity reads digits mod 4.  The glueing check
 packs each piece with colour c on the digit of its image iota(c), so a
 product term is one int addition, summed over the site pairs in one pass.
-A polynomial is decoded only for a failure payload, so a report reads as
-before.  ``euler_char`` and ``mutorient_counterexample`` compare
+A failure payload decodes the maps its comparison read (``_decoded``), so
+it shows what the check saw; a passing case builds no polynomial.
+``euler_char`` and ``mutorient_counterexample`` compare
 polynomials: the one against the gradings' Euler characteristics, the
 other on a single given diagram.
 """
@@ -37,12 +38,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from . import transform as tr
+from . import corpus, transform as tr
 from .diagram import Crossing, Site, TangleDiagram, TangleError, linking_number, serialize
 from .gradings import euler_characteristics
-from .laurent import LaurentPoly, binomial
-from .nabla import (check_product, euler_factor, nabla_all, nabla_hat_all, packed_digit,
-                    packed_family, packed_weight)
+from .laurent import H, LaurentPoly, binomial
+from .nabla import (check_product, euler_factor, nabla_all, packed_digit, packed_family,
+                    packed_weight)
 
 
 @dataclass
@@ -339,6 +340,16 @@ def _at_unit(terms: dict[int, int], read, w: int, sign: int) -> dict[int, int]:
     return {k: c for k, c in out.items() if c}
 
 
+def _decoded(terms: dict[int, int], lay: dict[str, int], hatted: bool) -> LaurentPoly:
+    """A packed map of a case as a polynomial, for a failure payload: the
+    colours of its layout ``lay`` in digit order, then h for a hatted map (at
+    h = -1, colour c is on digit ``lay[c] - 1``)."""
+    reads = [(c, packed_digit(k if hatted else k - 1)) for c, k in lay.items()]
+    if hatted:
+        reads.append((H, packed_digit(0)))
+    return LaurentPoly.sum((c, [(v, read(e)) for v, read in reads]) for e, c in terms.items())
+
+
 def _payload(**kw):
     out = {}
     for k, v in kw.items():
@@ -448,9 +459,10 @@ def _check_knot_pm_one(rng, cases, fail):
         d = random_knot_tangle(rng, rng.randint(1, 8))
         # the one colour on digit 0 at h = -1: at ±1 the value is a signed
         # sum of coefficients, on the key 0
-        p = packed_family(d, {d.colours()[0]: 1}, True)[Site(frozenset())]
+        lay = {d.colours()[0]: 1}
+        p = packed_family(d, lay, True)[Site(frozenset())]
         if _at_unit(p, read, 1, 1) != {0: 1} or _at_unit(p, read, 1, -1) != {0: 1}:
-            fail(_payload(case=k, diagram=d, value=nabla_all(d)[Site(frozenset())]))
+            fail(_payload(case=k, diagram=d, value=_decoded(p, lay, False)))
 
 
 def _check_set_pm_one(rng, cases, fail):
@@ -475,17 +487,17 @@ def _check_set_pm_one(rng, cases, fail):
         lks = {c: int(2 * linking_number(d, t1, c)) for c in d.colours() if c != t1}
         bad = _pm_one_failure(d, rest, t1, lks)
         if bad is not None:
-            s, sign, unit = bad
-            fail(_payload(case=done, diagram=d, colour=t1, site=str(s),
-                          **_pm_one_sides(d, rest, t1, s, sign, lks, unit)))
+            s, _, _, lhs, rhs = bad
+            fail(_payload(case=done, diagram=d, colour=t1, site=str(s), lhs=lhs, rhs=rhs))
             return
 
 
 def _pm_one_failure(d: TangleDiagram, rest: TangleDiagram, t1: str, lks: dict[str, int]):
-    """The first (site, sign, unit) at which the set_pm_one identity fails
-    for the closed colour t1 of d, ``rest`` the diagram without it and
-    ``lks`` its doubled linking numbers with the other colours; None if it
-    holds at every site, for t1 = 1 and t1 = -1."""
+    """The first (site, sign, unit, lhs, rhs) at which the set_pm_one
+    identity fails for the closed colour t1 of d, ``rest`` the diagram
+    without it and ``lks`` its doubled linking numbers with the other
+    colours, with its two sides decoded; None if it holds at every site, for
+    t1 = 1 and t1 = -1."""
     lay = _layout(d, rest)
     nd = packed_family(d, lay, True)
     nrest = (packed_family(rest, lay, True) if not rest.split
@@ -497,35 +509,20 @@ def _pm_one_failure(d: TangleDiagram, rest: TangleDiagram, t1: str, lks: dict[st
     for s in d.sites():
         for sign in (1, -1):
             unit = 1 if sign == 1 or (lk_total + 1) % 2 == 0 else -1
-            if _at_unit(nd[s], read, w, sign) != _binomial_times(nrest[s], m, unit):
-                return s, sign, unit
+            lhs, rhs = _at_unit(nd[s], read, w, sign), _binomial_times(nrest[s], m, unit)
+            if lhs != rhs:
+                return s, sign, unit, _decoded(lhs, lay, False), _decoded(rhs, lay, False)
     return None
-
-
-def _pm_one_sides(d, rest, t1, s, sign, lks, unit) -> dict[str, LaurentPoly]:
-    """The two sides of the set_pm_one identity at s, as polynomials."""
-    p = nabla_all(d)[s]
-    lhs = p.substitute(t1, {}, sign) if t1 in p.vars else p
-    fwd = LaurentPoly.monomial(1, {c: lk for c, lk in lks.items() if lk})
-    bwd = LaurentPoly.monomial(1, {c: -lk for c, lk in lks.items() if lk})
-    q = nabla_all(rest)[s] if not rest.split else LaurentPoly.zero()
-    return {"lhs": lhs, "rhs": LaurentPoly.integer(unit) * (fwd - bwd) * q}
 
 
 def _check_glueing(rng, cases, fail):
     for k in range(cases):
         d1 = random_diagram(rng, rng.choice((4, 6)), rng.randint(1, 4))
         d2 = random_diagram(rng, rng.choice((4, 6)), rng.randint(1, 4))
-        rec = None
-        for _ in range(40):
-            s1 = rng.randrange(len(d1.boundary))
-            s2 = rng.randrange(len(d2.boundary))
-            count = rng.randint(1, min(len(d1.boundary), len(d2.boundary)) - 1)
-            try:
-                rec = tr.glue_diagrams(d1, d2, s1, s2, count)
-                break
-            except TangleError:
-                continue
+        n = min(len(d1.boundary), len(d2.boundary))
+        tries = ((d1, d2, rng.randrange(len(d1.boundary)), rng.randrange(len(d2.boundary)),
+                  rng.randint(1, n - 1)) for _ in range(40))
+        rec = _first(tr.glue_diagrams, tries)
         if rec is None or rec.diagram.split:
             continue
         T = rec.diagram
@@ -534,8 +531,8 @@ def _check_glueing(rng, cases, fail):
         totals = _glued_sums(rec, d1, d2, lay)
         for s in T.sites():
             if totals[s] != hats_T[s]:
-                fail(_payload(case=k, glued=T, site=str(s), got=_glued_value(rec, d1, d2, s),
-                              expected=nabla_hat_all(T)[s]))
+                fail(_payload(case=k, glued=T, site=str(s), got=_decoded(totals[s], lay, True),
+                              expected=_decoded(hats_T[s], lay, True)))
                 return
 
 
@@ -595,18 +592,6 @@ def _glued_sums(rec: tr.GlueRecord, d1: TangleDiagram, d2: TangleDiagram,
     return sums
 
 
-def _glued_value(rec: tr.GlueRecord, d1: TangleDiagram, d2: TangleDiagram,
-                 s: Site) -> LaurentPoly:
-    """The right-hand side of the glueing formula at s as a polynomial: the
-    ``+`` fold of its pairs' products, colours renamed by the iotas."""
-    hats_1, hats_2 = nabla_hat_all(d1), nabla_hat_all(d2)
-    out = LaurentPoly.zero()
-    for t, s1, s2 in _glue_pairs(rec, d1, d2):
-        if t == s:
-            out = out + hats_1[s1].rename(rec.iota_1) * hats_2[s2].rename(rec.iota_2)
-    return out
-
-
 def _check_parity(rng, cases, fail):
     for k in range(cases):
         d = random_diagram(rng, rng.choice((2, 4, 6)), rng.randint(1, 8))
@@ -616,7 +601,7 @@ def _check_parity(rng, cases, fail):
             for v, read in reads:
                 if len({read(e) % 4 for e in t}) > 1:
                     fail(_payload(case=k, diagram=d, site=str(s), colour=v,
-                                  value=nabla_all(d)[s]))
+                                  value=_decoded(t, lay, False)))
                     return
 
 
@@ -646,7 +631,7 @@ def _check_fourended(rng, cases, fail):
     return f"orientation types seen: 1 x{seen[1]}, 2 x{seen[2]}"
 
 
-def _check_mutation_one(d: TangleDiagram, fail, case=0):
+def _check_mutation_one(d: TangleDiagram, fail, case: int):
     if len(d.boundary) != 4:
         raise TangleError("E_HYPOTHESIS", "mutation invariance needs a 4-ended diagram")
     open_cols = {c.colour for c in d.components if c.kind == "open"}
@@ -671,7 +656,7 @@ def _check_mutation(rng, cases, fail):
         _check_mutation_one(d, fail, case=k)
 
 
-def _euler_char_one(d: TangleDiagram, fail, case=0):
+def _euler_char_one(d: TangleDiagram, fail, case: int):
     if not d.sites():
         raise TangleError("E_HYPOTHESIS", "the Euler characteristic identity needs a "
                           "diagram with ends: one without has no site to compare")
@@ -690,13 +675,7 @@ def _check_euler_char(rng, cases, fail):
                         fail, case=k)
 
 
-def _mutorient_diagram() -> TangleDiagram:
-    from .corpus import load
-    return load("mutorient")
-
-
-def _check_mutorient(rng, cases, fail, diagram: Optional[TangleDiagram] = None):
-    d = diagram if diagram is not None else _mutorient_diagram()
+def _check_mutorient(d: TangleDiagram, fail):
     site_b = Site(frozenset({"b"}))
     closed = [c.colour for c in d.components if c.kind == "closed"]
     if not d.has_site(site_b) or not closed:
@@ -715,6 +694,8 @@ def _check_mutorient(rng, cases, fail, diagram: Optional[TangleDiagram] = None):
                       note="reversing the closed strand left the invariant unchanged"))
 
 
+# each property's check of generated cases, ``(rng, cases, fail)``, but the
+# counterexample's, which checks one diagram
 PROPERTIES: dict[str, Callable] = {
     "rm_invariance": _check_rm_invariance,
     "mirror": _check_mirror,
@@ -731,33 +712,33 @@ PROPERTIES: dict[str, Callable] = {
 }
 
 
+# the properties that run on given diagrams, one case each, by their check of
+# one diagram; mutorient_counterexample runs on one diagram (``run_check``)
+_ON_GIVEN: dict[str, Callable] = {"mutation": _check_mutation_one, "euler_char": _euler_char_one}
+
+
 def run_check(prop: str, diagrams: Optional[list[TangleDiagram]] = None,
               seed: int = 0, cases: int = 25) -> CheckReport:
     """Run one catalogue property; deterministic for a given seed.  Given
-    ``diagrams`` replace the generated ones; only ``mutation``,
-    ``euler_char`` and ``mutorient_counterexample`` take them."""
+    ``diagrams`` replace the generated ones of the properties in
+    ``_ON_GIVEN``, one case each; mutorient_counterexample checks one
+    diagram, the first given or else the corpus's ``mutorient``."""
     if prop not in PROPERTIES:
         raise TangleError("E_UNKNOWN_PROPERTY",
                           f"unknown property {prop!r}; known: {sorted(PROPERTIES)}")
-    if diagrams and prop not in ("mutation", "euler_char", "mutorient_counterexample"):
-        raise TangleError("E_HYPOTHESIS",
-                          f"property {prop!r} runs on generated diagrams only")
-    rng = random.Random(seed)
     failures: list = []
-    note = ""
     fail = failures.append
-    if prop == "mutation" and diagrams:
-        for i, d in enumerate(diagrams):
-            _check_mutation_one(d, fail, case=i)
-        cases = len(diagrams)
-    elif prop == "mutorient_counterexample":
-        _check_mutorient(rng, cases, fail,
-                         diagram=diagrams[0] if diagrams else None)
+    note = ""
+    if prop == "mutorient_counterexample":
+        _check_mutorient(diagrams[0] if diagrams else corpus.load("mutorient"), fail)
         cases = 1
-    elif prop == "euler_char" and diagrams:
+    elif diagrams:
+        if prop not in _ON_GIVEN:
+            raise TangleError("E_HYPOTHESIS",
+                              f"property {prop!r} runs on generated diagrams only")
         for i, d in enumerate(diagrams):
-            _euler_char_one(d, fail, case=i)
+            _ON_GIVEN[prop](d, fail, i)
         cases = len(diagrams)
     else:
-        note = PROPERTIES[prop](rng, cases, fail) or ""
+        note = PROPERTIES[prop](random.Random(seed), cases, fail) or ""
     return CheckReport(prop, seed, cases, not failures, failures, note)

@@ -1,0 +1,117 @@
+"""Hand-made mutants of the fast paths, each with the tests that must catch it.
+
+Each entry of ``MUTANTS`` is one mutant: a file of the repository, the exact
+text it replaces there (found once), the text that breaks it and the tests
+that must fail with it, as pytest node ids.  A fast-path test that a later
+change makes vacuous then shows as a surviving mutant.
+
+Run ``python tests/mutants.py`` from anywhere: each mutant is applied to a
+fresh temporary copy of the tree, and only its tests run, one pytest process
+at a time.  It prints one line per mutant and exits 1 if a named test does
+not fail on its mutant or an anchor text is not found once.  Tier-1 runs
+only ``test_mutants.py``, which checks the anchors and the test names, and
+starts no process.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant("frontier merge keeps the incoming least state", "src/tanglenabla/states.py",
+           "                    elif t < v:\n"
+           "                        dst[e] = t + (v & mask)\n",
+           "                    elif t < v:\n"
+           "                        dst[e] = v + (t & mask)\n",
+           ("tests/test_states.py::test_int_terms_match_the_brute_force_on_seeded_diagrams",)),
+    Mutant("least states shifted one bit too far", "src/tanglenabla/states.py",
+           "marks = [tuple([x << k for x in row]) for row in marker_codes(m)]",
+           "marks = [tuple([x << k + 1 for x in row]) for row in marker_codes(m)]",
+           ("tests/test_states.py::test_int_terms_match_the_brute_force_on_seeded_diagrams",)),
+    Mutant("lookahead one crossing too eager", "src/tanglenabla/states.py",
+           "if (need[i + 1] & ~nxt).bit_count() > m - i - 1:",
+           "if (need[i + 1] & ~nxt).bit_count() > m - i - 2:",
+           ("tests/test_states.py::test_brute_force_oracle_on_random_diagrams",
+            "tests/test_states.py::test_int_terms_match_the_brute_force_on_seeded_diagrams")),
+    Mutant("glueing sum without the merged-term addition", "src/tanglenabla/verify.py",
+           "acc[e] = acc.get(e, 0) + c1 * c2",
+           "acc[e] = c1 * c2",
+           ("tests/test_verify.py::test_one_pass_glueing_sum_matches_the_site_scan",)),
+    Mutant("E_GRADING check of the generator heads removed", "src/tanglenabla/gradings.py",
+           "    _integral(heads, layout.kbits)\n",
+           "",
+           ("tests/test_gradings.py::test_off_by_half_grading_is_e_grading_in_the_library",
+            "tests/test_cli.py::test_non_integral_grading_is_e_grading")),
+    Mutant("set_pm_one without the sign at -1", "src/tanglenabla/verify.py",
+           "out[k] = out.get(k, 0) + (-c if sign < 0 and x & 2 else c)",
+           "out[k] = out.get(k, 0) + c",
+           ("tests/test_verify.py::test_set_pm_one_weighs_the_sign_at_minus_one",)),
+    Mutant("(m^-1 - m) p in place of (m - m^-1) p", "src/tanglenabla/verify.py",
+           "        out[e + x] = out.get(e + x, 0) + unit * c\n"
+           "        out[e - x] = out.get(e - x, 0) - unit * c\n",
+           "        out[e + x] = out.get(e + x, 0) - unit * c\n"
+           "        out[e - x] = out.get(e - x, 0) + unit * c\n",
+           ("tests/test_verify.py::test_each_property_passes_small_run[set_pm_one]",
+            "tests/test_verify.py::test_each_property_passes_small_run[skein]",
+            "tests/test_verify.py::test_set_pm_one_weighs_the_sign_at_minus_one")),
+    Mutant("hatted families spoiled by a stray term", "src/tanglenabla/nabla.py",
+           "            out[s] = terms\n",
+           "            out[s] = {**terms, 1 << 200: 1}\n",
+           ("tests/test_verify.py::test_each_property_passes_small_run[glueing]",
+            "tests/test_verify.py::test_one_pass_glueing_sum_matches_the_site_scan")),
+]
+
+
+def _failed(output: str) -> set[str]:
+    """The node ids that pytest's ``-rf`` summary lists as failed."""
+    return {line.split()[1] for line in output.splitlines() if line.startswith("FAILED ")}
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """(caught, detail): apply ``mutant`` to a temporary copy of the tree
+    and run its tests; caught when every one of them fails."""
+    text = (ROOT / mutant.file).read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return False, f"anchor found {text.count(mutant.old)} times in {mutant.file}"
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        (tree / mutant.file).write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             *mutant.tests], cwd=tree, capture_output=True, text=True)
+    survived = [t for t in mutant.tests if t not in _failed(proc.stdout)]
+    if survived:
+        return False, f"not failed: {', '.join(survived)}"
+    return True, f"{len(mutant.tests)} of {len(mutant.tests)} tests fail"
+
+
+def main() -> int:
+    missed = 0
+    for mutant in MUTANTS:
+        caught, detail = run(mutant)
+        missed += not caught
+        print(f"{'caught' if caught else 'MISSED'}  {mutant.name}: {detail}", flush=True)
+    print(f"{len(MUTANTS) - missed} of {len(MUTANTS)} mutants caught")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

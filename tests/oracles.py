@@ -12,7 +12,8 @@ is summed by a scan of every site pair per target site; ``add_all`` sums a
 list of polynomials in one pass with the table of their ``+`` fold, and
 ``pack`` packs a polynomial as ``nabla.packed_family`` packs a family.
 ``CHECKS`` holds the catalogue checks as they ran on polynomials, before
-they compared packed families.  ``rescan_euler``, ``gradings_output`` and
+they compared packed families, with ``substitute``, the specialization
+they were written with.  ``rescan_euler``, ``gradings_output`` and
 ``poincare_table`` work from a generator list: the graded Euler
 characteristic as a running sum over it, the ``gradings`` command's stdout
 as the sorted list written by ``json.dumps`` or line by line, and the
@@ -51,7 +52,7 @@ from tanglenabla import verify as vf
 from tanglenabla.diagram import (Crossing, Region, Site, TangleDiagram, TangleError,
                                  linking_number, serialize)
 from tanglenabla.gradings import GradedGenerator, generator_gradings
-from tanglenabla.laurent import H, LaurentPoly, _order_vars, binomial
+from tanglenabla.laurent import H, LaurentError, LaurentPoly, _order_vars, binomial
 from tanglenabla.nabla import nabla_all, nabla_hat_all
 from tanglenabla.states import enumerate_states
 
@@ -699,8 +700,39 @@ def _try_random_diagram(rng, n_ends, n_crossings) -> Optional[TangleDiagram]:
 # ``==``.  They draw the same diagrams from the rng and write the same
 # failure payloads, so a report is the same with either check.
 
+def substitute(p: LaurentPoly, var: str, replacement_exp2, sign: int = 1) -> LaurentPoly:
+    """p with ``var -> sign * (monomial given by replacement_exp2)``.
+
+    The replacement must have integer exponents (doubled values even); a
+    negative sign additionally requires every exponent of ``var`` in the
+    polynomial to be integral, since (-m)^(1/2) has no meaning here.
+    """
+    if var not in p.vars:
+        raise LaurentError("E_UNKNOWN_VAR", f"no variable {var!r} in {p.vars}")
+    if sign not in (1, -1):
+        raise LaurentError("E_BAD_SUBST", "sign must be +1 or -1")
+    if any(m % 2 for m in replacement_exp2.values()):
+        raise LaurentError("E_BAD_SUBST", "replacement monomial must have integer exponents")
+    i = p.vars.index(var)
+    rest = p.vars[:i] + p.vars[i + 1:]
+    monomials = []
+    for e, c in p.terms.items():
+        k2 = e[i]  # doubled exponent of `var` in this term
+        if sign == -1:
+            if k2 % 2:
+                raise LaurentError(
+                    "E_BAD_SUBST",
+                    f"cannot raise a negative monomial to exponent {k2}/2")
+            if (k2 // 2) % 2:
+                c = -c
+        exp2 = [(v, x) for v, x in zip(rest, e[:i] + e[i + 1:]) if x]
+        exp2 += [(v, k2 * (m2 // 2)) for v, m2 in replacement_exp2.items()]
+        monomials.append((c, exp2))
+    return LaurentPoly.sum(monomials)
+
+
 def _sub_if(p: LaurentPoly, var: str, repl, sign=1) -> LaurentPoly:
-    return p.substitute(var, repl, sign) if var in p.vars else p
+    return substitute(p, var, repl, sign) if var in p.vars else p
 
 
 def _invert_all(p: LaurentPoly, colours, invert_h=False) -> LaurentPoly:

@@ -402,6 +402,19 @@ def test_transform_reverse_and_glue(tmp_path, capsys):
     assert code == 0 and "ends 4" in out3
 
 
+def test_reverse_with_empty_colours_reverses_nothing(capsys):
+    # only a missing --colours means every strand; an empty one names the
+    # empty colour, as "t1," does
+    every = run_cli("transform", "reverse", corpus_arg("clasp"), capsys=capsys)
+    assert every[0] == 0
+    assert every == run_cli("transform", "reverse", corpus_arg("clasp"),
+                            "--colours", "t1,ti", capsys=capsys)
+    for colours in ("", "t1,"):
+        code, out, err = run_cli("transform", "reverse", corpus_arg("clasp"),
+                                 "--colours", colours, capsys=capsys)
+        assert (code, out) == (1, "") and err.startswith("error: E_UNKNOWN_COLOUR: "), colours
+
+
 def test_glue_start_outside_the_ends_is_e_bad_location(capsys):
     # clasp has 4 ends and crossing_pos 4; an end is 0 <= start < 4 on each
     # side, not read modulo the number of ends

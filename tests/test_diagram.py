@@ -59,6 +59,22 @@ def test_colour_lines_name_each_edge_of_the_diagram_once():
         assert str(e.value).startswith(f"E_SYNTAX: line {line}: "), tail
 
 
+def test_header_lines_appear_once():
+    # a second tangle, ends, boundary or outer line does not overwrite the
+    # first, and an outer line does not ride along with a boundary line
+    body = "crossing x1 + under e1 e2 over e2 e3\ncolour e1 t\n"
+    assert parse_tangle("tangle t\nends 2\nboundary a e1 b e3\n" + body).arcs == ("a", "b")
+    for head, line in (("tangle t\nends 2\nboundary a e1 b e3\nboundary x e3 y e1\n", 4),
+                       ("tangle t\ntangle u\nboundary a e1 b e3\n", 2),
+                       ("ends 2\nboundary a e1 b e3\nends 2\n", 3),
+                       ("tangle t\nouter z e1 R\nboundary a e1 b e3\n", 3),
+                       ("boundary a e1 b e3\nouter z e1 R\n", 2),
+                       ("outer z e1 R\nouter z e1 L\n", 2)):
+        with pytest.raises(TangleError) as e:
+            parse_tangle(head + body)
+        assert str(e.value).startswith(f"E_SYNTAX: line {line}: "), head
+
+
 def test_no_crossing_rejected():
     with pytest.raises(TangleError) as e:
         parse_tangle("tangle t\nends 2\nboundary a e1 b e1\ncolour e1 t\n")

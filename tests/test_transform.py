@@ -12,7 +12,7 @@ from tanglenabla import transform as tr
 from tanglenabla.verify import random_diagram, random_rm_sequence
 
 from conftest import load, seeded_diagrams, transform_outputs
-from oracles import brute_force_states, isomorphic
+from oracles import brute_force_states, isomorphic, substitute
 
 
 def S(*labels):
@@ -20,7 +20,7 @@ def S(*labels):
 
 
 def sub_if(p, v, repl):
-    return p.substitute(v, repl) if v in p.vars else p
+    return substitute(p, v, repl) if v in p.vars else p
 
 
 # ----------------------------------------------------------------------

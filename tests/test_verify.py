@@ -168,8 +168,9 @@ def _seeded_glues(seed, count):
 
 
 def test_one_pass_glueing_sum_matches_the_site_scan():
-    # the packed sums are the site scan's polynomials packed, and the glued
-    # diagram's family; among the records: iotas that send two colours of a
+    # the packed sums are the site scan's polynomials packed, which a
+    # failure payload decodes back, and the glued diagram's family; among
+    # the records: iotas that send two colours of a
     # piece to one glued colour, once where two terms of a piece then
     # coincide, and piece arcs on a closed region of the glued diagram,
     # which lie in no site
@@ -182,6 +183,7 @@ def test_one_pass_glueing_sum_matches_the_site_scan():
         slow = glueing_sums(rec, hats_1, hats_2)
         assert list(fast) == list(slow) == T.sites()
         assert fast == {s: oracles.pack(p, lay) for s, p in slow.items()}
+        assert {s: verify._decoded(x, lay, True) for s, x in fast.items()} == slow
         assert fast == packed_family(T, lay)
         sites += len(fast)
         nonzero += sum(1 for x in fast.values() if x)
@@ -200,22 +202,30 @@ def test_one_pass_glueing_sum_matches_the_site_scan():
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_one_pass_glueing_sum_matches_the_site_scan_law(seed):
-    # the packed sums match the site scan, and a failure payload's
-    # polynomial keeps the variable table of the + fold in pair order
     for rec, d1, d2 in _seeded_glues(seed, 2):
         lay = verify._layout(rec.diagram)
         slow = glueing_sums(rec, nabla_hat_all(d1), nabla_hat_all(d2))
         assert verify._glued_sums(rec, d1, d2, lay) == {s: oracles.pack(p, lay)
                                                         for s, p in slow.items()}
-        for s, p in slow.items():
-            got = verify._glued_value(rec, d1, d2, s)
-            assert got.vars == p.vars and got.to_json() == p.to_json(), str(s)
+
+
+def _pretty_terms(text):
+    """The terms of a ``pretty`` text, each its sign and the set of its
+    factors, so the texts of one polynomial over two variable orders give
+    the same terms."""
+    terms = []
+    for tok in ("- " + text[1:] if text.startswith("-") else "+ " + text).split():
+        if tok in ("+", "-"):
+            terms.append([tok])
+        else:
+            terms[-1].append(tok)
+    return sorted((t[0], sorted(t[1:])) for t in terms)
 
 
 def test_glueing_failure_reports_the_first_site(monkeypatch):
     # every packed family gains a term that no product matches: the check
     # stops at the first site of the first glued case and reports both
-    # sides, decoded as polynomials
+    # sides, decoded from the maps it compared, so they differ
     real = verify.packed_family
 
     def spoiled(d, digit, at_h=False):
@@ -229,6 +239,18 @@ def test_glueing_failure_reports_the_first_site(monkeypatch):
     glued = parse_tangle(f["glued"])
     assert f["site"] == str(glued.sites()[0])
     assert f["got"] and f["expected"]
+    assert _pretty_terms(f["got"]) != _pretty_terms(f["expected"])
+
+
+def test_a_broken_fast_path_shows_in_its_report(monkeypatch):
+    # with m^-1 - m in place of m - m^-1, the two sides that set_pm_one
+    # reports are the maps it compared, so they differ
+    monkeypatch.setattr(verify, "_binomial_times", _swapped_monomial)
+    reports = [run_check("set_pm_one", seed=seed, cases=1) for seed in range(40)]
+    failures = [f for rep in reports for f in rep.failures]
+    assert len(failures) >= 15
+    for f in failures:
+        assert _pretty_terms(f["lhs"]) != _pretty_terms(f["rhs"]), f
 
 
 @pytest.mark.parametrize("prop", sorted(oracles.CHECKS))
@@ -239,13 +261,12 @@ def test_packed_checks_report_as_the_polynomial_checks(monkeypatch, prop):
 
 
 def test_passing_cases_build_no_polynomial(monkeypatch):
-    # the packed checks decode, substitute and compare no LaurentPoly unless
-    # a case fails
+    # the packed checks decode and compare no LaurentPoly unless a case fails
     def refuse(*args, **kw):
         raise AssertionError("a passing case built a polynomial")
 
     monkeypatch.setattr(nabla, "_decode", refuse)
-    monkeypatch.setattr(LaurentPoly, "substitute", refuse)
+    monkeypatch.setattr(verify, "_decoded", refuse)
     monkeypatch.setattr(LaurentPoly, "__eq__", refuse)
     for prop in oracles.CHECKS:
         for seed in (0, 7):
@@ -511,10 +532,11 @@ def test_set_pm_one_weighs_the_sign_at_minus_one(monkeypatch):
             assert lhs == rhs, (d.name, str(s))
             assert verify._at_unit(nd[s], read, w, -1) == oracles.pack(lhs, at)
             assert verify._binomial_times(nrest[s], m, -1) == oracles.pack(rhs, at)
+            assert verify._decoded(verify._at_unit(nd[s], read, w, -1), lay, False) == lhs
     # with the sign (-1)^(x/2) dropped, t1 = -1 reads as t1 = 1 and the
     # identity at -1 fails on every case
     monkeypatch.setattr(verify, "_at_unit",
                         lambda t, read, w, sign: _REAL["_at_unit"](t, read, w, 1))
     for case in cases:
         bad = verify._pm_one_failure(*case)
-        assert bad is not None and bad[1:] == (-1, -1), case[0].name
+        assert bad is not None and bad[1:3] == (-1, -1), case[0].name

@@ -13,6 +13,7 @@ import argparse
 import functools
 import os
 import sys
+from itertools import chain
 
 from . import corpus, layout
 from .diagram import Site, TangleError, parse_tangle, serialize
@@ -83,7 +84,7 @@ def _cmd_regions(args):
 def _cmd_states(args):
     """The states in lex order with their sites, from one pass that keeps
     one term per state (``states.marker_codes``); the sort takes (marker
-    code, site index) pairs."""
+    code, site index) pairs, and each state is written as it is made."""
     d = _read_diagram(args.diagram)
     _sites(d)
     m = len(d.crossings)
@@ -92,12 +93,12 @@ def _cmd_states(args):
     if args.format == "json":
         at = layout.tails(m)
         tails = [at(layout.site_json(s)) for s, _ in sums]
-        sys.stdout.writelines(layout.table(
-            d.name, "states", ["    {\n" + tails[j](x) for x, j in rows]))
-        return 0
-    at = layout.markers(m, lambda i, q: f"x{i + 1}:q{q}", " ")
-    lines = [at(post=f"  site {s}") for s, _ in sums]
-    sys.stdout.write("\n".join([lines[j](x) for x, j in rows]) + "\n")
+        pieces = ("    {\n" + tails[j](x) for x, j in rows)
+    else:
+        at = layout.markers(m, lambda i, q: f"x{i + 1}:q{q}", " ")
+        lines = [at(post=f"  site {s}\n") for s, _ in sums]
+        pieces = (lines[j](x) for x, j in rows)
+    layout.write_table(d.name, "states", pieces, args.format == "json")
     return 0
 
 
@@ -126,40 +127,38 @@ def _cmd_conway(args):
     return 0
 
 
-def _text_site(keys):
-    """``chunk(s, groups)``: the text lines of site s's generators, as
-    ``layout.json_site`` takes them; a line has no markers, so a run is its
+def _text_runs(keys):
+    """``runs(s, groups)``: the text lines of site s's generators, as
+    ``layout.json_runs`` makes them; a line has no markers, so a run is its
     head's line once per state of its group."""
-    labels = [f"{c}^" for c in keys.colours]
-    bits = ["".join(map(str, b)) or "-" for b in keys.bits]
-    alex: dict[int, str] = {}
+    @functools.cache
+    def alexander(alex: int) -> str:
+        return " ".join([f"{c}^{e / 2:+g}" for c, e in zip(keys.colours, keys.alexander(alex))])
 
-    def chunk(s, groups):
+    @functools.cache
+    def grading(low: int) -> str:
+        delta2, h, k = keys.grading(low)
+        return f"  delta^{delta2 / 2:+g}  h={h}  bits={''.join(map(str, keys.bits[k])) or '-'}\n"
+
+    def runs(s, groups):
+        site = f"site {s}  "
         sizes = [len(codes) for codes in groups.values()]
-        out = []
-        for packed, delta2, h, k, g in keys.runs(groups):
-            a = alex.get(packed)
-            if a is None:
-                a2 = keys.alexander(packed)
-                a = alex[packed] = " ".join(f"{c}{e / 2:+g}" for c, e in zip(labels, a2))
-            out.append(f"site {s}  {a}  delta^{delta2 / 2:+g}  h={h}  bits={bits[k]}\n"
-                       * sizes[g])
-        return "".join(out)
-    return chunk
+        for alex, low, g in keys.runs(groups):
+            yield (site + alexander(alex) + grading(low)) * sizes[g]
+    return runs
 
 
 def _cmd_gradings(args):
     """The generator table, sorted by site (as text), Alexander vector,
-    delta and decoration; built in full before the first write, so an
+    delta and decoration; checked in full, then written run by run, so an
     E_GRADING leaves no output."""
     d = _read_diagram(args.diagram)
     _sites(d)
     keys, sites = generator_keys(d)
-    chunk = (layout.json_site if args.format == "json" else _text_site)(keys)
-    chunks = [chunk(s, groups) for s, groups in sorted(sites, key=lambda t: str(t[0]))]
-    if args.format == "json":
-        chunks = layout.table(d.name, "generators", chunks)
-    sys.stdout.writelines(chunks or ["\n"])
+    runs = (layout.json_runs if args.format == "json" else _text_runs)(keys)
+    layout.write_table(d.name, "generators", chain.from_iterable(
+        runs(s, groups) for s, groups in sorted(sites, key=lambda t: str(t[0]))),
+        args.format == "json")
     return 0
 
 

@@ -68,42 +68,41 @@ class KeyLayout(NamedTuple):
     at: list[int]                     # delta's; colour j's is at[j] bits above 4h's
 
     def grades(self, head: int) -> tuple[tuple[int, ...], int, int, int]:
-        """``(a2, delta2, h, k)`` of a generator's ``key >> 2m``.  Its 4h
-        digit is a multiple of 4: ``generator_keys`` checked the head, and a
-        decoration adds multiples of 4 to it."""
-        e = head >> self.kbits
-        return (tuple([(e >> at & _MASK) - _HALF for at in self.at]),
-                (e >> _BITS & _MASK) - _HALF, (e & _MASK) - _HALF >> 2,
-                head & (1 << self.kbits) - 1)
+        """``(a2, delta2, h, k)`` of a generator's ``key >> 2m``."""
+        low = self.kbits + 2 * _BITS
+        return (self.alexander(head >> low), *self.grading(head & (1 << low) - 1))
 
     def alexander(self, alex: int) -> tuple[int, ...]:
         """The doubled Alexander entries (colours by name) of the bits of a
         key above delta's digit."""
         return tuple([(alex >> at - 2 * _BITS & _MASK) - _HALF for at in self.at])
 
+    def grading(self, low: int) -> tuple[int, int, int]:
+        """``(delta2, h, k)`` of the bits of a head below its Alexander
+        digits.  Its 4h digit is a multiple of 4: ``generator_keys`` checked
+        the head, and a decoration adds multiples of 4 to it."""
+        e = low >> self.kbits
+        return (e >> _BITS & _MASK) - _HALF, (e & _MASK) - _HALF >> 2, low & (1 << self.kbits) - 1
+
     def runs(self, groups: dict[int, list]):
         """One site's generators in key order, one run per head.
 
         ``groups`` maps a state's head without decoration (see
         ``generator_keys``) to the marker codes of that group's states.
-        Yields ``(alex, delta2, h, k, g)``: the gradings of group g (by
-        position in ``groups``) under decoration k, whose generators are the
-        group's states in lex order; ``alex`` is the packed Alexander vector
-        (see ``alexander``).  Heads of distinct runs differ, so the site sorts
-        one int per run, the group's head plus the decoration's; each group
-        is decoded once, and decoration k adds its number of set bits to h.
+        Yields ``(alex, low, g)``: group g (by position in ``groups``) under
+        one decoration, whose generators are the group's states in lex
+        order, has the head whose Alexander digits are ``alex`` (see
+        ``alexander``) and whose bits below them are ``low`` (see
+        ``grading``).  Heads of distinct runs differ, so the site sorts one
+        int per run, the group's head plus the decoration's, and splits it.
         """
         shift = 2 * self.m
         dec = [dk >> shift for dk in self.dec_keys]     # bias, decoration shifts and k
-        grades = [self.grades(gh + dec[0])[1:3] for gh in groups]   # (delta2, h)
-        set_bits = [sum(b) for b in self.bits]
-        gb = len(grades).bit_length()
-        gmask, kmask = (1 << gb) - 1, (1 << self.kbits) - 1
+        gb = len(groups).bit_length()
+        gmask, lmask = (1 << gb) - 1, (1 << self.kbits + 2 * _BITS) - 1
         drop = gb + self.kbits + 2 * _BITS
         for key in sorted([gh + dh << gb | g for g, gh in enumerate(groups) for dh in dec]):
-            delta2, h = grades[key & gmask]
-            k = key >> gb & kmask
-            yield key >> drop, delta2, h + set_bits[k], k, key & gmask
+            yield key >> drop, key >> gb & lmask, key & gmask
 
 
 def _integral(keys: int, at: int) -> None:
@@ -260,7 +259,8 @@ def poincare_table(d: TangleDiagram):
     rows: Counter = Counter()
     for site, groups in sites:
         sizes = [len(xs) for xs in groups.values()]
-        for alex, delta2, h, _, g in layout.runs(groups):
+        for alex, low, g in layout.runs(groups):
+            delta2, h, _ = layout.grading(low)
             rows[str(site), layout.alexander(alex), delta2, h] += sizes[g]
     return [{"site": site, "alexander": {v: e / 2 for v, e in zip(layout.colours, a2)},
              "delta": d2 / 2, "h": h, "count": count}

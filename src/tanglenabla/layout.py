@@ -1,4 +1,5 @@
-"""The JSON text of the command line's outputs.
+"""The JSON text of the command line's outputs, and the writer of its
+two tables.
 
 Every JSON payload is written here byte for byte as ``json.dumps(value,
 indent=2, sort_keys=True)`` writes it: two spaces per level of nesting,
@@ -13,8 +14,10 @@ the polynomials took to compute; these writers fill fixed templates:
   ``LaurentPoly.to_json``, straight from its terms;
 * ``dump`` writes a payload of dicts, lists, strings, ints, bools, None and
   polynomials;
-* ``table`` wraps the per-state chunks of ``states`` and ``gradings``, which
-  ``tails`` and ``json_site`` write;
+* ``write_table`` writes the tables of ``states`` and ``gradings`` to
+  stdout piece by piece as they are made, as JSON or as text lines;
+  ``json_runs`` makes the JSON pieces of ``gradings``, a run's head and
+  then its generators, and ``tails`` the end of each state or generator;
 * ``markers`` writes a state's markers from tables of four-marker pieces,
   for ``tails`` and the text of ``states``.
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from itertools import product
 
 from .diagram import Site
@@ -78,15 +82,26 @@ def dump(value, depth: int = 0) -> str:
     return json.dumps(value)
 
 
-def table(name: str, key: str, chunks: list[str]) -> list[str]:
-    """The pieces of ``{"diagram": name, key: [...]}`` with a final newline,
-    the list items being the texts of ``chunks`` (each item at depth 2 and
-    followed by a comma and a newline, as ``tails`` ends them); ``key``
-    sorts after "diagram"."""
-    if not chunks:
-        return [dump({"diagram": name, key: []}) + "\n"]
-    return ['{\n  "diagram": %s,\n  "%s": [\n' % (json.dumps(name), key),
-            *chunks[:-1], chunks[-1][:-2], "\n  ]\n}\n"]   # no comma after the last
+def write_table(name: str, key: str, pieces, as_json: bool) -> None:
+    """Write a table to stdout piece by piece, as ``pieces`` yields them.
+
+    As JSON it is ``{"diagram": name, key: [...]}`` with a final newline,
+    the list items being the text of ``pieces`` (each item at depth 2 and
+    followed by a comma and a newline, as ``tails`` ends them; ``key`` sorts
+    after "diagram"); as text it is the pieces, or one empty line if there
+    are none.  Only the last piece is held back, to drop its comma."""
+    write = sys.stdout.write
+    pieces = iter(pieces)
+    last = next(pieces, None)
+    if last is None:
+        write(dump({"diagram": name, key: []}) + "\n" if as_json else "\n")
+        return
+    if as_json:
+        write('{\n  "diagram": %s,\n  "%s": [\n' % (json.dumps(name), key))
+    for piece in pieces:
+        write(last)
+        last = piece
+    write(last[:-2] + "\n  ]\n}\n" if as_json else last)
 
 
 def site_json(s: Site) -> str:
@@ -94,24 +109,15 @@ def site_json(s: Site) -> str:
     return block(list(map(json.dumps, sorted(s.arcs))), "[]", 3)
 
 
-# a generator's JSON text: a head fixed by its key >> 2m, then a tail
-# (``tails``) fixed by its state; in ``states``, a state is "    {" and a tail
-_HEAD = """    {
-      "alexander2": %s,
-      "delta2": %d,
-      "h": %d,
-      "ladybug_bits": %s,
-"""
-
-
 def markers(m: int, piece, sep: str):
     """``at(pre, post)``: the function from the base-4 marker code of an
     m-crossing state to ``pre``, its markers joined by ``sep``, and
     ``post``, crossing i's marker q written as ``piece(i, q)``.
 
-    The code is read a byte (four markers) at a time from a table of 256
-    joined pieces per position; the leading m % 4 markers, if any, have
-    their own smaller table.  Positions whose pieces agree share a table."""
+    The code is read a byte (four markers) at a time, most significant
+    first, from a table of 256 joined pieces per position; the leading
+    1 to 4 markers have their own table, of 4 to 256 pieces.  Positions
+    whose pieces agree share a table."""
     if not m:
         return lambda pre="", post="": lambda x: pre + post
 
@@ -120,13 +126,12 @@ def markers(m: int, piece, sep: str):
         return list(map(sep.join, product(*labels)))
 
     labels = [tuple([piece(i, q) for q in range(4)]) for i in range(m)]
-    lead = 8 * ((m - 1) // 4)                    # the bits below the leading piece
-    top = table(tuple(labels[:m - lead // 2]))
-    rest = [(k, table(tuple(labels[m - 4 - k // 2:m - k // 2]))) for k in range(lead - 8, -1, -8)]
+    n = (m + 3) // 4                             # bytes of a code
+    tables = [table(tuple(labels[max(0, m - 4 * b - 4):m - 4 * b])) for b in range(n - 1, -1, -1)]
+    get = list.__getitem__
 
     def at(pre: str = "", post: str = ""):
-        return lambda x: (pre + sep.join([top[x >> lead], *[t[x >> k & 255] for k, t in rest]])
-                          + post)
+        return lambda x: pre + sep.join(map(get, tables, x.to_bytes(n, "big"))) + post
     return at
 
 
@@ -134,7 +139,8 @@ def tails(m: int):
     """``tails(site)``: the function from the base-4 marker code of an
     m-crossing state at the site whose JSON text is ``site`` to its tail,
     the markers and the site closed with a comma, as ``dump`` lays out the
-    end of a generator or a state."""
+    end of a generator or a state.  A generator is a head fixed by its key
+    >> 2m (``json_runs``) and a tail; a state is "    {" and a tail."""
     at = markers(m, lambda i, q: str(q), ",\n        ")
     pre, post = ('      "markers": [\n        ', "\n      ],\n") if m else \
         ('      "markers": [', "],\n")
@@ -142,29 +148,34 @@ def tails(m: int):
     return lambda site: at(pre, post + end % site)
 
 
-def json_site(keys):
-    """``chunk(s, groups)``: the JSON text of site s's generators, each with
-    a comma after it, byte for byte as ``dump`` lays them out in the
-    gradings payload.  ``groups`` maps a state's head without decoration to
-    the marker codes of its states in lex order (see ``KeyLayout.runs``).
-    Each run's head is rendered once and each state's tail once
-    (``tails``), and a run is written as ``head + head.join(tails)``."""
-    labels = [json.dumps(c) + ": " for c in keys.colours]
+def json_runs(keys):
+    """``runs(s, groups)``: the JSON text of site s's generators, each with a
+    comma after it, byte for byte as ``dump`` lays them out in the gradings
+    payload, one piece per run (see ``KeyLayout.runs``) for ``write_table``:
+    ``head.join`` of ``""`` and its group's tails.  A head is the text of its
+    Alexander digits, filled into a template with one slot per colour (a
+    colour name is a token, so it holds no "%"), and the text of its bits
+    below them, delta, h and the decoration; each is made once per table,
+    and each state's tail once per site (``tails``)."""
+    template = "    {\n      \"alexander2\": " + block(
+        [json.dumps(c) + ": %d" for c in keys.colours], "{}", 3) + ",\n"
     bits = [block(list(map(str, b)), "[]", 3) for b in keys.bits]
     tail_at = tails(keys.m)
-    alex: dict[int, str] = {}
 
-    def chunk(s, groups):
+    @functools.cache
+    def alexander(alex: int) -> str:
+        return template % keys.alexander(alex)
+
+    @functools.cache
+    def grading(low: int) -> str:
+        delta2, h, k = keys.grading(low)
+        return '      "delta2": %d,\n      "h": %d,\n      "ladybug_bits": %s,\n' % (
+            delta2, h, bits[k])
+
+    def runs(s, groups):
         tail = tail_at(site_json(s))
-        group_tails = [list(map(tail, codes)) for codes in groups.values()]
-        out = []
-        for packed, delta2, h, k, g in keys.runs(groups):
-            a = alex.get(packed)
-            if a is None:
-                a2 = keys.alexander(packed)
-                a = alex[packed] = block([f"{c}{e}" for c, e in zip(labels, a2)], "{}", 3)
-            head = _HEAD % (a, delta2, h, bits[k])
-            out.append(head)
-            out.append(head.join(group_tails[g]))
-        return "".join(out)
-    return chunk
+        # "" first, so that the join starts with the head
+        group_tails = [["", *map(tail, codes)] for codes in groups.values()]
+        for alex, low, g in keys.runs(groups):
+            yield (alexander(alex) + grading(low)).join(group_tails[g])
+    return runs

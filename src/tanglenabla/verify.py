@@ -675,7 +675,7 @@ def _check_euler_char(rng, cases, fail):
                         fail, case=k)
 
 
-def _check_mutorient(d: TangleDiagram, fail):
+def _check_mutorient(d: TangleDiagram, fail, case: int):
     site_b = Site(frozenset({"b"}))
     closed = [c.colour for c in d.components if c.kind == "closed"]
     if not d.has_site(site_b) or not closed:
@@ -686,16 +686,16 @@ def _check_mutorient(d: TangleDiagram, fail):
                 - binomial("r")
                 - LaurentPoly.monomial(1, {"p": -4, "r": -2}))
     if vals[site_b] != expected:
-        fail(_payload(diagram=d, got=vals[site_b], expected=expected))
+        fail(_payload(case=case, diagram=d, got=vals[site_b], expected=expected))
         return
     rev = tr.reverse_orientation(d, {closed[0]})
     if nabla_all(rev)[site_b] == vals[site_b]:
-        fail(_payload(diagram=d,
+        fail(_payload(case=case, diagram=d,
                       note="reversing the closed strand left the invariant unchanged"))
 
 
 # each property's check of generated cases, ``(rng, cases, fail)``, but the
-# counterexample's, which checks one diagram
+# counterexample's, which checks given diagrams only (``_ON_GIVEN``)
 PROPERTIES: dict[str, Callable] = {
     "rm_invariance": _check_rm_invariance,
     "mirror": _check_mirror,
@@ -713,26 +713,26 @@ PROPERTIES: dict[str, Callable] = {
 
 
 # the properties that run on given diagrams, one case each, by their check of
-# one diagram; mutorient_counterexample runs on one diagram (``run_check``)
-_ON_GIVEN: dict[str, Callable] = {"mutation": _check_mutation_one, "euler_char": _euler_char_one}
+# one diagram ``(d, fail, case)``
+_ON_GIVEN: dict[str, Callable] = {"mutation": _check_mutation_one, "euler_char": _euler_char_one,
+                                  "mutorient_counterexample": _check_mutorient}
 
 
 def run_check(prop: str, diagrams: Optional[list[TangleDiagram]] = None,
               seed: int = 0, cases: int = 25) -> CheckReport:
     """Run one catalogue property; deterministic for a given seed.  Given
     ``diagrams`` replace the generated ones of the properties in
-    ``_ON_GIVEN``, one case each; mutorient_counterexample checks one
-    diagram, the first given or else the corpus's ``mutorient``."""
+    ``_ON_GIVEN``, one case each; without them, mutorient_counterexample
+    checks the corpus's ``mutorient``."""
     if prop not in PROPERTIES:
         raise TangleError("E_UNKNOWN_PROPERTY",
                           f"unknown property {prop!r}; known: {sorted(PROPERTIES)}")
     failures: list = []
     fail = failures.append
     note = ""
-    if prop == "mutorient_counterexample":
-        _check_mutorient(diagrams[0] if diagrams else corpus.load("mutorient"), fail)
-        cases = 1
-    elif diagrams:
+    if prop == "mutorient_counterexample" and not diagrams:
+        diagrams = [corpus.load("mutorient")]
+    if diagrams:
         if prop not in _ON_GIVEN:
             raise TangleError("E_HYPOTHESIS",
                               f"property {prop!r} runs on generated diagrams only")

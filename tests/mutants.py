@@ -75,6 +75,29 @@ MUTANTS = [
            "            out[s] = {**terms, 1 << 200: 1}\n",
            ("tests/test_verify.py::test_each_property_passes_small_run[glueing]",
             "tests/test_verify.py::test_one_pass_glueing_sum_matches_the_site_scan")),
+    Mutant("mirror without negation", "src/tanglenabla/verify.py",
+           "    return {-e: c for e, c in terms.items()}\n",
+           "    return {e: c for e, c in terms.items()}\n",
+           ("tests/test_verify.py::test_each_property_passes_small_run[mirror]",
+            "tests/test_acceptance.py::test_criterion_8_identity_suite")),
+    Mutant("reversal with the wrong sign", "src/tanglenabla/verify.py",
+           "return {e - sum([read(e) * w for read, w in flips]) + shift: c",
+           "return {e + sum([read(e) * w for read, w in flips]) + shift: c",
+           ("tests/test_verify.py::test_each_property_passes_small_run[reversal]",
+            "tests/test_acceptance.py::test_criterion_8_identity_suite")),
+    Mutant("last table piece written with its comma", "src/tanglenabla/layout.py",
+           'write(last[:-2] + "\\n  ]\\n}\\n" if as_json else last)',
+           'write(last[:-1] + "\\n  ]\\n}\\n" if as_json else last)',
+           ("tests/test_cli.py::test_gradings_json_writer_matches_json_dumps",
+            "tests/test_cli.py::test_tables_are_written_as_they_are_made",
+            "tests/test_layout.py::test_table_matches_json_dumps",
+            "tests/test_layout.py::test_every_json_command_is_written_as_json_dumps_writes_it")),
+    Mutant("a site's runs written in group order", "src/tanglenabla/layout.py",
+           "        for alex, low, g in keys.runs(groups):\n            yield (",
+           "        for alex, low, g in sorted(keys.runs(groups), key=lambda r: r[2]):\n"
+           "            yield (",
+           ("tests/test_cli.py::test_gradings_json_writer_matches_json_dumps",
+            "tests/test_cli.py::test_tables_are_written_as_they_are_made")),
 ]
 
 

@@ -17,7 +17,7 @@ from tanglenabla.transform import close_tangle
 from tanglenabla.verify import PROPERTIES
 
 from conftest import seeded_diagrams
-from oracles import gradings_output
+from oracles import brute_force_site, brute_force_states, gradings_output
 
 
 def run_cli(*argv, capsys=None):
@@ -113,6 +113,62 @@ def test_gradings_json_writer_matches_json_dumps(tmp_path, monkeypatch, capsys):
     for fmt in ("json", "text"):
         code, out, _ = run_cli("--format", fmt, "gradings", corpus_arg("clasp"), capsys=capsys)
         assert (code, out) == (0, gradings_output("clasp", [], fmt)), fmt
+
+
+class _Writes:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+
+def _items(text, fmt):
+    """The states or generators that a write holds in whole or in part: in
+    JSON each begins with "    {", as text each is a line."""
+    return text.split("    {\n")[1:] if fmt == "json" else text.splitlines()
+
+
+def test_tables_are_written_as_they_are_made(monkeypatch):
+    # each write holds one run of generators (one head, one site) or one
+    # state, and the writes join to the oracle's table
+    diagrams = [d for d in seeded_diagrams(5, 40, 7)
+                if not d.split and d.m_closed and len(d.sites()) >= 3]
+    assert len(diagrams) >= 3
+    for d in diagrams:
+        gens = generator_gradings(d)
+        rows = [(x, brute_force_site(d, x)) for x in brute_force_states(d)]
+        states = [{"markers": list(x), "site": sorted(s.arcs)} for x, s in rows]
+        want = {
+            ("gradings", "json"): gradings_output(d.name, gens, "json"),
+            ("gradings", "text"): gradings_output(d.name, gens, "text"),
+            ("states", "json"): json.dumps({"diagram": d.name, "states": states},
+                                           indent=2, sort_keys=True) + "\n",
+            ("states", "text"): "".join(" ".join(f"x{i + 1}:q{q}" for i, q in enumerate(x))
+                                        + f"  site {s}\n" for x, s in rows)}
+        for (cmd, fmt), text in want.items():
+            out = _Writes()
+            with monkeypatch.context() as mp:
+                mp.setattr(cli, "_read_diagram", lambda path: d)
+                mp.setattr(sys, "stdout", out)
+                assert main(["--format", fmt, cmd, "d.tgl"]) == 0
+            assert "".join(out.writes) == text, (d.name, cmd, fmt)
+            assert len(out.writes) > len(d.sites()), (d.name, cmd, fmt)
+            for w in out.writes:
+                items = _items(w, fmt)
+                if cmd == "states":
+                    assert len(items) <= 1, (d.name, fmt, w)
+                elif fmt == "json":       # a head, then markers and site
+                    assert len({(x.split('"markers"')[0], x.split('"site"')[1].split("]")[0])
+                                for x in items}) <= 1, (d.name, w)
+                else:
+                    assert len(set(items)) <= 1, (d.name, w)
 
 
 def test_one_site_commands_print_their_line_of_the_full_output(capsys):
@@ -351,6 +407,19 @@ def test_check_rejects_diagrams_outside_the_hypothesis(capsys):
         assert (code, out) == (2, ""), (prop, name)
         assert err.startswith("error: E_HYPOTHESIS"), (prop, name, err)
         assert "Traceback" not in err
+
+
+def test_counterexample_checks_every_given_diagram(capsys):
+    # one case per given diagram: a trefoil after the counterexample is
+    # checked too, and it has no site {b}
+    mut = corpus_arg("mutorient")
+    code, out, err = run_cli("check", "mutorient_counterexample", mut, corpus_arg("trefoil"),
+                             capsys=capsys)
+    assert (code, out) == (2, "") and err.startswith("error: E_HYPOTHESIS"), err
+    code, out, _ = run_cli("check", "mutorient_counterexample", mut, mut, capsys=capsys)
+    assert (code, out) == (0, "mutorient_counterexample: pass (2 cases, seed 0)\n")
+    code, out, _ = run_cli("check", "mutorient_counterexample", capsys=capsys)
+    assert (code, out) == (0, "mutorient_counterexample: pass (1 cases, seed 0)\n")
 
 
 def test_nabla_seed_env(monkeypatch, capsys):

@@ -74,12 +74,15 @@ def test_dump_matches_json_dumps(value):
     assert layout.dump(value) == oracle(plain(value))
 
 
-def test_table_matches_json_dumps():
+def test_table_matches_json_dumps(capsys):
     items = [{"markers": [1, 0], "site": ["a"]}, {"markers": [], "site": []}]
     chunks = ["    " + layout.dump(x, 2) + ",\n" for x in items]
+    lines = ["x1:q0  site a\n", "x1:q1  site b\n"]
     for n in (0, 1, 2):
-        assert "".join(layout.table("x", "states", chunks[:n])) \
-            == oracle({"diagram": "x", "states": items[:n]}) + "\n"
+        layout.write_table("x", "states", iter(chunks[:n]), True)
+        assert capsys.readouterr().out == oracle({"diagram": "x", "states": items[:n]}) + "\n"
+        layout.write_table("x", "states", iter(lines[:n]), False)
+        assert capsys.readouterr().out == ("".join(lines[:n]) or "\n")
 
 
 CAFE = corpus.source("trefoil").replace("tangle trefoil", 'tangle café"q\\z')

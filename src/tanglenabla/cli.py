@@ -39,11 +39,15 @@ def _read_diagram(path: str):
 
 def _sites(d, arg=None) -> list[Site]:
     """The sites a command reports on: the one ``arg`` names (``-`` for the
-    empty site) or, without ``arg``, all of them.  A diagram without ends
-    has no site, so it has nothing to report: ``E_BAD_SITE`` either way
-    (for ``arg``, raised by the computation, which checks its site)."""
+    empty site) or, without ``arg``, all of them.  An ``arg`` that names an
+    arc twice is ``E_BAD_SITE``.  A diagram without ends has no site, so it
+    has nothing to report: ``E_BAD_SITE`` either way (for ``arg``, raised by
+    the computation, which checks its site)."""
     if arg is not None:
-        return [Site(frozenset() if arg in ("-", "") else frozenset(arg.split(",")))]
+        arcs = [] if arg in ("-", "") else arg.split(",")
+        if len(set(arcs)) < len(arcs):
+            raise TangleError("E_BAD_SITE", f"site {arg!r} names an arc twice")
+        return [Site(frozenset(arcs))]
     sites = d.sites()
     if not sites:
         raise TangleError("E_BAD_SITE", f"diagram {d.name!r} has no ends, so no site")

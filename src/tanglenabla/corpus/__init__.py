@@ -1,20 +1,19 @@
 """Shipped example diagrams in the `.tgl` format."""
 
-from importlib import resources
+import os
 
 from ..diagram import TangleDiagram, parse_tangle
 
+_HERE = os.path.dirname(__file__)
+
 
 def names() -> list[str]:
-    out = []
-    for entry in resources.files(__package__).iterdir():
-        if entry.name.endswith(".tgl"):
-            out.append(entry.name[:-4])
-    return sorted(out)
+    return sorted(entry[:-4] for entry in os.listdir(_HERE) if entry.endswith(".tgl"))
 
 
 def source(name: str) -> str:
-    return resources.files(__package__).joinpath(f"{name}.tgl").read_text()
+    with open(os.path.join(_HERE, f"{name}.tgl"), encoding="utf-8") as f:
+        return f.read()
 
 
 def load(name: str) -> TangleDiagram:

@@ -48,7 +48,6 @@ transforms and glueing use them rather than building crossings by hand.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -64,8 +63,7 @@ RESERVED_NAMES = {"h", "delta"}
 _TOKEN = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One 4-valent vertex; edge ids listed in flow order per strand."""
 
     sign: int

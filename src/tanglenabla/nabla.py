@@ -43,8 +43,7 @@ guards a product of two families against digit overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .diagram import CORNER_RULE, Site, TangleDiagram, TangleError
 from .laurent import H, LaurentError, LaurentPoly, binomial
@@ -221,11 +220,12 @@ def nabla_all(d: TangleDiagram) -> dict[Site, LaurentPoly]:
     return _site_values(d, None, True)
 
 
-@dataclass(frozen=True)
-class ConwayPotential:
+class ConwayPotential(NamedTuple):
     """The empty-site value of a 2-ended tangle together with the declared
-    divisor (c - c^{-1}) for the open colour c; `quotient` is filled in when
-    the division is exact (always the case with closed components present)."""
+    divisor (c - c^{-1}) for the open colour c.  `quotient` is what
+    ``numerator.divide_binomial(c)`` returns, and None whenever it raises:
+    when the division is not exact, and also when the numerator is zero
+    and its variable table lacks c."""
 
     numerator: LaurentPoly
     colour: str

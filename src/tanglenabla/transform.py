@@ -36,7 +36,6 @@ query on it finds nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .diagram import Crossing, TangleDiagram, TangleError
@@ -352,8 +351,7 @@ def reopen(d: TangleDiagram) -> TangleDiagram:
 # ----------------------------------------------------------------------
 # glueing
 
-@dataclass
-class GlueRecord:
+class GlueRecord(NamedTuple):
     diagram: TangleDiagram
     arc_map_1: dict[str, str]    # old arc label -> region id of the result
     arc_map_2: dict[str, str]

@@ -35,7 +35,6 @@ other on a single given diagram.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from . import corpus, transform as tr
@@ -46,13 +45,12 @@ from .nabla import (check_product, euler_factor, nabla_all, packed_digit, packed
                     packed_weight)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     prop: str
     seed: int
     cases: int
     passed: bool
-    failures: list = field(default_factory=list)
+    failures: list
     note: str = ""
 
     def to_json(self) -> dict:

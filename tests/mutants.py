@@ -85,6 +85,55 @@ MUTANTS = [
            "return {e + sum([read(e) * w for read, w in flips]) + shift: c",
            ("tests/test_verify.py::test_each_property_passes_small_run[reversal]",
             "tests/test_acceptance.py::test_criterion_8_identity_suite")),
+    Mutant("reversal without lk2", "src/tanglenabla/verify.py",
+           "{s: _reversed(t, [flips[colour]], lk2)",
+           "{s: _reversed(t, [flips[colour]])",
+           ("tests/test_verify.py::test_each_property_passes_small_run[reversal]",
+            "tests/test_acceptance.py::test_criterion_8_identity_suite")),
+    Mutant("skein with p+ + p-", "src/tanglenabla/verify.py",
+           "        out[e] = out.get(e, 0) - c\n",
+           "        out[e] = out.get(e, 0) + c\n",
+           ("tests/test_verify.py::test_each_property_passes_small_run[skein]",)),
+    Mutant("glueing with the two glued colours swapped", "src/tanglenabla/verify.py",
+           "    f2 = packed_family(d2, {c: lay[rec.iota_2.get(c, c)] for c in d2.colours()})\n",
+           "    first = list(lay)[:2]\n"
+           "    swap = dict(zip(first, first[::-1]))\n"
+           "    f2 = packed_family(d2, {c: lay[swap.get(x := rec.iota_2.get(c, c), x)]\n"
+           "                            for c in d2.colours()})\n",
+           ("tests/test_verify.py::test_each_property_passes_small_run[glueing]",
+            "tests/test_verify.py::test_one_pass_glueing_sum_matches_the_site_scan",
+            "tests/test_acceptance.py::test_criterion_8_identity_suite")),
+    Mutant("parity read mod 8", "src/tanglenabla/verify.py",
+           "if len({read(e) % 4 for e in t}) > 1:",
+           "if len({read(e) % 8 for e in t}) > 1:",
+           ("tests/test_verify.py::test_each_property_passes_small_run[parity]",
+            "tests/test_acceptance.py::test_criterion_8_identity_suite")),
+    Mutant("the four-ended sites rotated by one", "src/tanglenabla/verify.py",
+           "d.arcs[(i + rotation) % 4]",
+           "d.arcs[(i + rotation + 1) % 4]",
+           ("tests/test_verify.py::test_each_property_passes_small_run[fourended_symmetry]",
+            "tests/test_acceptance.py::test_criterion_8_identity_suite")),
+    Mutant("rm_invariance compared on the hatted families", "src/tanglenabla/verify.py",
+           "if packed_family(d, lay, True) != packed_family(d2, lay, True):",
+           "if packed_family(d, lay) != packed_family(d2, lay):",
+           ("tests/test_verify.py::test_each_property_passes_small_run[rm_invariance]",)),
+    Mutant("mutation compared on the hatted families", "src/tanglenabla/verify.py",
+           "    before = packed_family(d, lay, True)\n"
+           "    for axis in (\"x\", \"y\", \"z\"):\n"
+           "        md = tr.mutate_tangle(d, axis)\n"
+           "        after = packed_family(md, _layout(d, md), True)\n",
+           "    before = packed_family(d, lay)\n"
+           "    for axis in (\"x\", \"y\", \"z\"):\n"
+           "        md = tr.mutate_tangle(d, axis)\n"
+           "        after = packed_family(md, _layout(d, md))\n",
+           ("tests/test_verify.py::test_each_property_passes_small_run[mutation]",
+            "tests/test_acceptance.py::test_criterion_8_identity_suite")),
+    Mutant("knot_pm_one with the colour's digit kept", "src/tanglenabla/verify.py",
+           "if _at_unit(p, read, 1, 1) != {0: 1} or _at_unit(p, read, 1, -1) != {0: 1}:",
+           "if _at_unit(p, read, 0, 1) != {0: 1} or _at_unit(p, read, 0, -1) != {0: 1}:",
+           ("tests/test_verify.py::test_each_property_passes_small_run[knot_pm_one]",
+            "tests/test_verify.py::test_packed_checks_report_as_the_polynomial_checks[knot_pm_one]",
+            "tests/test_golden_cli.py::test_check_json_digests")),
     Mutant("last table piece written with its comma", "src/tanglenabla/layout.py",
            'write(last[:-2] + "\\n  ]\\n}\\n" if as_json else last)',
            'write(last[:-1] + "\\n  ]\\n}\\n" if as_json else last)',

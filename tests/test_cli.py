@@ -182,10 +182,13 @@ def test_one_site_commands_print_their_line_of_the_full_output(capsys):
 
 
 def test_unknown_site_rejected(capsys):
+    # "l,l" names an arc twice
     for cmd in ("nabla", "euler"):
-        code, out, err = run_cli(cmd, corpus_arg("clasp"), "--site", "zz",
-                                 capsys=capsys)
-        assert (code, out) == (1, "") and "E_BAD_SITE" in err, cmd
+        for site in ("zz", "l,l"):
+            code, out, err = run_cli(cmd, corpus_arg("clasp"), "--site", site,
+                                     capsys=capsys)
+            assert (code, out) == (1, "") and err.startswith("error: E_BAD_SITE: "), (cmd, site)
+            assert err.count("\n") == 1, (cmd, site)
 
 
 def test_split_diagram_commands_report_e_split(tmp_path, capsys):

@@ -9,6 +9,10 @@ Calls are matched by name: ``f(...)`` and ``x.f(...)`` both call every
 function named ``f``, and a class name calls its ``__init__``.  A call sets
 a parameter by keyword, by position (``self`` and ``cls`` not counted), or
 through ``*args`` at or before its position or ``**kwargs``.
+
+The same scan checks that the package imports neither ``dataclasses`` nor
+``importlib``: every process that runs the engine would load them and the
+modules they pull in (``inspect``, ``ast``, ``dis``, ...) for nothing.
 """
 
 import ast
@@ -105,3 +109,23 @@ def test_the_scan_sees_the_package_and_its_callers():
     assert any("knot" in kw for _, kw, _, _ in calls["random_diagram"])
     assert any(star == 1 for _, _, star, _ in calls["rm2_insert"])
     assert any(plain == 2 for plain, _, _, _ in calls["var"])
+
+
+def _imports():
+    """File name -> the top-level modules its absolute imports name."""
+    out: dict[str, set] = {}
+    for path, tree in _trees(PACKAGE):
+        names = out.setdefault(path.relative_to(PACKAGE).as_posix(), set())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return out
+
+
+def test_the_package_imports_neither_dataclasses_nor_importlib():
+    found = _imports()
+    assert "typing" in found["diagram.py"] and "corpus/__init__.py" in found
+    assert [(f, n) for f, names in sorted(found.items()) for n in sorted(names)
+            if n in ("dataclasses", "importlib")] == []

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -324,7 +323,7 @@ def _swapped_iota(*args, **kw):
     if len(cols) < 2:
         return rec
     swap = {cols[0]: cols[1], cols[1]: cols[0]}
-    return dataclasses.replace(rec, iota_2={c: swap.get(v, v) for c, v in rec.iota_2.items()})
+    return rec._replace(iota_2={c: swap.get(v, v) for c, v in rec.iota_2.items()})
 
 
 def _halved_digit(k):

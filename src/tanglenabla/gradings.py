@@ -191,15 +191,15 @@ def euler_characteristics(d: TangleDiagram,
     It is P_s times the product of (1 - t_c^2) over the closed components
     c (see the module docstring).  One pass of ``states.frontier`` sums the
     corner codes of the generator keys without the markers, so each term is
-    a state's key without them, with one int: its number of states in the
-    low ``count_bits(m)`` bits and the least of them above.  Each term goes
-    once into P_s, one int -> coef map per site keyed by its packed
-    Alexander digits and signed by the parity of its h, read off the 4h
-    digit (and ``E_GRADING`` if that digit is not a multiple of 4).  Each
-    term of P_s that does not cancel takes every decoration: decoration k
-    adds its packed shift to the Alexander digits and flips the sign if it
-    sets an odd number of bits.  Only the terms that survive that are
-    decoded.
+    a state's key without them, with one int: its number of states plus
+    2^(k-1) in the low k = ``count_bits(m)`` bits and the least of them
+    above.  Each term goes once into P_s, one int -> coef map per site keyed
+    by its packed Alexander digits and signed by the parity of its h, read
+    off the 4h digit (and ``E_GRADING`` if that digit is not a multiple of
+    4).  Each term of P_s that does not cancel takes every decoration:
+    decoration k adds its packed shift to the Alexander digits and flips the
+    sign if it sets an odd number of bits.  Only the terms that survive that
+    are decoded.
 
     The variable table is that of the generator-order sum: variables in
     the order they first have a non-zero exponent, by name within a
@@ -220,7 +220,8 @@ def euler_characteristics(d: TangleDiagram,
     bias = base >> drop
     decorations = [(dk - base >> drop, sum(bs) % 2) for dk, bs in zip(layout.dec_keys, layout.bits)]
     at = [a - 2 * _BITS for a in layout.at]
-    mask = (1 << count_bits(layout.m)) - 1
+    k = count_bits(layout.m)
+    mask, half = (1 << k) - 1, 1 << k - 1
     out = {}
     for site, terms in frontier(d, s, codes, least=True).items():
         p: dict[int, int] = {}
@@ -228,7 +229,7 @@ def euler_characteristics(d: TangleDiagram,
         for e, v in terms.items():
             e += base
             keys |= e
-            c = v & mask
+            c = (v & mask) - half
             alex = e >> drop
             # bit 2 of the 4h digit is the parity of h (the bias is a multiple of 8)
             p[alex] = p.get(alex, 0) + (-c if e >> low + 2 & 1 else c)

@@ -13,32 +13,36 @@ keys.  For the full family the final keys are the sites.  No state is built.
 A monomial is one int: its doubled exponents (h, then the colours) are 20-bit
 balanced digits, so multiplying by a corner monomial adds two ints (a
 crossing moves a digit by at most 2, so any m below 2^18 fits).  Each term
-carries one int: its coefficient, a count of states, in the low
-``states.count_bits(m)`` bits, and above it the least state that gives it,
-as its base-4 marker code, which orders like the marker vectors; so a
-site's terms sort by their least states as ints.  The variable table is
-the one that summing the states in lex order gives: a colour ranks by the
-lex-least state in which its exponent is non-zero, then by the first
-corner of that state that lists it, and h comes last if any state has a
-non-zero h exponent.  A corner lists its under colour before its over
+carries one int: its coefficient, a signed count of states, offset by half
+the range of the low ``states.count_bits(m)`` bits that hold it, and above
+it the least state that gives it, as its base-4 marker code, which orders
+like the marker vectors; so a site's terms sort by their least states as
+ints.  The variable table is the one that summing the states in lex order
+gives: a colour ranks by the lex-least state in which its exponent is
+non-zero, then by the first corner of that state that lists it, and h comes
+last if any state has a non-zero h exponent.  A corner lists its under colour before its over
 colour, and at a self-crossing the one colour with the sum of its two
 halves, or not at all if they cancel.  That table is canonical, so the
 decoder builds its polynomial without re-ordering it.  ``_packing`` is
 the one statement of that tie-break: it lists, once per diagram, the
 colour digits of each corner in that order.
 
-``nabla_all`` and ``nabla_at_site`` decode the value at h = -1 in the same
-pass: the h digit of a term gives its sign, terms that then share their
-colour exponents are added, and the table is the hatted one without h, so
-a colour whose terms cancel stays in it, as ``LaurentPoly.eval_h`` keeps it.
-No hatted polynomial is built for them.
+``nabla_all``, ``nabla_at_site`` and ``conway_potential`` take the value at
+h = -1 straight from the pass: its codes have no h digit and the quadrant
+whose corner carries h negates the count (``frontier(..., at_h=True)``), so
+terms that differ only in h are added inside the pass and the decoder reads
+one signed row per term.  A term whose states cancel keeps its least state,
+so the table is the hatted one without h, and a colour whose terms cancel
+stays in it, as ``LaurentPoly.eval_h`` keeps it.  Only ``nabla --hat``
+(``nabla_hat_all``, ``nabla_hat``) keeps the h digit; no hatted polynomial
+is built for the values at h = -1.
 
 ``packed_family`` gives the family undecoded, ``{site: {int: coef}}``, under
 a layout of colour digits that its caller shares between diagrams, so the
 catalogue compares and transforms families as int maps.  It runs the pass
-with counts alone, so the pass's maps are its result.  ``packed_digit``
-and ``packed_weight`` read and build its digits, and ``check_product``
-guards a product of two families against digit overflow.
+with counts alone, signed at h = -1, so the pass's maps are its result.
+``packed_digit`` and ``packed_weight`` read and build its digits, and
+``check_product`` guards a product of two families against digit overflow.
 """
 
 from __future__ import annotations
@@ -54,13 +58,13 @@ _MASK = (1 << _BITS) - 1
 _HALF = 1 << (_BITS - 1)
 
 
-def _packing(d: TangleDiagram):
+def _packing(d: TangleDiagram, h: int):
     """The colour of each digit from 1 on, in the order the crossings name
     them (under colour before over colour); per crossing, each corner's
-    packed monomial (h2 in digit 0); and per crossing and quadrant, the
-    digits of the colours with a non-zero exponent there: the under colour
-    first, and at a self-crossing its one digit, listed only if the halves
-    of its two strands do not cancel."""
+    packed monomial (h2 times ``h`` in digit 0, so none at h = -1); and per
+    crossing and quadrant, the digits of the colours with a non-zero
+    exponent there: the under colour first, and at a self-crossing its one
+    digit, listed only if the halves of its two strands do not cancel."""
     cols = d.colours()
     order = dict.fromkeys(x for _, u, o, *_ in d.corners for x in (u, o))
     weight = [0] * len(cols)
@@ -71,7 +75,7 @@ def _packing(d: TangleDiagram):
     firsts = [[(digit[u], digit[o])] * 4 if u != o else
               [(digit[u],) if eu + eo else () for eu, eo, _, _ in CORNER_RULE[sign < 0]]
               for sign, u, o, *_ in d.corners]
-    return [cols[c] for c in order], d.corner_codes(weight, h=1), firsts
+    return [cols[c] for c in order], d.corner_codes(weight, h), firsts
 
 
 def _bias(n: int) -> int:
@@ -87,27 +91,18 @@ def packed_family(d: TangleDiagram, digit: Mapping[str, int],
     under a layout that the caller shares between diagrams: h on digit 0 and
     colour c on digit ``digit[c]``, so colours given one digit add their
     exponents.  A site that no state reaches maps to {}.  With ``at_h``, the
-    value at h = -1: a term's sign is bit 1 of its h digit, that digit is
-    dropped (colour digit k moves to k - 1) and terms that cancel go.  One
-    frontier pass, and no polynomial is built.
+    value at h = -1, from the signed pass without the h digit (colour digit
+    k moves to k - 1), and terms that cancel go.  One frontier pass, and no
+    polynomial is built.
 
     A crossing moves a digit by at most 2, so the digits of an m-crossing
     family stay within 2m, and a product of families (``check_product``)
     stays in range while their crossings add up to less than 2^18."""
-    weight = [1 << _BITS * digit[c] for c in d.colours()]
-    sums = frontier(d, None, d.corner_codes(weight, h=1))
-    out = {}
-    for s in d.sites():
-        terms = sums.get(s, {})
-        if not at_h:
-            out[s] = terms
-            continue
-        acc: dict[int, int] = {}
-        for e, c in terms.items():
-            k = e + _HALF >> _BITS
-            acc[k] = acc.get(k, 0) + (-c if e & 2 else c)
-        out[s] = {k: c for k, c in acc.items() if c}
-    return out
+    weight = [1 << _BITS * (digit[c] - at_h) for c in d.colours()]
+    sums = frontier(d, None, d.corner_codes(weight, not at_h), at_h=at_h)
+    if not at_h:
+        return {s: sums.get(s, {}) for s in d.sites()}
+    return {s: {e: c for e, c in sums.get(s, {}).items() if c} for s in d.sites()}
 
 
 def packed_weight(k: int) -> int:
@@ -129,22 +124,29 @@ def check_product(*diagrams: TangleDiagram) -> None:
         raise LaurentError("E_EXPONENT_RANGE", "too many crossings to multiply packed families")
 
 
-def _decode(colours: list[str], firsts: list, terms: dict[int, int],
-            at_h: bool) -> LaurentPoly:
+def _decode(colours: list[str], firsts: list, terms: dict[int, int]) -> LaurentPoly:
     """The polynomial of packed terms (``frontier``'s, with their least
-    states), with the variable table of the module docstring; with
-    ``at_h``, its value at h = -1, which keeps that table without h."""
+    states), with the variable table of the module docstring: h is in it
+    only if some term has a non-zero h digit, and a colour whose terms
+    cancelled at h = -1 stays in it."""
     if not terms:
         return LaurentPoly._canonical((), {})
     bias = _bias(len(colours) + 1)
     m = len(firsts)
     k0 = count_bits(m)
-    mask = (1 << k0) - 1
+    mask, half = (1 << k0) - 1, 1 << k0 - 1
     # distinct terms have distinct least states, so the ints sort by them
     rows = sorted([(v, e + bias) for e, v in terms.items()])
-    todo = range(1, len(colours) + 1)
+    # the digits that are non-zero in some row: the scan ends once each
+    # colour among them is ranked
+    nonzero = 0
+    for _, e in rows:
+        nonzero |= e ^ bias
+    todo = [k for k in range(1, len(colours) + 1) if nonzero >> _BITS * k & _MASK]
     order = []
     for v, e in rows:
+        if not todo:
+            break
         x = e ^ bias
         new = [k for k in todo if x >> _BITS * k & _MASK]
         if not new:
@@ -161,31 +163,21 @@ def _decode(colours: list[str], firsts: list, terms: dict[int, int],
             new = first
         order += new
         todo = [k for k in todo if k not in new]
-        if not todo:
-            break
     names = tuple([colours[k - 1] for k in order])
-    if at_h:
-        # h2 is even, and the sign (-1)^(h2 / 2) is bit 1 of its biased digit
-        ats = [_BITS * (k - 1) for k in order]
-        sums: dict[int, int] = {}
-        for v, e in rows:
-            key, c = e >> _BITS, v & mask
-            sums[key] = sums.get(key, 0) + (-c if e & 2 else c)
-        return LaurentPoly._canonical(names, {tuple([(key >> at & _MASK) - _HALF for at in ats]): c
-                                              for key, c in sums.items() if c})
-    if any(e & _MASK != _HALF for _, e in rows):
+    if nonzero & _MASK:
         order.append(0)
         names += (H,)
     ats = [_BITS * k for k in order]
-    return LaurentPoly._canonical(names, {tuple([(e >> at & _MASK) - _HALF for at in ats]):
-                                          v & mask for v, e in rows})
+    return LaurentPoly._canonical(names, {tuple([(e >> at & _MASK) - _HALF for at in ats]): c
+                                          for v, e in rows if (c := (v & mask) - half)})
 
 
 def _site_values(d: TangleDiagram, s: Optional[Site], at_h: bool) -> dict[Site, LaurentPoly]:
-    """The decoded state sum at every site, or at ``s`` alone."""
-    colours, shifts, firsts = _packing(d)
-    sums = frontier(d, s, shifts, least=True)
-    return {t: _decode(colours, firsts, sums.get(t, {}), at_h)
+    """The decoded state sum at every site, or at ``s`` alone: with
+    ``at_h``, its value at h = -1, from the signed pass without h."""
+    colours, shifts, firsts = _packing(d, not at_h)
+    sums = frontier(d, s, shifts, least=True, at_h=at_h)
+    return {t: _decode(colours, firsts, sums.get(t, {}))
             for t in (d.sites() if s is None else [s])}
 
 

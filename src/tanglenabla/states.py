@@ -10,13 +10,19 @@ tuple: entry i is the quadrant (0..3) that holds the marker of crossing i.
 over each state crossing by crossing and merges the states whose sums and
 frontier keys agree, so it meets no state one by one: ``nabla`` runs it on
 the corner monomials, ``gradings`` on the Alexander and delta codes.  Each
-term is one int, its number of states; for the callers that order terms by
-their least state (``nabla``'s decoder and ``gradings.euler_characteristics``)
-the least state's marker code sits above the count, so extending a term is
-one addition and a merge keeps the smaller int.  With each corner's marker
-added to its code in base-4 digit m-1-i (``marker_codes``), no two states
-share a sum, so the pass keeps one term per state, whose sum holds the
-state's markers in its low 2m bits; that is how ``enumerate_states``, the
+term is one int, its number of states.  At h = -1 (``at_h``) the codes
+carry no h digit and the count is signed instead: the quadrant whose
+corner carries h negates it, so terms that differ only in h merge and
+cancel inside the pass; only ``nabla --hat`` and the catalogue's hatted
+families keep the h digit.  For the callers that order terms by their
+least state (``nabla``'s decoder and ``gradings.euler_characteristics``)
+the least state's marker code sits above the count, which is offset by
+half its bits' range so that it may be negative; extending a term is one
+addition (after a flip of the count's bits where it is negated) and a
+merge keeps the smaller int.  With each corner's marker added to its code
+in base-4 digit m-1-i (``marker_codes``), no two states share a sum, so
+the pass keeps one term per state, whose sum holds the state's markers in
+its low 2m bits; that is how ``enumerate_states``, the
 ``states`` command and ``gradings.generator_keys`` list the states.  A
 state's site is read off the pass too: the final keys of the full pass are
 the sites, and ``enumerate_states(d, s)`` lists the states at s alone.
@@ -26,18 +32,26 @@ from __future__ import annotations
 
 import functools
 
-from .diagram import Site, TangleDiagram
+from .diagram import CORNER_RULE, Site, TangleDiagram
+
+
+# per crossing sign (> 0, < 0), the quadrant whose corner carries h^(-sign)
+_H_QUADRANT = tuple([[eh != 0 for _, _, eh, _ in rule].index(True) for rule in CORNER_RULE])
 
 
 def frontier(d: TangleDiagram, s: Site | None, codes: list[tuple[int, ...]],
-             least: bool = False) -> dict[Site, dict[int, int]]:
+             least: bool = False, at_h: bool = False) -> dict[Site, dict[int, int]]:
     """The state sums per site reached (only ``s``, if given), each a map
     from the sum of ``codes[i][q]`` over a state's corners to one int: the
-    number of states with that sum.  With ``least``, the int also holds the
-    least of those states above its low ``count_bits(m)`` bits, a state as
-    its marker code (crossing i in base-4 digit m-1-i, which orders like the
-    marker tuples), so the ints of a site's terms order as their least
-    states.  Split diagrams have none.
+    number of states with that sum.  With ``at_h``, for codes without an h
+    digit, the count is signed: each state counts (-1)^(its corners that
+    carry h), a crossing's h corner being the quadrant with h^(-sign) in the
+    h column of ``CORNER_RULE``, and a term whose states cancel keeps a
+    count of 0.  With ``least``, the int holds the count plus 2^(k-1) in its
+    low k = ``count_bits(m)`` bits and the least of those states above
+    them, a state as its marker code (crossing i in base-4 digit m-1-i,
+    which orders like the marker tuples), so the ints of a site's terms
+    order as their least states.  Split diagrams have none.
 
     The pass keeps, per frontier key, the sums of the prefix states that
     reach it.  At crossing i it adds each admitted quadrant's code to them
@@ -90,39 +104,48 @@ def frontier(d: TangleDiagram, s: Site | None, codes: list[tuple[int, ...]],
                 got.append((q, nxt))
         return got
 
-    # a term is its count plus, with ``least``, its least prefix state
-    # shifted above the count (quadrant q of crossing i adds marks[i][q]);
-    # a merge keeps the smaller int, with the least state, and adds the
-    # other's count, masked off.  Counts alone add in full.
+    # a term is its count plus, with ``least``, half (2^(k-1)) and its least
+    # prefix state shifted above them (quadrant q of crossing i adds
+    # marks[i][q]); a merge keeps the smaller int, with the least state, and
+    # adds the other's count, masked off, less its half.  Counts alone add
+    # in full.
     if least:
         k = count_bits(m)
+        half, mask = 1 << k - 1, (1 << k) - 1
         marks = [tuple([x << k for x in row]) for row in marker_codes(m)]
-        mask = (1 << k) - 1
     else:
-        marks, mask = [(0, 0, 0, 0)] * m, -1
-    front = {filled & live[0]: {0: 1}}
+        half, mask, marks = 0, -1, [(0, 0, 0, 0)] * m
+    # at h = -1 the h corner negates the count of each term it extends,
+    # (v ^ mask) + 1; no quadrant is 4
+    hq = _H_QUADRANT if at_h else (4, 4)
+    front = {filled & live[0]: {0: 1 + half}}
     for i, row in enumerate(codes):
         out: dict[int, dict[int, int]] = {}
         lv = live[i]
-        row_bits, row_marks = bits[i], marks[i]
+        row_bits, row_marks, neg = bits[i], marks[i], hq[d.corners[i][0] < 0]
         for key, terms in front.items():
             for q, nxt in children(i, key & lv):
-                sh, mk = row[q], row_marks[q]
+                sh, mk, src = row[q], row_marks[q], terms
+                if q == neg:
+                    # the terms extended and negated here, with nothing left to add
+                    mk += 1
+                    src = {e + sh: (v ^ mask) + mk for e, v in terms.items()}
+                    sh = mk = 0
                 k2 = nxt | (key | row_bits[q]) & keep
                 dst = out.get(k2)
                 if dst is None:
-                    out[k2] = {e + sh: v + mk for e, v in terms.items()}
+                    out[k2] = src if q == neg else {e + sh: v + mk for e, v in terms.items()}
                     continue
-                for e, v in terms.items():
+                for e, v in src.items():
                     e += sh
                     v += mk
                     t = dst.get(e)
                     if t is None:
                         dst[e] = v
                     elif t < v:
-                        dst[e] = t + (v & mask)
+                        dst[e] = t + (v & mask) - half
                     else:
-                        dst[e] = v + (t & mask)
+                        dst[e] = v + (t & mask) - half
         front = out
     children.cache_clear()   # it refers to itself: free the memo now, not at the next gc
     if s is not None:
@@ -133,9 +156,10 @@ def frontier(d: TangleDiagram, s: Site | None, codes: list[tuple[int, ...]],
 
 
 def count_bits(m: int) -> int:
-    """The low bits of a term of ``frontier(..., least=True)`` that hold its
-    count: an m-crossing diagram has at most 4^m states, so every count
-    fits, with a bit to spare."""
+    """The number k of low bits of a term of ``frontier(..., least=True)``
+    that hold its count plus 2^(k-1): an m-crossing diagram has at most 4^m
+    states, so every count fits, and the spare bit holds the sign of the
+    signed counts at h = -1."""
     return 2 * m + 2
 
 

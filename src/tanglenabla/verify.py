@@ -20,9 +20,11 @@ The checks compare site families as packed int maps
 (``nabla.packed_family``): the diagrams of one case share a layout, one
 digit per colour name and h on digit 0, so each identity is a map on ints.
 Mirroring negates a term; reversing colour c subtracts x (2 w_c + 1) for
-its digit x and weight w_c; h = -1 and renaming every colour to t are
-layouts; (m - m^-1) p is two shifted copies of p; setting a colour to ±1
-drops its digit with a sign; parity reads digits mod 4.  The glueing check
+its digit x and weight w_c; h = -1 is the pass with signed counts and no
+h digit (``packed_family(..., True)``, colour c on digit ``layout[c] -
+1``) and renaming every colour to t is a layout; (m - m^-1) p is two
+shifted copies of p; setting a colour to ±1 drops its digit with a sign;
+parity reads digits mod 4.  The glueing check
 packs each piece with colour c on the digit of its image iota(c), so a
 product term is one int addition, summed over the site pairs in one pass.
 A failure payload decodes the maps its comparison read (``_decoded``), so

@@ -8,7 +8,10 @@ change makes vacuous then shows as a surviving mutant.
 Run ``python tests/mutants.py`` from anywhere: each mutant is applied to a
 fresh temporary copy of the tree, and only its tests run, one pytest process
 at a time.  It prints one line per mutant and exits 1 if a named test does
-not fail on its mutant or an anchor text is not found once.  Tier-1 runs
+not fail on its mutant or an anchor text is not found once.  With words,
+``python tests/mutants.py merge least``, it runs only the mutants whose name
+contains one of them, so a change to one fast path reruns its own mutants
+in seconds; with none it runs them all.  Tier-1 runs
 only ``test_mutants.py``, which checks the anchors and the test names, and
 starts no process.
 """
@@ -36,10 +39,23 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant("frontier merge keeps the incoming least state", "src/tanglenabla/states.py",
            "                    elif t < v:\n"
-           "                        dst[e] = t + (v & mask)\n",
+           "                        dst[e] = t + (v & mask) - half\n",
            "                    elif t < v:\n"
-           "                        dst[e] = v + (t & mask)\n",
+           "                        dst[e] = v + (t & mask) - half\n",
            ("tests/test_states.py::test_int_terms_match_the_brute_force_on_seeded_diagrams",)),
+    Mutant("signed merge without its sign/offset correction", "src/tanglenabla/states.py",
+           "                        dst[e] = v + (t & mask) - half\n",
+           "                        dst[e] = v + (t & mask)\n",
+           ("tests/test_states.py::test_int_terms_match_the_brute_force_on_seeded_diagrams",
+            "tests/test_nabla.py::test_values_decode_at_h_minus_one_as_eval_h_does",
+            "tests/test_differential.py::test_frontier_matches_both_oracles_on_seeded_diagrams")),
+    Mutant("h corner not negated at h = -1", "src/tanglenabla/states.py",
+           "hq = _H_QUADRANT if at_h else (4, 4)",
+           "hq = (4, 4)",
+           ("tests/test_states.py::test_int_terms_match_the_brute_force_on_seeded_diagrams",
+            "tests/test_nabla.py::test_values_decode_at_h_minus_one_as_eval_h_does",
+            "tests/test_nabla.py::test_packed_family_at_h_matches_the_collapse_on_seeded_diagrams",
+            "tests/test_golden_cli.py::test_check_json_digests")),
     Mutant("least states shifted one bit too far", "src/tanglenabla/states.py",
            "marks = [tuple([x << k for x in row]) for row in marker_codes(m)]",
            "marks = [tuple([x << k + 1 for x in row]) for row in marker_codes(m)]",
@@ -71,8 +87,8 @@ MUTANTS = [
             "tests/test_verify.py::test_each_property_passes_small_run[skein]",
             "tests/test_verify.py::test_set_pm_one_weighs_the_sign_at_minus_one")),
     Mutant("hatted families spoiled by a stray term", "src/tanglenabla/nabla.py",
-           "            out[s] = terms\n",
-           "            out[s] = {**terms, 1 << 200: 1}\n",
+           "return {s: sums.get(s, {}) for s in d.sites()}",
+           "return {s: {**sums.get(s, {}), 1 << 200: 1} for s in d.sites()}",
            ("tests/test_verify.py::test_each_property_passes_small_run[glueing]",
             "tests/test_verify.py::test_one_pass_glueing_sum_matches_the_site_scan")),
     Mutant("mirror without negation", "src/tanglenabla/verify.py",
@@ -175,15 +191,16 @@ def run(mutant: Mutant) -> tuple[bool, str]:
     return True, f"{len(mutant.tests)} of {len(mutant.tests)} tests fail"
 
 
-def main() -> int:
+def main(words: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not words or any(w in m.name for w in words)]
     missed = 0
-    for mutant in MUTANTS:
+    for mutant in chosen:
         caught, detail = run(mutant)
         missed += not caught
         print(f"{'caught' if caught else 'MISSED'}  {mutant.name}: {detail}", flush=True)
-    print(f"{len(MUTANTS) - missed} of {len(MUTANTS)} mutants caught")
+    print(f"{len(chosen) - missed} of {len(chosen)} mutants caught")
     return 1 if missed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -9,8 +9,10 @@ empty-site polynomial of 2-ended tangles is checked against a
 crossing-switch resolution that only knows the skein identity, descending
 diagrams and split detection.  The right-hand side of the glueing formula
 is summed by a scan of every site pair per target site; ``add_all`` sums a
-list of polynomials in one pass with the table of their ``+`` fold, and
-``pack`` packs a polynomial as ``nabla.packed_family`` packs a family.
+list of polynomials in one pass with the table of their ``+`` fold,
+``pack`` packs a polynomial as ``nabla.packed_family`` packs a family, and
+``packed_at_h`` takes a hatted packed map to h = -1 term by term, as
+``packed_family`` did before its pass summed the signed counts.
 ``CHECKS`` holds the catalogue checks as they ran on polynomials, before
 they compared packed families, with ``substitute``, the specialization
 they were written with.  ``rescan_euler``, ``gradings_output`` and
@@ -419,6 +421,17 @@ def pack(p: LaurentPoly, digit: dict[str, int]) -> dict[int, int]:
         k = sum(x * w for x, w in zip(e, weights))
         out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}
+
+
+def packed_at_h(terms: dict[int, int]) -> dict[int, int]:
+    """A hatted packed map (h on 20-bit digit 0) at h = -1: a term's sign is
+    bit 1 of its h digit, that digit is dropped (colour digit k moves to
+    k - 1) and terms that cancel go."""
+    acc: dict[int, int] = {}
+    for e, c in terms.items():
+        k = e + (1 << 19) >> 20
+        acc[k] = acc.get(k, 0) + (-c if e & 2 else c)
+    return {k: c for k, c in acc.items() if c}
 
 
 def glueing_sums(rec: tr.GlueRecord, hats_1: dict, hats_2: dict) -> dict[Site, LaurentPoly]:

@@ -14,7 +14,7 @@ from tanglenabla import verify
 from tanglenabla.verify import random_diagram
 
 from conftest import load, seeded_diagrams
-from oracles import brute_force_site, conway_skein, pack, state_codes, substitute
+from oracles import brute_force_site, conway_skein, pack, packed_at_h, state_codes, substitute
 
 
 def H(coef, **exp2):
@@ -282,6 +282,32 @@ def test_packed_terms_multiply_by_adding_their_ints(seed, m1, m2, shared):
                 for b, e in x2.items():
                     prod[a + b] = prod.get(a + b, 0) + c * e
             assert prod == pack(hats_1[s1].rename(names) * hats_2[s2], both), (str(s1), str(s2))
+
+
+def _packed_at_h_matches_the_collapse(d) -> int:
+    """The family at h = -1 from the signed pass against the hatted family
+    taken to h = -1 term by term, under one digit per colour and under one
+    digit for all colours; returns the number of hatted terms that cancel."""
+    cancelled = 0
+    for lay in (verify._layout(d), dict.fromkeys(d.colours(), 1)):
+        hats = packed_family(d, lay)
+        at_h = packed_family(d, lay, True)
+        assert at_h == {s: packed_at_h(t) for s, t in hats.items()}, (d.name, lay)
+        cancelled += sum(len(t) for t in hats.values()) - sum(len(t) for t in at_h.values())
+    return cancelled
+
+
+def test_packed_family_at_h_matches_the_collapse_on_seeded_diagrams():
+    diagrams = seeded_diagrams(2024, 40, 9) + [load("mutorient")]
+    # under one digit for all colours most hatted terms cancel
+    assert sum(map(_packed_at_h_matches_the_collapse, diagrams)) >= 300
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), ends=st.sampled_from((2, 4, 6)),
+       m=st.integers(1, 10))
+def test_packed_family_at_h_matches_the_collapse_on_hypothesis_diagrams(seed, ends, m):
+    _packed_at_h_matches_the_collapse(random_diagram(random.Random(seed), ends, m))
 
 
 def test_packing_refuses_a_term_that_a_product_could_overflow():

@@ -10,7 +10,7 @@ from tanglenabla.states import enumerate_states
 from tanglenabla.verify import random_diagram
 
 from conftest import cli_on, load, seeded_diagrams
-from oracles import brute_force_site, brute_force_states, state_defect
+from oracles import brute_force_site, brute_force_states, state_codes, state_defect
 
 
 def test_single_crossing_has_four_states():
@@ -90,38 +90,56 @@ def test_brute_force_oracle_on_hypothesis_diagrams(seed, ends, m):
 
 def _assert_terms_match_brute_force(d):
     """Each int term of ``frontier`` against the 4^m filter.  Under nabla's
-    colour digits, and with every colour and h on one digit so that many
-    states share a sum, a term's count and (with ``least``) least state are
+    colour digits, and with every colour on one digit (h too, before h = -1)
+    so that many states share a sum, a term's count and (with ``least``)
+    least state are
     the number and the least marker code of the states at its site with
-    its sum; counts alone give the same counts, and a pass at one site the
-    same terms."""
+    its sum; at h = -1 (``at_h``, on codes without h) the count is the sum
+    of (-1)^(number of h corners) over those states, read off the oracle's
+    doubled h exponent.  With ``least`` the low ``count_bits(m)`` bits hold
+    the count plus half their range.  Counts alone give the same counts,
+    and a pass at one site the same terms, with and without ``least``.
+    Returns the number of terms that count several states and of those
+    that cancel at h = -1."""
     m, n = len(d.crossings), len(d.colours())
     k = states.count_bits(m)
     marks = states.marker_codes(m)
-    brute = [(x, brute_force_site(d, x)) for x in brute_force_states(d)]
-    for codes in (d.corner_codes([1 << 20 * j for j in range(1, n + 1)], h=1),
-                  d.corner_codes([1] * n, h=1)):
-        want: dict = {}
-        for x, s in brute:
-            e = sum(row[q] for row, q in zip(codes, x))
-            code = sum(row[q] for row, q in zip(marks, x))
-            count, least = want.setdefault(s, {}).get(e, (0, code))
-            want[s][e] = (count + 1, min(least, code))
-        got = states.frontier(d, None, codes, least=True)
-        assert {s: {e: (v & (1 << k) - 1, v >> k) for e, v in terms.items()}
-                for s, terms in got.items()} == want, d.name
-        assert states.frontier(d, None, codes) == {
-            s: {e: c for e, (c, _) in terms.items()} for s, terms in want.items()}, d.name
-        for s in d.sites():
-            assert states.frontier(d, s, codes, least=True) == (
-                {s: got[s]} if s in got else {}), (d.name, str(s))
-    return sum(c > 1 for terms in want.values() for c, _ in terms.values())
+    brute = [(x, brute_force_site(d, x), -1 if state_codes(d, x)[1] & 2 else 1)
+             for x in brute_force_states(d)]
+    merged = cancelled = 0
+    for at_h in (False, True):
+        for weight in ([1 << 20 * j for j in range(1, n + 1)], [1] * n):
+            codes = d.corner_codes(weight, h=0 if at_h else 1)
+            want: dict = {}
+            for x, s, sign in brute:
+                e = sum(row[q] for row, q in zip(codes, x))
+                code = sum(row[q] for row, q in zip(marks, x))
+                count, least = want.setdefault(s, {}).get(e, (0, code))
+                want[s][e] = (count + (sign if at_h else 1), min(least, code))
+            counts = {s: {e: c for e, (c, _) in terms.items()} for s, terms in want.items()}
+            got = states.frontier(d, None, codes, least=True, at_h=at_h)
+            assert {s: {e: ((v & (1 << k) - 1) - (1 << k - 1), v >> k) for e, v in terms.items()}
+                    for s, terms in got.items()} == want, (d.name, at_h)
+            assert states.frontier(d, None, codes, at_h=at_h) == counts, (d.name, at_h)
+            for s in d.sites():
+                assert states.frontier(d, s, codes, least=True, at_h=at_h) == (
+                    {s: got[s]} if s in got else {}), (d.name, str(s), at_h)
+                assert states.frontier(d, s, codes, at_h=at_h) == (
+                    {s: counts[s]} if s in counts else {}), (d.name, str(s), at_h)
+            if at_h:
+                cancelled += sum(not c for terms in counts.values() for c in terms.values())
+            else:
+                merged += sum(c > 1 for terms in counts.values() for c in terms.values())
+    return merged, cancelled
 
 
 def test_int_terms_match_the_brute_force_on_seeded_diagrams():
-    merged = sum(_assert_terms_match_brute_force(d) for d in seeded_diagrams(4, 40, 6))
-    # with every colour on one digit, many terms count several states
+    merged, cancelled = map(sum, zip(*map(_assert_terms_match_brute_force,
+                                          seeded_diagrams(4, 40, 6))))
+    # with every colour on one digit, many terms count several states, and
+    # at h = -1 some of them cancel
     assert merged >= 80, merged
+    assert cancelled >= 100, cancelled
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -184,9 +202,9 @@ def test_each_command_makes_one_pass(monkeypatch):
     passes = []
     real = states.frontier
 
-    def counted(d, s, codes, least=False):
+    def counted(d, s, codes, least=False, at_h=False):
         passes.append(s)
-        return real(d, s, codes, least)
+        return real(d, s, codes, least, at_h)
 
     holders = [mod for name, mod in sys.modules.items()
                if name.split(".")[0] == "tanglenabla" and getattr(mod, "frontier", None) is real]
@@ -195,9 +213,11 @@ def test_each_command_makes_one_pass(monkeypatch):
         monkeypatch.setattr(mod, "frontier", counted)
     d = load("mutorient")
     site = str(d.sites()[0])
-    for argv in (["states"], ["gradings"], ["euler"], ["euler", "--site", site],
-                 ["nabla"], ["nabla", "--hat"], ["nabla", "--site", site]):
+    runs = [(d, argv) for argv in (["states"], ["gradings"], ["euler"], ["euler", "--site", site],
+                                   ["nabla"], ["nabla", "--hat"], ["nabla", "--site", site])]
+    runs.append((load("trefoil"), ["conway"]))
+    for diagram, argv in runs:
         for fmt in ("json", "text"):
             passes.clear()
-            assert cli_on(monkeypatch, d, "--format", fmt, *argv)[0] == 0, argv
+            assert cli_on(monkeypatch, diagram, "--format", fmt, *argv)[0] == 0, argv
             assert len(passes) == 1, (argv, fmt, passes)

@@ -31,9 +31,11 @@ sorts and decodes groups times decorations heads, not generators.
 The Euler characteristic factors through the decorations: a set bit turns
 a generator's term (-1)^h t^a into -t_c^2 times it, so at site s it is
 P_s times the product of (1 - t_c^2) over the closed components c, with
-P_s the sum of (-1)^h t^a over the states at s.  ``euler_characteristics``
-runs the pass without the markers, sums each of its terms once into P_s and
-decorates only the terms of P_s that do not cancel.
+P_s the sum of (-1)^h t^a over the states at s.  At every corner of
+``CORNER_RULE`` the doubled exponents give eu + eo - 2 ed = 2 eh, so a
+state's h is its h exponent, and P_s is the state sum at h = -1:
+``euler_characteristics`` runs the signed pass of ``nabla_all`` on its
+codes and decorates only the terms of P_s that do not cancel.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import NamedTuple, Optional
 
 from .diagram import Site, TangleDiagram, TangleError
 from .laurent import LaurentPoly
-from .nabla import _BITS, _HALF, _MASK, _bias, check_site
+from .nabla import _BITS, _HALF, _MASK, _bias, _packing, check_site, packed_weight
 from .states import count_bits, frontier, marker_codes, markers_of
 
 
@@ -105,14 +107,6 @@ class KeyLayout(NamedTuple):
             yield key >> drop, key >> gb & lmask, key & gmask
 
 
-def _integral(keys: int, at: int) -> None:
-    """``E_GRADING`` unless the 4h digit at bit ``at`` of ``keys`` (a key, or
-    keys OR-ed together) is a multiple of 4: its two low bits are those of
-    4h, whatever the bias and the digits below."""
-    if keys >> at & 3:
-        raise TangleError("E_GRADING", "homological grading is not integral")
-
-
 def _layout(d: TangleDiagram) -> tuple[KeyLayout, list[tuple[int, ...]]]:
     """The key layout and each corner's Alexander, delta and 4h codes as
     keys: colour c weighs its digit plus 4h's, delta its digit minus twice
@@ -154,7 +148,9 @@ def generator_keys(d: TangleDiagram) -> tuple[KeyLayout, list[tuple[Site, dict[i
             groups.setdefault(row >> shift, []).append(row & mask)
         heads = reduce(or_, groups, heads)
         out.append((site, groups))
-    _integral(heads, layout.kbits)
+    # the two low bits of the 4h digit are those of 4h, whatever the bias
+    if heads >> layout.kbits & 3:
+        raise TangleError("E_GRADING", "homological grading is not integral")
     return layout, out
 
 
@@ -189,17 +185,15 @@ def euler_characteristics(d: TangleDiagram,
     at each site s.
 
     It is P_s times the product of (1 - t_c^2) over the closed components
-    c (see the module docstring).  One pass of ``states.frontier`` sums the
-    corner codes of the generator keys without the markers, so each term is
-    a state's key without them, with one int: its number of states plus
-    2^(k-1) in the low k = ``count_bits(m)`` bits and the least of them
-    above.  Each term goes once into P_s, one int -> coef map per site keyed
-    by its packed Alexander digits and signed by the parity of its h, read
-    off the 4h digit (and ``E_GRADING`` if that digit is not a multiple of
-    4).  Each term of P_s that does not cancel takes every decoration:
-    decoration k adds its packed shift to the Alexander digits and flips the
-    sign if it sets an odd number of bits.  Only the terms that survive that
-    are decoded.
+    c (see the module docstring), and P_s is the value at h = -1 of the
+    state sum with doubled exponents, so it is the pass that ``nabla_all``
+    and ``nabla_at_site`` run, on the same codes (``nabla._packing``):
+    each term is one packed Alexander vector of P_s, with one int, its
+    signed count plus 2^(k-1) in the low k = ``count_bits(m)`` bits and the
+    least of its states above.  Each term that does not cancel takes every
+    decoration: decoration k adds its packed shift to the colour digits and
+    flips the sign if it sets an odd number of bits.  Only the terms that
+    survive that are decoded.
 
     The variable table is that of the generator-order sum: variables in
     the order they first have a non-zero exponent, by name within a
@@ -213,43 +207,34 @@ def euler_characteristics(d: TangleDiagram,
     """
     if s is not None:
         check_site(d, s)
-    layout, codes = _layout(d)
-    low = 2 * layout.m + layout.kbits                   # the 4h digit's place
-    drop = low + 2 * _BITS                              # below the colour digits
-    base = layout.dec_keys[0]                           # the bias alone
-    bias = base >> drop
-    decorations = [(dk - base >> drop, sum(bs) % 2) for dk, bs in zip(layout.dec_keys, layout.bits)]
-    at = [a - 2 * _BITS for a in layout.at]
-    k = count_bits(layout.m)
+    if d.split:
+        raise TangleError("E_SPLIT", "no generators for a split diagram")
+    cols = d.colours()
+    named = sorted([(c, _BITS * k) for k, c in enumerate(cols, 1)])    # (colour, digit place)
+    bias = _bias(len(cols) + 1)
+    closed = [cols.index(c.colour) + 1 for c in d.components if c.kind == "closed"]
+    # a set bit multiplies by -t_c^2: 4 on colour c's digit and a sign
+    decorations = [(sum(b * packed_weight(k) << 2 for k, b in zip(closed, bs)), sum(bs) % 2)
+                   for bs in product((0, 1), repeat=len(closed))]
+    k = count_bits(len(d.crossings))
     mask, half = (1 << k) - 1, 1 << k - 1
     out = {}
-    for site, terms in frontier(d, s, codes, least=True).items():
-        p: dict[int, int] = {}
-        keys = 0
-        for e, v in terms.items():
-            e += base
-            keys |= e
-            c = (v & mask) - half
-            alex = e >> drop
-            # bit 2 of the 4h digit is the parity of h (the bias is a multiple of 8)
-            p[alex] = p.get(alex, 0) + (-c if e >> low + 2 & 1 else c)
-        _integral(keys, low)
+    for site, terms in frontier(d, s, _packing(d, False)[0], least=True, at_h=True).items():
         chi: dict[int, int] = {}
-        for alex, c in p.items():
-            if c:
+        for e, v in terms.items():
+            if c := (v & mask) - half:
                 for dk, odd in decorations:
-                    chi[alex + dk] = chi.get(alex + dk, 0) + (-c if odd else c)
+                    chi[e + dk] = chi.get(e + dk, 0) + (-c if odd else c)
         first, *rest = sorted(terms, key=terms.get)
-        found: dict[int, None] = {}         # colour indices, in first-appearance order
-        for alex in chain([(first + base >> drop) + dk for dk, _ in decorations],
-                          (e + base >> drop for e in rest)):
-            if len(found) == len(at):
+        found: dict[tuple[str, int], None] = {}     # (colour, place), in first-appearance order
+        for e in chain([first + dk for dk, _ in decorations], rest):
+            if len(found) == len(named):
                 break
-            nonzero = alex ^ bias
-            found.update(dict.fromkeys([j for j, a in enumerate(at) if nonzero >> a & _MASK]))
-        out[site] = LaurentPoly([layout.colours[j] for j in found],
-                                {tuple([(alex >> at[j] & _MASK) - _HALF for j in found]): c
-                                 for alex, c in chi.items() if c})
+            nonzero = e + bias ^ bias
+            found.update(dict.fromkeys([n for n in named if nonzero >> n[1] & _MASK]))
+        out[site] = LaurentPoly([c for c, _ in found],
+                                {tuple([(e + bias >> at & _MASK) - _HALF for _, at in found]): c
+                                 for e, c in chi.items() if c})
     return {t: out.get(t, LaurentPoly.zero()) for t in (d.sites() if s is None else [s])}
 
 

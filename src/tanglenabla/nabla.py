@@ -59,23 +59,17 @@ _HALF = 1 << (_BITS - 1)
 
 
 def _packing(d: TangleDiagram, h: int):
-    """The colour of each digit from 1 on, in the order the crossings name
-    them (under colour before over colour); per crossing, each corner's
-    packed monomial (h2 times ``h`` in digit 0, so none at h = -1); and per
-    crossing and quadrant, the digits of the colours with a non-zero
-    exponent there: the under colour first, and at a self-crossing its one
-    digit, listed only if the halves of its two strands do not cancel."""
-    cols = d.colours()
-    order = dict.fromkeys(x for _, u, o, *_ in d.corners for x in (u, o))
-    weight = [0] * len(cols)
-    digit = [0] * len(cols)
-    for k, c in enumerate(order, 1):
-        weight[c] = 1 << _BITS * k
-        digit[c] = k
-    firsts = [[(digit[u], digit[o])] * 4 if u != o else
-              [(digit[u],) if eu + eo else () for eu, eo, _, _ in CORNER_RULE[sign < 0]]
+    """Per crossing, each corner's packed monomial: colour k of
+    ``d.colours()`` on digit k + 1 and h2 times ``h`` in digit 0, so none at
+    h = -1; and per crossing and quadrant, the digits of the colours with a
+    non-zero exponent there: the under colour first, and at a self-crossing
+    its one digit, listed only if the halves of its two strands do not
+    cancel."""
+    weight = [packed_weight(k) for k in range(1, len(d.colours()) + 1)]
+    firsts = [[(u + 1, o + 1)] * 4 if u != o else
+              [(u + 1,) if eu + eo else () for eu, eo, _, _ in CORNER_RULE[sign < 0]]
               for sign, u, o, *_ in d.corners]
-    return [cols[c] for c in order], d.corner_codes(weight, h), firsts
+    return d.corner_codes(weight, h), firsts
 
 
 def _bias(n: int) -> int:
@@ -124,7 +118,7 @@ def check_product(*diagrams: TangleDiagram) -> None:
         raise LaurentError("E_EXPONENT_RANGE", "too many crossings to multiply packed families")
 
 
-def _decode(colours: list[str], firsts: list, terms: dict[int, int]) -> LaurentPoly:
+def _decode(colours: tuple[str, ...], firsts: list, terms: dict[int, int]) -> LaurentPoly:
     """The polynomial of packed terms (``frontier``'s, with their least
     states), with the variable table of the module docstring: h is in it
     only if some term has a non-zero h digit, and a colour whose terms
@@ -175,9 +169,9 @@ def _decode(colours: list[str], firsts: list, terms: dict[int, int]) -> LaurentP
 def _site_values(d: TangleDiagram, s: Optional[Site], at_h: bool) -> dict[Site, LaurentPoly]:
     """The decoded state sum at every site, or at ``s`` alone: with
     ``at_h``, its value at h = -1, from the signed pass without h."""
-    colours, shifts, firsts = _packing(d, not at_h)
-    sums = frontier(d, s, shifts, least=True, at_h=at_h)
-    return {t: _decode(colours, firsts, sums.get(t, {}))
+    codes, firsts = _packing(d, not at_h)
+    sums = frontier(d, s, codes, least=True, at_h=at_h)
+    return {t: _decode(d.colours(), firsts, sums.get(t, {}))
             for t in (d.sites() if s is None else [s])}
 
 

@@ -8,8 +8,9 @@ tuple: entry i is the quadrant (0..3) that holds the marker of crossing i.
 
 ``frontier`` is the one walk over the states.  It sums per-corner codes
 over each state crossing by crossing and merges the states whose sums and
-frontier keys agree, so it meets no state one by one: ``nabla`` runs it on
-the corner monomials, ``gradings`` on the Alexander and delta codes.  Each
+frontier keys agree, so it meets no state one by one: ``nabla`` and
+``gradings.euler_characteristics`` run it on the corner monomials,
+``gradings.generator_keys`` on the Alexander and delta codes.  Each
 term is one int, its number of states.  At h = -1 (``at_h``) the codes
 carry no h digit and the count is signed instead: the quadrant whose
 corner carries h negates it, so terms that differ only in h merge and

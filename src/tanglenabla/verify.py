@@ -30,8 +30,10 @@ product term is one int addition, summed over the site pairs in one pass.
 A failure payload decodes the maps its comparison read (``_decoded``), so
 it shows what the check saw; a passing case builds no polynomial.
 ``euler_char`` and ``mutorient_counterexample`` compare
-polynomials: the one against the gradings' Euler characteristics, the
-other on a single given diagram.
+polynomials: the one sums (-1)^h t^a over the generators' runs
+(``gradings.generator_keys``), so it ties their delta and h gradings to
+the closed-strand factor times nabla, and the other checks a single given
+diagram.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import corpus, transform as tr
 from .diagram import Crossing, Site, TangleDiagram, TangleError, linking_number, serialize
-from .gradings import euler_characteristics
+from .gradings import generator_keys
 from .laurent import H, LaurentPoly, binomial
 from .nabla import (check_product, euler_factor, nabla_all, packed_digit, packed_family,
                     packed_weight)
@@ -660,7 +662,15 @@ def _euler_char_one(d: TangleDiagram, fail, case: int):
     if not d.sites():
         raise TangleError("E_HYPOTHESIS", "the Euler characteristic identity needs a "
                           "diagram with ends: one without has no site to compare")
-    chis = euler_characteristics(d)
+    # chi_s as the sum of (-1)^h t^a over the generators, one run at a time
+    layout, sites = generator_keys(d)
+    chis = dict.fromkeys(d.sites(), LaurentPoly.zero())
+    for s, groups in sites:
+        sizes, terms = [len(xs) for xs in groups.values()], {}
+        for alex, low, g in layout.runs(groups):
+            a2 = layout.alexander(alex)
+            terms[a2] = terms.get(a2, 0) + (-1) ** layout.grading(low)[1] * sizes[g]
+        chis[s] = LaurentPoly(layout.colours, terms)
     fac = euler_factor(d)
     nabs = nabla_all(d)
     for s in d.sites():

@@ -70,10 +70,37 @@ MUTANTS = [
            "acc[e] = c1 * c2",
            ("tests/test_verify.py::test_one_pass_glueing_sum_matches_the_site_scan",)),
     Mutant("E_GRADING check of the generator heads removed", "src/tanglenabla/gradings.py",
-           "    _integral(heads, layout.kbits)\n",
-           "",
+           "    if heads >> layout.kbits & 3:\n",
+           "    if 0:\n",
            ("tests/test_gradings.py::test_off_by_half_grading_is_e_grading_in_the_library",
             "tests/test_cli.py::test_non_integral_grading_is_e_grading")),
+    Mutant("euler decoration sign not flipped on an odd number of bits",
+           "src/tanglenabla/gradings.py",
+           "chi.get(e + dk, 0) + (-c if odd else c)",
+           "chi.get(e + dk, 0) + c",
+           ("tests/test_gradings.py::test_frontier_euler_matches_the_generator_list",
+            "tests/test_gradings.py::test_euler_identity_with_closed_factor",
+            "tests/test_acceptance.py::test_criterion_5_euler_characteristic")),
+    Mutant("euler table scan without the first term's decorations",
+           "src/tanglenabla/gradings.py",
+           "chain([first + dk for dk, _ in decorations], rest)",
+           "chain([first], rest)",
+           ("tests/test_gradings.py::test_frontier_euler_matches_the_generator_list",
+            "tests/test_gradings.py::test_frontier_euler_matches_the_generator_list_on_hypothesis_diagrams",
+            "tests/test_golden_cli.py::test_more_cli_digests")),
+    Mutant("nabla decoder without the first-corner tie-break", "src/tanglenabla/nabla.py",
+           "        if len(new) > 1:\n",
+           "        if 0:\n",
+           ("tests/test_differential.py::test_state_sum_and_gradings_match_brute_force",
+            "tests/test_differential.py::test_frontier_matches_both_oracles_on_seeded_diagrams",
+            "tests/test_differential.py::test_frontier_matches_both_oracles_on_hypothesis_diagrams",
+            "tests/test_differential.py::test_frontier_matches_the_state_sum_at_fourteen_to_twenty_crossings")),
+    Mutant("euler_char check without (-1)^h", "src/tanglenabla/verify.py",
+           "(-1) ** layout.grading(low)[1] * sizes[g]",
+           "sizes[g]",
+           ("tests/test_verify.py::test_euler_char_on_given_diagrams",
+            "tests/test_verify.py::test_each_property_passes_small_run[euler_char]",
+            "tests/test_golden_cli.py::test_check_json_digests")),
     Mutant("set_pm_one without the sign at -1", "src/tanglenabla/verify.py",
            "out[k] = out.get(k, 0) + (-c if sign < 0 and x & 2 else c)",
            "out[k] = out.get(k, 0) + c",

@@ -200,21 +200,38 @@ def test_split_diagram_commands_report_e_split(tmp_path, capsys):
         assert (code, out) == (1, "") and err.startswith("error: E_SPLIT: "), cmd
 
 
-def test_non_integral_grading_is_e_grading(monkeypatch, capsys):
-    # a delta code off by 1/2 at every corner of crossing 0 makes every
-    # state's h a half-integer
-    d = corpus.load("mutorient")
+def _off_by_half(monkeypatch, d):
+    """Patch a delta code off by 1/2 at every corner of crossing 0 of d,
+    which makes every state's h a half-integer."""
     codes = d.corner_codes
 
     def off_by_half(weight, h=0, delta=0):
         first, *rest = codes(weight, h, delta)
         return [tuple(c + delta for c in first), *rest]
     monkeypatch.setattr(d, "corner_codes", off_by_half)
+
+
+def test_non_integral_grading_is_e_grading(monkeypatch, capsys):
+    d = corpus.load("mutorient")
+    _off_by_half(monkeypatch, d)
     monkeypatch.setattr(cli, "_read_diagram", lambda path: d)
-    for argv in (["gradings"], ["--format", "json", "gradings"], ["euler"],
-                 ["euler", "--site", "b"]):
+    for argv in (["gradings"], ["--format", "json", "gradings"]):
         code, out, err = run_cli(*argv, "x.tgl", capsys=capsys)
         assert (code, out) == (1, "") and err.startswith("error: E_GRADING: "), argv
+
+
+def test_euler_reads_no_delta_grading(monkeypatch, capsys):
+    # euler reads no delta code, so the patch leaves its output as it was,
+    # while gradings still refuses the half-integral h
+    d = corpus.load("mutorient")
+    monkeypatch.setattr(cli, "_read_diagram", lambda path: d)
+    runs = (["euler"], ["euler", "--site", "b"], ["--format", "json", "euler"])
+    want = [run_cli(*argv, "x.tgl", capsys=capsys) for argv in runs]
+    assert all(code == 0 and out and not err for code, out, err in want)
+    _off_by_half(monkeypatch, d)
+    assert [run_cli(*argv, "x.tgl", capsys=capsys) for argv in runs] == want
+    code, out, err = run_cli("gradings", "x.tgl", capsys=capsys)
+    assert (code, out) == (1, "") and err.startswith("error: E_GRADING: ")
 
 
 def test_zero_ended_diagram_has_no_site(tmp_path, capsys):

@@ -191,6 +191,19 @@ def test_the_text_format_keeps_the_flow_of_a_bare_arc():
         assert str(e.value).startswith(f"E_SYNTAX: line {at}: "), tail
 
 
+def test_diagrams_that_differ_in_a_free_circle_or_a_flow_are_not_equal():
+    split = ("tangle split\nends 2\nboundary a e1 b e2\n"
+             "crossing x1 + under e1 e3 over e3 e2\ncolour e1 t\n")
+    assert parse_tangle(split + "circle u\n") == parse_tangle(split + "circle u\n")
+    assert parse_tangle(split + "circle u\n") != parse_tangle(split + "circle v\n")
+    # the text of the test above, with and without its flow line
+    text = serialize(tr.smooth_crossing(seeded_diagrams(11, 24, 7)[14], 5))
+    assert text.endswith("\nflow g_p5_1 1\n")
+    plain = text[:-len("flow g_p5_1 1\n")]
+    assert parse_tangle(plain) == parse_tangle(plain + "flow g_p5_1 0\n")
+    assert parse_tangle(plain) != parse_tangle(text)
+
+
 def test_sites_enumeration():
     d = load("clasp")
     assert sorted(str(s) for s in d.sites()) == ["b", "l", "r", "t"]

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tanglenabla.diagram import Site, TangleError, parse_tangle
+from tanglenabla.diagram import CORNER_RULE, Site, TangleError, parse_tangle
 from tanglenabla.gradings import (GradedGenerator, euler_characteristics,
                                   generator_gradings, generator_keys,
                                   graded_euler_characteristic, poincare_table)
@@ -55,6 +55,15 @@ def test_homological_grading_integral(corpus_names):
             total = sum(e for _, e in g.alexander2)
             assert (total - 2 * g.delta2) % 4 == 0
             assert isinstance(g.h, int)
+
+
+def test_homological_grading_is_the_h_exponent_at_every_corner():
+    # doubled exponents: 4h = eu + eo - 2 ed is twice the doubled h
+    # exponent, so (-1)^h is the sign of the state sum at h = -1
+    entries = [entry for rule in CORNER_RULE for entry in rule]
+    assert len(entries) == 8
+    for eu, eo, eh, ed in entries:
+        assert eu + eo - 2 * ed == 2 * eh, (eu, eo, eh, ed)
 
 
 def test_generator_count_doubles_per_closed_component():
@@ -246,8 +255,7 @@ def test_off_by_half_grading_is_e_grading_in_the_library(monkeypatch):
         first, *rest = codes(weight, h, delta)
         return [tuple(c + delta for c in first), *rest]
     monkeypatch.setattr(d, "corner_codes", off_by_half)
-    calls = [lambda: euler_characteristics(d), lambda: euler_characteristics(d, S("b")),
-             lambda: generator_keys(d), lambda: generator_gradings(d),
+    calls = [lambda: generator_keys(d), lambda: generator_gradings(d),
              lambda: poincare_table(d)]
     for call in calls:
         with pytest.raises(TangleError) as e:

@@ -196,14 +196,16 @@ def test_states_command_matches_the_brute_force(monkeypatch):
     assert {(n, False) for n in (2, 4, 6, 8)} | {(2, True), (4, True)} <= seen, seen
 
 
-def test_each_command_makes_one_pass(monkeypatch):
-    # the pass builds the walk's tables and memo: every name bound to it in
-    # the package is counted, so a second pass cannot hide behind an import
+def _record_passes(monkeypatch) -> list:
+    """The list that each ``frontier`` call then appends its ``(s, codes,
+    least, at_h)`` to.  The pass builds the walk's tables and memo: every
+    name bound to it in the package is counted, so a second pass cannot
+    hide behind an import."""
     passes = []
     real = states.frontier
 
     def counted(d, s, codes, least=False, at_h=False):
-        passes.append(s)
+        passes.append((s, codes, least, at_h))
         return real(d, s, codes, least, at_h)
 
     holders = [mod for name, mod in sys.modules.items()
@@ -211,6 +213,11 @@ def test_each_command_makes_one_pass(monkeypatch):
     assert len(holders) >= 4, holders
     for mod in holders:
         monkeypatch.setattr(mod, "frontier", counted)
+    return passes
+
+
+def test_each_command_makes_one_pass(monkeypatch):
+    passes = _record_passes(monkeypatch)
     d = load("mutorient")
     site = str(d.sites()[0])
     runs = [(d, argv) for argv in (["states"], ["gradings"], ["euler"], ["euler", "--site", site],
@@ -221,3 +228,21 @@ def test_each_command_makes_one_pass(monkeypatch):
             passes.clear()
             assert cli_on(monkeypatch, diagram, "--format", fmt, *argv)[0] == 0, argv
             assert len(passes) == 1, (argv, fmt, passes)
+
+
+def test_euler_makes_the_pass_of_nabla(monkeypatch):
+    # a state's homological grading is its h exponent, so the Euler
+    # characteristics sum the values at h = -1 that nabla sums: the same
+    # codes, flags and site
+    passes = _record_passes(monkeypatch)
+    linked = next(d for d in seeded_diagrams(5, 60, 8) if d.m_closed >= 2)
+    for d in (load("mutorient"), linked):
+        site = str(d.sites()[0])
+        for where in ([], ["--site", site]):
+            made = []
+            for cmd in ("euler", "nabla"):
+                passes.clear()
+                assert cli_on(monkeypatch, d, "--format", "json", cmd, *where)[0] == 0
+                made += passes
+            assert len(made) == 2 and made[0] == made[1], (d.name, where)
+            assert made[0][2:] == (True, True)

@@ -91,11 +91,10 @@ def test_euler_char_on_given_diagrams(monkeypatch):
     rep = run_check("euler_char", diagrams=[load(n) for n in
                                             ("clasp", "mutorient", "trefoil")])
     assert rep.passed
-    # with the Euler characteristics doubled, the given-diagram and the
+    # with the closed-strand factor doubled, the given-diagram and the
     # generated runs report every failing site with the same payload
-    real = verify.euler_characteristics
-    monkeypatch.setattr(verify, "euler_characteristics",
-                        lambda d: {s: p + p for s, p in real(d).items()})
+    real = verify.euler_factor
+    monkeypatch.setattr(verify, "euler_factor", lambda d: real(d) + real(d))
     given = run_check("euler_char", diagrams=[load("clasp")])
     assert [f["site"] for f in given.failures] == ["b", "l", "r", "t"]
     generated = run_check("euler_char", seed=7, cases=5)

@@ -473,7 +473,7 @@ class TangleDiagram:
         return (self.crossings == other.crossings and self.boundary == other.boundary
                 and self.arcs == other.arcs
                 and self.colour_of_edge == other.colour_of_edge
-                and self.edge_dirs == other.edge_dirs
+                and self.edge_dirs == other.edge_dirs and self.regions == other.regions
                 and self.free_circles == other.free_circles and self.split == other.split)
 
     def __repr__(self):

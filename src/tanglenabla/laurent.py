@@ -249,8 +249,11 @@ class LaurentPoly:
     def divide_binomial(self, colour: str) -> "LaurentPoly":
         """Exact quotient by (colour - colour^{-1}); raises if not divisible.
 
-        The division is done separately for each fixed exponent pattern of
-        the remaining variables, as a univariate Laurent long division.
+        The division runs separately for each exponent pattern of the other
+        variables: while the top doubled exponent e of the colour is at
+        least the lowest one + 4, the top term c x^e is peeled off as
+        c x^(e-2) (x - x^-1), which leaves c x^(e-4).  What is left is the
+        remainder.
         """
         if colour not in self.vars:
             raise LaurentError("E_UNKNOWN_VAR", f"no variable {colour!r}")
@@ -264,27 +267,12 @@ class LaurentPoly:
         quot: dict[tuple[int, ...], int] = {}
         rem_terms: dict[tuple[int, ...], int] = {}
         for rest, poly in groups.items():
-            # q * (colour - colour^{-1}) = p  <=>  q * (x^2 - 1) = x * p,
-            # after clearing denominators: divide descending by (x^2 - 1)
-            shift = min(poly) + 2           # doubled exponent of x*p's bottom
-            rem = {e + 2 - shift: v for e, v in poly.items()}
-            q: dict[int, int] = {}
-            while rem and max(rem) >= 4:
-                e = max(rem)
-                v = rem.pop(e)
-                q[e - 4] = q.get(e - 4, 0) + v
-                nv = rem.get(e - 4, 0) + v
-                if nv:
-                    rem[e - 4] = nv
-                else:
-                    rem.pop(e - 4, None)
-            for e, v in rem.items():
-                if v:
-                    key = rest[:i] + (e + shift - 2,) + rest[i:]
-                    rem_terms[key] = v
-            for e, v in q.items():
-                key = rest[:i] + (e + shift,) + rest[i:]
-                quot[key] = quot.get(key, 0) + v
+            low = min(poly)
+            while (e := max(poly)) >= low + 4:
+                c = poly.pop(e)
+                quot[rest[:i] + (e - 2,) + rest[i:]] = c
+                poly[e - 4] = poly.get(e - 4, 0) + c
+            rem_terms.update({rest[:i] + (e,) + rest[i:]: c for e, c in poly.items() if c})
         if rem_terms:
             raise LaurentError(
                 "E_NOT_DIVISIBLE",

@@ -41,6 +41,8 @@ is built for the values at h = -1.
 a layout of colour digits that its caller shares between diagrams, so the
 catalogue compares and transforms families as int maps.  It runs the pass
 with counts alone, signed at h = -1, so the pass's maps are its result.
+The layout is the same at every h: at h = -1 digit 0 is empty and each
+colour keeps its digit, as in ``_packing``.
 ``packed_digit`` and ``packed_weight`` read and build its digits, and
 ``check_product`` guards a product of two families against digit overflow.
 """
@@ -85,14 +87,14 @@ def packed_family(d: TangleDiagram, digit: Mapping[str, int],
     under a layout that the caller shares between diagrams: h on digit 0 and
     colour c on digit ``digit[c]``, so colours given one digit add their
     exponents.  A site that no state reaches maps to {}.  With ``at_h``, the
-    value at h = -1, from the signed pass without the h digit (colour digit
-    k moves to k - 1), and terms that cancel go.  One frontier pass, and no
+    value at h = -1, from the signed pass: digit 0 is empty, each colour
+    keeps its digit, and terms that cancel go.  One frontier pass, and no
     polynomial is built.
 
     A crossing moves a digit by at most 2, so the digits of an m-crossing
     family stay within 2m, and a product of families (``check_product``)
     stays in range while their crossings add up to less than 2^18."""
-    weight = [1 << _BITS * (digit[c] - at_h) for c in d.colours()]
+    weight = [packed_weight(digit[c]) for c in d.colours()]
     sums = frontier(d, None, d.corner_codes(weight, not at_h), at_h=at_h)
     if not at_h:
         return {s: sums.get(s, {}) for s in d.sites()}

@@ -20,9 +20,9 @@ The checks compare site families as packed int maps
 (``nabla.packed_family``): the diagrams of one case share a layout, one
 digit per colour name and h on digit 0, so each identity is a map on ints.
 Mirroring negates a term; reversing colour c subtracts x (2 w_c + 1) for
-its digit x and weight w_c; h = -1 is the pass with signed counts and no
-h digit (``packed_family(..., True)``, colour c on digit ``layout[c] -
-1``) and renaming every colour to t is a layout; (m - m^-1) p is two
+its digit x and weight w_c; h = -1 is the pass with signed counts, under
+the same layout with digit 0 empty (``packed_family(..., True)``), and
+renaming every colour to t is a layout; (m - m^-1) p is two
 shifted copies of p; setting a colour to ±1 drops its digit with a sign;
 parity reads digits mod 4.  The glueing check
 packs each piece with colour c on the digit of its image iota(c), so a
@@ -293,8 +293,7 @@ def random_rm_sequence(rng: random.Random, d: TangleDiagram, moves: int):
 
 def _layout(*diagrams: TangleDiagram) -> dict[str, int]:
     """One digit per colour name of ``diagrams``, from digit 1 on in order of
-    first appearance, for ``packed_family`` (h is on digit 0; at h = -1,
-    colour c is on digit ``layout[c] - 1``)."""
+    first appearance, for ``packed_family`` (h is on digit 0)."""
     names = dict.fromkeys(c for d in diagrams for c in d.colours())
     return {c: k for k, c in enumerate(names, 1)}
 
@@ -342,13 +341,11 @@ def _at_unit(terms: dict[int, int], read, w: int, sign: int) -> dict[int, int]:
     return {k: c for k, c in out.items() if c}
 
 
-def _decoded(terms: dict[int, int], lay: dict[str, int], hatted: bool) -> LaurentPoly:
+def _decoded(terms: dict[int, int], lay: dict[str, int]) -> LaurentPoly:
     """A packed map of a case as a polynomial, for a failure payload: the
-    colours of its layout ``lay`` in digit order, then h for a hatted map (at
-    h = -1, colour c is on digit ``lay[c] - 1``)."""
-    reads = [(c, packed_digit(k if hatted else k - 1)) for c, k in lay.items()]
-    if hatted:
-        reads.append((H, packed_digit(0)))
+    colours of its layout ``lay`` in digit order, then h, whose exponents
+    are all zero in a map at h = -1."""
+    reads = [(c, packed_digit(k)) for c, k in lay.items()] + [(H, packed_digit(0))]
     return LaurentPoly.sum((c, [(v, read(e)) for v, read in reads]) for e, c in terms.items())
 
 
@@ -446,25 +443,25 @@ def _check_skein(rng, cases, fail):
             continue
         done += 1
         k = done
-        # every colour renamed to t: all on digit 1, so t on weight 1 at h = -1
+        # every colour renamed to t: all on digit 1
         one = dict.fromkeys((*plus.colours(), *zero.colours()), 1)
         pluses, minuses, zeros = (packed_family(x, one, True) for x in (plus, minus, zero))
-        t = 2 * packed_weight(0)
+        t = 2 * packed_weight(1)
         if not all(_difference(pluses[s], minuses[s]) == _binomial_times(zeros[s], t)
                    for s in plus.sites()):
             fail(_payload(case=k, diagram=d, crossing=ci))
 
 
 def _check_knot_pm_one(rng, cases, fail):
-    read = packed_digit(0)
+    read, w = packed_digit(1), packed_weight(1)
     for k in range(cases):
         d = random_knot_tangle(rng, rng.randint(1, 8))
-        # the one colour on digit 0 at h = -1: at ±1 the value is a signed
-        # sum of coefficients, on the key 0
+        # the one colour on digit 1: at ±1 the value is a signed sum of
+        # coefficients, on the key 0
         lay = {d.colours()[0]: 1}
         p = packed_family(d, lay, True)[Site(frozenset())]
-        if _at_unit(p, read, 1, 1) != {0: 1} or _at_unit(p, read, 1, -1) != {0: 1}:
-            fail(_payload(case=k, diagram=d, value=_decoded(p, lay, False)))
+        if _at_unit(p, read, w, 1) != {0: 1} or _at_unit(p, read, w, -1) != {0: 1}:
+            fail(_payload(case=k, diagram=d, value=_decoded(p, lay)))
 
 
 def _check_set_pm_one(rng, cases, fail):
@@ -506,14 +503,14 @@ def _pm_one_failure(d: TangleDiagram, rest: TangleDiagram, t1: str, lks: dict[st
              else {s: {} for s in d.sites()})
     lk_total = sum(lks.values()) // 2
     # m = prod c^lk_c, so that the right-hand side is unit * (m - m^-1) * nrest
-    m = sum(lk * packed_weight(lay[c] - 1) for c, lk in lks.items())
-    read, w = packed_digit(lay[t1] - 1), packed_weight(lay[t1] - 1)
+    m = sum(lk * packed_weight(lay[c]) for c, lk in lks.items())
+    read, w = packed_digit(lay[t1]), packed_weight(lay[t1])
     for s in d.sites():
         for sign in (1, -1):
             unit = 1 if sign == 1 or (lk_total + 1) % 2 == 0 else -1
             lhs, rhs = _at_unit(nd[s], read, w, sign), _binomial_times(nrest[s], m, unit)
             if lhs != rhs:
-                return s, sign, unit, _decoded(lhs, lay, False), _decoded(rhs, lay, False)
+                return s, sign, unit, _decoded(lhs, lay), _decoded(rhs, lay)
     return None
 
 
@@ -533,8 +530,8 @@ def _check_glueing(rng, cases, fail):
         totals = _glued_sums(rec, d1, d2, lay)
         for s in T.sites():
             if totals[s] != hats_T[s]:
-                fail(_payload(case=k, glued=T, site=str(s), got=_decoded(totals[s], lay, True),
-                              expected=_decoded(hats_T[s], lay, True)))
+                fail(_payload(case=k, glued=T, site=str(s), got=_decoded(totals[s], lay),
+                              expected=_decoded(hats_T[s], lay)))
                 return
 
 
@@ -598,12 +595,12 @@ def _check_parity(rng, cases, fail):
     for k in range(cases):
         d = random_diagram(rng, rng.choice((2, 4, 6)), rng.randint(1, 8))
         lay = _layout(d)
-        reads = [(v, packed_digit(lay[v] - 1)) for v in d.colours()]
+        reads = [(v, packed_digit(lay[v])) for v in d.colours()]
         for s, t in packed_family(d, lay, True).items():
             for v, read in reads:
                 if len({read(e) % 4 for e in t}) > 1:
                     fail(_payload(case=k, diagram=d, site=str(s), colour=v,
-                                  value=_decoded(t, lay, False)))
+                                  value=_decoded(t, lay)))
                     return
 
 

@@ -172,11 +172,31 @@ MUTANTS = [
            ("tests/test_verify.py::test_each_property_passes_small_run[mutation]",
             "tests/test_acceptance.py::test_criterion_8_identity_suite")),
     Mutant("knot_pm_one with the colour's digit kept", "src/tanglenabla/verify.py",
-           "if _at_unit(p, read, 1, 1) != {0: 1} or _at_unit(p, read, 1, -1) != {0: 1}:",
+           "if _at_unit(p, read, w, 1) != {0: 1} or _at_unit(p, read, w, -1) != {0: 1}:",
            "if _at_unit(p, read, 0, 1) != {0: 1} or _at_unit(p, read, 0, -1) != {0: 1}:",
            ("tests/test_verify.py::test_each_property_passes_small_run[knot_pm_one]",
             "tests/test_verify.py::test_packed_checks_report_as_the_polynomial_checks[knot_pm_one]",
             "tests/test_golden_cli.py::test_check_json_digests")),
+    Mutant("at-h family shifted down a digit", "src/tanglenabla/nabla.py",
+           "weight = [packed_weight(digit[c]) for c in d.colours()]",
+           "weight = [packed_weight(digit[c] - at_h) for c in d.colours()]",
+           ("tests/test_nabla.py::test_packed_terms_multiply_by_adding_their_ints",
+            "tests/test_nabla.py::test_packed_family_at_h_matches_the_collapse_on_seeded_diagrams",
+            "tests/test_verify.py::test_set_pm_one_weighs_the_sign_at_minus_one")),
+    Mutant("_decoded without the h digit", "src/tanglenabla/verify.py",
+           " + [(H, packed_digit(0))]",
+           "",
+           ("tests/test_verify.py::test_one_pass_glueing_sum_matches_the_site_scan",)),
+    Mutant("division remainder at the wrong exponent", "src/tanglenabla/laurent.py",
+           "rem_terms.update({rest[:i] + (e,) + rest[i:]: c",
+           "rem_terms.update({rest[:i] + (e + 2,) + rest[i:]: c",
+           ("tests/test_laurent.py::test_divide_binomial_reports_the_exact_remainder[one_group]",
+            "tests/test_laurent.py::test_divide_binomial_reports_the_exact_remainder[two_groups]",
+            "tests/test_laurent.py::test_divide_binomial_reports_the_exact_remainder[half_exponents]")),
+    Mutant("diagram == without the regions", "src/tanglenabla/diagram.py",
+           " and self.regions == other.regions\n",
+           "\n",
+           ("tests/test_diagram.py::test_closed_diagrams_with_another_outer_face_are_not_equal",)),
     Mutant("last table piece written with its comma", "src/tanglenabla/layout.py",
            'write(last[:-2] + "\\n  ]\\n}\\n" if as_json else last)',
            'write(last[:-1] + "\\n  ]\\n}\\n" if as_json else last)',

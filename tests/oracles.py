@@ -414,7 +414,8 @@ def add_all(polys: list[LaurentPoly]) -> LaurentPoly:
 def pack(p: LaurentPoly, digit: dict[str, int]) -> dict[int, int]:
     """The terms of p as ``nabla.packed_family`` packs them: one int a term,
     h on 20-bit digit 0 and colour v on digit ``digit[v]``, exponents that
-    share a digit added and zero coefficients dropped."""
+    share a digit added and zero coefficients dropped.  A value at h = -1
+    has no h, so its digit 0 is empty, as in ``packed_family(..., True)``."""
     weights = [1 << 20 * (0 if v == H else digit[v]) for v in p.vars]
     out: dict[int, int] = {}
     for e, c in p.terms.items():
@@ -425,11 +426,11 @@ def pack(p: LaurentPoly, digit: dict[str, int]) -> dict[int, int]:
 
 def packed_at_h(terms: dict[int, int]) -> dict[int, int]:
     """A hatted packed map (h on 20-bit digit 0) at h = -1: a term's sign is
-    bit 1 of its h digit, that digit is dropped (colour digit k moves to
-    k - 1) and terms that cancel go."""
+    bit 1 of its h digit, that digit is zeroed (every colour keeps its
+    digit) and terms that cancel go."""
     acc: dict[int, int] = {}
     for e, c in terms.items():
-        k = e + (1 << 19) >> 20
+        k = e + (1 << 19) >> 20 << 20
         acc[k] = acc.get(k, 0) + (-c if e & 2 else c)
     return {k: c for k, c in acc.items() if c}
 

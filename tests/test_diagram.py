@@ -204,6 +204,19 @@ def test_diagrams_that_differ_in_a_free_circle_or_a_flow_are_not_equal():
     assert parse_tangle(plain) != parse_tangle(text)
 
 
+def test_closed_diagrams_with_another_outer_face_are_not_equal():
+    # the closed trefoil's outer face lies right of e1 and of e3, and left
+    # of e1 lies another face: two hints on one face give one diagram, and
+    # a hint on another face gives another, which reopens elsewhere
+    text = serialize(tr.close_tangle(load("trefoil")))
+    assert "\nouter r e1 R\n" in text
+    d = parse_tangle(text)
+    same = parse_tangle(text.replace("outer r e1 R", "outer r e3 R"))
+    other = parse_tangle(text.replace("outer r e1 R", "outer r e1 L"))
+    assert same == d and serialize(tr.reopen(same)) == serialize(tr.reopen(d))
+    assert other != d and serialize(tr.reopen(other)) != serialize(tr.reopen(d))
+
+
 def test_sites_enumeration():
     d = load("clasp")
     assert sorted(str(s) for s in d.sites()) == ["b", "l", "r", "t"]

@@ -102,6 +102,23 @@ def test_divide_binomial_examples():
     assert e.value.payload  # remainder is reported
 
 
+@pytest.mark.parametrize("p, rem", [
+    # t^2 + t^-2 = (t + t^-1)(t - t^-1) + 2 t^-2
+    (mono(1, t=2) + mono(1, t=-2), mono(2, t=-2)),
+    # per power of s: t^3 + 2 t^-1 = (t^2 + 1)(t - t^-1) + 3 t^-1, and s t^2
+    # is left whole
+    (mono(1, t=3) + mono(2, t=-1) + mono(1, s=1, t=2), mono(3, t=-1) + mono(1, s=1, t=2)),
+    # t^(3/2) + t^(-1/2) = t^(1/2)(t - t^-1) + 2 t^(-1/2)
+    (half(1, t=3) + half(1, t=-1), half(2, t=-1)),
+], ids=["one_group", "two_groups", "half_exponents"])
+def test_divide_binomial_reports_the_exact_remainder(p, rem):
+    with pytest.raises(LaurentError) as e:
+        p.divide_binomial("t")
+    assert e.value.code == "E_NOT_DIVISIBLE"
+    got = e.value.payload
+    assert got.vars == p.vars and got == rem, got.pretty()
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(20240805)
 

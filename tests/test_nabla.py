@@ -267,9 +267,8 @@ def test_packed_terms_multiply_by_adding_their_ints(seed, m1, m2, shared):
     rng = random.Random(seed)
     d1, d2 = (random_diagram(rng, rng.choice((2, 4, 6)), m) for m in (m1, m2))
     lay = _layouts(d1, shared)
-    down = {c: k - 1 for c, k in lay.items()}
     assert packed_family(d1, lay) == {s: pack(p, lay) for s, p in nabla_hat_all(d1).items()}
-    assert packed_family(d1, lay, True) == {s: pack(p, down) for s, p in nabla_all(d1).items()}
+    assert packed_family(d1, lay, True) == {s: pack(p, lay) for s, p in nabla_all(d1).items()}
     names = {c: f"x{k}" for c, k in lay.items()}   # colours on one digit, one name
     lay2 = {c: k + len(lay) for k, c in enumerate(d2.colours(), 1)}
     both = {**{f"x{k}": k for k in lay.values()}, **lay2}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -181,7 +183,7 @@ def test_one_pass_glueing_sum_matches_the_site_scan():
         slow = glueing_sums(rec, hats_1, hats_2)
         assert list(fast) == list(slow) == T.sites()
         assert fast == {s: oracles.pack(p, lay) for s, p in slow.items()}
-        assert {s: verify._decoded(x, lay, True) for s, x in fast.items()} == slow
+        assert {s: verify._decoded(x, lay) for s, x in fast.items()} == slow
         assert fast == packed_family(T, lay)
         sites += len(fast)
         nonzero += sum(1 for x in fast.values() if x)
@@ -382,6 +384,67 @@ def test_a_broken_knot_law_fails_on_every_knot_it_changes(monkeypatch):
     assert failed == changed and sum(changed) >= 5, sum(changed)
 
 
+def _digit_kept(terms, read, w, sign):
+    return _REAL["_at_unit"](terms, read, 0, sign)
+
+
+# the law breaks whose failure payloads decode packed maps: each with its
+# failures on seeds 0-39, one case each, and a sha256 over the JSON reports
+PAYLOAD_BREAKS = [
+    ("set_pm_one", verify, "_binomial_times", _swapped_monomial, 17),
+    ("glueing", tr, "glue_diagrams", _swapped_iota, 32),
+    ("parity", verify, "packed_digit", _halved_digit, 19),
+    ("knot_pm_one", verify, "_at_unit", _digit_kept, 9),
+]
+PAYLOAD_PIN = "e06eb7dc729ca81b4972e8c1a5c21a788e1701e75f56fdf71b5a5ca5cf1e44e4"
+
+
+def test_failure_payloads_are_pinned(monkeypatch):
+    # none of these breaks depends on where a layout puts a colour's digit,
+    # so a change to how the checks pack or decode their maps must leave
+    # their reports, payloads included, byte-identical
+    reports = []
+    for prop, module, attr, broken, count in PAYLOAD_BREAKS:
+        monkeypatch.setattr(module, attr, broken)
+        reps = [run_check(prop, seed=seed, cases=1).to_json() for seed in range(40)]
+        monkeypatch.undo()
+        assert sum(len(r["failures"]) for r in reps) == count, prop
+        reports.append(reps)
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PAYLOAD_PIN
+
+
+# per property that compares packed families: the families it compares on
+# seeds 0-7, 10 cases each, and how many of them are zero at every site
+COMPARED_FAMILIES = {
+    "rm_invariance": (160, 42), "mirror": (160, 0), "reversal": (240, 0),
+    "skein": (240, 73), "knot_pm_one": (80, 0), "set_pm_one": (155, 53),
+    "glueing": (240, 0), "parity": (80, 22), "fourended_symmetry": (160, 16),
+    "mutation": (320, 24),
+}
+
+
+def test_catalogue_cases_stay_non_trivial(monkeypatch):
+    # a case whose two sides are both zero passes any law: no property may
+    # compare fewer families that are non-zero somewhere, or more that are
+    # zero everywhere
+    real = verify.packed_family
+    zero: list[bool] = []
+
+    def counted(d, digit, at_h=False):
+        family = real(d, digit, at_h)
+        zero.append(not any(family.values()))
+        return family
+
+    monkeypatch.setattr(verify, "packed_family", counted)
+    for prop, (total, trivial) in COMPARED_FAMILIES.items():
+        zero.clear()
+        for seed in range(8):
+            run_check(prop, seed=seed, cases=10)
+        assert sum(zero) <= trivial and len(zero) - sum(zero) >= total - trivial, \
+            (prop, len(zero), sum(zero))
+
+
 def _generated(generate, rng, *args):
     """What a generator call returns, compared in full, or the code it
     raises; then the rng's next draw."""
@@ -517,10 +580,9 @@ def test_set_pm_one_weighs_the_sign_at_minus_one(monkeypatch):
         assert verify._pm_one_failure(d, rest, t1, lks) is None, d.name
         # the packed sides at t1 = -1 are the polynomial oracle's, packed
         lay = verify._layout(d, rest)
-        at = {c: k - 1 for c, k in lay.items()}
         nd, nrest = packed_family(d, lay, True), packed_family(rest, lay, True)
-        m = sum(lk * nabla.packed_weight(at[c]) for c, lk in lks.items())
-        read, w = nabla.packed_digit(at[t1]), nabla.packed_weight(at[t1])
+        m = sum(lk * nabla.packed_weight(lay[c]) for c, lk in lks.items())
+        read, w = nabla.packed_digit(lay[t1]), nabla.packed_weight(lay[t1])
         fwd = LaurentPoly.monomial(1, {c: lk for c, lk in lks.items() if lk})
         bwd = LaurentPoly.monomial(1, {c: -lk for c, lk in lks.items() if lk})
         polys, polys_rest = nabla_all(d), nabla_all(rest)
@@ -528,9 +590,9 @@ def test_set_pm_one_weighs_the_sign_at_minus_one(monkeypatch):
             lhs = oracles._sub_if(polys[s], t1, {}, sign=-1)
             rhs = LaurentPoly.integer(-1) * (fwd - bwd) * polys_rest[s]
             assert lhs == rhs, (d.name, str(s))
-            assert verify._at_unit(nd[s], read, w, -1) == oracles.pack(lhs, at)
-            assert verify._binomial_times(nrest[s], m, -1) == oracles.pack(rhs, at)
-            assert verify._decoded(verify._at_unit(nd[s], read, w, -1), lay, False) == lhs
+            assert verify._at_unit(nd[s], read, w, -1) == oracles.pack(lhs, lay)
+            assert verify._binomial_times(nrest[s], m, -1) == oracles.pack(rhs, lay)
+            assert verify._decoded(verify._at_unit(nd[s], read, w, -1), lay) == lhs
     # with the sign (-1)^(x/2) dropped, t1 = -1 reads as t1 = 1 and the
     # identity at -1 fails on every case
     monkeypatch.setattr(verify, "_at_unit",
